@@ -1,0 +1,146 @@
+"""Golden CLI transcripts: every subcommand, byte for byte.
+
+``tests/golden/cli.jsonl`` holds one recorded invocation per line: its
+argv, an optional config object (written to a file and passed with
+``--config``), the exit code, stdout and stderr.  Each is replayed through
+``cli_io.main`` in-process and must reproduce all three exactly.
+
+The recorded values are floating-point results printed with ``repr``, so
+they pin this platform's libm and QUADPACK down to the last bit.  After an
+intended output change, re-record with::
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from vacbrownian.cli_io import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli.jsonl"
+
+UNIT = ["--particle", "unit"]
+CLOSED = ["--quantity", "vel_disp_transverse", "--quantity", "vel_disp_normal",
+          "--quantity", "pos_disp_transverse", "--quantity", "pos_disp_normal"]
+ASYM = ["--quantity", "vel_disp_transverse_asym", "--quantity", "vel_disp_normal_asym",
+        "--quantity", "pos_disp_transverse_asym", "--quantity", "pos_disp_normal_asym"]
+EXTRA = ["--quantity", "effective_temperature", "--quantity", "radiated_velocity_sq"]
+
+# (argv, config) pairs; config None means no --config file.
+INVOCATIONS: list[tuple[list[str], dict | None]] = [
+    # eval: both sides of the lightcone, the short-time region, SI inputs
+    (["eval", "--z", "1e-6m", "--t-over-z", "3", "--quantity", "vel_disp_normal",
+      "--quantity", "effective_temperature"], None),
+    (["eval", *UNIT, "--z", "1", "--t-over-z", "0.5", *CLOSED], None),
+    (["eval", *UNIT, "--z", "1", "--t", "1e-3", *CLOSED], None),
+    (["eval", *UNIT, "--z", "2.5", "--t-over-z", "1e-6", *CLOSED], None),
+    (["eval", "--z", "1e-7m", "--t-over-z", "3e-9", *CLOSED, *EXTRA], None),
+    (["eval", "--z", "1e-6m", "--t", "3e-14s", *CLOSED, *EXTRA], None),
+    (["eval", *UNIT, "--z", "1", "--t-over-z", "10", *CLOSED, *ASYM], None),
+    (["eval", "--charge", "2", "--mass", "3", "--z", "0.7", "--t-over-z", "0.005",
+      *CLOSED], None),
+    (["eval"], {"particle": "unit", "z": "1e-6m", "t_over_z": "0.002",
+                "quantity": ["vel_disp_transverse", "pos_disp_normal"]}),
+    # eval refusals: lightcone (3), undefined asymptote and bad arguments (2)
+    (["eval", *UNIT, "--z", "1", "--t-over-z", "2", "--quantity", "vel_disp_normal"], None),
+    (["eval", *UNIT, "--z", "1", "--t-over-z", "1", "--quantity",
+      "pos_disp_transverse_asym"], None),
+    (["eval", *UNIT, "--z", "1", "--t-over-z", "1"], None),
+    (["eval", *UNIT, "--t-over-z", "1", "--quantity", "bogus"], None),
+    (["eval", *UNIT, "--t", "1", "--t-over-z", "1", "--quantity", "vel_disp_normal"], None),
+    # sweep: t, z and t_over_z grids in CSV and JSON reaching t/z < 1e-2
+    (["sweep", *UNIT, "--var", "t_over_z", "--min", "1e-9", "--max", "100",
+      "--count", "23"], None),
+    (["sweep", "--var", "t_over_z", "--min", "1e-4", "--max", "10", "--count", "4",
+      "--z", "1e-6m", "--format", "json"], None),
+    (["sweep", *UNIT, "--var", "t", "--min", "1e-7", "--max", "0.05", "--count", "9",
+      "--z", "3", *CLOSED, *EXTRA], None),
+    (["sweep", "--var", "t", "--min", "1e-20s", "--max", "1e-16s", "--count", "3",
+      "--z", "1e-7m", "--format", "json", "--quantity", "vel_disp_normal",
+      "--quantity", "pos_disp_transverse"], None),
+    (["sweep", *UNIT, "--var", "z", "--t", "1", "--min", "0.1", "--max", "1e5",
+      "--count", "13"], None),
+    (["sweep", "--var", "z", "--t", "1e-9m", "--min", "1e-8m", "--max", "1e-4m",
+      "--count", "3", "--format", "json", "--quantity", "vel_disp_transverse",
+      "--quantity", "pos_disp_normal"], None),
+    (["sweep", *UNIT, "--var", "t_over_z", "--spacing", "linear", "--min", "1",
+      "--max", "3", "--count", "3", *CLOSED, *ASYM, *EXTRA], None),
+    (["sweep", *UNIT, "--var", "t_over_z", "--spacing", "linear", "--min", "1",
+      "--max", "3", "--count", "3", "--format", "json", "--quantity", "vel_disp_normal",
+      "--quantity", "pos_disp_normal_asym"], None),
+    (["sweep", "--var", "t_over_z", "--min", "1e-3", "--max", "1e9", "--count", "13",
+      "--z", "1e-6m", "--quantity", "vel_disp_transverse", "--quantity",
+      "pos_disp_transverse"], None),
+    # sweep argument errors (2)
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "1"], None),
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--spacing", "cubic"], None),
+    (["sweep", *UNIT, "--var", "z", "--min", "1", "--max", "3"], None),
+    (["sweep", *UNIT, "--min", "1"], None),
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--format", "xml"], None),
+    # verify: each grid, a failing tolerance (1) and a bad grid (2)
+    (["verify", "--grid", "full"], None),
+    (["verify", "--grid", "pre-lightcone", "--z", "3.7e-5"], None),
+    (["verify", "--grid", "post-lightcone", "--particle", "electron", "--z", "1e-6m"], None),
+    (["verify", "--grid", "pre-lightcone", "--tolerance", "1e-20"], None),
+    (["verify", "--grid", "diagonal"], None),
+    # regimes, corr, constants
+    (["regimes", "--z", "1e-6m", "--t-over-z", "10"], None),
+    (["regimes", "--z", "1e-6m", "--t", "3e-15s"], None),
+    (["corr", "--z", "1", "--dt-min", "0", "--dt-max", "4", "--count", "9"], None),
+    (["corr", "--z", "1e-6m", "--dt-max", "4e-6m", "--count", "5", "--eps", "1e-9m"], None),
+    (["corr", "--z", "1", "--dt-max", "4", "--count", "1"], None),
+    (["constants"], None),
+]
+
+
+def run(argv: list[str], config: dict | None) -> dict:
+    """One in-process CLI call: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        full = list(argv)
+        if config is not None:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            full += ["--config", str(path)]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(full)
+    return {"argv": argv, "config": config, "exit": code,
+            "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _recorded() -> list[dict]:
+    with GOLDEN.open(encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
+
+RECORDED = _recorded() if GOLDEN.exists() else []
+
+
+@pytest.mark.parametrize("record", RECORDED,
+                         ids=[f"{i:02d}-{r['argv'][0]}" for i, r in enumerate(RECORDED)])
+def test_cli_output_is_byte_identical(record):
+    got = run(record["argv"], record["config"])
+    assert got["exit"] == record["exit"]
+    assert got["stderr"] == record["stderr"]
+    assert got["stdout"] == record["stdout"]
+
+
+def test_golden_set_is_current_and_complete():
+    assert [(r["argv"], r["config"]) for r in RECORDED] == INVOCATIONS
+    assert {r["argv"][0] for r in RECORDED} == {
+        "eval", "sweep", "verify", "regimes", "corr", "constants"}
+    assert {r["exit"] for r in RECORDED} == {0, 1, 2, 3}
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    with GOLDEN.open("w", encoding="utf-8") as handle:
+        for argv, config in INVOCATIONS:
+            handle.write(json.dumps(run(argv, config)) + "\n")
