@@ -16,7 +16,6 @@ times are light-travel distances.
 from __future__ import annotations
 
 from .correlators import (
-    Geometry,
     RegulatorSpec,
     corr_normal,
     corr_normal_reg,
@@ -83,7 +82,6 @@ __all__ = [
     "DispersionResult",
     "EvalPoint",
     "ExtrapolationError",
-    "Geometry",
     "LightconeSingularityError",
     "OracleResult",
     "PacketSpec",

@@ -26,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from . import dispersion, oracle, regimes
 from .errors import (
@@ -138,18 +138,11 @@ def _particle(args: argparse.Namespace, config: dict[str, Any]) -> ParticleSpec:
         raise UsageError(f"parameter charge/mass: {exc}") from None
 
 
-_DISPERSION_FNS: dict[str, tuple[Callable[..., dispersion.DispersionResult], str]] = {
-    "vel_disp_transverse": (dispersion.vel_disp_transverse, "velocity"),
-    "vel_disp_normal": (dispersion.vel_disp_normal, "velocity"),
-    "pos_disp_transverse": (dispersion.pos_disp_transverse, "position"),
-    "pos_disp_normal": (dispersion.pos_disp_normal, "position"),
-    "vel_disp_transverse_asym": (dispersion.vel_disp_transverse_asym, "velocity"),
-    "vel_disp_normal_asym": (dispersion.vel_disp_normal_asym, "velocity"),
-    "pos_disp_transverse_asym": (dispersion.pos_disp_transverse_asym, "position"),
-    "pos_disp_normal_asym": (dispersion.pos_disp_normal_asym, "position"),
-}
+# The closed forms and their printed asymptotes, each a function of that
+# name in `dispersion`.
+_DISPERSIONS = dispersion.QUANTITY_IDS + tuple(f"{q}_asym" for q in dispersion.QUANTITY_IDS)
 
-QUANTITY_CHOICES = tuple(_DISPERSION_FNS) + ("effective_temperature", "radiated_velocity_sq")
+QUANTITY_CHOICES = _DISPERSIONS + ("effective_temperature", "radiated_velocity_sq")
 
 _UNITS = {
     "velocity": ("c^2", "m^2/s^2"),
@@ -160,11 +153,11 @@ _UNITS = {
 
 def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float, str]:
     """(value_natural, value_si, kind) for one quantity at one point."""
-    if quantity in _DISPERSION_FNS:
-        fn, kind = _DISPERSION_FNS[quantity]
-        value = fn(point).value
-        si = velocity_sq_natural_to_si(value) if kind == "velocity" else value
-        return value, si, kind
+    if quantity in _DISPERSIONS:
+        result = getattr(dispersion, quantity)(point)
+        value = result.value
+        si = velocity_sq_natural_to_si(value) if result.kind == "velocity" else value
+        return value, si, result.kind
     if quantity == "effective_temperature":
         value = regimes.effective_temperature_natural(point.particle, point.z)
         return value, natural_to_si_temperature(value), "temperature"
@@ -172,13 +165,6 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
         value = regimes.radiated_velocity_sq(point.particle, point.z, point.t)
         return value, velocity_sq_natural_to_si(value), "velocity"
     raise UsageError(f"parameter quantity: unknown quantity {quantity!r}")
-
-
-def _point_flags(point: dispersion.EvalPoint) -> tuple[bool, bool]:
-    margin = regimes.DEFAULT_MARGIN
-    valid = point.t < margin * regimes.validity_time_limit(point.particle, point.z)
-    rad = point.t < margin * regimes.radiation_time_limit(point.particle, point.z)
-    return valid, rad
 
 
 # --- output plumbing ------------------------------------------------------------
@@ -258,7 +244,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             "value_si": si,
             "unit_si": unit_si,
         }
-    validity_ok, radiation_ok = _point_flags(point)
+    validity_ok, radiation_ok = regimes.regime_flags(point.particle, point.z, point.t)
     record["flags"] = {
         "validity_ok": validity_ok,
         "radiation_ok": radiation_ok,
@@ -313,7 +299,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             t, z = value * z_fixed, z_fixed
         point = dispersion.EvalPoint(t=t, z=z, particle=spec)
-        validity_ok, radiation_ok = _point_flags(point)
+        validity_ok, radiation_ok = regimes.regime_flags(point.particle, point.z, point.t)
         for q in quantities:
             status = "ok"
             natural: float | None = None

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from .errors import LightconeSingularityError
 
 __all__ = [
-    "Geometry",
     "RegulatorSpec",
     "DEFAULT_EXCLUSION_WINDOW",
     "corr_transverse",
@@ -43,17 +42,6 @@ PI_SQ = math.pi * math.pi
 # Relative half-width of the refused band around the pole, measured on
 # |dt^2 - 4z^2| against 4z^2.
 DEFAULT_EXCLUSION_WINDOW = 1e-9
-
-
-@dataclass(frozen=True)
-class Geometry:
-    """Distance z > 0 from the reflecting plane (natural length units)."""
-
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (self.z > 0.0):
-            raise ValueError("distance from the plate must satisfy z > 0")
 
 
 @dataclass(frozen=True)

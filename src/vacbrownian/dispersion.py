@@ -22,25 +22,28 @@ Small-x evaluation is organized to dodge cancellation: the position forms
 group the x^2/6 term with the log into g(y) = y + ln(1 - y), summed as a
 series when y is small, so direct evaluation stays accurate down to
 arbitrarily small t.  Independent Taylor series for all four dispersions
-are provided for cross-checks.
+are provided for cross-checks.  `QUANTITIES` holds each dispersion's kind,
+component, bracket and series coefficients in one place.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import LightconeSingularityError
-from .regimes import DEFAULT_MARGIN, radiation_time_limit, validity_time_limit
+from .regimes import regime_flags
 from .units_constants import ParticleSpec, electron_preset
 
 __all__ = [
     "EvalPoint",
     "DispersionResult",
+    "Quantity",
     "SeriesValue",
     "DEFAULT_LIGHTCONE_DELTA",
-    "SERIES_GUARD_RATIO",
+    "QUANTITIES",
     "QUANTITY_IDS",
     "vel_disp_transverse",
     "vel_disp_normal",
@@ -57,17 +60,6 @@ PI_SQ = math.pi * math.pi
 
 # Relative half-width (in units of z) of the refusal window around t = 2z.
 DEFAULT_LIGHTCONE_DELTA = 1e-6
-
-# Below t/z = 1e-2 the public closed-form entry points delegate to the
-# Taylor series; the direct path stays available via series_guard=False.
-SERIES_GUARD_RATIO = 1e-2
-
-QUANTITY_IDS = (
-    "vel_disp_transverse",
-    "vel_disp_normal",
-    "pos_disp_transverse",
-    "pos_disp_normal",
-)
 
 
 @dataclass(frozen=True)
@@ -174,14 +166,59 @@ def _scaled_pos_normal(x: float) -> float:
     return lead + x * x / 6.0 + math.log(x * x - 1.0) / 6.0
 
 
-def _vel_prefactor(p: EvalPoint) -> float:
-    s = p.particle
-    return s.e * s.e / (PI_SQ * s.m * s.m * p.z * p.z)
+# --- the quantity registry -----------------------------------------------------
+#
+# In x = t/2z every dispersion is an even power series starting at x^2
+# (velocities) or x^4 (positions):
+#
+#   vel_x / A = sum_{k>=0} (k+1) x^(2k+2) / (4 (2k+1))
+#   vel_z / A = sum_{k>=0}       x^(2k+2) / (4 (2k+1))
+#   pos_x / B = sum_{k>=1} (1/6) (1/(2k-1) + 1/(k+1)) x^(2k+2)
+#   pos_z / B = sum_{k>=1} (1/6) (2/(2k-1) - 1/(k+1)) x^(2k+2)
+#
+# obtained by expanding L(x) and ln(1 - x^2); both leading terms reproduce
+# the coincidence-limit values of the kernels.
 
 
-def _pos_prefactor(p: EvalPoint) -> float:
-    s = p.particle
-    return s.e * s.e / (PI_SQ * s.m * s.m)
+@dataclass(frozen=True)
+class Quantity:
+    """One of the four dispersions: every fact the package keeps about it.
+
+    ``bracket`` is the scaled closed form in x = t/2z, ``series_coeff(k)``
+    the Taylor coefficient of x^(2k+2) in that bracket.  The prefactor
+    follows from ``kind``: A for "velocity", B for "position".
+    """
+
+    id: str
+    kind: str
+    component: str
+    bracket: Callable[[float], float]
+    series_coeff: Callable[[int], float]
+
+    def prefactor(self, p: EvalPoint) -> float:
+        s = p.particle
+        if self.kind == "velocity":
+            return s.e * s.e / (PI_SQ * s.m * s.m * p.z * p.z)
+        return s.e * s.e / (PI_SQ * s.m * s.m)
+
+    def evaluate(self, p: EvalPoint) -> DispersionResult:
+        """Closed-form value at p; refuses inside the lightcone window."""
+        _check_lightcone(p)
+        return _result(p, self.prefactor(p) * self.bracket(p.x), self)
+
+
+QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (
+    Quantity("vel_disp_transverse", "velocity", "x", _scaled_vel_transverse,
+             lambda k: (k + 1) / (4.0 * (2 * k + 1))),
+    Quantity("vel_disp_normal", "velocity", "z", _scaled_vel_normal,
+             lambda k: 1.0 / (4.0 * (2 * k + 1))),
+    Quantity("pos_disp_transverse", "position", "x", _scaled_pos_transverse,
+             lambda k: 0.0 if k == 0 else (1.0 / (2 * k - 1) + 1.0 / (k + 1)) / 6.0),
+    Quantity("pos_disp_normal", "position", "z", _scaled_pos_normal,
+             lambda k: 0.0 if k == 0 else (2.0 / (2 * k - 1) - 1.0 / (k + 1)) / 6.0),
+)})
+
+QUANTITY_IDS = tuple(QUANTITIES)
 
 
 def _check_lightcone(p: EvalPoint) -> None:
@@ -193,72 +230,43 @@ def _check_lightcone(p: EvalPoint) -> None:
         )
 
 
-def _result(p: EvalPoint, value: float, component: str, kind: str) -> DispersionResult:
-    margin = DEFAULT_MARGIN
+def _result(p: EvalPoint, value: float, q: Quantity) -> DispersionResult:
+    validity_ok, radiation_ok = regime_flags(p.particle, p.z, p.t)
     return DispersionResult(
         value=value,
-        component=component,
-        kind=kind,
-        validity_ok=p.t < margin * validity_time_limit(p.particle, p.z),
-        radiation_ok=p.t < margin * radiation_time_limit(p.particle, p.z),
+        component=q.component,
+        kind=q.kind,
+        validity_ok=validity_ok,
+        radiation_ok=radiation_ok,
         near_lightcone=p.near_lightcone,
     )
 
 
-def _closed_form(
-    p: EvalPoint,
-    scaled: Callable[[float], float],
-    quantity: str,
-    component: str,
-    kind: str,
-    prefactor: Callable[[EvalPoint], float],
-    series_guard: bool,
-) -> DispersionResult:
-    _check_lightcone(p)
-    if series_guard and p.t_over_z < SERIES_GUARD_RATIO:
-        value = small_t_series(quantity, p).value
-    else:
-        value = prefactor(p) * scaled(p.x)
-    return _result(p, value, component, kind)
-
-
-def vel_disp_transverse(p: EvalPoint, *, series_guard: bool = True) -> DispersionResult:
+def vel_disp_transverse(p: EvalPoint) -> DispersionResult:
     """Mean-squared velocity fluctuation parallel to the plane (x = y).
 
     Positive at early times and negative beyond the lightcone, decaying to
     zero at late times.
     """
-    return _closed_form(
-        p, _scaled_vel_transverse, "vel_disp_transverse", "x", "velocity",
-        _vel_prefactor, series_guard,
-    )
+    return QUANTITIES["vel_disp_transverse"].evaluate(p)
 
 
-def vel_disp_normal(p: EvalPoint, *, series_guard: bool = True) -> DispersionResult:
+def vel_disp_normal(p: EvalPoint) -> DispersionResult:
     """Mean-squared velocity fluctuation normal to the plane.
 
     Strictly positive, approaching e^2 / (4 pi^2 m^2 z^2) at late times.
     """
-    return _closed_form(
-        p, _scaled_vel_normal, "vel_disp_normal", "z", "velocity",
-        _vel_prefactor, series_guard,
-    )
+    return QUANTITIES["vel_disp_normal"].evaluate(p)
 
 
-def pos_disp_transverse(p: EvalPoint, *, series_guard: bool = True) -> DispersionResult:
+def pos_disp_transverse(p: EvalPoint) -> DispersionResult:
     """Mean-squared position fluctuation parallel to the plane (x = y)."""
-    return _closed_form(
-        p, _scaled_pos_transverse, "pos_disp_transverse", "x", "position",
-        _pos_prefactor, series_guard,
-    )
+    return QUANTITIES["pos_disp_transverse"].evaluate(p)
 
 
-def pos_disp_normal(p: EvalPoint, *, series_guard: bool = True) -> DispersionResult:
+def pos_disp_normal(p: EvalPoint) -> DispersionResult:
     """Mean-squared position fluctuation normal to the plane."""
-    return _closed_form(
-        p, _scaled_pos_normal, "pos_disp_normal", "z", "position",
-        _pos_prefactor, series_guard,
-    )
+    return QUANTITIES["pos_disp_normal"].evaluate(p)
 
 
 # --- printed large-time asymptotes ------------------------------------------
@@ -274,7 +282,7 @@ def vel_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
     s = p.particle
     value = -s.e**2 / (3.0 * PI_SQ * s.m**2 * p.t**2) \
         - 8.0 * s.e**2 * p.z**2 / (5.0 * PI_SQ * s.m**2 * p.t**4)
-    return _result(p, value, "x", "velocity")
+    return _result(p, value, QUANTITIES["vel_disp_transverse"])
 
 
 def vel_disp_normal_asym(p: EvalPoint) -> DispersionResult:
@@ -283,7 +291,7 @@ def vel_disp_normal_asym(p: EvalPoint) -> DispersionResult:
     s = p.particle
     value = s.e**2 / (4.0 * PI_SQ * s.m**2 * p.z**2) \
         + s.e**2 / (3.0 * PI_SQ * s.m**2 * p.t**2)
-    return _result(p, value, "z", "velocity")
+    return _result(p, value, QUANTITIES["vel_disp_normal"])
 
 
 def pos_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
@@ -296,7 +304,7 @@ def pos_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
     _check_asym_domain(p)
     s = p.particle
     value = -s.e**2 / (3.0 * PI_SQ * s.m**2) * math.log(p.t / (2.0 * p.z))
-    return _result(p, value, "x", "position")
+    return _result(p, value, QUANTITIES["pos_disp_transverse"])
 
 
 def pos_disp_normal_asym(p: EvalPoint) -> DispersionResult:
@@ -305,38 +313,14 @@ def pos_disp_normal_asym(p: EvalPoint) -> DispersionResult:
     s = p.particle
     bracket = p.t**2 / (8.0 * p.z**2) + math.log(p.t / (2.0 * p.z)) / 3.0 + 1.0 / 9.0
     value = s.e**2 / (PI_SQ * s.m**2) * bracket
-    return _result(p, value, "z", "position")
+    return _result(p, value, QUANTITIES["pos_disp_normal"])
 
 
 # --- small-t Taylor series ---------------------------------------------------
-#
-# In x = t/2z every dispersion is an even power series starting at x^2
-# (velocities) or x^4 (positions):
-#
-#   vel_x / A = sum_{k>=0} (k+1) x^(2k+2) / (4 (2k+1))
-#   vel_z / A = sum_{k>=0}       x^(2k+2) / (4 (2k+1))
-#   pos_x / B = sum_{k>=1} (1/6) (1/(2k-1) + 1/(k+1)) x^(2k+2)
-#   pos_z / B = sum_{k>=1} (1/6) (2/(2k-1) - 1/(k+1)) x^(2k+2)
-#
-# obtained by expanding L(x) and ln(1 - x^2); both leading terms reproduce
-# the coincidence-limit values of the kernels.
-
 
 class SeriesValue(NamedTuple):
     value: float
     truncation_bound: float
-
-
-def _series_coeff(quantity: str, k: int) -> float:
-    if quantity == "vel_disp_transverse":
-        return (k + 1) / (4.0 * (2 * k + 1))
-    if quantity == "vel_disp_normal":
-        return 1.0 / (4.0 * (2 * k + 1))
-    if quantity == "pos_disp_transverse":
-        return 0.0 if k == 0 else (1.0 / (2 * k - 1) + 1.0 / (k + 1)) / 6.0
-    if quantity == "pos_disp_normal":
-        return 0.0 if k == 0 else (2.0 / (2 * k - 1) - 1.0 / (k + 1)) / 6.0
-    raise ValueError(f"unknown quantity id {quantity!r}")
 
 
 def small_t_series(quantity: str, p: EvalPoint, order: int = 12) -> SeriesValue:
@@ -346,7 +330,8 @@ def small_t_series(quantity: str, p: EvalPoint, order: int = 12) -> SeriesValue:
     order 0 returns 0 for every quantity.  Requires t < z, where the
     series converges fast and the tail admits a geometric bound.
     """
-    if quantity not in QUANTITY_IDS:
+    q = QUANTITIES.get(quantity)
+    if q is None:
         raise ValueError(f"unknown quantity id {quantity!r}")
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -356,13 +341,10 @@ def small_t_series(quantity: str, p: EvalPoint, order: int = 12) -> SeriesValue:
     total = 0.0
     power = 1.0  # x^(2k)
     for k in range(order):
-        coeff = _series_coeff(quantity, k)
-        total += coeff * power * x_sq  # term is c_k x^(2k+2)
+        total += q.series_coeff(k) * power * x_sq  # term is c_k x^(2k+2)
         power *= x_sq
     # Coefficients are bounded by 1/2 for every k >= 1, so the dropped tail
     # is at most a geometric series starting at x^(2*order+2).
     tail = 0.5 * power * x_sq / (1.0 - x_sq)
-    prefactor = (
-        _vel_prefactor(p) if quantity.startswith("vel") else _pos_prefactor(p)
-    )
+    prefactor = q.prefactor(p)
     return SeriesValue(value=prefactor * total, truncation_bound=prefactor * tail)

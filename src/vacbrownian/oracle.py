@@ -42,26 +42,15 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from scipy.integrate import IntegrationWarning, dblquad, quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .correlators import (
     RegulatorSpec,
     normal_kernel_complex,
     transverse_kernel_complex,
 )
-from .dispersion import (
-    QUANTITY_IDS,
-    EvalPoint,
-    pos_disp_normal,
-    pos_disp_transverse,
-    vel_disp_normal,
-    vel_disp_transverse,
-)
-from .errors import (
-    ExtrapolationError,
-    LightconeSingularityError,
-    QuadratureConvergenceError,
-)
+from .dispersion import QUANTITIES, EvalPoint, _check_lightcone
+from .errors import ExtrapolationError, QuadratureConvergenceError
 from .units_constants import ParticleSpec, unit_preset
 
 __all__ = [
@@ -106,7 +95,7 @@ def default_regulator(z: float, t: float) -> RegulatorSpec:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget, regulator, and reduction mode.
+    """Tolerances, subdivision budget, and regulator.
 
     Tolerances apply to the scaled (z = 1) integrals, which are O(1) on
     the standard grid.  ``regulator`` None selects `default_regulator`.
@@ -116,15 +105,12 @@ class QuadratureSpec:
     epsrel: float = 1e-12
     max_subdivisions: int = 200
     regulator: RegulatorSpec | None = None
-    reduction: str = "stationary-1d"
 
     def __post_init__(self) -> None:
         if not (self.epsabs > 0.0 and self.epsrel > 0.0):
             raise ValueError("quadrature tolerances must be positive")
         if self.max_subdivisions < 64:
             raise ValueError("max_subdivisions must be at least 64")
-        if self.reduction not in ("stationary-1d", "direct-2d"):
-            raise ValueError("reduction must be 'stationary-1d' or 'direct-2d'")
 
 
 class OracleResult(NamedTuple):
@@ -229,38 +215,6 @@ def _rung_integral(
     return v1 + v2.real + v3, max(e1, e2, e3)
 
 
-def _direct_2d_integral(
-    kernel: Callable[[complex, float], complex],
-    weight_kind: str,
-    t_scaled: float,
-    eta: float,
-    q: QuadratureSpec,
-) -> tuple[float, float]:
-    """Scaled double integral over [0, T]^2, without the stationarity reduction.
-
-    Velocity: Int Int f(u' - u'') du' du''.  Position: the same with the
-    factor (T - u')(T - u'').  Proper regime only.
-    """
-    T = t_scaled
-    if T > 2.0:
-        raise ValueError("direct-2d reduction supports t < 2z only")
-
-    if weight_kind == "velocity":
-        def integrand(up: float, us: float) -> float:
-            return kernel(complex(up - us, -eta), 1.0).real
-    else:
-        def integrand(up: float, us: float) -> float:
-            return (T - up) * (T - us) * kernel(complex(up - us, -eta), 1.0).real
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = dblquad(
-            integrand, 0.0, T, 0.0, T,
-            epsabs=max(q.epsabs, 1e-13), epsrel=max(q.epsrel, 1e-11),
-        )
-    return value, err
-
-
 # --- ladder extrapolation ------------------------------------------------------
 
 def extrapolate_ladder(
@@ -311,15 +265,6 @@ def extrapolate_ladder(
 
 # --- oracle entry points --------------------------------------------------------
 
-def _check_point(p: EvalPoint) -> None:
-    if p.near_lightcone:
-        raise LightconeSingularityError(
-            f"t={p.t!r} lies within the lightcone exclusion window around "
-            f"t = 2z (z={p.z!r}); oracle integrals are ill-conditioned there",
-            pole_distance=abs(p.t - 2.0 * p.z),
-        )
-
-
 def _ladder_for(p: EvalPoint, q: QuadratureSpec) -> RegulatorSpec:
     reg = q.regulator
     if reg is None:
@@ -345,7 +290,7 @@ def dispersion_oracle(
         raise ValueError("component must be 'x' or 'z'")
     if q is None:
         q = QuadratureSpec()
-    _check_point(p)
+    _check_lightcone(p)
 
     kernel = _KERNELS[component]
     weight = _WEIGHTS[kind]
@@ -360,10 +305,7 @@ def dispersion_oracle(
     worst_quad_err = 0.0
     for eps in reg.ladder:
         eta = eps / p.z
-        if q.reduction == "direct-2d":
-            value, err = _direct_2d_integral(kernel, kind, T, eta, q)
-        else:
-            value, err = _rung_integral(kernel, weight, T, eta, q)
+        value, err = _rung_integral(kernel, weight, T, eta, q)
         rungs.append((eps, value))
         worst_quad_err = max(worst_quad_err, err)
 
@@ -484,19 +426,6 @@ def verify_grid(
     if particle is None:
         particle = unit_preset()
 
-    closed_fns = {
-        "vel_disp_transverse": vel_disp_transverse,
-        "vel_disp_normal": vel_disp_normal,
-        "pos_disp_transverse": pos_disp_transverse,
-        "pos_disp_normal": pos_disp_normal,
-    }
-    kinds = {
-        "vel_disp_transverse": ("velocity", "x"),
-        "vel_disp_normal": ("velocity", "z"),
-        "pos_disp_transverse": ("position", "x"),
-        "pos_disp_normal": ("position", "z"),
-    }
-
     tiers: list[tuple[float, float]] = []
     if grid in ("full", "pre-lightcone"):
         tiers.extend((r, tol_pre) for r in PRE_LIGHTCONE_RATIOS)
@@ -504,16 +433,15 @@ def verify_grid(
         tiers.extend((r, tol_post) for r in POST_LIGHTCONE_RATIOS)
 
     rows: list[VerifyRow] = []
-    for quantity in QUANTITY_IDS:
-        kind, component = kinds[quantity]
+    for quantity in QUANTITIES.values():
         for ratio, tol in tiers:
             point = EvalPoint(t=ratio * z, z=z, particle=particle)
-            closed = closed_fns[quantity](point).value
-            result = dispersion_oracle(kind, component, point, qspec)
+            closed = quantity.evaluate(point).value
+            result = dispersion_oracle(quantity.kind, quantity.component, point, qspec)
             rel_err = abs(result.value - closed) / abs(closed)
             rows.append(
                 VerifyRow(
-                    quantity=quantity,
+                    quantity=quantity.id,
                     t_over_z=ratio,
                     closed=closed,
                     oracle=result.value,

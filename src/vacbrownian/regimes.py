@@ -22,6 +22,7 @@ __all__ = [
     "RegimeReport",
     "validity_time_limit",
     "radiation_time_limit",
+    "regime_flags",
     "larmor_power",
     "radiated_velocity_sq",
     "packet_width",
@@ -80,6 +81,17 @@ def radiation_time_limit(spec: ParticleSpec, z: float) -> float:
     if not (z > 0.0):
         raise ValueError("z must be positive")
     return 4.0 * math.pi / (spec.e * spec.e) * spec.m * z * z
+
+
+def regime_flags(
+    spec: ParticleSpec,
+    z: float,
+    t: float,
+    margin: float = DEFAULT_MARGIN,
+) -> tuple[bool, bool]:
+    """(validity_ok, radiation_ok): t below margin times each time bound."""
+    return (t < margin * validity_time_limit(spec, z),
+            t < margin * radiation_time_limit(spec, z))
 
 
 def larmor_power(spec: ParticleSpec, z: float) -> float:
@@ -227,8 +239,7 @@ def regime_report(
     margin: float = DEFAULT_MARGIN,
 ) -> RegimeReport:
     """Assemble the full regime diagnostics for one evaluation point."""
-    t_val = validity_time_limit(spec, z)
-    t_rad = radiation_time_limit(spec, z)
+    validity_ok, radiation_ok = regime_flags(spec, z, t, margin)
     ratio_x = None
     if t > 2.0 * z:
         ratio_x = fluctuation_to_quantum_ratio("x", spec, z, t)
@@ -236,13 +247,13 @@ def regime_report(
         particle=spec.name,
         z=z,
         t=t,
-        t_validity=t_val,
-        t_radiation=t_rad,
+        t_validity=validity_time_limit(spec, z),
+        t_radiation=radiation_time_limit(spec, z),
         dv2_rad=radiated_velocity_sq(spec, z, t),
         t_eff_kelvin=effective_temperature(spec, z),
         ratio_x=ratio_x,
         ratio_z=fluctuation_to_quantum_ratio("z", spec, z, t),
-        validity_ok=t < margin * t_val,
-        radiation_ok=t < margin * t_rad,
+        validity_ok=validity_ok,
+        radiation_ok=radiation_ok,
         margin=margin,
     )

@@ -23,8 +23,6 @@ __all__ = [
     "constants_table",
     "electron_preset",
     "unit_preset",
-    "length_si_to_natural",
-    "length_natural_to_si",
     "time_si_to_natural",
     "time_natural_to_si",
     "velocity_sq_natural_to_si",
@@ -112,17 +110,7 @@ def unit_preset() -> ParticleSpec:
 
 # --- conversions ----------------------------------------------------------
 #
-# With the meter as the natural length unit the length conversion is the
-# identity; it exists so every SI-facing quantity goes through an explicit,
-# invertible hop.
-
-def length_si_to_natural(x_m: float) -> float:
-    return x_m
-
-
-def length_natural_to_si(x_nat: float) -> float:
-    return x_nat
-
+# Lengths need none: the meter is the natural length unit.
 
 def time_si_to_natural(t_s: float) -> float:
     """Seconds to light-travel meters (multiply by c)."""

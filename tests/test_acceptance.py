@@ -232,15 +232,13 @@ def test_criterion_09_short_time_consistency():
     problems = []
     p = EvalPoint(t=1e-3, z=1.0, particle=UNIT)
     for qid in QUANTITY_IDS:
-        closed = CLOSED[qid](p, series_guard=False).value
+        closed = CLOSED[qid](p).value
         series = small_t_series(qid, p).value
         rel = abs(series / closed - 1.0)
         if rel > 1e-10:
             problems.append(f"{qid}: series off by {rel:.2e}")
-    lo = vel_disp_normal(EvalPoint(t=1e-4, z=1.0, particle=UNIT),
-                         series_guard=False).value
-    hi = vel_disp_normal(EvalPoint(t=1e-2, z=1.0, particle=UNIT),
-                         series_guard=False).value
+    lo = vel_disp_normal(EvalPoint(t=1e-4, z=1.0, particle=UNIT)).value
+    hi = vel_disp_normal(EvalPoint(t=1e-2, z=1.0, particle=UNIT)).value
     slope = (math.log(hi) - math.log(lo)) / (math.log(1e-2) - math.log(1e-4))
     if abs(slope - 2.0) > 0.01:
         problems.append(f"short-time slope {slope:.4f} is not 2.00 +- 0.01")

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 
 from vacbrownian.correlators import (
     DEFAULT_EXCLUSION_WINDOW,
-    Geometry,
     RegulatorSpec,
     corr_normal,
     corr_normal_reg,
@@ -141,13 +140,6 @@ class TestRegularizedKernels:
 
 
 class TestSpecs:
-    def test_geometry_validation(self):
-        Geometry(z=1e-10)
-        with pytest.raises(ValueError):
-            Geometry(z=0.0)
-        with pytest.raises(ValueError):
-            Geometry(z=-1.0)
-
     def test_regulator_ladder(self):
         reg = RegulatorSpec(eps0=1e-2, ratio=0.5, rungs=4)
         assert reg.ladder == (1e-2, 5e-3, 2.5e-3, 1.25e-3)

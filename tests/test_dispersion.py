@@ -1,14 +1,17 @@
-"""Closed-form dispersions, asymptotes, and the small-t series."""
+"""Closed-form dispersions, the quantity registry, asymptotes, and the small-t series."""
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from vacbrownian import dispersion
 from vacbrownian.dispersion import (
+    QUANTITIES,
     QUANTITY_IDS,
     EvalPoint,
     pos_disp_normal,
@@ -22,6 +25,7 @@ from vacbrownian.dispersion import (
     vel_disp_transverse_asym,
 )
 from vacbrownian.errors import LightconeSingularityError
+from vacbrownian.oracle import dispersion_oracle
 from vacbrownian.units_constants import ParticleSpec, unit_preset
 
 PI_SQ = math.pi ** 2
@@ -225,21 +229,25 @@ class TestSmallTimeSeries:
         assert_allclose(small_t_series("pos_disp_normal", p).value,
                         x**4 / 4.0 / PI_SQ, rtol=1e-7)
 
-    def test_matches_closed_form(self):
+    @pytest.mark.parametrize("q", QUANTITIES.values(), ids=lambda q: q.id)
+    def test_matches_closed_form(self, q):
+        # each registry entry agrees with its public function, its Taylor
+        # series and the quadrature oracle
+        fn = getattr(dispersion, q.id)
         p = up(1e-3)
-        for qid, fn in zip(QUANTITY_IDS,
-                           (vel_disp_transverse, vel_disp_normal,
-                            pos_disp_transverse, pos_disp_normal)):
-            closed = fn(p, series_guard=False).value
-            series = small_t_series(qid, p).value
-            assert_allclose(series, closed, rtol=1e-10)
+        closed = fn(p)
+        assert (closed.kind, closed.component) == (q.kind, q.component)
+        assert_allclose(small_t_series(q.id, p).value, closed.value, rtol=1e-10)
+        p = up(1.5)
+        assert_allclose(dispersion_oracle(q.kind, q.component, p).value,
+                        fn(p).value, rtol=1e-6)
 
     def test_truncation_bound_is_honest(self):
         p = up(0.6)  # x = 0.3, slow but convergent
         for qid, fn in zip(QUANTITY_IDS,
                            (vel_disp_transverse, vel_disp_normal,
                             pos_disp_transverse, pos_disp_normal)):
-            closed = fn(p, series_guard=False).value
+            closed = fn(p).value
             sv = small_t_series(qid, p, order=6)
             assert abs(sv.value - closed) <= sv.truncation_bound
 
@@ -256,8 +264,33 @@ class TestSmallTimeSeries:
         with pytest.raises(ValueError):
             small_t_series("not_a_quantity", up(0.5))
 
-    def test_guard_delegates_to_series(self):
-        # below the guard ratio the closed form hands off to the series
-        p = up(1e-5)
-        assert vel_disp_normal(p).value == \
-            small_t_series("vel_disp_normal", p).value
+
+class TestDirectAccuracy:
+    # The direct closed forms against a 60-digit evaluation of the brackets
+    # in the module docstring, down to t/z = 1e-9, where the position
+    # brackets cancel to O(x^4).  With e = m = z = 1 the value is the
+    # bracket over pi^2.
+
+    @staticmethod
+    def reference(qid, x):
+        x = mpmath.mpf(x)
+        log_ratio = mpmath.log((1 + x) / (1 - x))
+        log_gap = mpmath.log(1 - x * x)
+        bracket = {
+            "vel_disp_transverse": x / 16 * log_ratio + x**2 / (8 * (1 - x**2)),
+            "vel_disp_normal": x / 8 * log_ratio,
+            "pos_disp_transverse": x**3 / 12 * log_ratio - x**2 / 6 - log_gap / 6,
+            "pos_disp_normal": x**2 / 6 + x**3 / 6 * log_ratio + log_gap / 6,
+        }[qid]
+        return bracket / mpmath.pi**2
+
+    @pytest.mark.parametrize("qid", QUANTITY_IDS)
+    def test_small_t_relative_error(self, qid):
+        fn = getattr(dispersion, qid)
+        worst = 0
+        with mpmath.workdps(60):
+            for i in range(201):
+                p = up(10.0 ** (-9.0 + 7.0 * i / 200))  # t/z from 1e-9 to 1e-2
+                ref = self.reference(qid, p.x)
+                worst = max(worst, abs(fn(p).value - ref) / abs(ref))
+        assert worst <= 2e-15

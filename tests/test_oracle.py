@@ -174,17 +174,6 @@ class TestOracleAgainstClosedForms:
         spread = max(abs(v - closed) for _, v in result.rungs)
         assert spread < 0.1 * abs(closed)
 
-    def test_direct_2d_reduction_route(self):
-        q = QuadratureSpec(reduction="direct-2d", epsrel=1e-10)
-        p = up(1.0)
-        got = velocity_oracle("z", p, q)
-        assert_allclose(got.value, vel_disp_normal(p).value, rtol=1e-6)
-
-    def test_direct_2d_refuses_crossing(self):
-        q = QuadratureSpec(reduction="direct-2d")
-        with pytest.raises(ValueError):
-            velocity_oracle("z", up(3.0), q)
-
     def test_refuses_near_lightcone(self):
         with pytest.raises(LightconeSingularityError):
             velocity_oracle("z", up(2.0))
@@ -206,14 +195,11 @@ class TestOracleAgainstClosedForms:
 class TestQuadratureSpec:
     def test_defaults(self):
         q = QuadratureSpec()
-        assert q.reduction == "stationary-1d"
         assert q.regulator is None
 
     def test_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=32)
-        with pytest.raises(ValueError):
-            QuadratureSpec(reduction="monte-carlo")
         with pytest.raises(ValueError):
             QuadratureSpec(epsabs=0.0)
 

@@ -18,8 +18,6 @@ from vacbrownian.units_constants import (
     ParticleSpec,
     constants_table,
     electron_preset,
-    length_natural_to_si,
-    length_si_to_natural,
     natural_to_si_temperature,
     si_to_natural_temperature,
     time_natural_to_si,
@@ -83,10 +81,6 @@ class TestPresets:
 
 
 class TestConversions:
-    def test_length_is_identity(self):
-        assert length_si_to_natural(3.5) == 3.5
-        assert length_natural_to_si(3.5) == 3.5
-
     def test_time_multiplies_by_c(self):
         assert_allclose(time_si_to_natural(1.0), C_SI, rtol=1e-15)
         assert_allclose(time_natural_to_si(C_SI), 1.0, rtol=1e-15)
