@@ -11,9 +11,14 @@ temperature) that frame where the weak-coupling picture applies.
 Conventions: Lorentz-Heaviside units with c = hbar = 1; the reference
 length is the meter, so masses and temperatures carry unit 1/m and
 times are light-travel distances.
+
+Only the oracle needs scipy, so `vacbrownian.oracle` and its names load on
+first use: `import vacbrownian` and the closed forms stay scipy-free.
 """
 
 from __future__ import annotations
+
+import importlib
 
 from .correlators import (
     RegulatorSpec,
@@ -41,16 +46,6 @@ from .errors import (
     LightconeSingularityError,
     QuadratureConvergenceError,
     VacBrownianError,
-)
-from .oracle import (
-    OracleResult,
-    QuadratureSpec,
-    VerifyRow,
-    dispersion_oracle,
-    extrapolate_ladder,
-    position_oracle,
-    velocity_oracle,
-    verify_grid,
 )
 from .regimes import (
     PacketSpec,
@@ -127,3 +122,27 @@ __all__ = [
     "velocity_oracle",
     "verify_grid",
 ]
+
+# Names re-exported from `oracle`, resolved by `__getattr__` on first use.
+_ORACLE_NAMES = frozenset({
+    "OracleResult",
+    "QuadratureSpec",
+    "VerifyRow",
+    "dispersion_oracle",
+    "extrapolate_ladder",
+    "position_oracle",
+    "velocity_oracle",
+    "verify_grid",
+})
+
+
+def __getattr__(name: str) -> object:
+    """Import the scipy-backed `oracle` submodule when one of its names is asked for."""
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | {"oracle"})

@@ -28,7 +28,7 @@ import math
 import sys
 from typing import Any, Sequence
 
-from . import dispersion, oracle, regimes
+from . import dispersion, regimes
 from .errors import (
     ExtrapolationError,
     LightconeSingularityError,
@@ -152,19 +152,29 @@ _UNITS = {
 
 
 def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float, str]:
-    """(value_natural, value_si, kind) for one quantity at one point."""
-    if quantity in _DISPERSIONS:
-        result = getattr(dispersion, quantity)(point)
-        value = result.value
-        si = velocity_sq_natural_to_si(value) if result.kind == "velocity" else value
-        return value, si, result.kind
-    if quantity == "effective_temperature":
-        value = regimes.effective_temperature_natural(point.particle, point.z)
-        return value, natural_to_si_temperature(value), "temperature"
-    if quantity == "radiated_velocity_sq":
-        value = regimes.radiated_velocity_sq(point.particle, point.z, point.t)
-        return value, velocity_sq_natural_to_si(value), "velocity"
-    raise UsageError(f"parameter quantity: unknown quantity {quantity!r}")
+    """(value_natural, value_si, kind) for one quantity at one point.
+
+    Raises ValueError when a value leaves the float range, so nothing
+    non-finite reaches the output.
+    """
+    try:
+        if quantity in _DISPERSIONS:
+            result = getattr(dispersion, quantity)(point)
+            natural, kind = result.value, result.kind
+            si = velocity_sq_natural_to_si(natural) if kind == "velocity" else natural
+        elif quantity == "effective_temperature":
+            natural, kind = regimes.effective_temperature_natural(point.particle, point.z), "temperature"
+            si = natural_to_si_temperature(natural)
+        elif quantity == "radiated_velocity_sq":
+            natural, kind = regimes.radiated_velocity_sq(point.particle, point.z, point.t), "velocity"
+            si = velocity_sq_natural_to_si(natural)
+        else:
+            raise UsageError(f"parameter quantity: unknown quantity {quantity!r}")
+    except ArithmeticError:  # a float ** overflowing or a / by an underflowed zero
+        raise ValueError("value leaves the float range") from None
+    if not (math.isfinite(natural) and math.isfinite(si)):
+        raise ValueError("value leaves the float range")
+    return natural, si, kind
 
 
 # --- output plumbing ------------------------------------------------------------
@@ -187,6 +197,8 @@ def _grid_values(lo: float, hi: float, count: int, spacing: str) -> list[float]:
         raise UsageError("parameter count: need at least 2 points")
     if not (lo > 0.0 and lo < hi):
         raise UsageError("parameter min/max: need 0 < min < max")
+    if not math.isfinite(hi):
+        raise UsageError("parameter min/max: min and max must be finite")
     if spacing == "linear":
         step = (hi - lo) / (count - 1)
         return [lo + step * i for i in range(count)]
@@ -250,7 +262,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         "radiation_ok": radiation_ok,
         "near_lightcone": point.near_lightcone,
     }
-    _emit(json.dumps(record, indent=2) + "\n", None)
+    _emit(json.dumps(record, indent=2, allow_nan=False) + "\n", None)
     return 0
 
 
@@ -298,7 +310,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             t, z = t_fixed, value
         else:
             t, z = value * z_fixed, z_fixed
-        point = dispersion.EvalPoint(t=t, z=z, particle=spec)
+        try:
+            point = dispersion.EvalPoint(t=t, z=z, particle=spec)
+        except ValueError as exc:
+            raise UsageError(f"parameter t/z: {exc}") from None
         validity_ok, radiation_ok = regimes.regime_flags(point.particle, point.z, point.t)
         for q in quantities:
             status = "ok"
@@ -310,7 +325,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             except LightconeSingularityError:
                 status = "singular"
             except ValueError:
-                status = "undefined"  # e.g. asymptote requested at t <= 2z
+                status = "undefined"  # asymptote at t <= 2z, or outside the float range
             rows.append({
                 "t": point.t,
                 "z": point.z,
@@ -351,11 +366,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "validity_ok": row["validity_ok"],
                 "radiation_ok": row["radiation_ok"],
             })
-        _emit(json.dumps(records, indent=2) + "\n", args.output)
+        _emit(json.dumps(records, indent=2, allow_nan=False) + "\n", args.output)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import oracle  # the only subcommand that needs scipy
+
     config = _load_config(args.config)
     spec = _particle(args, config) if (
         _setting(args, config, "particle", None) is not None
@@ -392,8 +409,11 @@ def _cmd_regimes(args: argparse.Namespace) -> int:
     t = _resolve_t(args, config, z)
     if not (t > 0.0 and z > 0.0):
         raise UsageError("parameter t/z: t and z must be positive")
-    report = regimes.regime_report(spec, z, t)
-    _emit(json.dumps(report.as_dict(), indent=2) + "\n", None)
+    try:
+        text = json.dumps(regimes.regime_report(spec, z, t).as_dict(), indent=2, allow_nan=False)
+    except (ValueError, ArithmeticError):
+        raise UsageError("parameter t/z: regime report leaves the float range") from None
+    _emit(text + "\n", None)
     return 0
 
 
@@ -445,7 +465,7 @@ def _cmd_constants(args: argparse.Namespace) -> int:
         },
         "unit_system": "Lorentz-Heaviside, c = hbar = 1, reference length 1 m",
     }
-    _emit(json.dumps(payload, indent=2) + "\n", None)
+    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", None)
     return 0
 
 

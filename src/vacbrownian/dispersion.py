@@ -77,10 +77,16 @@ class EvalPoint:
     lightcone_delta: float = DEFAULT_LIGHTCONE_DELTA
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.z):
+            raise ValueError("z must be finite")
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
         if not (self.t > 0.0):
             raise ValueError("t must be positive")
         if not (self.z > 0.0):
             raise ValueError("z must be positive")
+        if not math.isfinite(self.t / self.z):
+            raise ValueError("t/z must be finite")
         if not (self.lightcone_delta > 0.0):
             raise ValueError("lightcone_delta must be positive")
 
@@ -196,10 +202,18 @@ class Quantity:
     series_coeff: Callable[[int], float]
 
     def prefactor(self, p: EvalPoint) -> float:
+        """A = e^2/(pi^2 m^2 z^2) or B = e^2/(pi^2 m^2); refuses a value outside the float range."""
         s = p.particle
         if self.kind == "velocity":
-            return s.e * s.e / (PI_SQ * s.m * s.m * p.z * p.z)
-        return s.e * s.e / (PI_SQ * s.m * s.m)
+            denominator = PI_SQ * s.m * s.m * p.z * p.z
+        else:
+            denominator = PI_SQ * s.m * s.m
+        value = s.e * s.e / denominator if denominator else math.inf
+        if 0.0 < value < math.inf:
+            return value
+        formula = "e^2/(pi^2 m^2 z^2)" if self.kind == "velocity" else "e^2/(pi^2 m^2)"
+        problem = "underflows to zero" if value == 0.0 else "overflows"
+        raise ValueError(f"{self.kind} prefactor {formula} {problem}")
 
     def evaluate(self, p: EvalPoint) -> DispersionResult:
         """Closed-form value at p; refuses inside the lightcone window."""

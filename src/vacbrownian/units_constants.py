@@ -81,10 +81,15 @@ class ParticleSpec:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.e) and math.isfinite(self.m)):
+            raise ValueError("particle charge and mass must be finite")
         if not (self.m > 0.0):
             raise ValueError("particle mass must be positive")
         if self.e == 0.0:
             raise ValueError("particle charge must be nonzero")
+        # Every formula carries e^2 and m^2; neither may leave the float range.
+        if not (0.0 < self.e * self.e < math.inf and 0.0 < self.m * self.m < math.inf):
+            raise ValueError("particle charge and mass squared must stay within the float range")
 
     @property
     def alpha_eff(self) -> float:

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import vacbrownian.oracle
-from vacbrownian.cli_io import CORR_HEADER, SWEEP_HEADER, VERIFY_HEADER, main
+from vacbrownian.cli_io import CORR_HEADER, QUANTITY_CHOICES, SWEEP_HEADER, VERIFY_HEADER, main
 from vacbrownian.dispersion import EvalPoint, pos_disp_normal
 from vacbrownian.errors import QuadratureConvergenceError
 from vacbrownian.units_constants import C_SI, unit_preset
+
+
+# Numeric CLI inputs are fuzzed with these boundary values and with ordinary floats.
+EXTREMES = [math.inf, -math.inf, math.nan, 0.0, -1.0, 1e-300, 1e300]
+BOUNDARY_FLOATS = st.sampled_from(EXTREMES) | st.floats(min_value=1e-3, max_value=1e3) | st.floats()
 
 
 def run(capsys, *argv):
@@ -319,3 +327,115 @@ class TestConfigFile:
         assert run(capsys, "eval", "--config", str(tmp_path / "absent.json"),
                    "--z", "1", "--t", "1",
                    "--quantity", "vel_disp_normal")[0] == 2
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity are refused, every number finite."""
+    def refuse(constant):
+        raise AssertionError(f"non-standard JSON constant {constant}")
+
+    def check(node):
+        if isinstance(node, dict):
+            for item in node.values():
+                check(item)
+        elif isinstance(node, list):
+            for item in node:
+                check(item)
+        elif isinstance(node, float):
+            assert math.isfinite(node)
+
+    check(json.loads(text, parse_constant=refuse))
+
+
+def assert_refused(code, out, err, *fragments):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for fragment in fragments:
+        assert fragment in err
+
+
+class TestBoundary:
+    def test_infinite_z_refused(self, capsys):
+        assert_refused(*run(capsys, "eval", "--particle", "unit", "--z", "inf",
+                            "--t-over-z", "0.5", "--quantity", "vel_disp_normal"),
+                       "parameter t/z:", "finite")
+
+    def test_infinite_mass_refused(self, capsys):
+        assert_refused(*run(capsys, "eval", "--particle", "unit", "--z", "1",
+                            "--t-over-z", "0.5", "--mass", "inf",
+                            "--quantity", "vel_disp_normal"),
+                       "parameter charge/mass:", "finite")
+
+    def test_infinite_sweep_bound_refused(self, capsys):
+        assert_refused(*run(capsys, "sweep", "--particle", "unit", "--z", "1",
+                            "--min", "0.1", "--max", "inf", "--count", "3"),
+                       "parameter min/max:")
+
+    def test_overflowing_sweep_point_refused(self, capsys):
+        # every bound is finite, but t = (t/z) * z overflows at the top of the grid
+        assert_refused(*run(capsys, "sweep", "--particle", "unit", "--z", "1e300",
+                            "--min", "1", "--max", "1e10", "--count", "3"),
+                       "parameter t/z:", "t must be finite")
+
+    def test_prefactor_overflow_refused(self, capsys):
+        assert_refused(*run(capsys, "eval", "--z", "1e-300", "--t-over-z", "0.5",
+                            "--quantity", "vel_disp_normal"),
+                       "parameter quantity: vel_disp_normal:", "overflows")
+
+    def test_prefactor_overflow_sweep_rows_undefined(self, capsys):
+        code, out, err = run(capsys, "sweep", "--z", "1e-300", "--min", "0.1",
+                             "--max", "1", "--count", "3",
+                             "--quantity", "vel_disp_normal", "--quantity", "pos_disp_normal")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[6] for row in rows if row[3] == "vel_disp_normal"] == ["undefined"] * 3
+        assert [row[4] for row in rows if row[3] == "vel_disp_normal"] == [""] * 3
+        assert [row[6] for row in rows if row[3] == "pos_disp_normal"] == ["ok"] * 3
+
+    @pytest.mark.parametrize("extra", [
+        ["--particle", "unit", "--z", "1", "--t-over-z", "1e300",
+         "--quantity", "vel_disp_transverse"],  # x^2 overflows: the bracket is NaN
+        ["--particle", "unit", "--z", "1", "--t-over-z", "1e300",
+         "--quantity", "pos_disp_normal"],  # x**3 raises OverflowError
+        ["--z", "1e-300", "--t-over-z", "0.5",
+         "--quantity", "effective_temperature"],  # divides by an underflowed zero
+        ["--particle", "unit", "--z", "1e200", "--t-over-z", "0.5",
+         "--quantity", "radiated_velocity_sq"],  # z**4 raises OverflowError
+    ])
+    def test_values_outside_float_range_refused(self, capsys, extra):
+        assert_refused(*run(capsys, "eval", *extra),
+                       f"parameter quantity: {extra[-1]}:", "float range")
+
+    def test_regimes_out_of_range_refused(self, capsys):
+        assert_refused(*run(capsys, "regimes", "--particle", "unit", "--z", "1",
+                            "--t", "inf"),
+                       "parameter t/z:")
+
+    @given(
+        z=BOUNDARY_FLOATS,
+        ratio=BOUNDARY_FLOATS,
+        mass=st.none() | BOUNDARY_FLOATS,
+        charge=st.none() | BOUNDARY_FLOATS,
+        quantities=st.lists(st.sampled_from(QUANTITY_CHOICES), min_size=1, max_size=2),
+        command=st.sampled_from(["eval", "regimes"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_exit_codes_and_strict_json(self, z, ratio, mass, charge, quantities, command):
+        argv = [command, "--particle=unit", f"--z={z!r}", f"--t-over-z={ratio!r}"]
+        if mass is not None:
+            argv.append(f"--mass={mass!r}")
+        if charge is not None:
+            argv.append(f"--charge={charge!r}")
+        if command == "eval":
+            argv += [f"--quantity={q}" for q in quantities]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2, 3), (argv, stderr.getvalue())
+        if code == 0:
+            assert stderr.getvalue() == ""
+            strict_json(stdout.getvalue())
+        else:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()

@@ -168,12 +168,46 @@ class TestLightconeWindow:
         with pytest.raises(ValueError):
             EvalPoint(t=1.0, z=1.0, particle=UNIT, lightcone_delta=0.0)
 
+    @pytest.mark.parametrize("t, z", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+        (-math.inf, 1.0), (1e300, 1e-300),  # the last: finite t and z, t/z overflows
+    ])
+    def test_eval_point_rejects_non_finite(self, t, z):
+        with pytest.raises(ValueError, match="finite"):
+            EvalPoint(t=t, z=z, particle=UNIT)
+
     def test_eval_point_properties(self):
         p = up(3.0)
         assert p.t_over_z == 3.0
         assert p.x == 1.5
         assert p.near_lightcone is False
         assert up(2.0 + 1e-9).near_lightcone is True
+
+
+class TestPrefactorRange:
+    def test_velocity_prefactor_overflow_is_refused(self):
+        # z^2 underflows to zero, so A = e^2/(pi^2 m^2 z^2) would be infinite
+        p = EvalPoint(t=0.5e-300, z=1e-300, particle=UNIT)
+        for fn in (vel_disp_transverse, vel_disp_normal):
+            with pytest.raises(ValueError, match="velocity prefactor .* overflows"):
+                fn(p)
+        with pytest.raises(ValueError, match="overflows"):
+            small_t_series("vel_disp_normal", p)
+
+    def test_velocity_prefactor_underflow_is_refused(self):
+        p = EvalPoint(t=0.5e300, z=1e300, particle=UNIT)
+        with pytest.raises(ValueError, match="velocity prefactor .* underflows to zero"):
+            vel_disp_normal(p)
+
+    def test_position_prefactor_does_not_depend_on_z(self):
+        p = EvalPoint(t=0.5e-300, z=1e-300, particle=UNIT)
+        assert math.isfinite(pos_disp_normal(p).value)
+
+    def test_position_prefactor_overflow_is_refused(self):
+        # e^2 / m^2 = 1e200 / 1e-200 lies beyond the largest double
+        spec = ParticleSpec(e=1e100, m=1e-100)
+        with pytest.raises(ValueError, match="position prefactor .* overflows"):
+            pos_disp_normal(EvalPoint(t=0.5, z=1.0, particle=spec))
 
 
 class TestAsymptotes:

@@ -1,0 +1,88 @@
+"""Import hygiene: scipy loads only when the quadrature oracle is used."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import vacbrownian
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Prints every scipy module loaded so far, one per line.
+REPORT = "import sys; print('\\n'.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+
+
+def scipy_modules_after(code: str) -> list[str]:
+    """Run `code` in a fresh interpreter; return the scipy modules it loaded."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{REPORT}"],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return result.stdout.split()
+
+
+def run_main(*argvs: list[str]) -> str:
+    """Source that runs cli_io.main on each argv with stdout discarded."""
+    calls = "".join(
+        f"    assert main({argv!r}) == 0\n" for argv in argvs
+    )
+    return (
+        "import contextlib, io\n"
+        "from vacbrownian.cli_io import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"{calls}"
+    )
+
+
+def test_package_import_leaves_scipy_unloaded():
+    assert scipy_modules_after("import vacbrownian") == []
+
+
+def test_closed_form_subcommands_leave_scipy_unloaded():
+    code = run_main(
+        ["eval", "--z", "1e-6m", "--t-over-z", "3", "--quantity", "vel_disp_normal"],
+        ["regimes", "--z", "1e-6m", "--t-over-z", "10"],
+        ["corr", "--z", "1", "--dt-max", "4", "--count", "5"],
+        ["constants"],
+        ["sweep", "--particle", "unit", "--min", "0.1", "--max", "10", "--count", "5"],
+    )
+    assert scipy_modules_after(code) == []
+
+
+def test_verify_loads_scipy():
+    code = run_main(["verify", "--grid", "pre-lightcone"])
+    assert "scipy.integrate" in scipy_modules_after(code)
+
+
+def test_every_public_name_resolves():
+    for name in vacbrownian.__all__:
+        assert getattr(vacbrownian, name) is not None, name
+
+
+def test_oracle_names_come_from_the_oracle_module():
+    assert vacbrownian.verify_grid is vacbrownian.oracle.verify_grid
+    assert vacbrownian.QuadratureSpec is vacbrownian.oracle.QuadratureSpec
+
+
+def test_dir_lists_every_public_name():
+    listed = dir(vacbrownian)
+    assert set(vacbrownian.__all__) <= set(listed)
+    assert "oracle" in listed
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict[str, object] = {}
+    exec("from vacbrownian import *", namespace)
+    assert set(vacbrownian.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vacbrownian.no_such_name

@@ -79,6 +79,20 @@ class TestPresets:
         with pytest.raises(ValueError):
             ParticleSpec(e=0.0, m=1.0)
 
+    @pytest.mark.parametrize("e, m", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_particle_rejects_non_finite(self, e, m):
+        with pytest.raises(ValueError, match="finite"):
+            ParticleSpec(e=e, m=m)
+
+    @pytest.mark.parametrize("e, m", [
+        (1e-300, 1.0), (1e300, 1.0), (1.0, 1e-300), (1.0, 1e300),
+    ])
+    def test_particle_rejects_squares_outside_float_range(self, e, m):
+        with pytest.raises(ValueError, match="squared"):
+            ParticleSpec(e=e, m=m)
+
 
 class TestConversions:
     def test_time_multiplies_by_c(self):
