@@ -97,6 +97,27 @@ INVOCATIONS: list[tuple[list[str], dict | None]] = [
     (["corr", "--z", "1e-6m", "--dt-max", "4e-6m", "--count", "5", "--eps", "1e-9m"], None),
     (["corr", "--z", "1", "--dt-max", "4", "--count", "1"], None),
     (["constants"], None),
+    # config files with JSON numbers and strings, and flags that beat them
+    (["sweep"], {"particle": "unit", "var": "t_over_z", "spacing": "linear", "min": 0.5,
+                 "max": 8, "count": 4, "z": 2, "quantity": "vel_disp_normal"}),
+    (["sweep", "--count", "3", "--format", "json", "--quantity", "pos_disp_normal"],
+     {"particle": "unit", "min": 1, "max": 3, "count": 10, "format": "csv",
+      "quantity": "vel_disp_normal"}),
+    (["corr"], {"z": 1, "dt_max": 4, "count": 5}),
+    (["corr"], {"z": "1e-6m", "dt_max": "4e-6m", "count": 3, "eps": 1e-9}),
+    (["regimes"], {"particle": "unit", "z": 2, "t_over_z": 3}),
+    (["verify", "--grid", "pre-lightcone"], {"tolerance": 1e-6}),
+    # verify with an override but no preset: the override applies to the electron
+    (["verify", "--grid", "pre-lightcone", "--charge", "2"], None),
+    # every parser's error message (2)
+    (["eval", "--z", "abc", "--t", "1", "--quantity", "vel_disp_normal"], None),
+    (["eval", *UNIT, "--z", "1", "--t-over-z", "1m", "--quantity", "vel_disp_normal"], None),
+    (["eval", "--charge", "x", "--z", "1", "--t", "1", "--quantity", "vel_disp_normal"], None),
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "1e3"], None),
+    (["verify", "--grid", "pre-lightcone", "--tolerance", "abc"], None),
+    (["sweep", *UNIT, "--var", "w", "--min", "1", "--max", "3"], None),
+    (["corr", "--z", "1"], None),
+    (["corr", "--z", "1", "--dt-min", "4", "--dt-max", "4"], None),
 ]
 
 
