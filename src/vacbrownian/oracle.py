@@ -76,6 +76,7 @@ __all__ = [
 # Standard comparison grid (t/z) and tolerance tiers.
 PRE_LIGHTCONE_RATIOS = (0.1, 0.5, 1.0, 1.5, 1.9)
 POST_LIGHTCONE_RATIOS = (2.5, 3.0, 5.0, 10.0)
+GRIDS = ("full", "pre-lightcone", "post-lightcone")
 TOL_PRE_LIGHTCONE = 1e-6
 TOL_POST_LIGHTCONE = 1e-4
 
@@ -421,7 +422,7 @@ def verify_grid(
     held to ``tol_pre`` relative, pole-crossing points to ``tol_post``.
     ``grid`` selects "pre-lightcone", "post-lightcone", or "full".
     """
-    if grid not in ("full", "pre-lightcone", "post-lightcone"):
+    if grid not in GRIDS:
         raise ValueError("grid must be 'full', 'pre-lightcone', or 'post-lightcone'")
     if particle is None:
         particle = unit_preset()

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +297,37 @@ class TestConstants:
                         math.sqrt(4.0 * math.pi * 7.2973525693e-3), rtol=1e-15)
 
 
+COMMON_FLAGS = ["--config CONFIG", "--particle PARTICLE", "--charge CHARGE", "--mass MASS"]
+
+
+class TestHelp:
+    # Each subcommand's flags and their dests (shown as metavars), as accepted
+    # before the parser was built from one table.
+    @pytest.mark.parametrize("command, flags", [
+        ("eval", ["--z Z", "--t T", "--t-over-z T_OVER_Z", "--quantity QUANTITY"]),
+        ("sweep", ["--var VAR", "--min MIN", "--max MAX", "--count COUNT",
+                   "--spacing SPACING", "--z Z", "--t T", "--quantity QUANTITY",
+                   "--format FORMAT", "--output OUTPUT"]),
+        ("verify", ["--z Z", "--grid GRID", "--tolerance TOLERANCE", "--output OUTPUT"]),
+        ("regimes", ["--z Z", "--t T", "--t-over-z T_OVER_Z"]),
+        ("corr", ["--z Z", "--dt-min DT_MIN", "--dt-max DT_MAX", "--count COUNT",
+                  "--eps EPS", "--output OUTPUT"]),
+        ("constants", []),
+    ])
+    def test_lists_exactly_the_flags(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        listed = re.findall(r"^  (?:-h, )?(--\S+(?: [A-Z_]+)?)", capsys.readouterr().out, re.M)
+        assert listed == ["--help"] + COMMON_FLAGS + flags
+
+    def test_quantity_is_repeatable(self, capsys):
+        code, out, _ = run(capsys, "eval", "--particle", "unit", "--z", "1", "--t-over-z", "3",
+                           "--quantity", "vel_disp_normal", "--quantity", "pos_disp_normal")
+        assert code == 0
+        assert list(json.loads(out)["quantities"]) == ["vel_disp_normal", "pos_disp_normal"]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -315,6 +347,22 @@ class TestConfigFile:
                            "--t-over-z", "5")
         assert code == 0
         assert json.loads(out)["t_over_z"]["value"] == 5.0
+
+    def test_null_means_unset(self, tmp_path, capsys):
+        # a JSON null falls through to the default (z = 1), as an absent key does
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"z": None, "t_over_z": "3", "particle": None,
+                                      "quantity": ["vel_disp_normal"]}))
+        code, out, _ = run(capsys, "eval", "--config", str(config))
+        assert code == 0
+        record = json.loads(out)
+        assert (record["particle"], record["z"]["value"]) == ("electron", 1.0)
+
+    def test_non_string_quantity_refused(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"z": 1, "t": 1, "quantity": 5}))
+        assert_refused(*run(capsys, "eval", "--config", str(config)),
+                       "parameter quantity: unknown quantity 5")
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
@@ -411,6 +459,72 @@ class TestBoundary:
         assert_refused(*run(capsys, "regimes", "--particle", "unit", "--z", "1",
                             "--t", "inf"),
                        "parameter t/z:")
+
+    @pytest.mark.parametrize("extra, fragment", [
+        (["--z", "nan"], "parameter z:"),
+        (["--z", "-1"], "parameter z:"),
+        (["--z", "inf"], "parameter z:"),
+        (["--z", "1e200", "--dt-max", "4e200"], "parameter z:"),
+        (["--z", "1e-200", "--dt-max", "4e-200"], "parameter z:"),  # 4z^2 underflows
+        (["--eps", "0"], "parameter eps:"),
+        (["--eps", "nan"], "parameter eps:"),
+        (["--eps", "1e300"], "parameter dt/z/eps:"),
+        (["--dt-max", "inf"], "parameter dt-min/dt-max:"),
+        (["--dt-max", "1e200"], "parameter dt/z:"),
+    ])
+    def test_corr_out_of_range_refused(self, capsys, extra, fragment):
+        defaults = {"--z": "1", "--dt-max": "4"}
+        for flag, value in zip(extra[::2], extra[1::2]):
+            defaults[flag] = value
+        argv = ["corr", "--count", "5", *(item for pair in defaults.items() for item in pair)]
+        assert_refused(*run(capsys, *argv), fragment)
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])
+    def test_verify_bad_tolerance_refused(self, capsys, tolerance):
+        assert_refused(*run(capsys, "verify", "--grid", "pre-lightcone",
+                            f"--tolerance={tolerance}"),
+                       "parameter tolerance:")
+
+    @pytest.mark.parametrize("extra, fragment", [
+        (["--z", "inf"], "z must be finite"),
+        (["--z", "-1"], "must be positive"),
+        (["--z", "1e-300"], "overflows"),
+        # the closed forms underflow to zero, so the relative error divides by zero
+        (["--z", "1e-300", "--charge", "1e-150", "--mass", "1e150"], "division by zero"),
+    ])
+    def test_verify_refused_z_names_t_z(self, capsys, extra, fragment):
+        assert_refused(*run(capsys, "verify", "--grid", "pre-lightcone", *extra),
+                       "parameter t/z:", fragment)
+
+    def test_verify_unknown_grid_names_grid(self, capsys):
+        assert_refused(*run(capsys, "verify", "--grid", "diagonal", "--z", "inf"),
+                       "parameter grid:")
+
+    @given(
+        z=BOUNDARY_FLOATS,
+        lo=BOUNDARY_FLOATS,
+        hi=BOUNDARY_FLOATS,
+        eps=st.none() | BOUNDARY_FLOATS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_fuzz_corr_cells_finite(self, z, lo, hi, eps):
+        argv = ["corr", f"--z={z!r}", f"--dt-min={lo!r}", f"--dt-max={hi!r}", "--count=5"]
+        if eps is not None:
+            argv.append(f"--eps={eps!r}")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (0, 2), (argv, stderr.getvalue())
+        if code == 2:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("error: parameter ")
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+            return
+        assert stderr.getvalue() == ""
+        for row in stdout.getvalue().splitlines()[1:]:
+            cells = row.split(",")
+            if cells[4] != "singular":
+                assert all(math.isfinite(float(cell)) for cell in cells[:4]), (argv, row)
 
     @given(
         z=BOUNDARY_FLOATS,
