@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import dispersion, regimes
 from .errors import (
@@ -121,12 +121,15 @@ class _Options:
         value = getattr(self._args, key, None)
         return config.get(key) if value is None else value
 
-    def get(self, key: str, parse: Any = None) -> Any:
+    def get(self, key: str, parse: Callable[[str], Any] | None = None) -> Any:
         """The parsed setting, or the flag's default when unset; ``parse`` overrides its parser."""
         flag_parse, default, _ = _FLAGS[key]
-        value, parse = self.raw(key), parse or flag_parse
-        if value is None or parse is None:
-            return default if value is None else value
+        value = self.raw(key)
+        if value is None:
+            return default
+        parse = parse or flag_parse
+        if parse is None:
+            return value
         text = str(value)
         try:
             return parse(text)
