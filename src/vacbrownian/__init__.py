@@ -20,108 +20,14 @@ from __future__ import annotations
 
 import importlib
 
-from .correlators import (
-    RegulatorSpec,
-    corr_normal,
-    corr_normal_reg,
-    corr_transverse,
-    corr_transverse_reg,
-    mean_e_squared,
-)
-from .dispersion import (
-    EvalPoint,
-    DispersionResult,
-    pos_disp_normal,
-    pos_disp_normal_asym,
-    pos_disp_transverse,
-    pos_disp_transverse_asym,
-    small_t_series,
-    vel_disp_normal,
-    vel_disp_normal_asym,
-    vel_disp_transverse,
-    vel_disp_transverse_asym,
-)
-from .errors import (
-    ExtrapolationError,
-    LightconeSingularityError,
-    QuadratureConvergenceError,
-    VacBrownianError,
-)
-from .regimes import (
-    PacketSpec,
-    RegimeReport,
-    effective_temperature,
-    effective_temperature_natural,
-    fluctuation_to_quantum_ratio,
-    larmor_power,
-    minimum_packet_width,
-    optimal_initial_width,
-    packet_width,
-    radiated_velocity_sq,
-    radiation_time_limit,
-    regime_report,
-    validity_time_limit,
-)
-from .units_constants import (
-    ConstantsTable,
-    ParticleSpec,
-    constants_table,
-    electron_preset,
-    unit_preset,
-)
+from . import correlators, dispersion, errors, regimes, units_constants
+from .correlators import *
+from .dispersion import *
+from .errors import *
+from .regimes import *
+from .units_constants import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConstantsTable",
-    "DispersionResult",
-    "EvalPoint",
-    "ExtrapolationError",
-    "LightconeSingularityError",
-    "OracleResult",
-    "PacketSpec",
-    "ParticleSpec",
-    "QuadratureConvergenceError",
-    "QuadratureSpec",
-    "RegimeReport",
-    "RegulatorSpec",
-    "VacBrownianError",
-    "VerifyRow",
-    "__version__",
-    "constants_table",
-    "corr_normal",
-    "corr_normal_reg",
-    "corr_transverse",
-    "corr_transverse_reg",
-    "dispersion_oracle",
-    "effective_temperature",
-    "effective_temperature_natural",
-    "electron_preset",
-    "extrapolate_ladder",
-    "fluctuation_to_quantum_ratio",
-    "larmor_power",
-    "mean_e_squared",
-    "minimum_packet_width",
-    "optimal_initial_width",
-    "packet_width",
-    "pos_disp_normal",
-    "pos_disp_normal_asym",
-    "pos_disp_transverse",
-    "pos_disp_transverse_asym",
-    "position_oracle",
-    "radiated_velocity_sq",
-    "radiation_time_limit",
-    "regime_report",
-    "small_t_series",
-    "unit_preset",
-    "validity_time_limit",
-    "vel_disp_normal",
-    "vel_disp_normal_asym",
-    "vel_disp_transverse",
-    "vel_disp_transverse_asym",
-    "velocity_oracle",
-    "verify_grid",
-]
 
 # Names re-exported from `oracle`, resolved by `__getattr__` on first use.
 _ORACLE_NAMES = frozenset({
@@ -134,6 +40,17 @@ _ORACLE_NAMES = frozenset({
     "velocity_oracle",
     "verify_grid",
 })
+
+# Every eager submodule's public names, then the oracle's lazy ones.
+__all__ = [
+    *correlators.__all__,
+    *dispersion.__all__,
+    *errors.__all__,
+    *regimes.__all__,
+    *units_constants.__all__,
+    *sorted(_ORACLE_NAMES),
+    "__version__",
+]
 
 
 def __getattr__(name: str) -> object:

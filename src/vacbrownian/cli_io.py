@@ -11,9 +11,10 @@ constants  CODATA table and electron preset as JSON
 
 Lengths and times accept SI suffixes: "1e-6m" (meters) or "1e-14s"
 (seconds, converted via c); bare numbers are natural lengths (meters).
-Every subcommand accepts --config pointing at a JSON file whose keys
-mirror the long flag names (dashes as underscores); precedence is
-flags > config file > defaults, and a JSON null counts as unset.
+Every subcommand but constants accepts --config pointing at a JSON file
+whose keys mirror its long flag names (dashes as underscores) other than
+--output; any other key is refused.  Precedence is flags > config file >
+defaults, and a JSON null counts as unset.
 
 Exit codes: 0 success; 1 verify comparison failure; 2 argument errors;
 3 lightcone-window hits; 4 oracle non-convergence; 5 unwritable output.
@@ -113,12 +114,16 @@ class _Options:
             raise UsageError(f"parameter config: invalid JSON in {path!r}: {exc}") from None
         if not isinstance(config, dict):
             raise UsageError("parameter config: top-level JSON value must be an object")
+        flags = _COMMANDS[self._args.command][2]
+        for key in config:
+            if key not in flags or key in ("config", "output"):
+                raise UsageError(f"parameter config: unknown key {key!r}")
         return config
 
     def raw(self, key: str) -> Any:
         """The flag's value, else the config's, unparsed; None when neither is set."""
         config = self._config  # read first, so a bad --config is the first error
-        value = getattr(self._args, key, None)
+        value = getattr(self._args, key)
         return config.get(key) if value is None else value
 
     def get(self, key: str, parse: Callable[[str], Any] | None = None) -> Any:
@@ -140,7 +145,7 @@ class _Options:
     @property
     def output(self) -> str | None:
         """The --output path; a config file never redirects output."""
-        return getattr(self._args, "output", None)
+        return self._args.output
 
     def particle(self, unset: str = "electron") -> ParticleSpec:
         """The --particle preset with any --charge/--mass override.
@@ -194,7 +199,10 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
             natural, kind = regimes.effective_temperature_natural(point.particle, point.z), "temperature"
         elif quantity == "radiated_velocity_sq":
             natural, kind = regimes.radiated_velocity_sq(point.particle, point.z, point.t), "velocity"
-        else:  # one of _DISPERSIONS; `_Options.quantities` has checked the id
+        elif quantity in dispersion.QUANTITIES:
+            closed = dispersion.QUANTITIES[quantity]
+            natural, kind = closed.value(point), closed.kind
+        else:  # an asymptote; `_Options.quantities` has checked the id
             result = getattr(dispersion, quantity)(point)
             natural, kind = result.value, result.kind
         si = _UNITS[kind][2](natural)
@@ -468,18 +476,19 @@ _FLAGS = {
     "eps": (_natural_length, None, "point-splitting regulator; emits regularized kernels"),
 }
 
-_COMMON_FLAGS = ("config", "particle", "charge", "mass")
-
-# name: (handler, help, flags beyond the common ones)
+# name: (handler, help, every flag the handler reads)
 _COMMANDS = {
-    "eval": (_cmd_eval, "evaluate quantities at one (t, z)", ("z", "t", "t_over_z", "quantity")),
+    "eval": (_cmd_eval, "evaluate quantities at one (t, z)",
+             ("config", "particle", "charge", "mass", "z", "t", "t_over_z", "quantity")),
     "sweep": (_cmd_sweep, "evaluate quantities over a parameter grid",
-              ("var", "min", "max", "count", "spacing", "z", "t", "quantity", "format", "output")),
+              ("config", "particle", "charge", "mass", "var", "min", "max", "count",
+               "spacing", "z", "t", "quantity", "format", "output")),
     "verify": (_cmd_verify, "compare closed forms against the quadrature oracle",
-               ("z", "grid", "tolerance", "output")),
-    "regimes": (_cmd_regimes, "regime report for one (particle, z, t)", ("z", "t", "t_over_z")),
+               ("config", "particle", "charge", "mass", "z", "grid", "tolerance", "output")),
+    "regimes": (_cmd_regimes, "regime report for one (particle, z, t)",
+                ("config", "particle", "charge", "mass", "z", "t", "t_over_z")),
     "corr": (_cmd_corr, "dump boundary correlators over a dt grid",
-             ("z", "dt_min", "dt_max", "count", "eps", "output")),
+             ("config", "z", "dt_min", "dt_max", "count", "eps", "output")),
     "constants": (_cmd_constants, "dump the constants table as JSON", ()),
 }
 
@@ -493,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        for key in _COMMON_FLAGS + flags:
+        for key in flags:
             _, default, flag_help = _FLAGS[key]
             if default is not None:
                 flag_help += f" (default {default})"

@@ -215,10 +215,14 @@ class Quantity:
         problem = "underflows to zero" if value == 0.0 else "overflows"
         raise ValueError(f"{self.kind} prefactor {formula} {problem}")
 
-    def evaluate(self, p: EvalPoint) -> DispersionResult:
+    def value(self, p: EvalPoint) -> float:
         """Closed-form value at p; refuses inside the lightcone window."""
         _check_lightcone(p)
-        return _result(p, self.prefactor(p) * self.bracket(p.x), self)
+        return self.prefactor(p) * self.bracket(p.x)
+
+    def evaluate(self, p: EvalPoint) -> DispersionResult:
+        """Closed-form value at p with its regime flags."""
+        return _result(p, self.value(p), self)
 
 
 QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (

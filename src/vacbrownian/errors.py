@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "VacBrownianError",
+    "LightconeSingularityError",
+    "QuadratureConvergenceError",
+    "ExtrapolationError",
+]
+
 
 class VacBrownianError(Exception):
     """Base class for all package-specific errors."""

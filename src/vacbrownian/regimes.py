@@ -56,11 +56,6 @@ class PacketSpec:
         if self.dz0 * self.dpz < 0.5 * (1.0 - 1e-12):
             raise ValueError("uncertainty product dz0*dpz must be >= 1/2")
 
-    @classmethod
-    def minimum_uncertainty(cls, dz0: float) -> "PacketSpec":
-        """Packet saturating dz0 * dpz = 1/2."""
-        return cls(dz0=dz0, dpz=0.5 / dz0)
-
 
 def validity_time_limit(spec: ParticleSpec, z: float) -> float:
     """Time bound below which the position drift stays small against z.

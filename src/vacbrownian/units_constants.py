@@ -24,11 +24,8 @@ __all__ = [
     "electron_preset",
     "unit_preset",
     "time_si_to_natural",
-    "time_natural_to_si",
     "velocity_sq_natural_to_si",
-    "velocity_sq_si_to_natural",
     "natural_to_si_temperature",
-    "si_to_natural_temperature",
 ]
 
 # CODATA 2018 recommended values.
@@ -122,17 +119,9 @@ def time_si_to_natural(t_s: float) -> float:
     return t_s * C_SI
 
 
-def time_natural_to_si(t_nat: float) -> float:
-    return t_nat / C_SI
-
-
 def velocity_sq_natural_to_si(v2_nat: float) -> float:
     """Squared velocity in units of c^2 to (m/s)^2."""
     return v2_nat * C_SI * C_SI
-
-
-def velocity_sq_si_to_natural(v2_si: float) -> float:
-    return v2_si / (C_SI * C_SI)
 
 
 def natural_to_si_temperature(t_nat: float) -> float:
@@ -144,7 +133,3 @@ def natural_to_si_temperature(t_nat: float) -> float:
     if not math.isfinite(t_nat):
         raise ValueError("temperature must be finite")
     return t_nat * HBAR_SI * C_SI / BOLTZMANN_SI
-
-
-def si_to_natural_temperature(t_kelvin: float) -> float:
-    return t_kelvin * BOLTZMANN_SI / (HBAR_SI * C_SI)

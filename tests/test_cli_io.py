@@ -297,21 +297,25 @@ class TestConstants:
                         math.sqrt(4.0 * math.pi * 7.2973525693e-3), rtol=1e-15)
 
 
-COMMON_FLAGS = ["--config CONFIG", "--particle PARTICLE", "--charge CHARGE", "--mass MASS"]
+PARTICLE_FLAGS = ["--config CONFIG", "--particle PARTICLE", "--charge CHARGE", "--mass MASS"]
 
 
 class TestHelp:
     # Each subcommand's flags with their dests (shown as metavars), written out
-    # here rather than read from the table the parser is built from.
+    # here rather than read from the table the parser is built from.  corr
+    # reads no particle and constants reads nothing, so neither takes those flags.
     @pytest.mark.parametrize("command, flags", [
-        ("eval", ["--z Z", "--t T", "--t-over-z T_OVER_Z", "--quantity QUANTITY"]),
-        ("sweep", ["--var VAR", "--min MIN", "--max MAX", "--count COUNT",
-                   "--spacing SPACING", "--z Z", "--t T", "--quantity QUANTITY",
-                   "--format FORMAT", "--output OUTPUT"]),
-        ("verify", ["--z Z", "--grid GRID", "--tolerance TOLERANCE", "--output OUTPUT"]),
-        ("regimes", ["--z Z", "--t T", "--t-over-z T_OVER_Z"]),
-        ("corr", ["--z Z", "--dt-min DT_MIN", "--dt-max DT_MAX", "--count COUNT",
-                  "--eps EPS", "--output OUTPUT"]),
+        ("eval", PARTICLE_FLAGS + ["--z Z", "--t T", "--t-over-z T_OVER_Z",
+                                   "--quantity QUANTITY"]),
+        ("sweep", PARTICLE_FLAGS + ["--var VAR", "--min MIN", "--max MAX", "--count COUNT",
+                                    "--spacing SPACING", "--z Z", "--t T",
+                                    "--quantity QUANTITY", "--format FORMAT",
+                                    "--output OUTPUT"]),
+        ("verify", PARTICLE_FLAGS + ["--z Z", "--grid GRID", "--tolerance TOLERANCE",
+                                     "--output OUTPUT"]),
+        ("regimes", PARTICLE_FLAGS + ["--z Z", "--t T", "--t-over-z T_OVER_Z"]),
+        ("corr", ["--config CONFIG", "--z Z", "--dt-min DT_MIN", "--dt-max DT_MAX",
+                  "--count COUNT", "--eps EPS", "--output OUTPUT"]),
         ("constants", []),
     ])
     def test_lists_exactly_the_flags(self, capsys, command, flags):
@@ -319,7 +323,20 @@ class TestHelp:
             main([command, "--help"])
         assert info.value.code == 0
         listed = re.findall(r"^  (?:-h, )?(--\S+(?: [A-Z_]+)?)", capsys.readouterr().out, re.M)
-        assert listed == ["--help"] + COMMON_FLAGS + flags
+        assert listed == ["--help"] + flags
+
+    @pytest.mark.parametrize("argv", [
+        ["corr", "--particle", "unit", "--z", "1", "--dt-max", "4"],
+        ["corr", "--mass", "2", "--z", "1", "--dt-max", "4"],
+        ["corr", "--charge", "2", "--z", "1", "--dt-max", "4"],
+        ["constants", "--particle", "muon"],
+        ["constants", "--config", "x.json"],
+    ])
+    def test_flags_a_subcommand_ignores_are_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -357,6 +374,21 @@ class TestConfigFile:
         config.write_text(json.dumps({"z": 1, "t": 1, "quantity": 5}))
         assert_refused(*run(capsys, "eval", "--config", str(config)),
                        "parameter quantity: unknown quantity 5")
+
+    @pytest.mark.parametrize("command, config, key", [
+        # a misspelt flag name; the parent ignored it and asked for --t
+        (["eval"], {"z": 1, "t_ovr_z": 3, "quantity": "vel_disp_normal"}, "t_ovr_z"),
+        # output is read from the flag only
+        (["sweep", "--particle", "unit", "--min", "1", "--max", "3"],
+         {"output": "table.csv"}, "output"),
+        # a flag of other subcommands that corr does not read
+        (["corr", "--z", "1", "--dt-max", "4"], {"particle": "unit"}, "particle"),
+    ])
+    def test_unknown_key_refused(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert_refused(*run(capsys, *command, "--config", str(path)),
+                       f"parameter config: unknown key {key!r}")
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "broken.json"

@@ -10,12 +10,16 @@ they pin this platform's libm and QUADPACK down to the last bit.  After an
 intended output change, re-record with::
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+which takes no arguments and prints one line for each record whose exit
+code, stdout or stderr moved.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -160,8 +164,31 @@ def test_golden_set_is_current_and_complete():
     assert {r["exit"] for r in RECORDED} == {0, 1, 2, 3}
 
 
-if __name__ == "__main__":
+def _key(record: dict) -> str:
+    return json.dumps([record["argv"], record["config"]])
+
+
+def rerecord() -> None:
+    """Rewrite the golden file from INVOCATIONS; print each record that moved."""
+    before = {_key(r): r for r in RECORDED}
+    records = [run(argv, config) for argv, config in INVOCATIONS]
     GOLDEN.parent.mkdir(exist_ok=True)
     with GOLDEN.open("w", encoding="utf-8") as handle:
-        for argv, config in INVOCATIONS:
-            handle.write(json.dumps(run(argv, config)) + "\n")
+        for record in records:
+            handle.write(json.dumps(record) + "\n")
+    for i, record in enumerate(records):
+        old = before.pop(_key(record), None)
+        moved = "new" if old is None else ", ".join(
+            field for field in ("exit", "stdout", "stderr") if old[field] != record[field])
+        if moved:
+            print(f"{i:02d} {' '.join(record['argv'])}: {moved}")
+    for old in before.values():
+        print(f"-- {' '.join(old['argv'])}: dropped")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        print("usage: PYTHONPATH=src python tests/test_golden_cli.py\n"
+              "re-records tests/golden/cli.jsonl; takes no arguments", file=sys.stderr)
+        sys.exit(2)
+    rerecord()

@@ -66,6 +66,19 @@ def test_every_public_name_resolves():
         assert getattr(vacbrownian, name) is not None, name
 
 
+def test_public_names_are_the_submodules_names():
+    from vacbrownian import correlators, dispersion, errors, regimes, units_constants
+
+    eager = [*correlators.__all__, *dispersion.__all__, *errors.__all__,
+             *regimes.__all__, *units_constants.__all__]
+    assert vacbrownian.__all__ == eager + sorted(vacbrownian._ORACLE_NAMES) + ["__version__"]
+    assert len(set(vacbrownian.__all__)) == len(vacbrownian.__all__)
+
+
+def test_lazy_names_are_oracle_names():
+    assert vacbrownian._ORACLE_NAMES <= set(vacbrownian.oracle.__all__)
+
+
 def test_oracle_names_come_from_the_oracle_module():
     assert vacbrownian.verify_grid is vacbrownian.oracle.verify_grid
     assert vacbrownian.QuadratureSpec is vacbrownian.oracle.QuadratureSpec

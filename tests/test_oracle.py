@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from numpy.testing import assert_allclose
 
@@ -243,3 +244,33 @@ class TestVerifyGrid:
     def test_tolerance_override(self):
         rows = verify_grid(grid="post-lightcone", tol_post=1e-16)
         assert not all(row.passed for row in rows)
+
+
+def closed_form_mp(quantity, p):
+    """The closed form in the `dispersion` docstring at p's float inputs, to 50 digits."""
+    e, m, t, z = (mpmath.mpf(v) for v in (p.particle.e, p.particle.m, p.t, p.z))
+    x = t / (2 * z)
+    log_ratio = mpmath.log((1 + x) / abs(1 - x))
+    log_gap = mpmath.log(abs(1 - x * x))
+    bracket = {
+        "vel_disp_transverse": x / 16 * log_ratio + x**2 / (8 * (1 - x**2)),
+        "vel_disp_normal": x / 8 * log_ratio,
+        "pos_disp_transverse": x**3 / 12 * log_ratio - x**2 / 6 - log_gap / 6,
+        "pos_disp_normal": x**2 / 6 + x**3 / 6 * log_ratio + log_gap / 6,
+    }[quantity]
+    prefactor = e**2 / (mpmath.pi**2 * m**2)
+    if quantity.startswith("vel_"):
+        prefactor /= z**2
+    return prefactor * bracket
+
+
+class TestErrorEstimate:
+    # The oracle must agree or refuse: its error estimate has to cover its
+    # actual error against the exact closed form on every verify row.
+    @pytest.mark.parametrize("particle, z", [(UNIT, 1.0), (electron_preset(), 1e-6), (UNIT, 3.7)])
+    def test_estimate_covers_error(self, particle, z):
+        with mpmath.workdps(50):
+            for row in verify_grid(particle, z):
+                p = EvalPoint(t=row.t_over_z * z, z=z, particle=particle)
+                error = abs(row.oracle - closed_form_mp(row.quantity, p))
+                assert row.eps_estimate >= error, (row.quantity, row.t_over_z)

@@ -90,9 +90,10 @@ class TestRadiation:
 
 class TestPackets:
     def test_minimum_uncertainty_constructor(self):
-        packet = PacketSpec.minimum_uncertainty(2.0)
-        assert packet.dz0 == 2.0
-        assert packet.dpz == 0.25
+        # dz0 * dpz rounds below 1/2 at dz0 = 49; the floor's tolerance accepts it
+        assert 49.0 * (0.5 / 49.0) < 0.5
+        packet = PacketSpec(dz0=49.0, dpz=0.5 / 49.0)
+        assert (packet.dz0, packet.dpz) == (49.0, 0.5 / 49.0)
 
     def test_uncertainty_floor_enforced(self):
         PacketSpec(dz0=1.0, dpz=0.5)
@@ -100,7 +101,7 @@ class TestPackets:
             PacketSpec(dz0=1.0, dpz=0.4)
 
     def test_width_growth(self):
-        packet = PacketSpec.minimum_uncertainty(1.0)
+        packet = PacketSpec(dz0=1.0, dpz=0.5)
         m, t = 2.0, 8.0
         expected = math.hypot(1.0, 0.5 * 8.0 / 2.0)
         assert_allclose(packet_width(packet, m, t), expected, rtol=1e-15)
@@ -111,10 +112,10 @@ class TestPackets:
         assert_allclose(best, math.sqrt(t / (2.0 * m)), rtol=1e-15)
         floor = minimum_packet_width(m, t)
         assert_allclose(floor, math.sqrt(t / m), rtol=1e-15)
-        width_at_best = packet_width(PacketSpec.minimum_uncertainty(best), m, t)
+        width_at_best = packet_width(PacketSpec(dz0=best, dpz=0.5 / best), m, t)
         assert_allclose(width_at_best, floor, rtol=1e-12)
         for dz0 in (0.3 * best, 3.0 * best):
-            packet = PacketSpec.minimum_uncertainty(dz0)
+            packet = PacketSpec(dz0=dz0, dpz=0.5 / dz0)
             assert packet_width(packet, m, t) > floor
 
 
