@@ -8,6 +8,7 @@ import json
 import math
 import re
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
@@ -467,15 +468,28 @@ class TestBoundary:
         assert [row[4] for row in rows if row[3] == "vel_disp_normal"] == [""] * 3
         assert [row[6] for row in rows if row[3] == "pos_disp_normal"] == ["ok"] * 3
 
+    def test_large_x_series_past_the_range_of_x_squared(self, capsys):
+        # at t/z = 1e300 x^2 overflows, but neither transverse form needs it
+        code, out, err = run(capsys, "eval", "--particle", "unit", "--z", "1",
+                             "--t-over-z", "1e300", "--quantity", "vel_disp_transverse",
+                             "--quantity", "pos_disp_transverse")
+        assert code == 0 and err == ""
+        x = mpmath.mpf(0.5e300)
+        with mpmath.workdps(1000):  # 1 + 1/x keeps 1/x to 700 digits
+            exact = (x**3 / 12 * mpmath.log((x + 1) / (x - 1)) - x**2 / 6
+                     - mpmath.log(x**2 - 1) / 6) / mpmath.pi**2
+        value = json.loads(out)["quantities"]["pos_disp_transverse"]["value_natural"]
+        assert_allclose(value, float(exact), rtol=1e-15)
+
     @pytest.mark.parametrize("extra", [
         ["--particle", "unit", "--z", "1", "--t-over-z", "1e300",
-         "--quantity", "vel_disp_transverse"],  # x^2 overflows: the bracket is NaN
-        ["--particle", "unit", "--z", "1", "--t-over-z", "1e300",
-         "--quantity", "pos_disp_normal"],  # x**3 raises OverflowError
+         "--quantity", "pos_disp_normal"],  # its leading x^2/2 overflows
         ["--z", "1e-300", "--t-over-z", "0.5",
          "--quantity", "effective_temperature"],  # divides by an underflowed zero
         ["--particle", "unit", "--z", "1e200", "--t-over-z", "0.5",
          "--quantity", "radiated_velocity_sq"],  # z**4 raises OverflowError
+        ["--particle", "unit", "--z", "1", "--t-over-z", "1e300",
+         "--quantity", "pos_disp_normal_asym"],  # the same x^2/2 as pos_disp_normal
     ])
     def test_values_outside_float_range_refused(self, capsys, extra):
         assert_refused(*run(capsys, "eval", *extra),

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from vacbrownian import dispersion
 from vacbrownian.dispersion import (
+    LARGE_X,
     QUANTITIES,
     QUANTITY_IDS,
     EvalPoint,
@@ -26,7 +27,7 @@ from vacbrownian.dispersion import (
 )
 from vacbrownian.errors import LightconeSingularityError
 from vacbrownian.oracle import dispersion_oracle
-from vacbrownian.units_constants import ParticleSpec, unit_preset
+from vacbrownian.units_constants import ParticleSpec, electron_preset, unit_preset
 
 PI_SQ = math.pi ** 2
 LN3 = math.log(3.0)
@@ -248,6 +249,31 @@ class TestAsymptotes:
         assert_allclose(vel_disp_normal_asym(p).value, 1.0 / (4.0 * PI_SQ),
                         rtol=1e-12)
 
+    # Reference: the printed asymptotes, each written out term by term in t and z.
+    PRINTED = {
+        "vel_disp_transverse": lambda e, m, t, z: (
+            -e**2 / (3.0 * PI_SQ * m**2 * t**2) - 8.0 * e**2 * z**2 / (5.0 * PI_SQ * m**2 * t**4)),
+        "vel_disp_normal": lambda e, m, t, z: (
+            e**2 / (4.0 * PI_SQ * m**2 * z**2) + e**2 / (3.0 * PI_SQ * m**2 * t**2)),
+        "pos_disp_transverse": lambda e, m, t, z: (
+            -e**2 / (3.0 * PI_SQ * m**2) * math.log(t / (2.0 * z))),
+        "pos_disp_normal": lambda e, m, t, z: (
+            e**2 / (PI_SQ * m**2)
+            * (t**2 / (8.0 * z**2) + math.log(t / (2.0 * z)) / 3.0 + 1.0 / 9.0)),
+    }
+
+    @pytest.mark.parametrize("spec, z", [(UNIT, 1.0), (electron_preset(), 1e-6), (UNIT, 3.7)],
+                             ids=["unit-1", "electron-1e-6", "unit-3.7"])
+    @pytest.mark.parametrize("qid", QUANTITY_IDS)
+    def test_truncated_series_match_printed_forms(self, qid, spec, z):
+        # each asymptote is the large-x series cut after a fixed number of terms
+        asym = getattr(dispersion, qid + "_asym")
+        for i in range(1, 401):  # t/z from just above 2 up to 1e12
+            ratio = 2.0 * (5e11) ** (i / 400)
+            p = EvalPoint(t=ratio * z, z=z, particle=spec)
+            printed = self.PRINTED[qid](spec.e, spec.m, p.t, p.z)
+            assert_allclose(asym(p).value, printed, rtol=1e-15, atol=0.0)
+
 
 class TestSmallTimeSeries:
     def test_leading_orders(self):
@@ -300,16 +326,17 @@ class TestSmallTimeSeries:
 
 
 class TestDirectAccuracy:
-    # The direct closed forms against a 60-digit evaluation of the brackets
-    # in the module docstring, down to t/z = 1e-9, where the position
-    # brackets cancel to O(x^4).  With e = m = z = 1 the value is the
-    # bracket over pi^2.
+    # The closed forms against a 60-digit evaluation of the brackets in the
+    # module docstring, down to t/z = 1e-9, where the position brackets
+    # cancel to O(x^4), and up to 1e12, where the transverse ones cancel to
+    # O(1/x^2) or O(ln x) out of O(x^2).  With e = m = z = 1 the value is
+    # the bracket over pi^2.
 
     @staticmethod
     def reference(qid, x):
         x = mpmath.mpf(x)
-        log_ratio = mpmath.log((1 + x) / (1 - x))
-        log_gap = mpmath.log(1 - x * x)
+        log_ratio = mpmath.log((1 + x) / abs(1 - x))
+        log_gap = mpmath.log(abs(1 - x * x))
         bracket = {
             "vel_disp_transverse": x / 16 * log_ratio + x**2 / (8 * (1 - x**2)),
             "vel_disp_normal": x / 8 * log_ratio,
@@ -328,3 +355,37 @@ class TestDirectAccuracy:
                 ref = self.reference(qid, p.x)
                 worst = max(worst, abs(fn(p).value - ref) / abs(ref))
         assert worst <= 2e-15
+
+    @pytest.mark.parametrize("qid", QUANTITY_IDS)
+    def test_whole_domain_relative_error(self, qid):
+        # a log grid over t/z in [1e-9, 1e12], both sides of the crossover
+        # at LARGE_X, and points just outside the lightcone window
+        ratios = [10.0 ** (-9.0 + 21.0 * i / 840) for i in range(841)]
+        ratios += [2.0 * LARGE_X * (1.0 + s * 1e-12) for s in (-1, 1)]
+        ratios += [2.0 * (1.0 + s * k * 1e-6) for k in range(1, 51) for s in (-1, 1)]
+        fn = getattr(dispersion, qid)
+        worst = 0
+        with mpmath.workdps(60):
+            for ratio in ratios:
+                p = up(ratio)
+                ref = self.reference(qid, p.x)
+                worst = max(worst, abs(fn(p).value - ref) / abs(ref))
+        assert worst <= 1e-13
+
+
+class TestHugeRatios:
+    # x^2 overflows past t/z ~ 1e154; only the pos_disp_normal pair, led by
+    # x^2/2, genuinely leaves the float range (at t/z = 1e300)
+
+    @pytest.mark.parametrize("ratio", [1e12, 1e100, 1e300])
+    @pytest.mark.parametrize("name", [q + s for q in QUANTITY_IDS for s in ("", "_asym")])
+    def test_finite_or_refused(self, name, ratio):
+        fn = getattr(dispersion, name)
+        try:
+            value = fn(up(ratio)).value
+        except ValueError as exc:
+            assert name.startswith("pos_disp_normal") and ratio == 1e300
+            assert "float range" in str(exc)
+        else:
+            assert math.isfinite(value)
+            assert not (name.startswith("pos_disp_normal") and ratio == 1e300)

@@ -12,13 +12,17 @@ intended output change, re-record with::
     PYTHONPATH=src python tests/test_golden_cli.py
 
 which takes no arguments and prints one line for each record whose exit
-code, stdout or stderr moved.
+code, stdout or stderr moved; for a moved stdout it adds how many cells
+(tokens between commas and whitespace) changed and the largest relative
+change among the numeric ones.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -168,6 +172,22 @@ def _key(record: dict) -> str:
     return json.dumps([record["argv"], record["config"]])
 
 
+def cell_changes(old: str, new: str) -> str:
+    """How many cells of two outputs differ, and the largest relative change."""
+    old_cells, new_cells = re.split(r"[\s,]+", old), re.split(r"[\s,]+", new)
+    if len(old_cells) != len(new_cells):
+        return "layout changed"
+    changed = [(a, b) for a, b in zip(old_cells, new_cells) if a != b]
+    worst = 0.0
+    for a, b in changed:
+        try:
+            before, after = float(a), float(b)
+        except ValueError:  # true/false, or text
+            continue
+        worst = max(worst, abs(after - before) / abs(before) if before else math.inf)
+    return f"{len(changed)} cells, largest relative change {worst:.2g}"
+
+
 def rerecord() -> None:
     """Rewrite the golden file from INVOCATIONS; print each record that moved."""
     before = {_key(r): r for r in RECORDED}
@@ -180,6 +200,8 @@ def rerecord() -> None:
         old = before.pop(_key(record), None)
         moved = "new" if old is None else ", ".join(
             field for field in ("exit", "stdout", "stderr") if old[field] != record[field])
+        if old is not None and old["stdout"] != record["stdout"]:
+            moved += f" ({cell_changes(old['stdout'], record['stdout'])})"
         if moved:
             print(f"{i:02d} {' '.join(record['argv'])}: {moved}")
     for old in before.values():
