@@ -126,6 +126,12 @@ INVOCATIONS: list[tuple[list[str], dict | None]] = [
     (["sweep", *UNIT, "--var", "w", "--min", "1", "--max", "3"], None),
     (["corr", "--z", "1"], None),
     (["corr", "--z", "1", "--dt-min", "4", "--dt-max", "4"], None),
+    # JSON sweeps: temperature units, and every closed form and asymptote
+    # across t/z = 2 (closed forms singular at 2, asymptotes undefined up to it)
+    (["sweep", "--var", "t_over_z", "--min", "0.5", "--max", "20", "--count", "4",
+      "--z", "1e-6m", "--format", "json", *EXTRA], None),
+    (["sweep", *UNIT, "--var", "t_over_z", "--spacing", "linear", "--min", "1.5",
+      "--max", "2.5", "--count", "5", "--format", "json", *CLOSED, *ASYM], None),
 ]
 
 
