@@ -17,7 +17,8 @@ whose keys mirror its long flag names (dashes as underscores) other than
 defaults, and a JSON null counts as unset.
 
 Exit codes: 0 success; 1 verify comparison failure; 2 argument errors;
-3 lightcone-window hits; 4 oracle non-convergence; 5 unwritable output.
+3 lightcone-window hits; 4 oracle non-convergence; 5 unwritable output;
+70 an internal error (any other exception), reported without a traceback.
 Identical inputs produce byte-identical outputs.
 """
 
@@ -66,6 +67,24 @@ _UNITS = {
     "position": ("m^2", "m^2", float),
     "temperature": ("1/m", "K", natural_to_si_temperature),
 }
+
+
+# One sweep row per format, filled with %.  The JSON record is laid out by
+# json.dumps itself and indented to sit inside the top-level array.  Every
+# cell is JSON text already: the repr of a finite float, null, true/false, or
+# a quoted id, unit or status that needs no escaping.
+_CSV_ROW = ",".join(["%s"] * len(SWEEP_HEADER.split(",")))
+_JSON_ROW = "  " + json.dumps({
+    "t": {"value": "%s", "unit": "m (light-travel)"},
+    "z": {"value": "%s", "unit": "m"},
+    "t_over_z": {"value": "%s", "unit": "dimensionless"},
+    "quantity": "%s",
+    "value_natural": {"value": "%s", "unit": "%s"},
+    "value_si": {"value": "%s", "unit": "%s"},
+    "status": "%s",
+    "validity_ok": "%s",
+    "radiation_ok": "%s",
+}, indent=2).replace("\n", "\n  ").replace('"%s"', "%s")
 
 
 class UsageError(Exception):
@@ -199,12 +218,10 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
             natural, kind = regimes.effective_temperature_natural(point.particle, point.z), "temperature"
         elif quantity == "radiated_velocity_sq":
             natural, kind = regimes.radiated_velocity_sq(point.particle, point.z, point.t), "velocity"
-        elif quantity in dispersion.QUANTITIES:
-            closed = dispersion.QUANTITIES[quantity]
-            natural, kind = closed.value(point), closed.kind
-        else:  # an asymptote; `_Options.quantities` has checked the id
-            result = getattr(dispersion, quantity)(point)
-            natural, kind = result.value, result.kind
+        else:  # a closed form or its asymptote; `_Options.quantities` has checked the id
+            closed = dispersion.QUANTITIES[quantity.removesuffix("_asym")]
+            natural = closed.value(point) if closed.id == quantity else closed.asymptote(point)
+            kind = closed.kind
         si = _UNITS[kind][2](natural)
     except ArithmeticError:  # a float ** overflowing or a / by an underflowed zero
         raise ValueError("value leaves the float range") from None
@@ -300,9 +317,7 @@ def _cmd_sweep(opts: _Options) -> int:
     if var == "z" and t_fixed is None:
         raise UsageError("parameter t: sweeping z needs a fixed --t")
 
-    # Each row is formatted as it is evaluated: a CSV line, or a JSON record
-    # indented to sit inside the top-level array.
-    encoder = json.JSONEncoder(indent=2, allow_nan=False)
+    # Each row is formatted as it is evaluated, from cells formatted once per point.
     out = [SWEEP_HEADER] if fmt == "csv" else []
     for value in grid:
         if var == "t":
@@ -315,7 +330,8 @@ def _cmd_sweep(opts: _Options) -> int:
             point = dispersion.EvalPoint(t=t, z=z, particle=spec)
         except ValueError as exc:
             raise UsageError(f"parameter t/z: {exc}") from None
-        validity_ok, radiation_ok = regimes.regime_flags(point.particle, point.z, point.t)
+        cells = repr(point.t), repr(point.z), repr(point.t_over_z)
+        flags = [str(ok).lower() for ok in regimes.regime_flags(point.particle, point.z, point.t)]
         for q in quantities:
             status, natural, si, kind = "ok", None, None, None
             try:
@@ -325,24 +341,15 @@ def _cmd_sweep(opts: _Options) -> int:
             except ValueError:
                 status = "undefined"  # asymptote at t <= 2z, or outside the float range
             if fmt == "csv":
-                out.append(",".join([
-                    repr(point.t), repr(point.z), repr(point.t_over_z), q,
-                    "" if natural is None else repr(natural), "" if si is None else repr(si),
-                    status, str(validity_ok).lower(), str(radiation_ok).lower(),
-                ]))
-                continue
-            unit_nat, unit_si, _ = _UNITS.get(kind, (None, None, None))
-            out.append("  " + encoder.encode({
-                "t": {"value": point.t, "unit": "m (light-travel)"},
-                "z": {"value": point.z, "unit": "m"},
-                "t_over_z": {"value": point.t_over_z, "unit": "dimensionless"},
-                "quantity": q,
-                "value_natural": {"value": natural, "unit": unit_nat},
-                "value_si": {"value": si, "unit": unit_si},
-                "status": status,
-                "validity_ok": validity_ok,
-                "radiation_ok": radiation_ok,
-            }).replace("\n", "\n  "))
+                out.append(_CSV_ROW % (*cells, q, "" if natural is None else repr(natural),
+                                       "" if si is None else repr(si), status, *flags))
+            elif natural is None:
+                out.append(_JSON_ROW % (*cells, f'"{q}"', "null", "null", "null", "null",
+                                        f'"{status}"', *flags))
+            else:
+                unit_nat, unit_si, _ = _UNITS[kind]
+                out.append(_JSON_ROW % (*cells, f'"{q}"', repr(natural), f'"{unit_nat}"',
+                                        repr(si), f'"{unit_si}"', f'"{status}"', *flags))
     text = "\n".join(out) if fmt == "csv" else "[\n" + ",\n".join(out) + "\n]"
     _emit(text + "\n", opts.output)
     return 0
@@ -528,6 +535,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 5
+    except Exception as exc:  # a bug: one line, no traceback, its own code
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -182,7 +182,8 @@ class Quantity:
 
     ``bracket`` is the direct scaled closed form in x = t/2z, ``series_coeff(k)``
     the Taylor coefficient c_k of x^(2k+2) in it, and ``a``, ``b``, ``d`` its
-    large-x series a x^2 + b ln x + sum_k d[k] / x^(2k).  The prefactor
+    large-x series a x^2 + b ln x + sum_k d[k] / x^(2k), of whose d_k the
+    printed asymptote keeps the first ``asym_terms``.  The prefactor
     follows from ``kind``: A for "velocity", B for "position".
     """
 
@@ -194,6 +195,7 @@ class Quantity:
     a: float
     b: float
     d: tuple[float, ...]
+    asym_terms: int
 
     def prefactor(self, p: EvalPoint) -> float:
         """A = e^2/(pi^2 m^2 z^2) or B = e^2/(pi^2 m^2); refuses a value outside the float range."""
@@ -230,32 +232,32 @@ class Quantity:
         """Closed-form value at p with its regime flags."""
         return _result(p, self.value(p), self)
 
-    def asymptote(self, p: EvalPoint, terms: int) -> DispersionResult:
-        """The large-x series cut after ``terms`` d_k; defined for t > 2z only."""
+    def asymptote(self, p: EvalPoint) -> float:
+        """The printed asymptote, the large-x series cut after ``asym_terms`` d_k; needs t > 2z."""
         if p.t <= 2.0 * p.z:
             raise ValueError("asymptotic forms require t > 2z")
-        return _result(p, self._scaled(p, self._large_x_bracket(p.x, terms)), self)
+        return self._scaled(p, self._large_x_bracket(p.x, self.asym_terms))
 
 
 QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (
     Quantity("vel_disp_transverse", "velocity", "x",
              lambda x: (x / 16.0) * _log_ratio(x) + x * x / (8.0 * (1.0 - x) * (1.0 + x)),
              lambda k: (k + 1) / (4.0 * (2 * k + 1)),
-             0.0, 0.0, tuple(-k / (4.0 * (2 * k + 1)) for k in _K)),
+             0.0, 0.0, tuple(-k / (4.0 * (2 * k + 1)) for k in _K), 3),
     Quantity("vel_disp_normal", "velocity", "z",
              lambda x: (x / 8.0) * _log_ratio(x),
              lambda k: 1.0 / (4.0 * (2 * k + 1)),
-             0.0, 0.0, tuple(1.0 / (4.0 * (2 * k + 1)) for k in _K)),
+             0.0, 0.0, tuple(1.0 / (4.0 * (2 * k + 1)) for k in _K), 2),
     Quantity("pos_disp_transverse", "position", "x",
              lambda x: (x**3 / 12.0) * _log_ratio(x) - _g(x) / 6.0,
              lambda k: 0.0 if k == 0 else (1.0 / (2 * k - 1) + 1.0 / (k + 1)) / 6.0,
              0.0, -1.0 / 3.0, tuple(1.0 / (6.0 * (2 * k + 3)) + (1.0 / (6.0 * k) if k else 0.0)
-                                    for k in _K)),
+                                    for k in _K), 0),
     Quantity("pos_disp_normal", "position", "z",
              lambda x: (x**3 / 6.0) * _log_ratio(x) + _g(x) / 6.0,
              lambda k: 0.0 if k == 0 else (2.0 / (2 * k - 1) - 1.0 / (k + 1)) / 6.0,
              0.5, 1.0 / 3.0, tuple(1.0 / (3.0 * (2 * k + 3)) - (1.0 / (6.0 * k) if k else 0.0)
-                                  for k in _K)),
+                                  for k in _K), 1),
 )})
 
 QUANTITY_IDS = tuple(QUANTITIES)
@@ -311,14 +313,19 @@ def pos_disp_normal(p: EvalPoint) -> DispersionResult:
 
 # --- printed large-time asymptotes: truncated large-x series ------------------
 
+def _asymptote_result(quantity: str, p: EvalPoint) -> DispersionResult:
+    q = QUANTITIES[quantity]
+    return _result(p, q.asymptote(p), q)
+
+
 def vel_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
     """Leading large-time form: -e^2/(3 pi^2 m^2 t^2) - 8 e^2 z^2/(5 pi^2 m^2 t^4)."""
-    return QUANTITIES["vel_disp_transverse"].asymptote(p, terms=3)
+    return _asymptote_result("vel_disp_transverse", p)
 
 
 def vel_disp_normal_asym(p: EvalPoint) -> DispersionResult:
     """Large-time form e^2/(4 pi^2 m^2 z^2) + e^2/(3 pi^2 m^2 t^2)."""
-    return QUANTITIES["vel_disp_normal"].asymptote(p, terms=2)
+    return _asymptote_result("vel_disp_normal", p)
 
 
 def pos_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
@@ -328,12 +335,12 @@ def pos_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
     additional constant 1/18 inside the bracket, so the relative gap to
     the closed form closes slowly, like 1/ln(t/2z).
     """
-    return QUANTITIES["pos_disp_transverse"].asymptote(p, terms=0)
+    return _asymptote_result("pos_disp_transverse", p)
 
 
 def pos_disp_normal_asym(p: EvalPoint) -> DispersionResult:
     """Large-time form (e^2/pi^2 m^2) [t^2/8z^2 + (1/3) ln(t/2z) + 1/9]."""
-    return QUANTITIES["pos_disp_normal"].asymptote(p, terms=1)
+    return _asymptote_result("pos_disp_normal", p)
 
 
 # --- small-t Taylor series ---------------------------------------------------

@@ -13,7 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import vacbrownian.cli_io
+import vacbrownian.dispersion
 import vacbrownian.oracle
+import vacbrownian.regimes
 from vacbrownian.cli_io import CORR_HEADER, QUANTITY_CHOICES, SWEEP_HEADER, VERIFY_HEADER, main
 from vacbrownian.dispersion import EvalPoint, pos_disp_normal
 from vacbrownian.errors import QuadratureConvergenceError
@@ -208,6 +211,101 @@ class TestSweep:
                            "--output", str(target))
         assert code == 5
         assert "output" in err
+
+
+    def test_asymptote_rows_compute_flags_once_per_point(self, capsys, monkeypatch):
+        calls = []
+        flags = vacbrownian.regimes.regime_flags
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return flags(*args, **kwargs)
+
+        monkeypatch.setattr(vacbrownian.regimes, "regime_flags", counted)
+        monkeypatch.setattr(vacbrownian.dispersion, "regime_flags", counted)
+        code, out, _ = run(capsys, "sweep", "--particle", "unit", "--min", "3", "--max", "1e3",
+                           "--count", "100", *[f"--quantity={q}_asym" for q in
+                                               vacbrownian.dispersion.QUANTITY_IDS])
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 400
+        assert len(calls) == 100
+
+    def test_unmapped_error_exits_70(self, capsys, monkeypatch):
+        def broken(quantity, point):
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(vacbrownian.cli_io, "_evaluate", broken)
+        code, out, err = run(capsys, "sweep", "--particle", "unit", "--min", "1", "--max", "3",
+                             "--count", "3", "--format", "json")
+        assert (code, out, err) == (70, "", "error: internal: RuntimeError: forced failure\n")
+
+
+# Ranges of t/z for the sweep round trip: either centred on the lightcone,
+# where closed forms turn singular (an odd linear grid lands on t/z = 2) and
+# asymptotes undefined, or anywhere over t/z in [1e-9, 1e9].
+CENTRED = st.floats(min_value=0.01, max_value=1.9).map(lambda h: (2.0 - h, 2.0 + h))
+SPREAD = st.tuples(st.floats(min_value=1e-9, max_value=1e3),
+                   st.floats(min_value=1.01, max_value=1e6)).map(lambda b: (b[0], b[0] * b[1]))
+
+
+class TestSweepTemplate:
+    """The sweep's JSON records are exactly what json.dumps(indent=2) prints."""
+
+    @given(
+        var=st.sampled_from(["t", "z", "t_over_z"]),
+        spacing=st.sampled_from(["linear", "log"]),
+        preset=st.sampled_from(["electron", "unit"]),
+        count=st.integers(min_value=2, max_value=20),
+        ratios=CENTRED | SPREAD,
+        z=st.sampled_from([1.0, 1e-6, 3.7e-5, 2.5]),
+        quantities=st.lists(st.sampled_from(QUANTITY_CHOICES), min_size=1, max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_json_round_trip_and_csv_cells(self, var, spacing, preset, count, ratios, z,
+                                           quantities):
+        lo, hi = ratios
+        if var == "t_over_z":
+            bounds = ["--z", repr(z), "--min", repr(lo), "--max", repr(hi)]
+        elif var == "t":
+            bounds = ["--z", repr(z), "--min", repr(lo * z), "--max", repr(hi * z)]
+        else:  # z runs from t/hi to t/lo at t = 2z
+            bounds = ["--t", repr(2.0 * z), "--min", repr(2.0 * z / hi), "--max", repr(2.0 * z / lo)]
+        argv = ["sweep", "--particle", preset, "--var", var, "--spacing", spacing,
+                "--count", str(count), *bounds, *[f"--quantity={q}" for q in quantities]]
+        outputs = {}
+        for fmt in ("json", "csv"):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--format", fmt])
+            assert (code, stderr.getvalue()) == (0, ""), argv
+            outputs[fmt] = stdout.getvalue()
+
+        records = json.loads(outputs["json"])
+        # lists, not strings: pytest reports the first line that differs, without a long diff
+        expected = json.dumps(records, indent=2, allow_nan=False) + "\n"
+        assert outputs["json"].splitlines(True) == expected.splitlines(True)
+        strict_json(outputs["json"])
+
+        def cell(value):
+            if value is None:
+                return ""
+            return value if isinstance(value, str) else json.dumps(value)
+
+        rows = [line.split(",") for line in outputs["csv"].splitlines()[1:]]
+        assert len(rows) == len(records) == count * len(quantities)
+        for row, r in zip(rows, records):
+            assert row == [cell(v) for v in (
+                r["t"]["value"], r["z"]["value"], r["t_over_z"]["value"], r["quantity"],
+                r["value_natural"]["value"], r["value_si"]["value"], r["status"],
+                r["validity_ok"], r["radiation_ok"])]
+            assert (r["value_natural"]["unit"] is None) == (r["status"] != "ok")
+
+    def test_text_cells_need_no_escaping(self):
+        texts = [*QUANTITY_CHOICES, "ok", "singular", "undefined"]
+        texts += [unit for natural, si, _ in vacbrownian.cli_io._UNITS.values()
+                  for unit in (natural, si)]
+        for text in texts:
+            assert json.dumps(text)[1:-1] == text
 
 
 class TestVerify:
