@@ -12,8 +12,9 @@ Conventions: Lorentz-Heaviside units with c = hbar = 1; the reference
 length is the meter, so masses and temperatures carry unit 1/m and
 times are light-travel distances.
 
-Only the oracle needs scipy, so `vacbrownian.oracle` and its names load on
-first use: `import vacbrownian` and the closed forms stay scipy-free.
+Only the oracle needs numpy, so `vacbrownian.oracle` and its names load on
+first use: `import vacbrownian` and the closed forms use only the standard
+library.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
 
 
 def __getattr__(name: str) -> object:
-    """Import the scipy-backed `oracle` submodule when one of its names is asked for."""
+    """Import the numpy-backed `oracle` submodule when one of its names is asked for."""
     if name == "oracle" or name in _ORACLE_NAMES:
         oracle = importlib.import_module(".oracle", __name__)
         return oracle if name == "oracle" else getattr(oracle, name)

@@ -232,13 +232,13 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
 
 # --- output plumbing ------------------------------------------------------------
 
-def _emit(text: str, path: str | None) -> None:
-    """Write to stdout or to a file; OSError propagates (exit code 5)."""
+def _emit(path: str | None, *texts: str) -> None:
+    """Write the texts in turn to stdout or to a file; OSError propagates (exit code 5)."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(texts)
 
 
 def _grid_values(lo: float, hi: float, count: int, spacing: str) -> list[float]:
@@ -293,7 +293,7 @@ def _cmd_eval(opts: _Options) -> int:
         "radiation_ok": radiation_ok,
         "near_lightcone": point.near_lightcone,
     }
-    _emit(json.dumps(record, indent=2, allow_nan=False) + "\n", None)
+    _emit(None, json.dumps(record, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -318,7 +318,7 @@ def _cmd_sweep(opts: _Options) -> int:
         raise UsageError("parameter t: sweeping z needs a fixed --t")
 
     # Each row is formatted as it is evaluated, from cells formatted once per point.
-    out = [SWEEP_HEADER] if fmt == "csv" else []
+    out = []
     for value in grid:
         if var == "t":
             t, z = value, z_fixed
@@ -350,13 +350,16 @@ def _cmd_sweep(opts: _Options) -> int:
                 unit_nat, unit_si, _ = _UNITS[kind]
                 out.append(_JSON_ROW % (*cells, f'"{q}"', repr(natural), f'"{unit_nat}"',
                                         repr(si), f'"{unit_si}"', f'"{status}"', *flags))
-    text = "\n".join(out) if fmt == "csv" else "[\n" + ",\n".join(out) + "\n]"
-    _emit(text + "\n", opts.output)
+    # Header, rows and footer are written in turn, so the rows' text is never copied.
+    if fmt == "csv":
+        _emit(opts.output, SWEEP_HEADER + "\n", "\n".join(out), "\n")
+    else:
+        _emit(opts.output, "[\n", ",\n".join(out), "\n]\n")
     return 0
 
 
 def _cmd_verify(opts: _Options) -> int:
-    from . import oracle  # the only subcommand that needs scipy
+    from . import oracle  # the only subcommand that needs numpy
 
     spec = opts.particle(unset="unit")
     z = opts.get("z")
@@ -377,7 +380,7 @@ def _cmd_verify(opts: _Options) -> int:
             row.quantity, repr(row.t_over_z), repr(row.closed), repr(row.oracle),
             repr(row.rel_err), repr(row.eps_estimate), str(row.passed).lower(),
         ]))
-    _emit("\n".join(lines) + "\n", opts.output)
+    _emit(opts.output, "\n".join(lines) + "\n")
     return 0 if all(row.passed for row in rows) else 1
 
 
@@ -391,7 +394,7 @@ def _cmd_regimes(opts: _Options) -> int:
         text = json.dumps(regimes.regime_report(spec, z, t).as_dict(), indent=2, allow_nan=False)
     except (ValueError, ArithmeticError):
         raise UsageError("parameter t/z: regime report leaves the float range") from None
-    _emit(text + "\n", None)
+    _emit(None, text + "\n")
     return 0
 
 
@@ -436,7 +439,7 @@ def _cmd_corr(opts: _Options) -> int:
             raise UsageError(f"parameter {'dt/z' if eps is None else 'dt/z/eps'}: "
                              f"correlators at dt={dt!r} leave the float range")
         lines.append(",".join([repr(dt), repr(z), repr(xx), repr(zz), "ok"]))
-    _emit("\n".join(lines) + "\n", opts.output)
+    _emit(opts.output, "\n".join(lines) + "\n")
     return 0
 
 
@@ -451,7 +454,7 @@ def _cmd_constants(opts: _Options) -> int:
         },
         "unit_system": "Lorentz-Heaviside, c = hbar = 1, reference length 1 m",
     }
-    _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", None)
+    _emit(None, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return 0
 
 

@@ -32,17 +32,29 @@ singularity lies between the two paths.
 Internally everything is computed at z = 1 in the scaled variables
 u = tau/z, T = t/z, eta = eps/z and rescaled afterward; this keeps
 absolute quadrature tolerances meaningful for any z.
+
+Quadrature is QUADPACK's globally adaptive 21-point Gauss-Kronrod rule
+(G10/K21; Piessens et al., *QUADPACK*, 1983; Kronrod 1965), run on numpy
+arrays over a whole batch of integrals: every (point, ladder rung, contour
+piece) of one call is one integral.  Each pass halves the interval of
+largest error of every integral not yet done and evaluates the rule on
+all new intervals in one array expression.  An interval's error estimate
+is QUADPACK's: resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
+50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
+and to |f - mean f|.  An integral is done when its summed error meets
+max(epsabs, epsrel |I|) or when it holds max_subdivisions intervals; one
+whose estimate then exceeds 100 times that tolerance is refused.  The
+rule sums run elementwise along the node axis, so no integral's value
+depends on the batch it was computed in.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from scipy.integrate import IntegrationWarning, quad
+import numpy as np
 
 from .correlators import (
     RegulatorSpec,
@@ -108,10 +120,10 @@ class QuadratureSpec:
     regulator: RegulatorSpec | None = None
 
     def __post_init__(self) -> None:
-        if not (self.epsabs > 0.0 and self.epsrel > 0.0):
-            raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 64:
-            raise ValueError("max_subdivisions must be at least 64")
+        if not (0.0 < self.epsabs < math.inf and 0.0 < self.epsrel < math.inf):
+            raise ValueError("quadrature tolerances must be finite and positive")
+        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 64):
+            raise ValueError("max_subdivisions must be an integer of at least 64")
 
 
 class OracleResult(NamedTuple):
@@ -147,63 +159,139 @@ _WEIGHTS = {"velocity": weight_velocity, "position": weight_position}
 _KERNELS = {"x": transverse_kernel_complex, "z": normal_kernel_complex}
 
 
-# --- adaptive quadrature with an error budget ---------------------------------
+# --- batched adaptive Gauss-Kronrod quadrature -----------------------------------
 
-def _checked_quad(
-    func: Callable[[float], float],
-    a: float,
-    b: float,
-    q: QuadratureSpec,
-) -> tuple[float, float]:
-    """scipy quad under the caller's error budget; raises when blown."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(
-            func, a, b,
-            epsabs=q.epsabs, epsrel=q.epsrel, limit=q.max_subdivisions,
-        )
+# QUADPACK's qk21 on [-1, 1]: the positive Kronrod abscissae from the end
+# inward, every second one (0.9739..., 0.8650..., ...) a Gauss node, and the
+# weights of both rules at those abscissae; the centre is a Kronrod node only.
+_XK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208977058550, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+)
+_WK_CENTRE = 0.149445554002916905664936468389821
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+
+# The 21 nodes in increasing order, each rule's weight at every node.
+NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
+KRONROD_WEIGHTS = np.array(list(_WK) + [_WK_CENTRE] + list(reversed(_WK)))
+_WG_AT_XK = [0.0 if i % 2 == 0 else _WG[i // 2] for i in range(10)]
+GAUSS_WEIGHTS = np.array(_WG_AT_XK + [0.0] + list(reversed(_WG_AT_XK)))
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+# A vectorised integrand: nodes of shape (m, 21) on intervals of the
+# integrals k, shape (m,), to the real integrand at those nodes.
+Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The G10/K21 rule on each interval [lo, hi] of integral k: (value, error)."""
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fx = f(centre[:, None] + half[:, None] * NODES, k)
+    kronrod = (fx * KRONROD_WEIGHTS).sum(axis=1)
+    gauss = (fx * GAUSS_WEIGHTS).sum(axis=1)
+    resabs = (np.abs(fx) * KRONROD_WEIGHTS).sum(axis=1) * half
+    resasc = (np.abs(fx - 0.5 * kronrod[:, None]) * KRONROD_WEIGHTS).sum(axis=1) * half
+    err = np.abs((kronrod - gauss) * half)
+    ratio = 200.0 * err / resasc
+    err = np.where((resasc != 0.0) & (err != 0.0),
+                   resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
+    return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs)
+
+
+def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
+               q: QuadratureSpec) -> tuple[list[float], list[float]]:
+    """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
+
+    Each integral starts as one interval.  Every pass halves the interval
+    of largest error (the first of equal ones) of each integral whose
+    summed error exceeds max(epsabs, epsrel |value|), that holds fewer than
+    ``q.max_subdivisions`` intervals and whose worst interval is still wide
+    enough to halve, and applies the rule to all halves at once.  Refusing
+    an estimate over budget is left to `_within_budget`.
+    """
+    n = len(a)
+    owner = np.arange(n)
+    lo = np.array(a, dtype=float)
+    hi = np.array(b, dtype=float)
+    count = np.ones(n, dtype=int)
+    active = np.ones(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        res, err = _gk21(f, owner, lo, hi)
+        while True:
+            value = np.bincount(owner, res, n)
+            error = np.bincount(owner, err, n)
+            active &= ~(error <= np.maximum(q.epsabs, q.epsrel * np.abs(value)))
+            active &= count < q.max_subdivisions
+            pending = np.flatnonzero(active[owner])
+            if pending.size == 0:
+                return value.tolist(), error.tolist()
+            order = pending[np.lexsort((-err[pending], owner[pending]))]
+            first = np.ones(order.size, dtype=bool)
+            first[1:] = owner[order[1:]] != owner[order[:-1]]
+            worst = order[first]
+            a1, b2 = lo[worst], hi[worst]
+            mid = 0.5 * (a1 + b2)
+            # QUADPACK's test for an interval too narrow to halve (its ier = 3)
+            narrow = (np.maximum(np.abs(a1), np.abs(b2))
+                      <= (1.0 + 100.0 * _EPS) * (np.abs(mid) + 1000.0 * _TINY))
+            active[owner[worst[narrow]]] = False
+            worst, a1, b2, mid = worst[~narrow], a1[~narrow], b2[~narrow], mid[~narrow]
+            k = owner[worst]
+            r, e = _gk21(f, np.concatenate((k, k)), np.concatenate((a1, mid)),
+                         np.concatenate((mid, b2)))
+            s = worst.size
+            hi[worst], res[worst], err[worst] = mid, r[:s], e[:s]
+            owner = np.concatenate((owner, k))
+            lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, b2))
+            res, err = np.concatenate((res, r[s:])), np.concatenate((err, e[s:]))
+            count[k] += 1
+
+
+def _within_budget(value: float, err: float, a: float, b: float, q: QuadratureSpec) -> None:
+    """Refuse an integral whose error estimate exceeds 100x its tolerance (or is NaN)."""
     budget = 100.0 * max(q.epsabs, q.epsrel * abs(value))
-    if err > budget:
+    if not err <= budget:
         raise QuadratureConvergenceError(
             f"quadrature error estimate {err:.3e} exceeds budget {budget:.3e} "
             f"on [{a!r}, {b!r}] within {q.max_subdivisions} subdivisions",
             achieved=err,
         )
-    return value, err
 
 
-def _rung_integral(
-    kernel: Callable[[complex, float], complex],
-    weight: Callable,
-    t_scaled: float,
-    eta: float,
-    q: QuadratureSpec,
-) -> tuple[float, float]:
-    """One ladder rung of the scaled reduced integral, z = 1.
+def _checked_integrals(f: Integrand, a: list[float], b: list[float],
+                       q: QuadratureSpec) -> list[float]:
+    """`_integrate`, each integral refused in order when over budget."""
+    values, errors = _integrate(f, a, b, q)
+    for args in zip(values, errors, a, b):
+        _within_budget(*args, q)
+    return values
 
-    Re of Int_0^T weight(u, T) kernel(u - i eta) du.  For T > 2 the path
-    detours below the pole at u = 2 + i eta on a semicircle; each of the
-    three pieces integrates the real part only.
-    """
-    T = t_scaled
 
-    def on_axis(u: float) -> float:
-        return (weight(u, T) * kernel(complex(u, -eta), 1.0)).real
+def _per_node(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """A caller's scalar function at every node of x."""
+    return np.array([f(u) for u in x.ravel().tolist()], dtype=float).reshape(x.shape)
 
-    if T <= 2.0:
-        return _checked_quad(on_axis, 0.0, T, q)
 
-    radius = 0.5 * min(2.0, T - 2.0)
-    v1, e1 = _checked_quad(on_axis, 0.0, 2.0 - radius, q)
-    v3, e3 = _checked_quad(on_axis, 2.0 + radius, T, q)
-
-    def on_arc(theta: float) -> float:
-        u = 2.0 + radius * cmath.exp(1j * theta)
-        du = 1j * radius * cmath.exp(1j * theta)
-        return (weight(u, T) * kernel(u - 1j * eta, 1.0) * du).real
-
-    v2, e2 = _checked_quad(on_arc, math.pi, 2.0 * math.pi, q)
-    return v1 + v2 + v3, max(e1, e2, e3)
+def _check_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be finite and positive, got {t!r}")
 
 
 # --- ladder extrapolation ------------------------------------------------------
@@ -227,6 +315,8 @@ def extrapolate_ladder(
         raise ValueError("ladder must have at least 3 rungs")
     eps = [p[0] for p in pairs]
     vals = [p[1] for p in pairs]
+    if not all(math.isfinite(x) for x in eps + vals):
+        raise ValueError("eps values and rung values must be finite")
     if any(e <= 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
         raise ValueError("eps values must be positive and strictly decreasing")
     if basis not in ("even", "all"):
@@ -256,11 +346,105 @@ def extrapolate_ladder(
 
 # --- oracle entry points --------------------------------------------------------
 
-def _ladder_for(p: EvalPoint, q: QuadratureSpec) -> RegulatorSpec:
-    reg = q.regulator
-    if reg is None:
-        reg = default_regulator(p.z, p.t)
-    return reg
+# Every (weight, kernel) pair, indexed by the `family` of an integral.
+_FAMILIES = tuple((w, kn) for w in _WEIGHTS.values() for kn in _KERNELS.values())
+
+
+def _contour(T: float) -> list[tuple[float, float, float]]:
+    """(a, b, radius) of each piece of one scaled rung integral, z = 1.
+
+    For T <= 2 one piece on the axis, radius 0.  Beyond, the path detours
+    below the pole at u = 2 + i eta: the axis up to the semicircle, the
+    axis after it, then the semicircle itself over angles [pi, 2 pi].
+    """
+    if T <= 2.0:
+        return [(0.0, T, 0.0)]
+    radius = 0.5 * min(2.0, T - 2.0)
+    return [(0.0, 2.0 - radius, 0.0), (2.0 + radius, T, 0.0),
+            (math.pi, 2.0 * math.pi, radius)]
+
+
+def _rung_integrand(T: np.ndarray, eta: np.ndarray, radius: np.ndarray,
+                    family: np.ndarray) -> Integrand:
+    """Re of weight(u, T) kernel(u - i eta) du/ds on each integral's piece.
+
+    On the axis u = s; on a semicircle u = 2 + radius e^{is}.
+    """
+    def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        r = radius[k][:, None]
+        u = s.astype(complex)
+        du = np.ones_like(u)
+        arc = r[:, 0] != 0.0
+        if arc.any():
+            turn = np.exp(1j * s[arc])
+            du[arc] = 1j * r[arc] * turn
+            u[arc] = 2.0 + r[arc] * turn
+        shifted = u - 1j * eta[k][:, None]
+        t = T[k][:, None]
+        fam = family[k]
+        present = np.flatnonzero(np.bincount(fam, minlength=len(_FAMILIES))).tolist()
+        out = np.empty(s.shape)
+        for j in present:
+            weight, kernel = _FAMILIES[j]
+            rows = fam == j if len(present) > 1 else slice(None)
+            out[rows] = (weight(u[rows], t[rows]) * kernel(shifted[rows], 1.0) * du[rows]).real
+        return out
+    return f
+
+
+class _Plan(NamedTuple):
+    """One oracle evaluation, checked and scaled, before its integrals run."""
+
+    T: float
+    z: float
+    family: int
+    regulator: RegulatorSpec
+    prefactor: float
+
+
+def _plan(kind: str, component: str, p: EvalPoint, q: QuadratureSpec) -> _Plan:
+    """Refuse a point on the lightcone and fix its ladder and prefactor e^2/m^2 (/z^2)."""
+    _check_lightcone(p)
+    reg = q.regulator if q.regulator is not None else default_regulator(p.z, p.t)
+    spec = p.particle
+    prefactor = spec.e**2 / spec.m**2
+    if kind == "velocity":
+        prefactor /= p.z * p.z
+    family = _FAMILIES.index((_WEIGHTS[kind], _KERNELS[component]))
+    return _Plan(p.t / p.z, p.z, family, reg, prefactor)
+
+
+def _oracle_batch(plans: Sequence[_Plan], q: QuadratureSpec) -> list[OracleResult]:
+    """Every plan's rung integrals as one batch, then each plan's ladder in order."""
+    pieces: list[tuple[float, float, float, float, float, int]] = []
+    for T, z, family, reg, _ in plans:
+        for eps in reg.ladder:
+            pieces.extend((a, b, T, eps / z, r, family) for a, b, r in _contour(T))
+
+    a, b, *columns = zip(*pieces)
+    values, errors = _integrate(_rung_integrand(*map(np.array, columns)), a, b, q)
+
+    results = []
+    i = 0
+    for T, _, _, reg, prefactor in plans:
+        per_rung = len(_contour(T))
+        rungs: list[tuple[float, float]] = []
+        worst_quad_err = 0.0
+        for eps in reg.ladder:
+            for j in range(i, i + per_rung):
+                _within_budget(values[j], errors[j], a[j], b[j], q)
+            v = values[i:i + per_rung]
+            rungs.append((eps, v[0] if per_rung == 1 else v[0] + v[2] + v[1]))  # path order
+            worst_quad_err = max(worst_quad_err, *errors[i:i + per_rung])
+            i += per_rung
+        rungs_used = rungs[-(reg.order + 1):] if reg.order is not None else rungs
+        value, est = extrapolate_ladder(rungs_used, basis="even" if T < 2.0 else "all")
+        results.append(OracleResult(
+            value=prefactor * value,
+            error_estimate=prefactor * max(est, worst_quad_err),
+            rungs=tuple((eps, prefactor * v) for eps, v in rungs),
+        ))
+    return results
 
 
 def dispersion_oracle(
@@ -279,38 +463,8 @@ def dispersion_oracle(
         raise ValueError("kind must be 'velocity' or 'position'")
     if component not in _KERNELS:
         raise ValueError("component must be 'x' or 'z'")
-    if q is None:
-        q = QuadratureSpec()
-    _check_lightcone(p)
-
-    kernel = _KERNELS[component]
-    weight = _WEIGHTS[kind]
-    T = p.t / p.z
-    reg = _ladder_for(p, q)
-    spec = p.particle
-    prefactor = spec.e**2 / spec.m**2
-    if kind == "velocity":
-        prefactor /= p.z * p.z
-
-    rungs: list[tuple[float, float]] = []
-    worst_quad_err = 0.0
-    for eps in reg.ladder:
-        eta = eps / p.z
-        value, err = _rung_integral(kernel, weight, T, eta, q)
-        rungs.append((eps, value))
-        worst_quad_err = max(worst_quad_err, err)
-
-    if reg.order is not None:
-        rungs_used = rungs[-(reg.order + 1):]
-    else:
-        rungs_used = rungs
-    basis = "even" if T < 2.0 else "all"
-    value, est = extrapolate_ladder(rungs_used, basis=basis)
-    return OracleResult(
-        value=prefactor * value,
-        error_estimate=prefactor * max(est, worst_quad_err),
-        rungs=tuple((eps, prefactor * v) for eps, v in rungs),
-    )
+    q = q or QuadratureSpec()
+    return _oracle_batch([_plan(kind, component, p, q)], q)[0]
 
 
 def velocity_oracle(
@@ -339,14 +493,16 @@ def reduced_time_integral(
     kind: str,
     q: QuadratureSpec | None = None,
 ) -> float:
-    """Int_0^t weight(tau, t) f(tau) dtau for a caller-supplied even kernel f."""
+    """Int_0^t weight(tau, t) f(tau) dtau for a caller-supplied even kernel f.
+
+    ``f`` is called once per node with a float; t must be finite and > 0.
+    """
     if kind not in _WEIGHTS:
         raise ValueError("kind must be 'velocity' or 'position'")
-    if q is None:
-        q = QuadratureSpec()
+    _check_time(t)
     weight = _WEIGHTS[kind]
-    value, _ = _checked_quad(lambda u: weight(u, t) * f(u), 0.0, t, q)
-    return value
+    return _checked_integrals(lambda x, _: weight(x, t) * _per_node(f, x),
+                              [0.0], [t], q or QuadratureSpec())[0]
 
 
 def direct_time_integral(
@@ -359,27 +515,28 @@ def direct_time_integral(
 
     Velocity: Int Int f(t' - t'').  Position: Int Int (t-t')(t-t'') f(t'-t'').
     Used to audit the stationarity weights.  The inner integral is split at
-    the diagonal so kernels with a |u| kink stay piecewise smooth.
+    the diagonal so kernels with a |u| kink stay piecewise smooth; the inner
+    integrals at every outer node of a pass form one batch.
     """
     if kind not in _WEIGHTS:
         raise ValueError("kind must be 'velocity' or 'position'")
-    if q is None:
-        q = QuadratureSpec()
+    _check_time(t)
+    q = q or QuadratureSpec()
 
-    if kind == "velocity":
-        def integrand(up: float, us: float) -> float:
-            return f(up - us)
-    else:
-        def integrand(up: float, us: float) -> float:
-            return (t - up) * (t - us) * f(up - us)
+    def inner(x: np.ndarray, _: np.ndarray) -> np.ndarray:
+        outer = x.ravel().tolist()
+        n = len(outer)
+        up = np.array(outer + outer)
 
-    def inner(up: float) -> float:
-        below, _ = _checked_quad(lambda us: integrand(up, us), 0.0, up, q)
-        above, _ = _checked_quad(lambda us: integrand(up, us), up, t, q)
-        return below + above
+        def integrand(us: np.ndarray, k: np.ndarray) -> np.ndarray:
+            u = up[k][:, None]
+            values = _per_node(f, u - us)
+            return values if kind == "velocity" else (t - u) * (t - us) * values
 
-    value, _ = _checked_quad(inner, 0.0, t, q)
-    return value
+        values = _checked_integrals(integrand, [0.0] * n + outer, outer + [t] * n, q)
+        return (np.array(values[:n]) + np.array(values[n:])).reshape(x.shape)
+
+    return _checked_integrals(inner, [0.0], [t], q)[0]
 
 
 # --- verification grid -------------------------------------------------------------
@@ -410,7 +567,9 @@ def verify_grid(
 
     Rows are ordered quantity-major, then by t/z; pre-lightcone points are
     held to ``tol_pre`` relative, pole-crossing points to ``tol_post``.
-    ``grid`` selects "pre-lightcone", "post-lightcone", or "full".
+    ``grid`` selects "pre-lightcone", "post-lightcone", or "full".  Every
+    row's closed form and oracle checks run first, in row order; then every
+    row's integrals run as one batch.
     """
     if grid not in GRIDS:
         raise ValueError("grid must be 'full', 'pre-lightcone', or 'post-lightcone'")
@@ -423,22 +582,27 @@ def verify_grid(
     if grid in ("full", "post-lightcone"):
         tiers.extend((r, tol_post) for r in POST_LIGHTCONE_RATIOS)
 
-    rows: list[VerifyRow] = []
+    qspec = qspec or QuadratureSpec()
+    cases, plans = [], []
     for quantity in QUANTITIES.values():
         for ratio, tol in tiers:
             point = EvalPoint(t=ratio * z, z=z, particle=particle)
-            closed = quantity.value(point)
-            result = dispersion_oracle(quantity.kind, quantity.component, point, qspec)
-            rel_err = abs(result.value - closed) / abs(closed)
-            rows.append(
-                VerifyRow(
-                    quantity=quantity.id,
-                    t_over_z=ratio,
-                    closed=closed,
-                    oracle=result.value,
-                    rel_err=rel_err,
-                    eps_estimate=result.error_estimate,
-                    passed=rel_err <= tol,
-                )
+            cases.append((quantity, ratio, tol, quantity.value(point)))
+            plans.append(_plan(quantity.kind, quantity.component, point, qspec))
+    results = _oracle_batch(plans, qspec)
+
+    rows: list[VerifyRow] = []
+    for (quantity, ratio, tol, closed), result in zip(cases, results):
+        rel_err = abs(result.value - closed) / abs(closed)
+        rows.append(
+            VerifyRow(
+                quantity=quantity.id,
+                t_over_z=ratio,
+                closed=closed,
+                oracle=result.value,
+                rel_err=rel_err,
+                eps_estimate=result.error_estimate,
+                passed=rel_err <= tol,
             )
+        )
     return rows

@@ -121,6 +121,21 @@ class TestEval:
 
 
 class TestSweep:
+    def test_rows_are_not_copied_into_one_text(self, tmp_path):
+        # Header, joined rows and footer are written in turn: the rows' text
+        # exists once beside the row list, not again with "[\n" and "\n]\n".
+        import tracemalloc
+
+        target = tmp_path / "sweep.json"
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--particle", "unit", "--min", "1e-3", "--max", "1e4",
+                         "--count", "2000", "--format", "json", "--output", str(target)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6 * target.stat().st_size
+
     def test_header_and_row_count(self, capsys):
         code, out, _ = run(capsys, "sweep", "--particle", "unit",
                            "--var", "t_over_z", "--min", "0.5", "--max", "8",
@@ -341,7 +356,7 @@ class TestVerify:
         def broken(*args, **kwargs):
             raise QuadratureConvergenceError("forced failure", achieved=1.0)
 
-        monkeypatch.setattr(vacbrownian.oracle, "_checked_quad", broken)
+        monkeypatch.setattr(vacbrownian.oracle, "_integrate", broken)
         code, _, err = run(capsys, "verify", "--grid", "post-lightcone")
         assert code == 4
         assert "converge" in err

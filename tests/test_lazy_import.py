@@ -1,4 +1,4 @@
-"""Import hygiene: scipy loads only when the quadrature oracle is used."""
+"""Import hygiene: numpy loads only with the quadrature oracle, scipy never."""
 
 from __future__ import annotations
 
@@ -13,16 +13,15 @@ import vacbrownian
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints every scipy module loaded so far, one per line.
-REPORT = "import sys; print('\\n'.join(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
 
-
-def scipy_modules_after(code: str) -> list[str]:
-    """Run `code` in a fresh interpreter; return the scipy modules it loaded."""
+def modules_after(code: str, package: str) -> list[str]:
+    """Run `code` in a fresh interpreter; return the modules of `package` it loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    report = ("import sys; print('\\n'.join(m for m in sys.modules "
+              f"if m == {package!r} or m.startswith({package + '.'!r})))")
     result = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{REPORT}"],
+        [sys.executable, "-c", f"{code}\n{report}"],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return result.stdout.split()
@@ -41,24 +40,36 @@ def run_main(*argvs: list[str]) -> str:
     )
 
 
+# Every subcommand but verify, each on arguments it accepts.
+CLOSED_FORM_CALLS = (
+    ["eval", "--z", "1e-6m", "--t-over-z", "3", "--quantity", "vel_disp_normal"],
+    ["regimes", "--z", "1e-6m", "--t-over-z", "10"],
+    ["corr", "--z", "1", "--dt-max", "4", "--count", "5"],
+    ["constants"],
+    ["sweep", "--particle", "unit", "--min", "0.1", "--max", "10", "--count", "5"],
+)
+
+
 def test_package_import_leaves_scipy_unloaded():
-    assert scipy_modules_after("import vacbrownian") == []
+    assert modules_after("import vacbrownian", "scipy") == []
 
 
 def test_closed_form_subcommands_leave_scipy_unloaded():
-    code = run_main(
-        ["eval", "--z", "1e-6m", "--t-over-z", "3", "--quantity", "vel_disp_normal"],
-        ["regimes", "--z", "1e-6m", "--t-over-z", "10"],
-        ["corr", "--z", "1", "--dt-max", "4", "--count", "5"],
-        ["constants"],
-        ["sweep", "--particle", "unit", "--min", "0.1", "--max", "10", "--count", "5"],
-    )
-    assert scipy_modules_after(code) == []
+    assert modules_after(run_main(*CLOSED_FORM_CALLS), "scipy") == []
 
 
-def test_verify_loads_scipy():
-    code = run_main(["verify", "--grid", "pre-lightcone"])
-    assert "scipy.integrate" in scipy_modules_after(code)
+def test_no_subcommand_loads_scipy():
+    code = run_main(*CLOSED_FORM_CALLS, ["verify", "--grid", "pre-lightcone"])
+    assert modules_after(code, "scipy") == []
+
+
+def test_package_import_and_closed_form_subcommands_leave_numpy_unloaded():
+    assert modules_after("import vacbrownian", "numpy") == []
+    assert modules_after(run_main(*CLOSED_FORM_CALLS), "numpy") == []
+
+
+def test_verify_loads_numpy():
+    assert "numpy" in modules_after(run_main(["verify", "--grid", "pre-lightcone"]), "numpy")
 
 
 def test_every_public_name_resolves():

@@ -16,8 +16,16 @@ from vacbrownian.dispersion import (
     vel_disp_normal,
     vel_disp_transverse,
 )
-from vacbrownian.errors import ExtrapolationError, LightconeSingularityError
+from vacbrownian.dispersion import QUANTITIES
+from vacbrownian.errors import (
+    ExtrapolationError,
+    LightconeSingularityError,
+    QuadratureConvergenceError,
+)
 from vacbrownian.oracle import (
+    GAUSS_WEIGHTS,
+    KRONROD_WEIGHTS,
+    NODES,
     QuadratureSpec,
     default_regulator,
     direct_time_integral,
@@ -73,6 +81,15 @@ class TestExtrapolateLadder:
         with pytest.raises(ValueError):
             extrapolate_ladder(good, basis="cubic")
 
+    @pytest.mark.parametrize("pairs", [
+        [(1e-2, 1.0), (math.nan, 1.0), (2.5e-3, 1.0)],
+        [(1e-2, 1.0), (5e-3, math.nan), (2.5e-3, 1.0)],
+        [(1e-2, 1.0), (5e-3, 1.0), (2.5e-3, math.inf)],
+    ])
+    def test_non_finite_ladder_refused(self, pairs):
+        with pytest.raises(ValueError, match="finite"):
+            extrapolate_ladder(pairs, basis="all")
+
     def test_nonmonotone_ladder_rejected(self):
         eps = [1e-2 * 0.5**k for k in range(5)]
         values = [1.0, 1.1, 1.05, 1.5, 0.2]  # differences grow again
@@ -126,6 +143,29 @@ class TestTimeReduction:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             reduced_time_integral(abs, 1.0, "acceleration")
+
+    @pytest.mark.parametrize("integral", [reduced_time_integral, direct_time_integral])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])
+    def test_time_must_be_finite_and_positive(self, integral, t):
+        with pytest.raises(ValueError, match="finite and positive"):
+            integral(abs, t, "velocity")
+
+    @pytest.mark.parametrize("kernel", [lambda u: math.nan,
+                                        lambda u: math.nan if u > 0.5 else 1.0])
+    def test_nan_integrand_refused(self, kernel):
+        # a NaN error estimate is over any budget, not under it
+        with pytest.raises(QuadratureConvergenceError):
+            reduced_time_integral(kernel, 1.0, "velocity")
+
+    def test_kernel_called_with_floats(self):
+        seen = set()
+
+        def kernel(u):
+            seen.add(type(u))
+            return u * u
+
+        reduced_time_integral(kernel, 1.0, "position")
+        assert seen == {float}
 
 
 class TestOracleAgainstClosedForms:
@@ -204,6 +244,14 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec(epsabs=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsabs", math.inf), ("epsrel", math.inf), ("epsabs", math.nan), ("epsrel", math.nan),
+        ("max_subdivisions", math.nan), ("max_subdivisions", 200.0), ("max_subdivisions", math.inf),
+    ])
+    def test_non_finite_or_non_integer_refused(self, field, value):
+        with pytest.raises(ValueError):
+            QuadratureSpec(**{field: value})
+
 
 class TestDefaultRegulator:
     def test_regime_split(self):
@@ -274,3 +322,51 @@ class TestErrorEstimate:
                 p = EvalPoint(t=row.t_over_z * z, z=z, particle=particle)
                 error = abs(row.oracle - closed_form_mp(row.quantity, p))
                 assert row.eps_estimate >= error, (row.quantity, row.t_over_z)
+
+
+class TestGaussKronrodRule:
+    # QUADPACK's qk21: K21 integrates polynomials of degree <= 31 exactly, its
+    # embedded G10 those of degree <= 19.
+    @pytest.mark.parametrize("weights, degree", [(KRONROD_WEIGHTS, 31), (GAUSS_WEIGHTS, 19)])
+    def test_monomials_exact(self, weights, degree):
+        assert_allclose(weights.sum(), 2.0, rtol=1e-15)
+        for d in range(degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs((weights * NODES**d).sum() - exact) < 4e-16, d
+
+    def test_gauss_nodes_are_legendre_roots(self):
+        gauss_nodes = NODES[GAUSS_WEIGHTS != 0.0]
+        assert len(gauss_nodes) == 10
+        with mpmath.workdps(30):
+            for x in gauss_nodes:
+                assert abs(mpmath.legendre(10, x)) < 1e-14
+
+
+class TestBatchIndependence:
+    # Each integral's value depends on its own intervals only, so a point
+    # computed alone and inside the 36-row verify batch agrees to the bit.
+    @pytest.mark.parametrize("particle, z", [(UNIT, 1.0), (electron_preset(), 1e-6)])
+    def test_single_point_equals_verify_row(self, particle, z):
+        for row in verify_grid(particle, z):
+            quantity = QUANTITIES[row.quantity]
+            p = EvalPoint(t=row.t_over_z * z, z=z, particle=particle)
+            alone = dispersion_oracle(quantity.kind, quantity.component, p)
+            assert (alone.value, alone.error_estimate) == (row.oracle, row.eps_estimate), \
+                (row.quantity, row.t_over_z)
+
+
+class TestFarBand:
+    # Past t/z = 1e2 the rung integrals cancel to O(T^-2) from O(T) pieces.
+    # The oracle may refuse there, but any value it returns must carry an
+    # error estimate that covers its error against the exact closed form.
+    @pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_refuses_or_estimate_covers_error(self, ratio):
+        p = up(ratio)
+        for quantity in QUANTITIES.values():
+            try:
+                result = dispersion_oracle(quantity.kind, quantity.component, p)
+            except (QuadratureConvergenceError, ExtrapolationError):
+                continue
+            with mpmath.workdps(50):
+                error = abs(result.value - closed_form_mp(quantity.id, p))
+            assert result.error_estimate >= error, quantity.id
