@@ -36,21 +36,24 @@ absolute quadrature tolerances meaningful for any z.
 Quadrature is QUADPACK's globally adaptive 21-point Gauss-Kronrod rule
 (G10/K21; Piessens et al., *QUADPACK*, 1983; Kronrod 1965), run on numpy
 arrays over a whole batch of integrals: every (point, ladder rung, contour
-piece) of one call is one integral.  Each pass halves the interval of
+piece) of one quantity is one integral.  Each pass halves the interval of
 largest error of every integral not yet done and evaluates the rule on
 all new intervals in one array expression.  An interval's error estimate
 is QUADPACK's: resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
 50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
 and to |f - mean f|.  An integral is done when its summed error meets
 max(epsabs, epsrel |I|) or when it holds max_subdivisions intervals; one
-whose estimate then exceeds 100 times that tolerance is refused.  The
-rule sums run elementwise along the node axis, so no integral's value
-depends on the batch it was computed in.
+whose estimate then exceeds 100 times that tolerance, or that QUADPACK's
+round-off test stopped first, is refused.  So is a point whose error
+estimate is not below the magnitude of its value.  The rule sums run
+elementwise along the node axis, so no integral's value depends on the
+batch it was computed in.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -122,7 +125,8 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsabs < math.inf and 0.0 < self.epsrel < math.inf):
             raise ValueError("quadrature tolerances must be finite and positive")
-        if not (isinstance(self.max_subdivisions, int) and self.max_subdivisions >= 64):
+        if not (isinstance(self.max_subdivisions, numbers.Integral)
+                and self.max_subdivisions >= 64):
             raise ValueError("max_subdivisions must be an integer of at least 64")
 
 
@@ -200,7 +204,7 @@ Integrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The G10/K21 rule on each interval [lo, hi] of integral k: (value, error)."""
+    """The G10/K21 rule on each interval [lo, hi] of integral k: (value, error, resasc)."""
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = f(centre[:, None] + half[:, None] * NODES, k)
@@ -212,19 +216,25 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     ratio = 200.0 * err / resasc
     err = np.where((resasc != 0.0) & (err != 0.0),
                    resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
-    return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs)
+    return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs), resasc
 
 
 def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
-               q: QuadratureSpec) -> tuple[list[float], list[float]]:
-    """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
+               q: QuadratureSpec) -> tuple[list[float], list[float], list[bool]]:
+    """Int_a^b f for every pair (a[i], b[i]): values, error estimates, round-off flags.
 
     Each integral starts as one interval.  Every pass halves the interval
     of largest error (the first of equal ones) of each integral whose
     summed error exceeds max(epsabs, epsrel |value|), that holds fewer than
-    ``q.max_subdivisions`` intervals and whose worst interval is still wide
-    enough to halve, and applies the rule to all halves at once.  Refusing
-    an estimate over budget is left to `_within_budget`.
+    ``q.max_subdivisions`` intervals, whose worst interval is still wide
+    enough to halve and that shows no round-off, and applies the rule to
+    all halves at once.  Round-off is QUADPACK's (qag, ier = 2): a halving
+    where neither half's error estimate is its saturated value resasc counts
+    once when it leaves the value within 1e-5 relative and the error above
+    99 % of the halved interval's, and once, from the 11th interval on,
+    when it raises the error; an integral not yet within tolerance stops
+    flagged after 6 of the first or 20 of the second.  Refusing a flagged
+    integral or an estimate over budget is left to `_within_budget`.
     """
     n = len(a)
     owner = np.arange(n)
@@ -232,16 +242,20 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     hi = np.array(b, dtype=float)
     count = np.ones(n, dtype=int)
     active = np.ones(n, dtype=bool)
+    stalled = np.zeros(n, dtype=int)  # QUADPACK's iroff1
+    rising = np.zeros(n, dtype=int)  # and iroff2
+    roundoff = np.zeros(n, dtype=bool)
     with np.errstate(all="ignore"):
-        res, err = _gk21(f, owner, lo, hi)
+        res, err, _ = _gk21(f, owner, lo, hi)
         while True:
             value = np.bincount(owner, res, n)
             error = np.bincount(owner, err, n)
             active &= ~(error <= np.maximum(q.epsabs, q.epsrel * np.abs(value)))
-            active &= count < q.max_subdivisions
+            roundoff |= active & ((stalled >= 6) | (rising >= 20))
+            active &= ~roundoff & (count < q.max_subdivisions)
             pending = np.flatnonzero(active[owner])
             if pending.size == 0:
-                return value.tolist(), error.tolist()
+                return value.tolist(), error.tolist(), roundoff.tolist()
             order = pending[np.lexsort((-err[pending], owner[pending]))]
             first = np.ones(order.size, dtype=bool)
             first[1:] = owner[order[1:]] != owner[order[:-1]]
@@ -254,9 +268,14 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
             active[owner[worst[narrow]]] = False
             worst, a1, b2, mid = worst[~narrow], a1[~narrow], b2[~narrow], mid[~narrow]
             k = owner[worst]
-            r, e = _gk21(f, np.concatenate((k, k)), np.concatenate((a1, mid)),
-                         np.concatenate((mid, b2)))
+            r, e, resasc = _gk21(f, np.concatenate((k, k)), np.concatenate((a1, mid)),
+                                 np.concatenate((mid, b2)))
             s = worst.size
+            both, errors = r[:s] + r[s:], e[:s] + e[s:]
+            counted = (e[:s] != resasc[:s]) & (e[s:] != resasc[s:])
+            stalled[k] += counted & (np.abs(res[worst] - both) <= 1e-5 * np.abs(both)) \
+                & (errors >= 0.99 * err[worst])
+            rising[k] += counted & (count[k] >= 10) & (errors > err[worst])
             hi[worst], res[worst], err[worst] = mid, r[:s], e[:s]
             owner = np.concatenate((owner, k))
             lo, hi = np.concatenate((lo, mid)), np.concatenate((hi, b2))
@@ -264,8 +283,16 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
             count[k] += 1
 
 
-def _within_budget(value: float, err: float, a: float, b: float, q: QuadratureSpec) -> None:
-    """Refuse an integral whose error estimate exceeds 100x its tolerance (or is NaN)."""
+def _within_budget(value: float, err: float, roundoff: bool, a: float, b: float,
+                   q: QuadratureSpec) -> None:
+    """Refuse an integral stopped by round-off or whose error estimate exceeds
+    100x its tolerance (or is NaN)."""
+    if roundoff:
+        raise QuadratureConvergenceError(
+            f"round-off error on [{a!r}, {b!r}] keeps the quadrature error estimate "
+            f"{err:.3e} above its tolerance {max(q.epsabs, q.epsrel * abs(value)):.3e}",
+            achieved=err,
+        )
     budget = 100.0 * max(q.epsabs, q.epsrel * abs(value))
     if not err <= budget:
         raise QuadratureConvergenceError(
@@ -277,9 +304,9 @@ def _within_budget(value: float, err: float, a: float, b: float, q: QuadratureSp
 
 def _checked_integrals(f: Integrand, a: list[float], b: list[float],
                        q: QuadratureSpec) -> list[float]:
-    """`_integrate`, each integral refused in order when over budget."""
-    values, errors = _integrate(f, a, b, q)
-    for args in zip(values, errors, a, b):
+    """`_integrate`, each integral refused in order when over budget or stopped by round-off."""
+    values, errors, roundoff = _integrate(f, a, b, q)
+    for args in zip(values, errors, roundoff, a, b):
         _within_budget(*args, q)
     return values
 
@@ -346,10 +373,6 @@ def extrapolate_ladder(
 
 # --- oracle entry points --------------------------------------------------------
 
-# Every (weight, kernel) pair, indexed by the `family` of an integral.
-_FAMILIES = tuple((w, kn) for w in _WEIGHTS.values() for kn in _KERNELS.values())
-
-
 def _contour(T: float) -> list[tuple[float, float, float]]:
     """(a, b, radius) of each piece of one scaled rung integral, z = 1.
 
@@ -364,12 +387,14 @@ def _contour(T: float) -> list[tuple[float, float, float]]:
             (math.pi, 2.0 * math.pi, radius)]
 
 
-def _rung_integrand(T: np.ndarray, eta: np.ndarray, radius: np.ndarray,
-                    family: np.ndarray) -> Integrand:
+def _rung_integrand(kind: str, component: str, T: np.ndarray, eta: np.ndarray,
+                    radius: np.ndarray) -> Integrand:
     """Re of weight(u, T) kernel(u - i eta) du/ds on each integral's piece.
 
     On the axis u = s; on a semicircle u = 2 + radius e^{is}.
     """
+    weight, kernel = _WEIGHTS[kind], _KERNELS[component]
+
     def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         r = radius[k][:, None]
         u = s.astype(complex)
@@ -380,15 +405,7 @@ def _rung_integrand(T: np.ndarray, eta: np.ndarray, radius: np.ndarray,
             du[arc] = 1j * r[arc] * turn
             u[arc] = 2.0 + r[arc] * turn
         shifted = u - 1j * eta[k][:, None]
-        t = T[k][:, None]
-        fam = family[k]
-        present = np.flatnonzero(np.bincount(fam, minlength=len(_FAMILIES))).tolist()
-        out = np.empty(s.shape)
-        for j in present:
-            weight, kernel = _FAMILIES[j]
-            rows = fam == j if len(present) > 1 else slice(None)
-            out[rows] = (weight(u[rows], t[rows]) * kernel(shifted[rows], 1.0) * du[rows]).real
-        return out
+        return (weight(u, T[k][:, None]) * kernel(shifted, 1.0) * du).real
     return f
 
 
@@ -397,12 +414,11 @@ class _Plan(NamedTuple):
 
     T: float
     z: float
-    family: int
     regulator: RegulatorSpec
     prefactor: float
 
 
-def _plan(kind: str, component: str, p: EvalPoint, q: QuadratureSpec) -> _Plan:
+def _plan(kind: str, p: EvalPoint, q: QuadratureSpec) -> _Plan:
     """Refuse a point on the lightcone and fix its ladder and prefactor e^2/m^2 (/z^2)."""
     _check_lightcone(p)
     reg = q.regulator if q.regulator is not None else default_regulator(p.z, p.t)
@@ -410,38 +426,46 @@ def _plan(kind: str, component: str, p: EvalPoint, q: QuadratureSpec) -> _Plan:
     prefactor = spec.e**2 / spec.m**2
     if kind == "velocity":
         prefactor /= p.z * p.z
-    family = _FAMILIES.index((_WEIGHTS[kind], _KERNELS[component]))
-    return _Plan(p.t / p.z, p.z, family, reg, prefactor)
+    return _Plan(p.t / p.z, p.z, reg, prefactor)
 
 
-def _oracle_batch(plans: Sequence[_Plan], q: QuadratureSpec) -> list[OracleResult]:
+def _oracle_batch(kind: str, component: str, plans: Sequence[_Plan],
+                  q: QuadratureSpec) -> list[OracleResult]:
     """Every plan's rung integrals as one batch, then each plan's ladder in order."""
-    pieces: list[tuple[float, float, float, float, float, int]] = []
-    for T, z, family, reg, _ in plans:
+    pieces: list[tuple[float, float, float, float, float]] = []
+    for T, z, reg, _ in plans:
         for eps in reg.ladder:
-            pieces.extend((a, b, T, eps / z, r, family) for a, b, r in _contour(T))
+            pieces.extend((a, b, T, eps / z, r) for a, b, r in _contour(T))
 
     a, b, *columns = zip(*pieces)
-    values, errors = _integrate(_rung_integrand(*map(np.array, columns)), a, b, q)
+    integrand = _rung_integrand(kind, component, *map(np.array, columns))
+    values, errors, roundoff = _integrate(integrand, a, b, q)
 
     results = []
     i = 0
-    for T, _, _, reg, prefactor in plans:
+    for T, _, reg, prefactor in plans:
         per_rung = len(_contour(T))
         rungs: list[tuple[float, float]] = []
         worst_quad_err = 0.0
         for eps in reg.ladder:
             for j in range(i, i + per_rung):
-                _within_budget(values[j], errors[j], a[j], b[j], q)
+                _within_budget(values[j], errors[j], roundoff[j], a[j], b[j], q)
             v = values[i:i + per_rung]
             rungs.append((eps, v[0] if per_rung == 1 else v[0] + v[2] + v[1]))  # path order
             worst_quad_err = max(worst_quad_err, *errors[i:i + per_rung])
             i += per_rung
         rungs_used = rungs[-(reg.order + 1):] if reg.order is not None else rungs
         value, est = extrapolate_ladder(rungs_used, basis="even" if T < 2.0 else "all")
+        error_estimate = max(est, worst_quad_err)
+        if not error_estimate < abs(value):
+            raise ExtrapolationError(
+                f"error estimate {error_estimate:.3e} is not below the magnitude "
+                f"{abs(value):.3e} of the extrapolated value at t/z = {T!r}: "
+                "no significant digit"
+            )
         results.append(OracleResult(
             value=prefactor * value,
-            error_estimate=prefactor * max(est, worst_quad_err),
+            error_estimate=prefactor * error_estimate,
             rungs=tuple((eps, prefactor * v) for eps, v in rungs),
         ))
     return results
@@ -464,7 +488,7 @@ def dispersion_oracle(
     if component not in _KERNELS:
         raise ValueError("component must be 'x' or 'z'")
     q = q or QuadratureSpec()
-    return _oracle_batch([_plan(kind, component, p, q)], q)[0]
+    return _oracle_batch(kind, component, [_plan(kind, p, q)], q)[0]
 
 
 def velocity_oracle(
@@ -496,6 +520,8 @@ def reduced_time_integral(
     """Int_0^t weight(tau, t) f(tau) dtau for a caller-supplied even kernel f.
 
     ``f`` is called once per node with a float; t must be finite and > 0.
+    A batch of one scalar integral pays the integrator's per-pass numpy
+    overhead, about 0.1 ms, which the batch does not spread.
     """
     if kind not in _WEIGHTS:
         raise ValueError("kind must be 'velocity' or 'position'")
@@ -568,8 +594,8 @@ def verify_grid(
     Rows are ordered quantity-major, then by t/z; pre-lightcone points are
     held to ``tol_pre`` relative, pole-crossing points to ``tol_post``.
     ``grid`` selects "pre-lightcone", "post-lightcone", or "full".  Every
-    row's closed form and oracle checks run first, in row order; then every
-    row's integrals run as one batch.
+    row's closed form and oracle checks run first, in row order; then the
+    rows of each quantity run as one batch.
     """
     if grid not in GRIDS:
         raise ValueError("grid must be 'full', 'pre-lightcone', or 'post-lightcone'")
@@ -583,13 +609,16 @@ def verify_grid(
         tiers.extend((r, tol_post) for r in POST_LIGHTCONE_RATIOS)
 
     qspec = qspec or QuadratureSpec()
-    cases, plans = [], []
+    cases, batches = [], []
     for quantity in QUANTITIES.values():
+        plans = []
         for ratio, tol in tiers:
             point = EvalPoint(t=ratio * z, z=z, particle=particle)
             cases.append((quantity, ratio, tol, quantity.value(point)))
-            plans.append(_plan(quantity.kind, quantity.component, point, qspec))
-    results = _oracle_batch(plans, qspec)
+            plans.append(_plan(quantity.kind, point, qspec))
+        batches.append((quantity, plans))
+    results = [result for quantity, plans in batches
+               for result in _oracle_batch(quantity.kind, quantity.component, plans, qspec)]
 
     rows: list[VerifyRow] = []
     for (quantity, ratio, tol, closed), result in zip(cases, results):

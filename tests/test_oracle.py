@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -157,6 +158,14 @@ class TestTimeReduction:
         with pytest.raises(QuadratureConvergenceError):
             reduced_time_integral(kernel, 1.0, "velocity")
 
+    def test_round_off_refused(self):
+        # (1 - cos(c u)) / c^2 loses about eps / c^2 to cancellation at every
+        # node.  Halving stalls at an estimate of 6.8e-13, inside the 1e-11
+        # budget, while the value is 3.0e-12 off; round-off detection refuses.
+        c = 1e-3
+        with pytest.raises(QuadratureConvergenceError, match="round-off"):
+            reduced_time_integral(lambda u: (1.0 - math.cos(c * u)) / (c * c), 1.0, "velocity")
+
     def test_kernel_called_with_floats(self):
         seen = set()
 
@@ -251,6 +260,11 @@ class TestQuadratureSpec:
     def test_non_finite_or_non_integer_refused(self, field, value):
         with pytest.raises(ValueError):
             QuadratureSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [200, np.int64(200)])
+    def test_integer_subdivisions_accepted(self, value):
+        q = QuadratureSpec(max_subdivisions=value)
+        assert velocity_oracle("z", up(1.0), q) == velocity_oracle("z", up(1.0))
 
 
 class TestDefaultRegulator:
@@ -370,3 +384,11 @@ class TestFarBand:
             with mpmath.workdps(50):
                 error = abs(result.value - closed_form_mp(quantity.id, p))
             assert result.error_estimate >= error, quantity.id
+            assert result.error_estimate < abs(result.value), quantity.id
+
+    @pytest.mark.parametrize("ratio", [1e5, 1e6])
+    def test_value_without_significant_digit_refused(self, ratio):
+        # the transverse velocity's ladder extrapolates to a value smaller
+        # than its own error estimate
+        with pytest.raises(ExtrapolationError, match="no significant digit"):
+            velocity_oracle("x", up(ratio))
