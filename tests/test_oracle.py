@@ -166,6 +166,14 @@ class TestTimeReduction:
         with pytest.raises(QuadratureConvergenceError, match="round-off"):
             reduced_time_integral(lambda u: (1.0 - math.cos(c * u)) / (c * c), 1.0, "velocity")
 
+    def test_too_narrow_interval_refused(self):
+        # No tolerance can be met on a step; halving toward it stops when the
+        # worst interval is too narrow to halve, long before the 200 cap.
+        tight = QuadratureSpec(epsabs=1e-300, epsrel=1e-300)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"^an interval too narrow to halve after 47 intervals on \[0\.0, 1\.0\]"):
+            reduced_time_integral(lambda u: 1.0 if u < 1 / 3 else 0.0, 1.0, "velocity", tight)
+
     def test_kernel_called_with_floats(self):
         seen = set()
 
