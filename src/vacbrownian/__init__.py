@@ -3,7 +3,7 @@
 Electromagnetic vacuum fluctuations, modified by a flat ideal mirror,
 give a nearby charged particle nonzero velocity and position
 dispersions.  This package evaluates the closed forms for those
-dispersions, cross-checks every one against an independent regularized
+dispersions, cross-checks every one against an independent contour
 quadrature oracle, and reports the regime bounds (validity horizon,
 radiation backreaction, quantum packet spreading, effective
 temperature) that frame where the weak-coupling picture applies.
@@ -36,7 +36,6 @@ _ORACLE_NAMES = frozenset({
     "QuadratureSpec",
     "VerifyRow",
     "dispersion_oracle",
-    "extrapolate_ladder",
     "position_oracle",
     "velocity_oracle",
     "verify_grid",

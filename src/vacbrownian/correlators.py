@@ -14,8 +14,9 @@ the (divergent) Minkowski part is dropped by construction.
 
 Regularized variants displace the time separation off the real axis,
 dt -> dt - i*eps, and take the real part.  They are finite for every real
-dt and feed the quadrature oracle, which removes the regulator by
-extrapolating eps -> 0.
+dt and back `corr --eps`.  The quadrature oracle needs no regulator: it
+takes the eps -> 0 limit exactly, by integrating the complex kernels at
+eps = 0 along a path that passes below the pole.
 """
 
 from __future__ import annotations

@@ -37,4 +37,4 @@ class QuadratureConvergenceError(VacBrownianError):
 
 
 class ExtrapolationError(VacBrownianError):
-    """Regulator-ladder extrapolation judged unreliable (non-monotone)."""
+    """An oracle value whose error estimate is not below its magnitude."""

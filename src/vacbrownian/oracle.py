@@ -5,38 +5,40 @@ boundary kernel.  By stationarity the double (velocity) and quadruple
 (position) integrals reduce to single integrals
 
     <dv^2> = (e^2/m^2) Int_0^t  2 (t - tau)                      f(tau) dtau
-    <dx^2> = (e^2/m^2) Int_0^t [ (2/3)(t^3 - tau^3)
-                                  - tau (t^2 - tau^2) ]          f(tau) dtau
+    <dx^2> = (e^2/m^2) Int_0^t  (t - tau)^2 (2 t + tau) / 3      f(tau) dtau
 
 with f the transverse or normal kernel.  This module evaluates those
 integrals numerically, without using the closed forms, so the two routes
 stay genuinely independent.
 
-The kernels are singular at tau = 2z.  They are regularized by point
-splitting, tau -> tau - i*eps, and the regulator is removed by evaluating
-on a decreasing eps-ladder and extrapolating polynomially to eps = 0.  For
-t < 2z no pole is crossed, the limit is an ordinary proper integral, and
-the eps-expansion contains even powers only.  For t > 2z the integral
-crosses the pole; the eps -> 0 limit then defines the finite-part value
-and the expansion picks up odd powers of eps as well, so the full
-polynomial basis is used there.
+The kernels have a pole at tau = 2z.  For t > 2z the integral crosses it
+and is defined as the limit of the point-split integral, tau -> tau - i eps
+with eps -> 0+: the x - i0 (Sokhotski-Plemelj) prescription.  The split
+kernel has its poles at tau = +-2z + i eps, above the real axis, and the
+weights are polynomials, so the path may dip below the axis around tau = 2z
+without changing the value; on that path the integrand is analytic in eps
+down to eps = 0, so the limit is the integral of the unsplit kernel along
+it.  Each point is therefore one contour integral at eps = 0: for t < 2z the
+axis from 0 to t; beyond, the axis from 0 to z, a semicircle of radius z
+centred at 2z below the axis, then the axis from 3z to t (run as
+-Int_t^{3z} when t < 3z).  The radius does not shrink with t - 2z, so the
+integrand stays smooth on every piece except near tau = t itself.
 
-Each ladder rung is itself computed to near machine precision by a contour
-detour: the integrand is analytic in complex tau with poles at
-tau = +-2z + i*eps, both above the real axis, so the path may dip below
-the axis on a semicircle around tau = 2z.  On the deformed path the
-integrand is smooth and adaptive quadrature converges essentially exactly,
-independent of eps.  The integral's value is unchanged because no
-singularity lies between the two paths.
+A point's error estimate is the sum of its pieces' quadrature error
+estimates plus eps_mach * Sum |pieces| * max(1, t / |t - 2z|).  The first
+term is how well the rule fits the integrand it was given; the second
+covers what it cannot see, the rounding of the pieces' cancelling sum and of
+the nodes next to the pole (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, ch. 4).
 
 Internally everything is computed at z = 1 in the scaled variables
-u = tau/z, T = t/z, eta = eps/z and rescaled afterward; this keeps
-absolute quadrature tolerances meaningful for any z.
+u = tau/z, T = t/z and rescaled afterward; this keeps absolute quadrature
+tolerances meaningful for any z.
 
 Quadrature is QUADPACK's globally adaptive 21-point Gauss-Kronrod rule
 (G10/K21; Piessens et al., *QUADPACK*, 1983; Kronrod 1965) over a batch of
-integrals: every (point, ladder rung, contour piece) of one quantity is
-one integral.  The bookkeeping is per integral, in plain Python lists:
+integrals: every (point, contour piece) of one quantity is one integral.
+The bookkeeping is per integral, in plain Python lists:
 each pass, every integral not yet done sums its intervals' values and
 errors left to right and halves its interval of largest error.  Only the
 rule runs on numpy arrays, on all new halves of the batch in one array
@@ -86,7 +88,6 @@ __all__ = [
     "velocity_oracle",
     "position_oracle",
     "dispersion_oracle",
-    "extrapolate_ladder",
     "verify_grid",
 ]
 
@@ -97,32 +98,24 @@ GRIDS = ("full", "pre-lightcone", "post-lightcone")
 TOL_PRE_LIGHTCONE = 1e-6
 TOL_POST_LIGHTCONE = 1e-4
 
-# eps0 / z for the default ladders.  The proper-integral regime uses a much
-# smaller starting eps so the two smallest rungs agree to < 1e-8 relative
-# (regulator independence); the pole-crossing regime keeps a larger start,
-# where rung values genuinely vary and the extrapolation does the work.
-PROPER_EPS0_FACTOR = 1e-4
-CROSSING_EPS0_FACTOR = 1e-2
-
 
 def default_regulator(z: float, t: float) -> RegulatorSpec:
-    """Regime-appropriate default ladder for an evaluation at (t, z)."""
-    factor = PROPER_EPS0_FACTOR if t < 2.0 * z else CROSSING_EPS0_FACTOR
-    return RegulatorSpec(eps0=factor * z)
+    """A point-splitting ladder for an evaluation at (t, z): eps0 = 1e-4 z
+    before the lightcone, 1e-2 z beyond.  The oracle itself needs none."""
+    return RegulatorSpec(eps0=(1e-4 if t < 2.0 * z else 1e-2) * z)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, subdivision budget, and regulator.
+    """Tolerances and subdivision budget.
 
     Tolerances apply to the scaled (z = 1) integrals, which are O(1) on
-    the standard grid.  ``regulator`` None selects `default_regulator`.
+    the standard grid.
     """
 
     epsabs: float = 1e-13
     epsrel: float = 1e-12
     max_subdivisions: int = 200
-    regulator: RegulatorSpec | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsabs < math.inf and 0.0 < self.epsrel < math.inf):
@@ -133,11 +126,11 @@ class QuadratureSpec:
 
 
 class OracleResult(NamedTuple):
-    """Extrapolated oracle value with diagnostics.
+    """Oracle value with its error estimate, both in the caller's units.
 
-    ``rungs`` holds (eps, value) pairs in the caller's units;
-    ``error_estimate`` combines the extrapolation residual and the worst
-    per-rung quadrature error estimate.
+    ``error_estimate`` is the pieces' quadrature error estimates plus the
+    rounding bound of the module docstring.  ``rungs`` is the single pair
+    (0.0, value): the value at regulator eps = 0, the only one computed.
     """
 
     value: float
@@ -155,9 +148,10 @@ def weight_velocity(tau, t):
 def weight_position(tau, t):
     """Stationarity weight of the reduced position integral.
 
-    (2/3)(t^3 - tau^3) - tau (t^2 - tau^2); equals 2 t^3 / 3 at tau = 0.
+    (t - tau)^2 (2 t + tau) / 3, which is (2/3)(t^3 - tau^3) - tau (t^2 - tau^2)
+    without that form's cancellation near tau = t; equals 2 t^3 / 3 at tau = 0.
     """
-    return (2.0 / 3.0) * (t**3 - tau**3) - tau * (t * t - tau * tau)
+    return (t - tau) ** 2 * (2.0 * t + tau) / 3.0
 
 
 _WEIGHTS = {"velocity": weight_velocity, "position": weight_position}
@@ -322,90 +316,37 @@ def _check_time(t: float) -> None:
         raise ValueError(f"t must be finite and positive, got {t!r}")
 
 
-# --- ladder extrapolation ------------------------------------------------------
-
-def extrapolate_ladder(
-    pairs: Sequence[tuple[float, float]],
-    *,
-    basis: str = "even",
-) -> tuple[float, float]:
-    """Polynomial extrapolation of regulator-ladder values to eps = 0.
-
-    ``pairs`` is a strictly-decreasing-eps sequence of (eps, value).  Basis
-    "even" interpolates in eps^2 (proper integrals, where the regulator
-    enters quadratically); basis "all" interpolates in eps (pole-crossing
-    integrals, whose expansion carries odd powers too).  Returns the
-    extrapolated value and a residual-based error estimate.  Ladders whose
-    successive differences grow (above the noise floor) raise
-    ExtrapolationError.
-    """
-    if len(pairs) < 3:
-        raise ValueError("ladder must have at least 3 rungs")
-    eps = [p[0] for p in pairs]
-    vals = [p[1] for p in pairs]
-    if not all(math.isfinite(x) for x in eps + vals):
-        raise ValueError("eps values and rung values must be finite")
-    if any(e <= 0.0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ValueError("eps values must be positive and strictly decreasing")
-    if basis not in ("even", "all"):
-        raise ValueError("basis must be 'even' or 'all'")
-
-    scale = max(abs(v) for v in vals)
-    floor = 1e-11 * (scale + 1e-300)
-    diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
-    for d_prev, d_next in zip(diffs, diffs[1:]):
-        if d_next > max(d_prev, floor):
-            raise ExtrapolationError(
-                "ladder differences grow toward small eps; "
-                "extrapolation unreliable"
-            )
-
-    xs = [e * e for e in eps] if basis == "even" else list(eps)
-    tab = list(vals)
-    n = len(tab)
-    history = [tab[-1]]
-    for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = tab[i + 1] + (tab[i] - tab[i + 1]) * xs[i + m] / (xs[i + m] - xs[i])
-        history.append(tab[0])
-    estimate = abs(history[-1] - history[-2])
-    return tab[0], estimate
-
-
 # --- oracle entry points --------------------------------------------------------
 
-def _contour(T: float) -> list[tuple[float, float, float]]:
-    """(a, b, radius) of each piece of one scaled rung integral, z = 1.
+def _contour(T: float) -> list[tuple[float, float, bool, float]]:
+    """(a, b, arc, sign) of each piece of one scaled oracle integral, z = 1, in path order.
 
-    For T <= 2 one piece on the axis, radius 0.  Beyond, the path detours
-    below the pole at u = 2 + i eta: the axis up to the semicircle, the
-    axis after it, then the semicircle itself over angles [pi, 2 pi].
+    For T <= 2 one piece on the axis.  Beyond, the axis from 0 to 1, the
+    semicircle u = 2 + e^{is} over s in [pi, 2 pi], below the pole, and the
+    axis from 3 to T; when T < 3 that is -Int_T^3, since `_gk21` needs lo <= hi.
     """
     if T <= 2.0:
-        return [(0.0, T, 0.0)]
-    radius = 0.5 * min(2.0, T - 2.0)
-    return [(0.0, 2.0 - radius, 0.0), (2.0 + radius, T, 0.0),
-            (math.pi, 2.0 * math.pi, radius)]
+        return [(0.0, T, False, 1.0)]
+    tail = (3.0, T, False, 1.0) if T >= 3.0 else (T, 3.0, False, -1.0)
+    return [(0.0, 1.0, False, 1.0), (math.pi, 2.0 * math.pi, True, 1.0), tail]
 
 
-def _rung_integrand(kind: str, component: str, T: np.ndarray, eta: np.ndarray,
-                    radius: np.ndarray) -> Integrand:
-    """Re of weight(u, T) kernel(u - i eta) du/ds on each integral's piece.
+def _contour_integrand(kind: str, component: str, T: np.ndarray, arc: np.ndarray) -> Integrand:
+    """Re of weight(u, T) kernel(u) du/ds on each integral's piece.
 
-    On the axis u = s; on a semicircle u = 2 + radius e^{is}.
+    On the axis u = s; on the semicircle u = 2 + e^{is}.
     """
     weight, kernel = _WEIGHTS[kind], _KERNELS[component]
 
     def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         u = s.astype(complex)
-        arc = np.flatnonzero(radius[k])
-        if arc.size:
-            r = radius[k[arc]][:, None]
-            turn = np.exp(1j * s[arc])
-            u[arc] = 2.0 + r * turn
-        g = weight(u, T[k][:, None]) * kernel(u - 1j * eta[k][:, None], 1.0)
-        if arc.size:
-            g[arc] *= 1j * r * turn  # du/ds, which is 1 on the axis
+        on_arc = np.flatnonzero(arc[k])
+        if on_arc.size:
+            turn = np.exp(1j * s[on_arc])
+            u[on_arc] = 2.0 + turn
+        g = weight(u, T[k][:, None]) * kernel(u, 1.0)
+        if on_arc.size:
+            g[on_arc] *= 1j * turn  # du/ds, which is 1 on the axis
         return g.real
     return f
 
@@ -414,61 +355,50 @@ class _Plan(NamedTuple):
     """One oracle evaluation, checked and scaled, before its integrals run."""
 
     T: float
-    z: float
-    regulator: RegulatorSpec
     prefactor: float
 
 
-def _plan(kind: str, p: EvalPoint, q: QuadratureSpec) -> _Plan:
-    """Refuse a point on the lightcone and fix its ladder and prefactor e^2/m^2 (/z^2)."""
+def _plan(kind: str, p: EvalPoint) -> _Plan:
+    """Refuse a point on the lightcone and fix its prefactor e^2/m^2 (/z^2)."""
     _check_lightcone(p)
-    reg = q.regulator if q.regulator is not None else default_regulator(p.z, p.t)
     spec = p.particle
     prefactor = spec.e**2 / spec.m**2
     if kind == "velocity":
         prefactor /= p.z * p.z
-    return _Plan(p.t / p.z, p.z, reg, prefactor)
+    return _Plan(p.t / p.z, prefactor)
 
 
 def _oracle_batch(kind: str, component: str, plans: Sequence[_Plan],
                   q: QuadratureSpec) -> list[OracleResult]:
-    """Every plan's rung integrals as one batch, then each plan's ladder in order."""
-    pieces: list[tuple[float, float, float, float, float]] = []
-    for T, z, reg, _ in plans:
-        for eps in reg.ladder:
-            pieces.extend((a, b, T, eps / z, r) for a, b, r in _contour(T))
-
-    a, b, *columns = zip(*pieces)
-    integrand = _rung_integrand(kind, component, *map(np.array, columns))
+    """Every plan's contour pieces as one batch, then each plan's value in order."""
+    contours = [_contour(T) for T, _ in plans]
+    Ts, a, b, arc, signs = zip(*((T, *piece) for (T, _), pieces in zip(plans, contours)
+                                 for piece in pieces))
+    integrand = _contour_integrand(kind, component, np.array(Ts), np.array(arc))
     values, errors, stops = _integrate(integrand, a, b, q)
 
     results = []
     i = 0
-    for T, _, reg, prefactor in plans:
-        per_rung = len(_contour(T))
-        rungs: list[tuple[float, float]] = []
-        worst_quad_err = 0.0
-        for eps in reg.ladder:
-            for j in range(i, i + per_rung):
-                _within_budget(values[j], errors[j], stops[j], a[j], b[j], q)
-            v = values[i:i + per_rung]
-            rungs.append((eps, v[0] if per_rung == 1 else v[0] + v[2] + v[1]))  # path order
-            worst_quad_err = max(worst_quad_err, *errors[i:i + per_rung])
-            i += per_rung
-        rungs_used = rungs[-(reg.order + 1):] if reg.order is not None else rungs
-        value, est = extrapolate_ladder(rungs_used, basis="even" if T < 2.0 else "all")
-        error_estimate = max(est, worst_quad_err)
+    for (T, prefactor), pieces in zip(plans, contours):
+        j = i + len(pieces)
+        for args in zip(values[i:j], errors[i:j], stops[i:j], a[i:j], b[i:j]):
+            _within_budget(*args, q)
+        # fsum rounds once, alike on every Python (sum() compensates from 3.12 on)
+        parts = [sign * v for sign, v in zip(signs[i:j], values[i:j])]
+        value = math.fsum(parts)
+        error_estimate = (math.fsum(errors[i:j]) + _EPS * math.fsum(map(abs, parts))
+                          * max(1.0, T / abs(T - 2.0)))
         if not error_estimate < abs(value):
             raise ExtrapolationError(
                 f"error estimate {error_estimate:.3e} is not below the magnitude "
-                f"{abs(value):.3e} of the extrapolated value at t/z = {T!r}: "
-                "no significant digit"
+                f"{abs(value):.3e} of the value at t/z = {T!r}: no significant digit"
             )
         results.append(OracleResult(
             value=prefactor * value,
             error_estimate=prefactor * error_estimate,
-            rungs=tuple((eps, prefactor * v) for eps, v in rungs),
+            rungs=((0.0, prefactor * value),),
         ))
+        i = j
     return results
 
 
@@ -480,16 +410,16 @@ def dispersion_oracle(
 ) -> OracleResult:
     """Quadrature value of a dispersion: kind 'velocity'|'position', component 'x'|'z'.
 
-    Evaluates the reduced integral on the regulator ladder, extrapolates
-    eps -> 0 (even basis for t < 2z, full basis beyond), and rescales by
-    e^2/m^2 (velocities carry an extra 1/z^2).
+    Evaluates the reduced integral at eps = 0 on the contour of the module
+    docstring, below the pole beyond the lightcone, and rescales by e^2/m^2
+    (velocities carry an extra 1/z^2).
     """
     if kind not in _WEIGHTS:
         raise ValueError("kind must be 'velocity' or 'position'")
     if component not in _KERNELS:
         raise ValueError("component must be 'x' or 'z'")
     q = q or QuadratureSpec()
-    return _oracle_batch(kind, component, [_plan(kind, p, q)], q)[0]
+    return _oracle_batch(kind, component, [_plan(kind, p)], q)[0]
 
 
 def velocity_oracle(
@@ -522,7 +452,7 @@ def reduced_time_integral(
 
     ``f`` is called once per node with a float; t must be finite and > 0.
     One scalar integral pays the per-pass cost of the numpy rule on arrays
-    of one interval, which no batch spreads: a smooth rung takes about
+    of one interval, which no batch spreads: a smooth integral takes about
     0.11-0.14 ms (0.05 ms with scipy's quad).
     """
     if kind not in _WEIGHTS:
@@ -617,7 +547,7 @@ def verify_grid(
         for ratio, tol in tiers:
             point = EvalPoint(t=ratio * z, z=z, particle=particle)
             cases.append((quantity, ratio, tol, quantity.value(point)))
-            plans.append(_plan(quantity.kind, point, qspec))
+            plans.append(_plan(quantity.kind, point))
         batches.append((quantity, plans))
     results = [result for quantity, plans in batches
                for result in _oracle_batch(quantity.kind, quantity.component, plans, qspec)]

@@ -4,7 +4,7 @@
 call, and either the ``repr`` of its value, error estimate and rungs or the
 type and message of the exception it raised.  Each is replayed in-process
 and must reproduce exactly.  The points reach from the proper-integral
-band (t/z < 2) into the far band (t/z up to 1e6), where the rung integrals
+band (t/z < 2) into the far band (t/z up to 1e6), where the contour integrals
 cancel and any change to the interval partition or to the order of a sum
 moves the last bits, or turns a value into a refusal.
 
@@ -107,7 +107,7 @@ def test_oracle_output_is_bit_identical(record):
 
 def test_golden_set_is_current_and_complete():
     assert [r["call"] for r in RECORDED] == CALLS
-    # values, and refusals by the integrator and by the extrapolation
+    # values, and refusals by the integrator and by the no-significant-digit check
     assert {r.get("raises") for r in RECORDED} == {
         None, "QuadratureConvergenceError", "ExtrapolationError"}
 
