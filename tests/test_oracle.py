@@ -147,8 +147,7 @@ class TestOracleAgainstClosedForms:
             assert_allclose(got.value, want.value, rtol=1e-6)
 
     def test_crossing_regime(self):
-        # 2.2 and 2.3: just past the pole, where the transverse velocity used
-        # to be refused
+        # just past the pole (2.2, 2.3) as well as clear of it (3.0)
         for ratio in (3.0, 2.2, 2.3):
             p = up(ratio)
             pairs = [
