@@ -36,8 +36,6 @@ _ORACLE_NAMES = frozenset({
     "QuadratureSpec",
     "VerifyRow",
     "dispersion_oracle",
-    "position_oracle",
-    "velocity_oracle",
     "verify_grid",
 })
 

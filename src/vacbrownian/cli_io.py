@@ -446,7 +446,7 @@ def _cmd_corr(opts: _Options) -> int:
 def _cmd_constants(opts: _Options) -> int:
     electron = electron_preset()
     payload = {
-        "constants": constants_table().as_dict(),
+        "constants": constants_table(),
         "electron_preset": {
             "e": {"value": electron.e, "unit": "dimensionless (Lorentz-Heaviside)"},
             "m": {"value": electron.m, "unit": "1/m"},

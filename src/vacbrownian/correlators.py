@@ -47,27 +47,18 @@ DEFAULT_EXCLUSION_WINDOW = 1e-9
 
 @dataclass(frozen=True)
 class RegulatorSpec:
-    """Geometric point-splitting ladder eps0 * ratio^k, k = 0..rungs-1."""
+    """Geometric point-splitting ladder eps0 * 0.5^k, k = 0..5."""
 
     eps0: float
-    ratio: float = 0.5
-    rungs: int = 6
-    order: int | None = None  # extrapolation order; default rungs - 1
 
     def __post_init__(self) -> None:
         if not (self.eps0 > 0.0):
             raise ValueError("eps0 must be positive")
-        if not (0.0 < self.ratio < 1.0):
-            raise ValueError("ladder ratio must lie in (0, 1)")
-        if self.rungs < 3:
-            raise ValueError("ladder needs at least 3 rungs")
-        if self.order is not None and not (2 <= self.order < self.rungs):
-            raise ValueError("extrapolation order must lie in [2, rungs)")
 
     @property
     def ladder(self) -> tuple[float, ...]:
         """Strictly decreasing eps sequence."""
-        return tuple(self.eps0 * self.ratio**k for k in range(self.rungs))
+        return tuple(self.eps0 * 0.5**k for k in range(6))
 
 
 def _check_z(z: float) -> None:
@@ -75,9 +66,9 @@ def _check_z(z: float) -> None:
         raise ValueError("distance from the plate must satisfy z > 0")
 
 
-def _check_pole(dt: float, z: float, window: float) -> None:
+def _check_pole(dt: float, z: float) -> None:
     four_z_sq = 4.0 * z * z
-    if abs(dt * dt - four_z_sq) <= window * four_z_sq:
+    if abs(dt * dt - four_z_sq) <= DEFAULT_EXCLUSION_WINDOW * four_z_sq:
         raise LightconeSingularityError(
             f"time separation dt={dt!r} lies within the lightcone exclusion "
             f"window around |dt| = 2z (z={z!r})",
@@ -85,31 +76,30 @@ def _check_pole(dt: float, z: float, window: float) -> None:
         )
 
 
-def corr_transverse(dt: float, z: float, *, window: float = DEFAULT_EXCLUSION_WINDOW) -> float:
+def corr_transverse(dt: float, z: float) -> float:
     """Transverse (xx = yy) boundary correlator; even in dt.
 
     Refuses inside the exclusion window around the |dt| = 2z pole instead of
     returning a huge float.
     """
     _check_z(z)
-    _check_pole(dt, z, window)
-    d = dt * dt - 4.0 * z * z
-    return -(dt * dt + 4.0 * z * z) / (PI_SQ * d * d * d)
+    _check_pole(dt, z)
+    return transverse_kernel_complex(dt, z)
 
 
-def corr_normal(dt: float, z: float, *, window: float = DEFAULT_EXCLUSION_WINDOW) -> float:
+def corr_normal(dt: float, z: float) -> float:
     """Normal (zz) boundary correlator; even in dt."""
     _check_z(z)
-    _check_pole(dt, z, window)
-    d = dt * dt - 4.0 * z * z
-    return 1.0 / (PI_SQ * d * d)
+    _check_pole(dt, z)
+    return normal_kernel_complex(dt, z)
 
 
 def transverse_kernel_complex(dt: complex, z: float) -> complex:
     """Analytic continuation of the transverse kernel to complex dt.
 
-    Used by the regularized evaluators and by contour quadrature in the
-    oracle; performs no pole checks.
+    Used by the correlators (at a float dt, where it is real), by their
+    regularized variants and by contour quadrature in the oracle; performs
+    no pole checks.
     """
     d = dt * dt - 4.0 * z * z
     return -(dt * dt + 4.0 * z * z) / (PI_SQ * d * d * d)

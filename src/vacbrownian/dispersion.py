@@ -75,14 +75,13 @@ class EvalPoint:
     """One (t, z) evaluation point with its particle.
 
     ``t`` is the elapsed time since the coupling switched on, ``z`` the
-    distance from the plane, both natural lengths.  ``lightcone_delta``
-    sets the refusal window |t - 2z| < delta * z.
+    distance from the plane, both natural lengths.  The point is near the
+    lightcone inside the refusal window |t - 2z| < DEFAULT_LIGHTCONE_DELTA * z.
     """
 
     t: float
     z: float
     particle: ParticleSpec = field(default_factory=electron_preset)
-    lightcone_delta: float = DEFAULT_LIGHTCONE_DELTA
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.z):
@@ -95,8 +94,6 @@ class EvalPoint:
             raise ValueError("z must be positive")
         if not math.isfinite(self.t / self.z):
             raise ValueError("t/z must be finite")
-        if not (self.lightcone_delta > 0.0):
-            raise ValueError("lightcone_delta must be positive")
 
     @property
     def t_over_z(self) -> float:
@@ -109,7 +106,7 @@ class EvalPoint:
 
     @property
     def near_lightcone(self) -> bool:
-        return abs(self.t - 2.0 * self.z) < self.lightcone_delta * self.z
+        return abs(self.t - 2.0 * self.z) < DEFAULT_LIGHTCONE_DELTA * self.z
 
 
 @dataclass(frozen=True)
@@ -118,8 +115,9 @@ class DispersionResult:
 
     ``component`` "x" stands for either transverse direction (x and y are
     identical by symmetry); ``kind`` is "velocity" (units c^2) or
-    "position" (units length^2).  ``near_lightcone`` is always False on a
-    successfully evaluated result, since points inside the window refuse.
+    "position" (units length^2).  ``near_lightcone`` is the point's: always
+    False for a closed form, which refuses inside the lightcone window, but
+    True for an asymptote evaluated there, which refuses only t <= 2z.
     """
 
     value: float
@@ -128,6 +126,14 @@ class DispersionResult:
     validity_ok: bool
     radiation_ok: bool
     near_lightcone: bool
+
+
+def _checked_prefactor(kind: str, formula: str, value: float) -> float:
+    """value, if it lies in (0, inf); else ValueError naming the kind's prefactor formula."""
+    if 0.0 < value < math.inf:
+        return value
+    problem = "underflows to zero" if value == 0.0 else "overflows"
+    raise ValueError(f"{kind} prefactor {formula} {problem}")
 
 
 # --- helpers for the scaled brackets in x = t/2z ----------------------------
@@ -205,11 +211,8 @@ class Quantity:
         else:
             denominator = PI_SQ * s.m * s.m
         value = s.e * s.e / denominator if denominator else math.inf
-        if 0.0 < value < math.inf:
-            return value
         formula = "e^2/(pi^2 m^2 z^2)" if self.kind == "velocity" else "e^2/(pi^2 m^2)"
-        problem = "underflows to zero" if value == 0.0 else "overflows"
-        raise ValueError(f"{self.kind} prefactor {formula} {problem}")
+        return _checked_prefactor(self.kind, formula, value)
 
     def _large_x_bracket(self, x: float, terms: int = len(_K)) -> float:
         """The large-x series at x > 1, keeping the first ``terms`` of the d_k."""

@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 # Bounds below are "much less than" statements; a point is flagged OK when
-# t < margin * bound.  The margin is a reporting knob, not physics.
+# t < DEFAULT_MARGIN * bound.  The margin is a fixed reporting convention,
+# not physics.
 DEFAULT_MARGIN = 0.1
 
 
@@ -61,7 +62,7 @@ def validity_time_limit(spec: ParticleSpec, z: float) -> float:
     """Time bound below which the position drift stays small against z.
 
     t << (2 sqrt(2) pi / e) * (m z) * z; the hard right-hand side is
-    returned, callers apply their own margin.
+    returned, and `regime_flags` applies DEFAULT_MARGIN to it.
     """
     if not (z > 0.0):
         raise ValueError("z must be positive")
@@ -78,15 +79,10 @@ def radiation_time_limit(spec: ParticleSpec, z: float) -> float:
     return 4.0 * math.pi / (spec.e * spec.e) * spec.m * z * z
 
 
-def regime_flags(
-    spec: ParticleSpec,
-    z: float,
-    t: float,
-    margin: float = DEFAULT_MARGIN,
-) -> tuple[bool, bool]:
-    """(validity_ok, radiation_ok): t below margin times each time bound."""
-    return (t < margin * validity_time_limit(spec, z),
-            t < margin * radiation_time_limit(spec, z))
+def regime_flags(spec: ParticleSpec, z: float, t: float) -> tuple[bool, bool]:
+    """(validity_ok, radiation_ok): t below DEFAULT_MARGIN times each time bound."""
+    return (t < DEFAULT_MARGIN * validity_time_limit(spec, z),
+            t < DEFAULT_MARGIN * radiation_time_limit(spec, z))
 
 
 def larmor_power(spec: ParticleSpec, z: float) -> float:
@@ -127,49 +123,30 @@ def minimum_packet_width(m: float, t: float) -> float:
     return math.sqrt(t / m)
 
 
-def fluctuation_to_quantum_ratio(
-    component: str,
-    spec: ParticleSpec,
-    z: float,
-    t: float,
-    *,
-    route: str = "asymptotic",
-) -> float:
+def fluctuation_to_quantum_ratio(component: str, spec: ParticleSpec, z: float, t: float) -> float:
     """Size of the fluctuation-induced position spread against the quantum one.
 
-    The quantum scale is the minimum packet width sqrt(t/m).  Route
-    "asymptotic" evaluates the large-t ratios
+    The quantum scale is the minimum packet width sqrt(t/m).  The ratios are
+    the large-t asymptotes of sqrt(|<dx^2>|) / sqrt(t/m),
 
         x:  2 sqrt(alpha * ln(t/2z) / (3 pi t m))
         z:  sqrt(alpha / 2 pi) * sqrt(t/m) / z
 
-    with alpha = e^2/4pi of the given particle; route "dispersion" computes
-    sqrt(|<dx^2>|) / sqrt(t/m) from the closed-form dispersions.  The
-    x-ratio asymptote needs t > 2z for a positive logarithm.
+    with alpha = e^2/4pi of the given particle.  The x-ratio needs t > 2z
+    for a positive logarithm.
     """
     if component not in ("x", "z"):
         raise ValueError("component must be 'x' or 'z'")
     if not (z > 0.0 and t > 0.0):
         raise ValueError("t and z must be positive")
     alpha = spec.alpha_eff
-    if route == "asymptotic":
-        if component == "x":
-            if t <= 2.0 * z:
-                raise ValueError(
-                    "x-component ratio asymptote needs t > 2z for ln(t/2z) > 0"
-                )
-            return 2.0 * math.sqrt(alpha * math.log(t / (2.0 * z)) / (3.0 * math.pi * t * spec.m))
-        return math.sqrt(alpha / (2.0 * math.pi)) * math.sqrt(t / spec.m) / z
-    if route == "dispersion":
-        from . import dispersion  # late import: dispersion sits above regimes
-
-        point = dispersion.EvalPoint(t=t, z=z, particle=spec)
-        if component == "x":
-            disp = dispersion.pos_disp_transverse(point).value
-        else:
-            disp = dispersion.pos_disp_normal(point).value
-        return math.sqrt(abs(disp)) / minimum_packet_width(spec.m, t)
-    raise ValueError("route must be 'asymptotic' or 'dispersion'")
+    if component == "x":
+        if t <= 2.0 * z:
+            raise ValueError(
+                "x-component ratio asymptote needs t > 2z for ln(t/2z) > 0"
+            )
+        return 2.0 * math.sqrt(alpha * math.log(t / (2.0 * z)) / (3.0 * math.pi * t * spec.m))
+    return math.sqrt(alpha / (2.0 * math.pi)) * math.sqrt(t / spec.m) / z
 
 
 def effective_temperature_natural(spec: ParticleSpec, z: float) -> float:
@@ -191,7 +168,11 @@ def effective_temperature(spec: ParticleSpec, z: float) -> float:
 
 @dataclass(frozen=True)
 class RegimeReport:
-    """All regime diagnostics for one (particle, z, t)."""
+    """All regime diagnostics for one (particle, z, t).
+
+    The flags hold t against DEFAULT_MARGIN times each bound; `as_dict`
+    prints that constant as ``margin``.
+    """
 
     particle: str
     z: float
@@ -204,7 +185,6 @@ class RegimeReport:
     ratio_z: float
     validity_ok: bool
     radiation_ok: bool
-    margin: float
 
     def as_dict(self) -> dict[str, object]:
         def qty(value: object, unit: str) -> dict[str, object]:
@@ -222,19 +202,16 @@ class RegimeReport:
             "ratio_z": qty(self.ratio_z, "dimensionless"),
             "validity_ok": self.validity_ok,
             "radiation_ok": self.radiation_ok,
-            "margin": qty(self.margin, "dimensionless"),
+            "margin": qty(DEFAULT_MARGIN, "dimensionless"),
         }
 
 
-def regime_report(
-    spec: ParticleSpec,
-    z: float,
-    t: float,
-    *,
-    margin: float = DEFAULT_MARGIN,
-) -> RegimeReport:
-    """Assemble the full regime diagnostics for one evaluation point."""
-    validity_ok, radiation_ok = regime_flags(spec, z, t, margin)
+def regime_report(spec: ParticleSpec, z: float, t: float) -> RegimeReport:
+    """Assemble the full regime diagnostics for one evaluation point.
+
+    The flags hold t against DEFAULT_MARGIN times each time bound.
+    """
+    validity_ok, radiation_ok = regime_flags(spec, z, t)
     ratio_x = None
     if t > 2.0 * z:
         ratio_x = fluctuation_to_quantum_ratio("x", spec, z, t)
@@ -250,5 +227,4 @@ def regime_report(
         ratio_z=fluctuation_to_quantum_ratio("z", spec, z, t),
         validity_ok=validity_ok,
         radiation_ok=radiation_ok,
-        margin=margin,
     )

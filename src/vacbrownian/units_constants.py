@@ -18,7 +18,6 @@ __all__ = [
     "HBAR_SI",
     "C_SI",
     "ELECTRON_MASS_SI",
-    "ConstantsTable",
     "ParticleSpec",
     "constants_table",
     "electron_preset",
@@ -36,33 +35,15 @@ C_SI = 299792458.0               # m / s (exact)
 ELECTRON_MASS_SI = 9.1093837015e-31  # kg
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    """CODATA constants used by the package, SI values."""
-
-    alpha: float = ALPHA
-    boltzmann: float = BOLTZMANN_SI
-    hbar: float = HBAR_SI
-    c: float = C_SI
-    electron_mass: float = ELECTRON_MASS_SI
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "boltzmann", "hbar", "c", "electron_mass"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"constant {name} must be positive")
-
-    def as_dict(self) -> dict[str, dict[str, object]]:
-        return {
-            "alpha": {"value": self.alpha, "unit": "dimensionless"},
-            "boltzmann": {"value": self.boltzmann, "unit": "J/K"},
-            "hbar": {"value": self.hbar, "unit": "J*s"},
-            "c": {"value": self.c, "unit": "m/s"},
-            "electron_mass": {"value": self.electron_mass, "unit": "kg"},
-        }
-
-
-def constants_table() -> ConstantsTable:
-    return ConstantsTable()
+def constants_table() -> dict[str, dict[str, object]]:
+    """The CODATA constants above, each SI value with its unit."""
+    return {
+        "alpha": {"value": ALPHA, "unit": "dimensionless"},
+        "boltzmann": {"value": BOLTZMANN_SI, "unit": "J/K"},
+        "hbar": {"value": HBAR_SI, "unit": "J*s"},
+        "c": {"value": C_SI, "unit": "m/s"},
+        "electron_mass": {"value": ELECTRON_MASS_SI, "unit": "kg"},
+    }
 
 
 @dataclass(frozen=True)

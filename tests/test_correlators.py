@@ -97,12 +97,6 @@ class TestSingularityWindow:
             corr_transverse(inside, z)
         corr_transverse(outside, z)  # does not raise
 
-    def test_window_override(self):
-        dt = 2.0 * (1.0 + 1e-7)
-        corr_transverse(dt, 1.0)  # outside default window
-        with pytest.raises(LightconeSingularityError):
-            corr_transverse(dt, 1.0, window=1e-5)
-
 
 class TestRegularizedKernels:
     def test_finite_on_the_lightcone(self):
@@ -141,18 +135,9 @@ class TestRegularizedKernels:
 
 class TestSpecs:
     def test_regulator_ladder(self):
-        reg = RegulatorSpec(eps0=1e-2, ratio=0.5, rungs=4)
-        assert reg.ladder == (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+        reg = RegulatorSpec(eps0=1e-2)
+        assert reg.ladder == (1e-2, 5e-3, 2.5e-3, 1.25e-3, 6.25e-4, 3.125e-4)
 
     def test_regulator_validation(self):
         with pytest.raises(ValueError):
             RegulatorSpec(eps0=0.0)
-        with pytest.raises(ValueError):
-            RegulatorSpec(eps0=1e-2, ratio=1.0)
-        with pytest.raises(ValueError):
-            RegulatorSpec(eps0=1e-2, rungs=2)
-        with pytest.raises(ValueError):
-            RegulatorSpec(eps0=1e-2, rungs=6, order=1)
-        with pytest.raises(ValueError):
-            RegulatorSpec(eps0=1e-2, rungs=6, order=6)
-        RegulatorSpec(eps0=1e-2, rungs=6, order=5)

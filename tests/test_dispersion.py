@@ -141,6 +141,8 @@ class TestStructure:
         r = pos_disp_transverse(up(0.5))
         assert r.component == "x"
         assert r.kind == "position"
+        # an asymptote refuses only t <= 2z, so it can return a point in the window
+        assert vel_disp_normal_asym(up(2.0 * (1.0 + 1e-7))).near_lightcone is True
 
 
 class TestLightconeWindow:
@@ -156,18 +158,11 @@ class TestLightconeWindow:
             vel_disp_normal(EvalPoint(t=2.0 * z + 1e-7 * z, z=z, particle=UNIT))
         vel_disp_normal(EvalPoint(t=2.0 * z + 1e-5 * z, z=z, particle=UNIT))
 
-    def test_window_override(self):
-        p = up(2.0 + 1e-4, lightcone_delta=1e-3)
-        with pytest.raises(LightconeSingularityError):
-            vel_disp_normal(p)
-
     def test_eval_point_validation(self):
         with pytest.raises(ValueError):
             EvalPoint(t=0.0, z=1.0, particle=UNIT)
         with pytest.raises(ValueError):
             EvalPoint(t=1.0, z=-1.0, particle=UNIT)
-        with pytest.raises(ValueError):
-            EvalPoint(t=1.0, z=1.0, particle=UNIT, lightcone_delta=0.0)
 
     @pytest.mark.parametrize("t, z", [
         (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),

@@ -31,14 +31,12 @@ from vacbrownian.oracle import (
     default_regulator,
     direct_time_integral,
     dispersion_oracle,
-    position_oracle,
     reduced_time_integral,
-    velocity_oracle,
     verify_grid,
     weight_position,
     weight_velocity,
 )
-from vacbrownian.units_constants import electron_preset, unit_preset
+from vacbrownian.units_constants import ParticleSpec, electron_preset, unit_preset
 
 UNIT = unit_preset()
 
@@ -138,10 +136,10 @@ class TestOracleAgainstClosedForms:
     def test_proper_regime(self):
         p = up(1.5)
         pairs = [
-            (velocity_oracle("x", p), vel_disp_transverse(p)),
-            (velocity_oracle("z", p), vel_disp_normal(p)),
-            (position_oracle("x", p), pos_disp_transverse(p)),
-            (position_oracle("z", p), pos_disp_normal(p)),
+            (dispersion_oracle("velocity", "x", p), vel_disp_transverse(p)),
+            (dispersion_oracle("velocity", "z", p), vel_disp_normal(p)),
+            (dispersion_oracle("position", "x", p), pos_disp_transverse(p)),
+            (dispersion_oracle("position", "z", p), pos_disp_normal(p)),
         ]
         for got, want in pairs:
             assert_allclose(got.value, want.value, rtol=1e-6)
@@ -151,36 +149,54 @@ class TestOracleAgainstClosedForms:
         for ratio in (3.0, 2.2, 2.3):
             p = up(ratio)
             pairs = [
-                (velocity_oracle("x", p), vel_disp_transverse(p)),
-                (velocity_oracle("z", p), vel_disp_normal(p)),
-                (position_oracle("x", p), pos_disp_transverse(p)),
-                (position_oracle("z", p), pos_disp_normal(p)),
+                (dispersion_oracle("velocity", "x", p), vel_disp_transverse(p)),
+                (dispersion_oracle("velocity", "z", p), vel_disp_normal(p)),
+                (dispersion_oracle("position", "x", p), pos_disp_transverse(p)),
+                (dispersion_oracle("position", "z", p), pos_disp_normal(p)),
             ]
             for got, want in pairs:
                 assert_allclose(got.value, want.value, rtol=TOL_POST_LIGHTCONE)
 
     def test_small_z(self):
         p = up(3.0 * 3.7e-5, z=3.7e-5)
-        assert_allclose(velocity_oracle("z", p).value,
+        assert_allclose(dispersion_oracle("velocity", "z", p).value,
                         vel_disp_normal(p).value, rtol=1e-4)
-        assert_allclose(position_oracle("z", p).value,
+        assert_allclose(dispersion_oracle("position", "z", p).value,
                         pos_disp_normal(p).value, rtol=1e-4)
 
     def test_electron_prefactor(self):
         p = EvalPoint(t=1.0, z=1.0, particle=electron_preset())
-        assert_allclose(velocity_oracle("z", p).value,
+        assert_allclose(dispersion_oracle("velocity", "z", p).value,
                         vel_disp_normal(p).value, rtol=1e-6)
 
     def test_result_diagnostics(self):
         # one value, at regulator eps = 0, in caller units
         for ratio in (1.0, 3.0):
-            result = velocity_oracle("z", up(ratio))
+            result = dispersion_oracle("velocity", "z", up(ratio))
             assert 0.0 < result.error_estimate < abs(result.value)
             assert result.rungs == ((0.0, result.value),)
 
     def test_refuses_near_lightcone(self):
         with pytest.raises(LightconeSingularityError):
-            velocity_oracle("z", up(2.0))
+            dispersion_oracle("velocity", "z", up(2.0))
+
+    @pytest.mark.parametrize("kind, p, message", [
+        # z^2 underflows to zero, so e^2/(m^2 z^2) would be infinite
+        ("velocity", EvalPoint(t=1e-200, z=1e-200, particle=UNIT),
+         "velocity prefactor .* overflows"),
+        # e^2/m^2 = 1e300 / 1e-300 lies beyond the largest double
+        ("position", EvalPoint(t=1.0, z=1.0, particle=ParticleSpec(e=1e150, m=1e-150)),
+         "position prefactor .* overflows"),
+        # e^2/m^2 = 1e-320 / 1e300 rounds to zero
+        ("position", EvalPoint(t=1.0, z=1.0, particle=ParticleSpec(e=1e-160, m=1e150)),
+         "position prefactor .* underflows to zero"),
+        # the prefactor 1e300 is finite; the value ~ 1e300 (t/2z)^2 / 2 is not
+        ("position", EvalPoint(t=2e5, z=1.0, particle=ParticleSpec(e=1e150, m=1.0)),
+         "leaves the float range"),
+    ])
+    def test_outside_float_range_refused(self, kind, p, message):
+        with pytest.raises(ValueError, match=message):
+            dispersion_oracle(kind, "z", p)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -211,7 +227,8 @@ class TestQuadratureSpec:
     @pytest.mark.parametrize("value", [200, np.int64(200)])
     def test_integer_subdivisions_accepted(self, value):
         q = QuadratureSpec(max_subdivisions=value)
-        assert velocity_oracle("z", up(1.0), q) == velocity_oracle("z", up(1.0))
+        assert (dispersion_oracle("velocity", "z", up(1.0), q)
+                == dispersion_oracle("velocity", "z", up(1.0)))
 
 
 class TestDefaultRegulator:
@@ -359,4 +376,4 @@ class TestFarBand:
         # the transverse velocity's pieces cancel to a value smaller than
         # its own error estimate
         with pytest.raises(ExtrapolationError, match="no significant digit"):
-            velocity_oracle("x", up(ratio))
+            dispersion_oracle("velocity", "x", up(ratio))

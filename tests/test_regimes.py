@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from vacbrownian.dispersion import EvalPoint, pos_disp_normal, pos_disp_transverse
 from vacbrownian.regimes import (
     DEFAULT_MARGIN,
     PacketSpec,
@@ -155,18 +156,16 @@ class TestFluctuationRatios:
             fluctuation_to_quantum_ratio("x", ELECTRON, 1.0, 1.0)
 
     def test_routes_agree_late(self):
-        # closed-form route vs asymptotic route, dominated by the same terms
+        # sqrt(|closed form|) / sqrt(t/m) vs the asymptotic ratio, dominated by the same terms
         z = 1e-8
         t = 100.0 * z
-        for component in ("x", "z"):
+        point = EvalPoint(t=t, z=z, particle=ELECTRON)
+        for component, closed_form in (("x", pos_disp_transverse), ("z", pos_disp_normal)):
             asym = fluctuation_to_quantum_ratio(component, ELECTRON, z, t)
-            full = fluctuation_to_quantum_ratio(component, ELECTRON, z, t,
-                                                route="dispersion")
+            full = math.sqrt(abs(closed_form(point).value)) / math.sqrt(t / ELECTRON.m)
             assert_allclose(full, asym, rtol=0.1)
 
     def test_route_validation(self):
-        with pytest.raises(ValueError):
-            fluctuation_to_quantum_ratio("z", ELECTRON, 1.0, 1.0, route="guess")
         with pytest.raises(ValueError):
             fluctuation_to_quantum_ratio("y", ELECTRON, 1.0, 1.0)
 
@@ -176,7 +175,7 @@ class TestRegimeReport:
         report = regime_report(UNIT, 1.0, 0.1)
         assert report.validity_ok is True
         assert report.radiation_ok is True
-        assert report.margin == DEFAULT_MARGIN
+        assert report.as_dict()["margin"] == {"value": DEFAULT_MARGIN, "unit": "dimensionless"}
 
     def test_flags_outside_margins(self):
         report = regime_report(UNIT, 1.0, 5.0)
@@ -189,9 +188,10 @@ class TestRegimeReport:
         assert regime_report(UNIT, 1.0, 3.0).ratio_x is not None
 
     def test_margin_override(self):
-        t = 0.5 * validity_time_limit(UNIT, 1.0)
-        assert regime_report(UNIT, 1.0, t, margin=0.9).validity_ok is True
-        assert regime_report(UNIT, 1.0, t, margin=0.1).validity_ok is False
+        # the flags hold t strictly below DEFAULT_MARGIN times each bound
+        bound = DEFAULT_MARGIN * validity_time_limit(UNIT, 1.0)
+        assert regime_report(UNIT, 1.0, math.nextafter(bound, 0.0)).validity_ok is True
+        assert regime_report(UNIT, 1.0, bound).validity_ok is False
 
     def test_as_dict_tags_every_number(self):
         payload = regime_report(ELECTRON, 1e-6, 3e-6).as_dict()
