@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from vacbrownian import oracle
+from vacbrownian.correlators import corr_normal_reg
 from vacbrownian.dispersion import (
     EvalPoint,
     pos_disp_normal,
@@ -352,6 +354,56 @@ class TestBatchIndependence:
             alone = dispersion_oracle(quantity.kind, quantity.component, p)
             assert (alone.value, alone.error_estimate) == (row.oracle, row.eps_estimate), \
                 (row.quantity, row.t_over_z)
+
+    @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
+    def test_mixed_batch_equals_points_alone(self, quantity):
+        # Deep points next to shallow ones: alone, a point's halvings run the
+        # rule up to three levels ahead; in this batch of five, fewer.  Only
+        # the number of rule calls may differ, not a bit of any result.
+        ratios = (1.999, 0.5, 2.0001, 10.0, 1e4)
+        plans = [oracle._plan(quantity.kind, up(ratio)) for ratio in ratios]
+        batch = oracle._oracle_batch(quantity.kind, quantity.component, plans, QuadratureSpec())
+        for ratio, result in zip(ratios, batch):
+            alone = dispersion_oracle(quantity.kind, quantity.component, up(ratio))
+            assert (alone.value, alone.error_estimate) == (result.value, result.error_estimate), \
+                ratio
+
+
+class TestLookAhead:
+    # The contour batches run the rule ahead on the descendants of the halves
+    # they need; one rule call per pass, as with the integrals of a caller's f,
+    # took 14 calls for the far-band point below and 19 for the verify grid.
+    @pytest.fixture
+    def rule_calls(self, monkeypatch):
+        calls = []
+        rule = oracle._gk21
+
+        def counted(f, k, lo, hi):
+            calls.append(len(k))
+            return rule(f, k, lo, hi)
+
+        monkeypatch.setattr(oracle, "_gk21", counted)
+        return calls
+
+    def test_far_band_point_in_few_rule_calls(self, rule_calls):
+        dispersion_oracle("velocity", "x", up(1e4))
+        assert len(rule_calls) <= 7
+        assert max(rule_calls) <= oracle._LOOKAHEAD_ROWS
+
+    def test_verify_grid_needs_no_more_rule_calls(self, rule_calls):
+        verify_grid()
+        assert len(rule_calls) <= 19
+
+    def test_caller_kernel_not_run_ahead(self):
+        # 9 rule rows of 21 nodes, as with one rule call per pass
+        calls = [0]
+
+        def kernel(u):
+            calls[0] += 1
+            return corr_normal_reg(u, 1.0, 1e-4)
+
+        reduced_time_integral(kernel, 1.9, "velocity")
+        assert calls[0] == 9 * 21
 
 
 class TestFarBand:
