@@ -396,12 +396,14 @@ def _plan(kind: str, p: EvalPoint) -> _Plan:
     or, as the closed form does, with its prefactor outside the float range."""
     _check_lightcone(p)
     spec = p.particle
-    prefactor = spec.e**2 / spec.m**2
-    formula = "e^2/m^2"
+    # the denominator multiplied out first, as the closed form does: with
+    # e = 1e-150, m = 1e150, z = 1e-300 this gives 1, where e^2/m^2 and z^2
+    # would both round to zero
     if kind == "velocity":
-        z_sq = p.z * p.z
-        prefactor = prefactor / z_sq if z_sq else math.inf
-        formula = "e^2/(m^2 z^2)"
+        denominator, formula = spec.m * spec.m * p.z * p.z, "e^2/(m^2 z^2)"
+    else:
+        denominator, formula = spec.m * spec.m, "e^2/m^2"
+    prefactor = spec.e * spec.e / denominator if denominator else math.inf
     return _Plan(p.t / p.z, _checked_prefactor(kind, formula, prefactor))
 
 

@@ -638,8 +638,8 @@ class TestBoundary:
         (["--z", "inf"], "z must be finite"),
         (["--z", "-1"], "must be positive"),
         (["--z", "1e-300"], "overflows"),
-        # the first closed form holds, but the oracle's e^2/m^2 and z^2 both round to zero
-        (["--z", "1e-300", "--charge", "1e-150", "--mass", "1e150"], "velocity prefactor"),
+        # the velocity rows hold (e^2/(m^2 z^2) = 1), but e^2/m^2 = 1e-600 underflows
+        (["--z", "1e-300", "--charge", "1e-150", "--mass", "1e150"], "position prefactor"),
     ])
     def test_verify_refused_z_names_t_z(self, capsys, extra, fragment):
         assert_refused(*run(capsys, "verify", "--grid", "pre-lightcone", *extra),

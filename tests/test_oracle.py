@@ -200,6 +200,14 @@ class TestOracleAgainstClosedForms:
         with pytest.raises(ValueError, match=message):
             dispersion_oracle(kind, "z", p)
 
+    @pytest.mark.parametrize("component, closed_form", [("x", vel_disp_transverse),
+                                                        ("z", vel_disp_normal)])
+    def test_prefactor_with_tiny_factors(self, component, closed_form):
+        # e^2/m^2 and z^2 both round to zero; e^2/(m^2 z^2) = 1 does not
+        p = EvalPoint(t=0.5e-300, z=1e-300, particle=ParticleSpec(e=1e-150, m=1e150))
+        assert_allclose(dispersion_oracle("velocity", component, p).value,
+                        closed_form(p).value, rtol=1e-13)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             dispersion_oracle("momentum", "z", up(1.0))
