@@ -203,7 +203,8 @@ _WG_AT_XK = [0.0 if i % 2 == 0 else _WG[i // 2] for i in range(10)]
 GAUSS_WEIGHTS = np.array(_WG_AT_XK + [0.0] + list(reversed(_WG_AT_XK)))
 
 # Rows one `_gk21` call of a contour batch may fill with look-ahead (see
-# `_integrate`); 14 is three levels below one halved interval.
+# `_integrate`): three levels below one halving.  Of 6, 14, 30 and 62 rows,
+# 14 and 30 ran far-band points fastest, and 14 runs fewer rows for nothing.
 _LOOKAHEAD_ROWS = 14
 
 _EPS = float(np.finfo(float).eps)
@@ -284,7 +285,8 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float], q: Quadratu
                     halving.append((i, j, a1, mid, b2))
             if not halving:
                 return values, errors, stops
-            # the halves not run ahead, then whole levels below them while within rows
+            # the halves no earlier call ran ahead (they come and go in pairs),
+            # then whole levels below them while the call stays within rows
             keys = [(i, x, y) for i, _, a1, mid, b2 in halving if (i, a1, mid) not in ahead
                     for x, y in ((a1, mid), (mid, b2))]
             level = keys
