@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 # Names re-exported from `oracle`, resolved by `__getattr__` on first use.
 _ORACLE_NAMES = frozenset({
     "OracleResult",
-    "QuadratureSpec",
     "VerifyRow",
     "dispersion_oracle",
     "verify_grid",

@@ -367,9 +367,8 @@ def _cmd_verify(opts: _Options) -> int:
     tol = opts.get("tolerance")
     if tol is not None and not 0.0 <= tol < math.inf:
         raise UsageError(f"parameter tolerance: need a finite tolerance >= 0, got {tol!r}")
-    tiers = {} if tol is None else {"tol_pre": tol, "tol_post": tol}
     try:
-        rows = oracle.verify_grid(spec, z, grid=grid, **tiers)
+        rows = oracle.verify_grid(spec, z, grid=grid, tolerance=tol)
     except (ValueError, ArithmeticError) as exc:  # an unknown grid, or a refused z or particle
         name = "grid" if grid not in oracle.GRIDS else "t/z"
         raise UsageError(f"parameter {name}: {exc}") from None

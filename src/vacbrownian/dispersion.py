@@ -69,6 +69,9 @@ DEFAULT_LIGHTCONE_DELTA = 1e-6
 # w = 1/x^2 <= 1/16; the direct transverse forms cancel ever more beyond it.
 LARGE_X = 4.0
 
+# Terms `small_t_series` keeps: powers x^2 through x^24.
+SERIES_TERMS = 12
+
 
 @dataclass(frozen=True)
 class EvalPoint:
@@ -353,24 +356,21 @@ class SeriesValue(NamedTuple):
     truncation_bound: float
 
 
-def small_t_series(quantity: str, p: EvalPoint, order: int = 12) -> SeriesValue:
+def small_t_series(quantity: str, p: EvalPoint) -> SeriesValue:
     """Taylor value of a dispersion about t = 0 with a truncation bound.
 
-    ``order`` counts retained terms (powers x^2 through x^(2*order));
-    order 0 returns 0 for every quantity.  Requires t < z, where the
-    series converges fast and the tail admits a geometric bound.
+    Keeps SERIES_TERMS terms, powers x^2 through x^24.  Requires t < z,
+    where the series converges fast and the tail admits a geometric bound.
     """
     q = QUANTITIES.get(quantity)
     if q is None:
         raise ValueError(f"unknown quantity id {quantity!r}")
-    if order < 0:
-        raise ValueError("order must be nonnegative")
     if not (p.t < p.z):
         raise ValueError("small-t series requires t < z")
     x_sq = p.x * p.x
-    total = x_sq * _power_sum(map(q.series_coeff, range(order)), x_sq)
+    total = x_sq * _power_sum(map(q.series_coeff, range(SERIES_TERMS)), x_sq)
     # Coefficients are bounded by 1/2 for every k >= 1, so the dropped tail
-    # is at most a geometric series starting at x^(2*order+2).
-    tail = 0.5 * x_sq ** (order + 1) / (1.0 - x_sq)
+    # is at most a geometric series starting at x^26.
+    tail = 0.5 * x_sq ** (SERIES_TERMS + 1) / (1.0 - x_sq)
     prefactor = q.prefactor(p)
     return SeriesValue(value=prefactor * total, truncation_bound=prefactor * tail)

@@ -45,8 +45,9 @@ rule runs on numpy arrays, on all new halves of the batch in one array
 expression.  An interval's error estimate is QUADPACK's: resasc * min(1,
 (200 |K - G| / resasc)^1.5), floored at 50 eps_mach * resabs, where resabs
 and resasc are the rule applied to |f| and to |f - mean f|.  An integral
-is done when its summed error meets max(epsabs, epsrel |I|) or when it
-holds max_subdivisions intervals; one whose estimate then exceeds 100
+is done when its summed error meets max(EPSABS, EPSREL |I|), with the
+fixed EPSABS = 1e-13 and EPSREL = 1e-12, or when it holds MAX_SUBDIVISIONS
+= 200 intervals; one whose estimate then exceeds 100
 times that tolerance, or that QUADPACK's round-off or too-narrow-interval
 test stopped first, is refused.  So is a point whose error estimate is not
 below the magnitude of its value.  The rule sums run elementwise along the
@@ -70,7 +71,6 @@ row run ahead for nothing costs real work, so they do not look ahead.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -86,7 +86,6 @@ from .errors import ExtrapolationError, QuadratureConvergenceError
 from .units_constants import ParticleSpec, unit_preset
 
 __all__ = [
-    "QuadratureSpec",
     "OracleResult",
     "VerifyRow",
     "PRE_LIGHTCONE_RATIOS",
@@ -114,26 +113,6 @@ def default_regulator(z: float, t: float) -> RegulatorSpec:
     """A point-splitting ladder for an evaluation at (t, z): eps0 = 1e-4 z
     before the lightcone, 1e-2 z beyond.  The oracle itself needs none."""
     return RegulatorSpec(eps0=(1e-4 if t < 2.0 * z else 1e-2) * z)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and subdivision budget.
-
-    Tolerances apply to the scaled (z = 1) integrals, which are O(1) on
-    the standard grid.
-    """
-
-    epsabs: float = 1e-13
-    epsrel: float = 1e-12
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.epsabs < math.inf and 0.0 < self.epsrel < math.inf):
-            raise ValueError("quadrature tolerances must be finite and positive")
-        if not (isinstance(self.max_subdivisions, numbers.Integral)
-                and self.max_subdivisions >= 64):
-            raise ValueError("max_subdivisions must be an integer of at least 64")
 
 
 class OracleResult(NamedTuple):
@@ -202,6 +181,12 @@ KRONROD_WEIGHTS = np.array(list(_WK) + [_WK_CENTRE] + list(reversed(_WK)))
 _WG_AT_XK = [0.0 if i % 2 == 0 else _WG[i // 2] for i in range(10)]
 GAUSS_WEIGHTS = np.array(_WG_AT_XK + [0.0] + list(reversed(_WG_AT_XK)))
 
+# Every integral's tolerance and subdivision budget.  The tolerances apply to
+# the scaled (z = 1) integrals, which are O(1) on the standard grid.
+EPSABS = 1e-13
+EPSREL = 1e-12
+MAX_SUBDIVISIONS = 200
+
 # Rows one `_gk21` call of a contour batch may fill with look-ahead (see
 # `_integrate`): three levels below one halving.  Of 6, 14, 30 and 62 rows,
 # 14 and 30 ran far-band points fastest, and 14 runs fewer rows for nothing.
@@ -231,15 +216,14 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs), resasc
 
 
-def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float], q: QuadratureSpec,
-               rows: int = 0) -> tuple[list[float], list[float], list[str | None]]:
+def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float], rows: int = 0) -> tuple[list[float], list[float], list[str | None]]:
     """Int_a^b f for every pair (a[i], b[i]): values, error estimates, early stops.
 
     Each integral keeps its intervals in plain lists, in slot order: a halving
     puts the left half in the halved slot and appends the right half.  Each
     pass, every integral not yet done sums its values and errors left to right
-    and is done when the error meets max(epsabs, epsrel |value|) or it holds
-    ``q.max_subdivisions`` intervals; else it halves its interval of largest
+    and is done when the error meets max(EPSABS, EPSREL |value|) or it holds
+    MAX_SUBDIVISIONS intervals; else it halves its interval of largest
     error (the first of equal ones, a NaN one only if all are).  Only the rule
     runs on numpy arrays, in at most one `_gk21` call per pass: on every new
     half that no earlier call ran ahead, and on whole levels of those halves'
@@ -270,10 +254,10 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float], q: Quadratu
                     value += x
                     error += y
                 values[i], errors[i] = value, error
-                if error <= max(q.epsabs, q.epsrel * abs(value)):
+                if error <= max(EPSABS, EPSREL * abs(value)):
                     continue
                 stops[i] = "round-off error" if stalled[i] >= 6 or rising[i] >= 20 else None
-                if stops[i] or len(err[i]) >= q.max_subdivisions:
+                if stops[i] or len(err[i]) >= MAX_SUBDIVISIONS:
                     continue
                 worst = max(-1.0, *err[i])  # errors are >= 0, and a NaN never wins
                 j = err[i].index(worst) if worst >= 0.0 else 0  # all NaN: the first
@@ -313,11 +297,10 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float], q: Quadratu
                 running.append(i)
 
 
-def _within_budget(value: float, err: float, stop: str | None, a: float, b: float,
-                   q: QuadratureSpec) -> None:
+def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:
     """Refuse an integral stopped early by `_integrate` or whose error estimate
     exceeds 100x its tolerance (or is NaN)."""
-    tol = max(q.epsabs, q.epsrel * abs(value))
+    tol = max(EPSABS, EPSREL * abs(value))
     if stop is not None:
         raise QuadratureConvergenceError(
             f"{stop} on [{a!r}, {b!r}] keeps the quadrature error estimate "
@@ -327,17 +310,16 @@ def _within_budget(value: float, err: float, stop: str | None, a: float, b: floa
     if not err <= 100.0 * tol:
         raise QuadratureConvergenceError(
             f"quadrature error estimate {err:.3e} exceeds budget {100.0 * tol:.3e} "
-            f"on [{a!r}, {b!r}] within {q.max_subdivisions} subdivisions",
+            f"on [{a!r}, {b!r}] within {MAX_SUBDIVISIONS} subdivisions",
             achieved=err,
         )
 
 
-def _checked_integrals(f: Integrand, a: list[float], b: list[float],
-                       q: QuadratureSpec) -> list[float]:
+def _checked_integrals(f: Integrand, a: list[float], b: list[float]) -> list[float]:
     """`_integrate`, each integral refused in order when over budget or stopped early."""
-    values, errors, stops = _integrate(f, a, b, q)
+    values, errors, stops = _integrate(f, a, b)
     for args in zip(values, errors, stops, a, b):
-        _within_budget(*args, q)
+        _within_budget(*args)
     return values
 
 
@@ -409,21 +391,20 @@ def _plan(kind: str, p: EvalPoint) -> _Plan:
     return _Plan(p.t / p.z, _checked_prefactor(kind, formula, prefactor))
 
 
-def _oracle_batch(kind: str, component: str, plans: Sequence[_Plan],
-                  q: QuadratureSpec) -> list[OracleResult]:
+def _oracle_batch(kind: str, component: str, plans: Sequence[_Plan]) -> list[OracleResult]:
     """Every plan's contour pieces as one batch, then each plan's value in order."""
     contours = [_contour(T) for T, _ in plans]
     Ts, a, b, arc, signs = zip(*((T, *piece) for (T, _), pieces in zip(plans, contours)
                                  for piece in pieces))
     integrand = _contour_integrand(kind, component, np.array(Ts), np.array(arc))
-    values, errors, stops = _integrate(integrand, a, b, q, _LOOKAHEAD_ROWS)
+    values, errors, stops = _integrate(integrand, a, b, _LOOKAHEAD_ROWS)
 
     results = []
     i = 0
     for (T, prefactor), pieces in zip(plans, contours):
         j = i + len(pieces)
         for args in zip(values[i:j], errors[i:j], stops[i:j], a[i:j], b[i:j]):
-            _within_budget(*args, q)
+            _within_budget(*args)
         # fsum rounds once, alike on every Python (sum() compensates from 3.12 on)
         parts = [sign * v for sign, v in zip(signs[i:j], values[i:j])]
         value = math.fsum(parts)
@@ -446,12 +427,7 @@ def _oracle_batch(kind: str, component: str, plans: Sequence[_Plan],
     return results
 
 
-def dispersion_oracle(
-    kind: str,
-    component: str,
-    p: EvalPoint,
-    q: QuadratureSpec | None = None,
-) -> OracleResult:
+def dispersion_oracle(kind: str, component: str, p: EvalPoint) -> OracleResult:
     """Quadrature value of a dispersion: kind 'velocity'|'position', component 'x'|'z'.
 
     Evaluates the reduced integral at eps = 0 on the contour of the module
@@ -462,18 +438,12 @@ def dispersion_oracle(
         raise ValueError("kind must be 'velocity' or 'position'")
     if component not in _KERNELS:
         raise ValueError("component must be 'x' or 'z'")
-    q = q or QuadratureSpec()
-    return _oracle_batch(kind, component, [_plan(kind, p)], q)[0]
+    return _oracle_batch(kind, component, [_plan(kind, p)])[0]
 
 
 # --- generic weighted integrals for audits ---------------------------------------
 
-def reduced_time_integral(
-    f: Callable[[float], float],
-    t: float,
-    kind: str,
-    q: QuadratureSpec | None = None,
-) -> float:
+def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> float:
     """Int_0^t weight(tau, t) f(tau) dtau for a caller-supplied even kernel f.
 
     ``f`` is called once per node with a float; t must be finite and > 0.
@@ -487,15 +457,10 @@ def reduced_time_integral(
     _check_time(t)
     weight = _WEIGHTS[kind]
     return _checked_integrals(lambda x, _: weight(x, t) * _per_node(f, x),
-                              [0.0], [t], q or QuadratureSpec())[0]
+                              [0.0], [t])[0]
 
 
-def direct_time_integral(
-    f: Callable[[float], float],
-    t: float,
-    kind: str,
-    q: QuadratureSpec | None = None,
-) -> float:
+def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> float:
     """The unreduced double integral over [0, t]^2 for an even kernel f.
 
     Velocity: Int Int f(t' - t'').  Position: Int Int (t-t')(t-t'') f(t'-t'').
@@ -506,7 +471,6 @@ def direct_time_integral(
     if kind not in _WEIGHTS:
         raise ValueError("kind must be 'velocity' or 'position'")
     _check_time(t)
-    q = q or QuadratureSpec()
 
     def inner(x: np.ndarray, _: np.ndarray) -> np.ndarray:
         outer = x.ravel().tolist()
@@ -518,10 +482,10 @@ def direct_time_integral(
             values = _per_node(f, u - us)
             return values if kind == "velocity" else (t - u) * (t - us) * values
 
-        values = _checked_integrals(integrand, [0.0] * n + outer, outer + [t] * n, q)
+        values = _checked_integrals(integrand, [0.0] * n + outer, outer + [t] * n)
         return (np.array(values[:n]) + np.array(values[n:])).reshape(x.shape)
 
-    return _checked_integrals(inner, [0.0], [t], q)[0]
+    return _checked_integrals(inner, [0.0], [t])[0]
 
 
 # --- verification grid -------------------------------------------------------------
@@ -544,13 +508,14 @@ def verify_grid(
     z: float = 1.0,
     *,
     grid: str = "full",
-    tol_pre: float = TOL_PRE_LIGHTCONE,
-    tol_post: float = TOL_POST_LIGHTCONE,
+    tolerance: float | None = None,
 ) -> list[VerifyRow]:
     """Compare every closed form against the oracle on the standard grid.
 
-    Rows are ordered quantity-major, then by t/z; pre-lightcone points are
-    held to ``tol_pre`` relative, pole-crossing points to ``tol_post``.
+    Rows are ordered quantity-major, then by t/z.  A row passes when its
+    relative error is at most ``tolerance``; without one, pre-lightcone
+    points are held to TOL_PRE_LIGHTCONE, pole-crossing points to
+    TOL_POST_LIGHTCONE.
     ``grid`` selects "pre-lightcone", "post-lightcone", or "full".  Every
     row's closed form and oracle checks run first, in row order; then the
     rows of each quantity run as one batch.
@@ -560,6 +525,8 @@ def verify_grid(
     if particle is None:
         particle = unit_preset()
 
+    tol_pre, tol_post = ((TOL_PRE_LIGHTCONE, TOL_POST_LIGHTCONE) if tolerance is None
+                         else (tolerance, tolerance))
     tiers: list[tuple[float, float]] = []
     if grid in ("full", "pre-lightcone"):
         tiers.extend((r, tol_pre) for r in PRE_LIGHTCONE_RATIOS)
@@ -574,9 +541,8 @@ def verify_grid(
             cases.append((quantity, ratio, tol, quantity.value(point)))
             plans.append(_plan(quantity.kind, point))
         batches.append((quantity, plans))
-    q = QuadratureSpec()
     results = [result for quantity, plans in batches
-               for result in _oracle_batch(quantity.kind, quantity.component, plans, q)]
+               for result in _oracle_batch(quantity.kind, quantity.component, plans)]
 
     rows: list[VerifyRow] = []
     for (quantity, ratio, tol, closed), result in zip(cases, results):

@@ -101,7 +101,7 @@ def test_criterion_02_normal_ratio_coefficient():
 
 
 def test_criterion_03_oracle_agreement_proper_regime():
-    rows = verify_grid(UNIT, 1.0, grid="pre-lightcone", tol_pre=1e-6)
+    rows = verify_grid(UNIT, 1.0, grid="pre-lightcone", tolerance=1e-6)
     worst = max(row.rel_err for row in rows)
     ok = all(row.passed for row in rows) and len(rows) == 20
     report(3, "oracle agreement before the lightcone", ok,
@@ -110,7 +110,7 @@ def test_criterion_03_oracle_agreement_proper_regime():
 
 
 def test_criterion_04_oracle_agreement_crossing_regime():
-    rows = verify_grid(UNIT, 1.0, grid="post-lightcone", tol_post=1e-4)
+    rows = verify_grid(UNIT, 1.0, grid="post-lightcone", tolerance=1e-4)
     worst = max(row.rel_err for row in rows)
     recorded = all(row.eps_estimate >= 0.0 for row in rows)
     ok = all(row.passed for row in rows) and len(rows) == 16 and recorded

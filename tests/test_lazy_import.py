@@ -92,7 +92,6 @@ def test_lazy_names_are_oracle_names():
 
 def test_oracle_names_come_from_the_oracle_module():
     assert vacbrownian.verify_grid is vacbrownian.oracle.verify_grid
-    assert vacbrownian.QuadratureSpec is vacbrownian.oracle.QuadratureSpec
 
 
 def test_dir_lists_every_public_name():

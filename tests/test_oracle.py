@@ -29,7 +29,6 @@ from vacbrownian.oracle import (
     KRONROD_WEIGHTS,
     NODES,
     TOL_POST_LIGHTCONE,
-    QuadratureSpec,
     default_regulator,
     direct_time_integral,
     dispersion_oracle,
@@ -116,12 +115,13 @@ class TestTimeReduction:
             reduced_time_integral(lambda u: (1.0 - math.cos(c * u)) / (c * c), 1.0, "velocity")
 
     def test_too_narrow_interval_refused(self):
-        # No tolerance can be met on a step; halving toward it stops when the
-        # worst interval is too narrow to halve, long before the 200 cap.
-        tight = QuadratureSpec(epsabs=1e-300, epsrel=1e-300)
+        # The tolerance cannot be met next to an inverse square-root
+        # singularity; halving toward it stops when the worst interval is too
+        # narrow to halve, long before the 200 cap.
         with pytest.raises(QuadratureConvergenceError,
                            match=r"^an interval too narrow to halve after 47 intervals on \[0\.0, 1\.0\]"):
-            reduced_time_integral(lambda u: 1.0 if u < 1 / 3 else 0.0, 1.0, "velocity", tight)
+            reduced_time_integral(lambda u: abs(u - 1 / 3) ** -0.5 if u != 1 / 3 else 0.0,
+                                  1.0, "velocity")
 
     def test_kernel_called_with_floats(self):
         seen = set()
@@ -215,32 +215,6 @@ class TestOracleAgainstClosedForms:
             dispersion_oracle("velocity", "y", up(1.0))
 
 
-class TestQuadratureSpec:
-    def test_defaults(self):
-        q = QuadratureSpec()
-        assert (q.epsabs, q.epsrel, q.max_subdivisions) == (1e-13, 1e-12, 200)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=32)
-        with pytest.raises(ValueError):
-            QuadratureSpec(epsabs=0.0)
-
-    @pytest.mark.parametrize("field, value", [
-        ("epsabs", math.inf), ("epsrel", math.inf), ("epsabs", math.nan), ("epsrel", math.nan),
-        ("max_subdivisions", math.nan), ("max_subdivisions", 200.0), ("max_subdivisions", math.inf),
-    ])
-    def test_non_finite_or_non_integer_refused(self, field, value):
-        with pytest.raises(ValueError):
-            QuadratureSpec(**{field: value})
-
-    @pytest.mark.parametrize("value", [200, np.int64(200)])
-    def test_integer_subdivisions_accepted(self, value):
-        q = QuadratureSpec(max_subdivisions=value)
-        assert (dispersion_oracle("velocity", "z", up(1.0), q)
-                == dispersion_oracle("velocity", "z", up(1.0)))
-
-
 class TestDefaultRegulator:
     def test_regime_split(self):
         pre = default_regulator(1.0, 1.0)
@@ -278,7 +252,7 @@ class TestVerifyGrid:
             assert row.closed != 0.0
 
     def test_tolerance_override(self):
-        rows = verify_grid(grid="post-lightcone", tol_post=1e-16)
+        rows = verify_grid(grid="post-lightcone", tolerance=1e-16)
         assert not all(row.passed for row in rows)
 
 
@@ -370,7 +344,7 @@ class TestBatchIndependence:
         # the number of rule calls may differ, not a bit of any result.
         ratios = (1.999, 0.5, 2.0001, 10.0, 1e4)
         plans = [oracle._plan(quantity.kind, up(ratio)) for ratio in ratios]
-        batch = oracle._oracle_batch(quantity.kind, quantity.component, plans, QuadratureSpec())
+        batch = oracle._oracle_batch(quantity.kind, quantity.component, plans)
         for ratio, result in zip(ratios, batch):
             alone = dispersion_oracle(quantity.kind, quantity.component, up(ratio))
             assert (alone.value, alone.error_estimate) == (result.value, result.error_estimate), \
