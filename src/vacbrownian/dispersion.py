@@ -79,7 +79,7 @@ class EvalPoint:
 
     ``t`` is the elapsed time since the coupling switched on, ``z`` the
     distance from the plane, both natural lengths.  The point is near the
-    lightcone inside the refusal window |t - 2z| < DEFAULT_LIGHTCONE_DELTA * z.
+    lightcone inside the refusal window |t - 2z| / z < DEFAULT_LIGHTCONE_DELTA.
     """
 
     t: float
@@ -109,7 +109,9 @@ class EvalPoint:
 
     @property
     def near_lightcone(self) -> bool:
-        return abs(self.t - 2.0 * self.z) < DEFAULT_LIGHTCONE_DELTA * self.z
+        # divided, not multiplied: DEFAULT_LIGHTCONE_DELTA * z underflows to 0
+        # for z below about 5e-318, and the window with it
+        return abs(self.t - 2.0 * self.z) / self.z < DEFAULT_LIGHTCONE_DELTA
 
 
 @dataclass(frozen=True)

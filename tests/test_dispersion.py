@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from vacbrownian import dispersion
+from vacbrownian.cli_io import main
 from vacbrownian.dispersion import (
     LARGE_X,
     QUANTITIES,
@@ -157,6 +158,21 @@ class TestLightconeWindow:
         with pytest.raises(LightconeSingularityError):
             vel_disp_normal(EvalPoint(t=2.0 * z + 1e-7 * z, z=z, particle=UNIT))
         vel_disp_normal(EvalPoint(t=2.0 * z + 1e-5 * z, z=z, particle=UNIT))
+
+    def test_window_holds_for_subnormal_z(self, capsys):
+        # DEFAULT_LIGHTCONE_DELTA * z underflows to zero here; t = 2z is
+        # still on the cone, and every route refuses it as such
+        p = up(2e-320, z=1e-320)
+        assert p.near_lightcone is True
+        for fn in (vel_disp_transverse, vel_disp_normal,
+                   pos_disp_transverse, pos_disp_normal):
+            with pytest.raises(LightconeSingularityError):
+                fn(p)
+        with pytest.raises(LightconeSingularityError):
+            dispersion_oracle("position", "z", p)
+        assert main(["eval", "--particle", "unit", "--z", "1e-320", "--t-over-z", "2",
+                     "--quantity", "pos_disp_normal"]) == 3
+        assert "lightcone" in capsys.readouterr().err
 
     def test_eval_point_validation(self):
         with pytest.raises(ValueError):
