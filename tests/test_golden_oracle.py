@@ -39,10 +39,12 @@ PARTICLES = {"unit": unit_preset, "electron": electron_preset}
 KERNELS = {
     "cos": math.cos,
     "gauss": lambda u: math.exp(-u * u),
-    # refused: round-off from cancellation, NaN on half the range, NaN everywhere
+    # refused: round-off from cancellation, NaN on half the range, NaN everywhere,
+    # and an interval too narrow to halve next to an inverse square-root singularity
     "cancel": lambda u: (1.0 - math.cos(1e-3 * u)) / 1e-6,
     "nan_tail": lambda u: math.nan if u > 0.5 else 1.0,
     "nan": lambda u: math.nan,
+    "inv_sqrt": lambda u: abs(u - 1 / 3) ** -0.5 if u != 1 / 3 else 0.0,
 }
 RATIOS = (0.1, 1.5, 1.99, 2.2, 2.5, 10.0, 1e2, 1e3, 1e4, 3e4, 1e5, 1e6)
 
@@ -61,7 +63,7 @@ CALLS: list[dict] = [
     {"function": "direct_time_integral", "kernel": "gauss", "t": 2.5, "kind": "position"},
 ] + [
     {"function": "reduced_time_integral", "kernel": kernel, "t": 1.0, "kind": "velocity"}
-    for kernel in ("cancel", "nan_tail", "nan")
+    for kernel in ("cancel", "nan_tail", "nan", "inv_sqrt")
 ]
 
 
