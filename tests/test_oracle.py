@@ -29,6 +29,7 @@ from vacbrownian.oracle import (
     KRONROD_WEIGHTS,
     NODES,
     TOL_POST_LIGHTCONE,
+    TOL_PRE_LIGHTCONE,
     default_regulator,
     direct_time_integral,
     dispersion_oracle,
@@ -252,8 +253,15 @@ class TestVerifyGrid:
             assert row.closed != 0.0
 
     def test_tolerance_override(self):
-        rows = verify_grid(grid="post-lightcone", tolerance=1e-16)
-        assert not all(row.passed for row in rows)
+        # one tolerance holds every row, before the lightcone and beyond
+        rows = verify_grid(tolerance=1e-16)
+        assert not all(row.passed for row in rows if row.t_over_z < 2.0)
+        assert not all(row.passed for row in rows if row.t_over_z > 2.0)
+        assert all(row.passed == (row.rel_err == 0.0) for row in verify_grid(tolerance=0.0))
+        # without one, each row keeps its own tier
+        for row in verify_grid():
+            tol = TOL_PRE_LIGHTCONE if row.t_over_z < 2.0 else TOL_POST_LIGHTCONE
+            assert row.passed == (row.rel_err <= tol), (row.quantity, row.t_over_z)
 
 
 def closed_form_mp(quantity, p):
