@@ -47,7 +47,12 @@ DEFAULT_EXCLUSION_WINDOW = 1e-9
 
 @dataclass(frozen=True)
 class RegulatorSpec:
-    """Geometric point-splitting ladder eps0 * 0.5^k, k = 0..5."""
+    """Geometric point-splitting ladder eps0 * 0.5^k, k = 0..5.
+
+    The oracle computes no ladder; only the benchmark's rung probe reads one,
+    through `oracle.default_regulator`, and its removal waits for the
+    benchmark change of ROADMAP item 4.
+    """
 
     eps0: float
 

@@ -45,15 +45,15 @@ rule runs on numpy arrays, on all new halves of the batch in one array
 expression.  An interval's error estimate is QUADPACK's: resasc * min(1,
 (200 |K - G| / resasc)^1.5), floored at 50 eps_mach * resabs, where resabs
 and resasc are the rule applied to |f| and to |f - mean f|.  An integral
-is done when its summed error meets max(EPSABS, EPSREL |I|), with the
-fixed EPSABS = 1e-13 and EPSREL = 1e-12, or when it holds MAX_SUBDIVISIONS
-= 200 intervals; one whose estimate then exceeds 100
-times that tolerance, or that QUADPACK's round-off or too-narrow-interval
-test stopped first, is refused.  So is a point whose error estimate is not
-below the magnitude of its value.  The rule sums run elementwise along the
-node axis, so an interval's rule result does not depend on the call it ran
-in, and each integral sums only its own intervals, so no integral's value
-depends on the batch it was computed in.
+is done when its summed error meets max(EPSABS, EPSREL |I|) or when it
+holds MAX_SUBDIVISIONS intervals, the fixed 1e-13, 1e-12 and 200; one
+whose estimate then exceeds 100 times that tolerance, or that QUADPACK's
+round-off or too-narrow-interval test stopped first, is refused.  So is a
+point whose error estimate is not below the magnitude of its value.  The
+rule sums run elementwise along the node axis, so an interval's rule
+result does not depend on the call it ran in, and each integral sums only
+its own intervals, so no integral's value depends on the batch it was
+computed in.
 
 That lets a contour batch run the rule ahead.  When a pass must call the
 rule, the same call also covers whole levels of the new halves'
@@ -111,7 +111,9 @@ TOL_POST_LIGHTCONE = 1e-4
 
 def default_regulator(z: float, t: float) -> RegulatorSpec:
     """A point-splitting ladder for an evaluation at (t, z): eps0 = 1e-4 z
-    before the lightcone, 1e-2 z beyond.  The oracle itself needs none."""
+    before the lightcone, 1e-2 z beyond.  The oracle itself needs none; only
+    the benchmark's rung probe reads it, and its removal waits for the
+    benchmark change of ROADMAP item 4."""
     return RegulatorSpec(eps0=(1e-4 if t < 2.0 * z else 1e-2) * z)
 
 
@@ -121,6 +123,8 @@ class OracleResult(NamedTuple):
     ``error_estimate`` is the pieces' quadrature error estimates plus the
     rounding bound of the module docstring.  ``rungs`` is the single pair
     (0.0, value): the value at regulator eps = 0, the only one computed.
+    Only the benchmark's oracle probes read it; its removal waits for the
+    benchmark change of ROADMAP item 4.
     """
 
     value: float
@@ -216,7 +220,8 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs), resasc
 
 
-def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float], rows: int = 0) -> tuple[list[float], list[float], list[str | None]]:
+def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
+               rows: int = 0) -> tuple[list[float], list[float], list[str | None]]:
     """Int_a^b f for every pair (a[i], b[i]): values, error estimates, early stops.
 
     Each integral keeps its intervals in plain lists, in slot order: a halving
@@ -456,8 +461,7 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
         raise ValueError("kind must be 'velocity' or 'position'")
     _check_time(t)
     weight = _WEIGHTS[kind]
-    return _checked_integrals(lambda x, _: weight(x, t) * _per_node(f, x),
-                              [0.0], [t])[0]
+    return _checked_integrals(lambda x, _: weight(x, t) * _per_node(f, x), [0.0], [t])[0]
 
 
 def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> float:
