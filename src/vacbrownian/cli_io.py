@@ -53,11 +53,18 @@ SWEEP_HEADER = "t,z,t_over_z,quantity,value_natural,value_si,status,validity_ok,
 VERIFY_HEADER = "quantity,t/z,closed,oracle,rel_err,eps_estimate,pass"
 CORR_HEADER = "dt,z,corr_transverse,corr_normal,status"
 
-# The closed forms and their printed asymptotes, each a function of that
-# name in `dispersion`.
-_DISPERSIONS = dispersion.QUANTITY_IDS + tuple(f"{q}_asym" for q in dispersion.QUANTITY_IDS)
+# Every --quantity id: the function of an EvalPoint giving its natural value,
+# and its kind.  The closed forms come first, then their printed asymptotes.
+_QUANTITIES: dict[str, tuple[Callable[[dispersion.EvalPoint], float], str]] = {
+    **{q.id: (q.value, q.kind) for q in dispersion.QUANTITIES.values()},
+    **{f"{q.id}_asym": (q.asymptote, q.kind) for q in dispersion.QUANTITIES.values()},
+    "effective_temperature": (
+        lambda p: regimes.effective_temperature_natural(p.particle, p.z), "temperature"),
+    "radiated_velocity_sq": (
+        lambda p: regimes.radiated_velocity_sq(p.particle, p.z, p.t), "velocity"),
+}
 
-QUANTITY_CHOICES = _DISPERSIONS + ("effective_temperature", "radiated_velocity_sq")
+QUANTITY_CHOICES = tuple(_QUANTITIES)
 
 _PRESETS = {"electron": electron_preset, "unit": unit_preset}
 
@@ -213,15 +220,9 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
     Raises ValueError when a value leaves the float range, so nothing
     non-finite reaches the output.
     """
+    value, kind = _QUANTITIES[quantity]  # `_Options.quantities` has checked the id
     try:
-        if quantity == "effective_temperature":
-            natural, kind = regimes.effective_temperature_natural(point.particle, point.z), "temperature"
-        elif quantity == "radiated_velocity_sq":
-            natural, kind = regimes.radiated_velocity_sq(point.particle, point.z, point.t), "velocity"
-        else:  # a closed form or its asymptote; `_Options.quantities` has checked the id
-            closed = dispersion.QUANTITIES[quantity.removesuffix("_asym")]
-            natural = closed.value(point) if closed.id == quantity else closed.asymptote(point)
-            kind = closed.kind
+        natural = value(point)
         si = _UNITS[kind][2](natural)
     except ArithmeticError:  # a float ** overflowing or a / by an underflowed zero
         raise ValueError("value leaves the float range") from None

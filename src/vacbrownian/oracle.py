@@ -46,10 +46,11 @@ expression.  An interval's error estimate is QUADPACK's: resasc * min(1,
 (200 |K - G| / resasc)^1.5), floored at 50 eps_mach * resabs, where resabs
 and resasc are the rule applied to |f| and to |f - mean f|.  An integral
 is done when its summed error meets max(EPSABS, EPSREL |I|) or when it
-holds MAX_SUBDIVISIONS intervals, the fixed 1e-13, 1e-12 and 200; one
-whose estimate then exceeds 100 times that tolerance, or that QUADPACK's
-round-off or too-narrow-interval test stopped first, is refused.  So is a
-point whose error estimate is not below the magnitude of its value.  The
+holds MAX_SUBDIVISIONS intervals, the fixed 1e-13, 1e-12 and 200.  Then
+`_integrate` itself refuses the batch at its first integral whose estimate
+exceeds 100 times that tolerance, or that QUADPACK's round-off or
+too-narrow-interval test stopped first.  So is a point whose error estimate
+is not below the magnitude of its value.  The
 rule sums run elementwise along the node axis, so an interval's rule
 result does not depend on the call it ran in, and each integral sums only
 its own intervals, so no integral's value depends on the batch it was
@@ -101,10 +102,12 @@ __all__ = [
     "verify_grid",
 ]
 
-# Standard comparison grid (t/z) and tolerance tiers.
+# Standard comparison grids (t/z) and tolerance tiers.
 PRE_LIGHTCONE_RATIOS = (0.1, 0.5, 1.0, 1.5, 1.9)
 POST_LIGHTCONE_RATIOS = (2.5, 3.0, 5.0, 10.0)
-GRIDS = ("full", "pre-lightcone", "post-lightcone")
+_GRID_RATIOS = {"full": PRE_LIGHTCONE_RATIOS + POST_LIGHTCONE_RATIOS,
+                "pre-lightcone": PRE_LIGHTCONE_RATIOS, "post-lightcone": POST_LIGHTCONE_RATIOS}
+GRIDS = tuple(_GRID_RATIOS)
 TOL_PRE_LIGHTCONE = 1e-6
 TOL_POST_LIGHTCONE = 1e-4
 
@@ -221,8 +224,8 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
-               rows: int = 0) -> tuple[list[float], list[float], list[str | None]]:
-    """Int_a^b f for every pair (a[i], b[i]): values, error estimates, early stops.
+               rows: int = 0) -> tuple[list[float], list[float]]:
+    """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
 
     Each integral keeps its intervals in plain lists, in slot order: a halving
     puts the left half in the halved slot and appends the right half.  Each
@@ -237,11 +240,12 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     8 rows), two below two and none below more.  A pass whose halves all ran
     ahead calls no rule.  The halving choice and every sum are those of one
     call per pass, so ``rows`` changes the number of calls, never a bit.
-    ``stops`` names QUADPACK's (qag) early stops: round-off (ier = 2), after 6
-    halvings that keep the value within 1e-5 relative and the error above 99 %,
-    or 20 from the 11th interval on that raise the error, counting those where
-    neither half's estimate is saturated at resasc; and an interval too narrow
-    to halve (ier = 3).  `_within_budget` refuses those and over-budget ones.
+    QUADPACK's (qag) early stops also end an integral: round-off (ier = 2),
+    after 6 halvings that keep the value within 1e-5 relative and the error
+    above 99 %, or 20 from the 11th interval on that raise the error, counting
+    those where neither half's estimate is saturated at resasc; and an interval
+    too narrow to halve (ier = 3).  `_within_budget` then refuses the first
+    integral, in order, that stopped early or ended over budget.
     """
     n = len(a)
     span = [[(float(x), float(y))] for x, y in zip(a, b)]  # each interval's (lo, hi)
@@ -273,7 +277,9 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                 else:
                     halving.append((i, j, a1, mid, b2))
             if not halving:
-                return values, errors, stops
+                for args in zip(values, errors, stops, a, b):
+                    _within_budget(*args)
+                return values, errors
             # the halves no earlier call ran ahead (they come and go in pairs),
             # then whole levels below them while the call stays within rows
             keys = [(i, x, y) for i, _, a1, mid, b2 in halving if (i, a1, mid) not in ahead
@@ -303,8 +309,8 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
 
 
 def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:
-    """Refuse an integral stopped early by `_integrate` or whose error estimate
-    exceeds 100x its tolerance (or is NaN)."""
+    """Refuse an integral stopped early or whose error estimate exceeds 100x its
+    tolerance (or is NaN); `_integrate`, its one caller, checks every integral."""
     tol = max(EPSABS, EPSREL * abs(value))
     if stop is not None:
         raise QuadratureConvergenceError(
@@ -318,14 +324,6 @@ def _within_budget(value: float, err: float, stop: str | None, a: float, b: floa
             f"on [{a!r}, {b!r}] within {MAX_SUBDIVISIONS} subdivisions",
             achieved=err,
         )
-
-
-def _checked_integrals(f: Integrand, a: list[float], b: list[float]) -> list[float]:
-    """`_integrate`, each integral refused in order when over budget or stopped early."""
-    values, errors, stops = _integrate(f, a, b)
-    for args in zip(values, errors, stops, a, b):
-        _within_budget(*args)
-    return values
 
 
 def _per_node(f: Callable[[float], float], x: np.ndarray) -> np.ndarray:
@@ -373,15 +371,8 @@ def _contour_integrand(kind: str, component: str, T: np.ndarray, arc: np.ndarray
     return f
 
 
-class _Plan(NamedTuple):
-    """One oracle evaluation, checked and scaled, before its integrals run."""
-
-    T: float
-    prefactor: float
-
-
-def _plan(kind: str, p: EvalPoint) -> _Plan:
-    """Fix a point's prefactor e^2/m^2 (/z^2); refuse the point on the lightcone
+def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
+    """A point's (t/z, prefactor e^2/m^2 (/z^2)); refuses the point on the lightcone
     or, as the closed form does, with its prefactor outside the float range."""
     _check_lightcone(p)
     spec = p.particle
@@ -393,23 +384,22 @@ def _plan(kind: str, p: EvalPoint) -> _Plan:
     else:
         denominator, formula = spec.m * spec.m, "e^2/m^2"
     prefactor = spec.e * spec.e / denominator if denominator else math.inf
-    return _Plan(p.t / p.z, _checked_prefactor(kind, formula, prefactor))
+    return p.t / p.z, _checked_prefactor(kind, formula, prefactor)
 
 
-def _oracle_batch(kind: str, component: str, plans: Sequence[_Plan]) -> list[OracleResult]:
+def _oracle_batch(kind: str, component: str,
+                  plans: Sequence[tuple[float, float]]) -> list[OracleResult]:
     """Every plan's contour pieces as one batch, then each plan's value in order."""
     contours = [_contour(T) for T, _ in plans]
     Ts, a, b, arc, signs = zip(*((T, *piece) for (T, _), pieces in zip(plans, contours)
                                  for piece in pieces))
     integrand = _contour_integrand(kind, component, np.array(Ts), np.array(arc))
-    values, errors, stops = _integrate(integrand, a, b, _LOOKAHEAD_ROWS)
+    values, errors = _integrate(integrand, a, b, _LOOKAHEAD_ROWS)
 
     results = []
     i = 0
     for (T, prefactor), pieces in zip(plans, contours):
         j = i + len(pieces)
-        for args in zip(values[i:j], errors[i:j], stops[i:j], a[i:j], b[i:j]):
-            _within_budget(*args)
         # fsum rounds once, alike on every Python (sum() compensates from 3.12 on)
         parts = [sign * v for sign, v in zip(signs[i:j], values[i:j])]
         value = math.fsum(parts)
@@ -461,7 +451,7 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
         raise ValueError("kind must be 'velocity' or 'position'")
     _check_time(t)
     weight = _WEIGHTS[kind]
-    return _checked_integrals(lambda x, _: weight(x, t) * _per_node(f, x), [0.0], [t])[0]
+    return _integrate(lambda x, _: weight(x, t) * _per_node(f, x), [0.0], [t])[0][0]
 
 
 def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> float:
@@ -486,10 +476,10 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
             values = _per_node(f, u - us)
             return values if kind == "velocity" else (t - u) * (t - us) * values
 
-        values = _checked_integrals(integrand, [0.0] * n + outer, outer + [t] * n)
+        values, _ = _integrate(integrand, [0.0] * n + outer, outer + [t] * n)
         return (np.array(values[:n]) + np.array(values[n:])).reshape(x.shape)
 
-    return _checked_integrals(inner, [0.0], [t])[0]
+    return _integrate(inner, [0.0], [t])[0][0]
 
 
 # --- verification grid -------------------------------------------------------------
@@ -529,27 +519,20 @@ def verify_grid(
     if particle is None:
         particle = unit_preset()
 
-    tol_pre, tol_post = ((TOL_PRE_LIGHTCONE, TOL_POST_LIGHTCONE) if tolerance is None
-                         else (tolerance, tolerance))
-    tiers: list[tuple[float, float]] = []
-    if grid in ("full", "pre-lightcone"):
-        tiers.extend((r, tol_pre) for r in PRE_LIGHTCONE_RATIOS)
-    if grid in ("full", "post-lightcone"):
-        tiers.extend((r, tol_post) for r in POST_LIGHTCONE_RATIOS)
-
     cases, batches = [], []
     for quantity in QUANTITIES.values():
         plans = []
-        for ratio, tol in tiers:
+        for ratio in _GRID_RATIOS[grid]:
             point = EvalPoint(t=ratio * z, z=z, particle=particle)
-            cases.append((quantity, ratio, tol, quantity.value(point)))
+            cases.append((quantity, ratio, quantity.value(point)))
             plans.append(_plan(quantity.kind, point))
         batches.append((quantity, plans))
     results = [result for quantity, plans in batches
                for result in _oracle_batch(quantity.kind, quantity.component, plans)]
 
     rows: list[VerifyRow] = []
-    for (quantity, ratio, tol, closed), result in zip(cases, results):
+    for (quantity, ratio, closed), result in zip(cases, results):
+        tier = TOL_PRE_LIGHTCONE if ratio < 2.0 else TOL_POST_LIGHTCONE
         rel_err = abs(result.value - closed) / abs(closed)
         rows.append(
             VerifyRow(
@@ -559,7 +542,7 @@ def verify_grid(
                 oracle=result.value,
                 rel_err=rel_err,
                 eps_estimate=result.error_estimate,
-                passed=rel_err <= tol,
+                passed=rel_err <= (tier if tolerance is None else tolerance),
             )
         )
     return rows

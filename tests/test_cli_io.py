@@ -120,6 +120,37 @@ class TestEval:
                         base * (2.0 / 4.0) ** 2, rtol=1e-12)
 
 
+class TestQuantityTable:
+    DISPERSIONS = ("vel_disp_transverse", "vel_disp_normal", "pos_disp_transverse", "pos_disp_normal")
+
+    def test_choices_in_order(self):
+        assert QUANTITY_CHOICES == (*self.DISPERSIONS, *(f"{q}_asym" for q in self.DISPERSIONS),
+                                    "effective_temperature", "radiated_velocity_sq")
+
+    @pytest.mark.parametrize("ratio", [0.5, 3.0])
+    def test_evaluate_is_the_public_function(self, ratio):
+        p = EvalPoint(t=ratio * 1.5, z=1.5, particle=unit_preset())
+        expected = {
+            "effective_temperature": (
+                vacbrownian.regimes.effective_temperature_natural(p.particle, p.z), "temperature"),
+            "radiated_velocity_sq": (
+                vacbrownian.regimes.radiated_velocity_sq(p.particle, p.z, p.t), "velocity"),
+        }
+        for q in QUANTITY_CHOICES[:8]:
+            if q.endswith("_asym") and ratio < 2.0:
+                with pytest.raises(ValueError, match="require t > 2z"):
+                    getattr(vacbrownian, q)(p)
+                with pytest.raises(ValueError, match="require t > 2z"):
+                    vacbrownian.cli_io._evaluate(q, p)
+                continue
+            result = getattr(vacbrownian, q)(p)
+            expected[q] = result.value, result.kind
+        for q, (value, kind) in expected.items():
+            natural, _, got_kind = vacbrownian.cli_io._evaluate(q, p)
+            assert (natural, got_kind) == (value, kind), q
+        assert len(expected) == (6 if ratio < 2.0 else 10)
+
+
 class TestSweep:
     def test_rows_are_not_copied_into_one_text(self, tmp_path):
         # Header, joined rows and footer are written in turn: the rows' text

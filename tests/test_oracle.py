@@ -135,6 +135,36 @@ class TestTimeReduction:
         assert seen == {float}
 
 
+class TestRefusalPoint:
+    """`_integrate` refuses a batch itself, at its first refused integral."""
+
+    @staticmethod
+    def nan_at(bad):
+        def f(s, k):
+            values = np.cos(s)
+            values[np.isin(k, bad)] = math.nan
+            return values
+        return f
+
+    def test_middle_integral_refused_first(self):
+        # the third integral is refused too; the NaN one before it is raised
+        with pytest.raises(QuadratureConvergenceError) as info:
+            oracle._integrate(self.nan_at([1, 2]), [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        assert str(info.value) == ("quadrature error estimate nan exceeds budget 1.000e-11 "
+                                   "on [0.0, 2.0] within 200 subdivisions")
+
+    def test_last_integral_refused(self):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            oracle._integrate(self.nan_at([2]), [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+        assert str(info.value) == ("quadrature error estimate nan exceeds budget 1.000e-11 "
+                                   "on [0.0, 3.0] within 200 subdivisions")
+
+    def test_smooth_batch_returns_values_and_errors(self):
+        values, errors = oracle._integrate(self.nan_at([]), [0.0, 0.0], [1.0, 2.0])
+        assert_allclose(values, [math.sin(1.0), math.sin(2.0)], rtol=1e-14)
+        assert all(0.0 <= e <= 1e-13 for e in errors)
+
+
 class TestOracleAgainstClosedForms:
     def test_proper_regime(self):
         p = up(1.5)
