@@ -28,6 +28,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from typing import Any, Callable, Sequence
 
@@ -512,6 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
+        # No flag starts with -<digit> or -.<digit>, so such a token is a value: argparse's
+        # own pattern, which varies by Python version, misses -1e-3 and -1m on some.
+        command._negative_number_matcher = re.compile(r"-\.?\d")
         for key in flags:
             _, default, flag_help = _FLAGS[key]
             if default is not None:

@@ -120,6 +120,28 @@ class TestEval:
                         base * (2.0 / 4.0) ** 2, rtol=1e-12)
 
 
+class TestNegativeValues:
+    """A token like -1e-3 or -1m after a flag is that flag's value: no flag starts with -<digit>."""
+
+    def test_exponent_charge_as_its_own_token(self, capsys):
+        tail = ["--z", "1", "--t-over-z", "3", "--quantity", "vel_disp_normal"]
+        code, out, err = run(capsys, "eval", "--charge", "-1e-3", *tail)
+        assert (code, err) == (0, "")
+        assert run(capsys, "eval", "--charge=-1e-3", *tail) == (0, out, "")
+
+    @pytest.mark.parametrize("dt_min, first", [("-1e-3", "-0.001"), ("-1m", "-1.0")])
+    def test_corr_negative_dt_min(self, capsys, dt_min, first):
+        code, out, err = run(capsys, "corr", "--z", "1", "--dt-min", dt_min,
+                             "--dt-max", "4", "--count", "3")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith(f"{first},1.0,")
+
+    def test_negative_ratio_gets_our_refusal(self, capsys):
+        assert run(capsys, "eval", "--z", "1", "--t-over-z", "-1e-3",
+                   "--quantity", "vel_disp_normal") == (
+            2, "", "error: parameter t/z: t must be positive\n")
+
+
 class TestQuantityTable:
     DISPERSIONS = ("vel_disp_transverse", "vel_disp_normal", "pos_disp_transverse", "pos_disp_normal")
 
