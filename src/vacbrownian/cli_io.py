@@ -30,7 +30,7 @@ import json
 import math
 import re
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import dispersion, regimes
 from .errors import (
@@ -93,6 +93,22 @@ _JSON_ROW = "  " + json.dumps({
     "validity_ok": "%s",
     "radiation_ok": "%s",
 }, indent=2).replace("\n", "\n  ").replace('"%s"', "%s")
+
+
+def _row_template(fmt: str, quantity: str, status: str,
+                  units: tuple[str, str] | None = None) -> str:
+    """One quantity's sweep row with one status, as a template over the point's cells.
+
+    Those are t, z and t/z, then value_natural and value_si when the row's
+    ``units`` (natural, SI) are given, then the two regime flags.
+    """
+    if fmt == "csv":
+        values = ("%s", "%s") if units else ("", "")
+        return _CSV_ROW % ("%s", "%s", "%s", quantity, *values, status, "%s", "%s")
+    natural, unit_nat, si, unit_si = (
+        ("%s", f'"{units[0]}"', "%s", f'"{units[1]}"') if units else ("null",) * 4)
+    return _JSON_ROW % ("%s", "%s", "%s", f'"{quantity}"', natural, unit_nat, si, unit_si,
+                        f'"{status}"', "%s", "%s")
 
 
 class UsageError(Exception):
@@ -234,16 +250,22 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
 
 # --- output plumbing ------------------------------------------------------------
 
-def _emit(path: str | None, *texts: str) -> None:
-    """Write the texts in turn to stdout or to a file; OSError propagates (exit code 5)."""
+def _emit(path: str | None, text: str, more: Iterable[str] = ()) -> None:
+    """Write text, then each of ``more`` as it is made, to stdout or to a file.
+
+    Nothing is opened before ``text`` exists.  OSError propagates (exit code 5).
+    """
     if path is None:
-        sys.stdout.writelines(texts)
+        sys.stdout.write(text)
+        sys.stdout.writelines(more)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(texts)
+            handle.write(text)
+            handle.writelines(more)
 
 
-def _grid_values(lo: float, hi: float, count: int, spacing: str) -> list[float]:
+def _grid(lo: float, hi: float, count: int, spacing: str) -> Callable[[int], float]:
+    """The function giving a sweep's i-th grid value, nondecreasing in i."""
     if count < 2:
         raise UsageError("parameter count: need at least 2 points")
     if not (lo > 0.0 and lo < hi):
@@ -252,10 +274,10 @@ def _grid_values(lo: float, hi: float, count: int, spacing: str) -> list[float]:
         raise UsageError("parameter min/max: min and max must be finite")
     if spacing == "linear":
         step = (hi - lo) / (count - 1)
-        return [lo + step * i for i in range(count)]
+        return lambda i: lo + step * i
     if spacing == "log":
         ratio = hi / lo
-        return [lo * ratio ** (i / (count - 1)) for i in range(count)]
+        return lambda i: lo * ratio ** (i / (count - 1))
     raise UsageError(f"parameter spacing: unknown spacing {spacing!r}")
 
 
@@ -300,6 +322,14 @@ def _cmd_eval(opts: _Options) -> int:
 
 
 def _cmd_sweep(opts: _Options) -> int:
+    """Write the sweep table in one pass: each grid point's rows as soon as they are made.
+
+    A point's closed forms share their terms through
+    `dispersion._shared_terms`, reached by `_evaluate` as by every other
+    caller.  The fixed --z (or --t) is formatted once, and a position row's
+    value_si, the same float as its value_natural, is not formatted again.
+    Memory does not grow with --count.
+    """
     spec = opts.particle()
     var = opts.get("var")
     if var not in ("t", "z", "t_over_z"):
@@ -309,19 +339,20 @@ def _cmd_sweep(opts: _Options) -> int:
     fmt = opts.get("format")
     if fmt not in ("csv", "json"):
         raise UsageError(f"parameter format: unknown format {fmt!r}")
+    # the text before the first row, between two rows and after the last
+    head, between, tail = ((SWEEP_HEADER + "\n", "\n", "\n") if fmt == "csv"
+                           else ("[\n", ",\n", "\n]\n"))
     quantities = opts.quantities(dispersion.QUANTITY_IDS)
     if opts.raw("min") is None or opts.raw("max") is None:
         raise UsageError("parameter min/max: sweep needs --min and --max")
     parse = float if var == "t_over_z" else _natural_length
-    grid = _grid_values(opts.get("min", parse=parse), opts.get("max", parse=parse), count, spacing)
+    at = _grid(opts.get("min", parse=parse), opts.get("max", parse=parse), count, spacing)
     z_fixed = opts.get("z")
     t_fixed = opts.get("t")
     if var == "z" and t_fixed is None:
         raise UsageError("parameter t: sweeping z needs a fixed --t")
 
-    # Each row is formatted as it is evaluated, from cells formatted once per point.
-    out = []
-    for value in grid:
+    def point(value: float) -> dispersion.EvalPoint:
         if var == "t":
             t, z = value, z_fixed
         elif var == "z":
@@ -329,34 +360,46 @@ def _cmd_sweep(opts: _Options) -> int:
         else:
             t, z = value * z_fixed, z_fixed
         try:
-            point = dispersion.EvalPoint(t=t, z=z, particle=spec)
+            return dispersion.EvalPoint(t=t, z=z, particle=spec)
         except ValueError as exc:
             raise UsageError(f"parameter t/z: {exc}") from None
-        cells = repr(point.t), repr(point.z), repr(point.t_over_z)
-        flags = [str(ok).lower() for ok in regimes.regime_flags(point.particle, point.z, point.t)]
-        for q in quantities:
-            status, natural, si, kind = "ok", None, None, None
-            try:
-                natural, si, kind = _evaluate(q, point)
-            except LightconeSingularityError:
-                status = "singular"
-            except ValueError:
-                status = "undefined"  # asymptote at t <= 2z, or outside the float range
-            if fmt == "csv":
-                out.append(_CSV_ROW % (*cells, q, "" if natural is None else repr(natural),
-                                       "" if si is None else repr(si), status, *flags))
-            elif natural is None:
-                out.append(_JSON_ROW % (*cells, f'"{q}"', "null", "null", "null", "null",
-                                        f'"{status}"', *flags))
-            else:
-                unit_nat, unit_si, _ = _UNITS[kind]
-                out.append(_JSON_ROW % (*cells, f'"{q}"', repr(natural), f'"{unit_nat}"',
-                                        repr(si), f'"{unit_si}"', f'"{status}"', *flags))
-    # Header, rows and footer are written in turn, so the rows' text is never copied.
-    if fmt == "csv":
-        _emit(opts.output, SWEEP_HEADER + "\n", "\n".join(out), "\n")
-    else:
-        _emit(opts.output, "[\n", ",\n".join(out), "\n]\n")
+
+    # t, z and t/z are monotonic along the grid, so a point the end points
+    # pass passes too: checking them refuses a bad sweep before any output.
+    point(at(0))
+    point(at(count - 1))
+
+    templates = [(q, _row_template(fmt, q, "ok", _UNITS[_QUANTITIES[q][1]][:2]),
+                  _row_template(fmt, q, "singular"), _row_template(fmt, q, "undefined"))
+                 for q in quantities]
+    fixed = repr(t_fixed if var == "z" else z_fixed)
+
+    def chunks() -> Iterator[str]:
+        lead = head
+        for i in range(count):
+            p = point(at(i))
+            t_text, z_text = (fixed, repr(p.z)) if var == "z" else (repr(p.t), fixed)
+            ratio_text = repr(p.t_over_z)
+            flags = [str(ok).lower() for ok in regimes.regime_flags(p.particle, p.z, p.t)]
+            rows = []
+            for q, ok, singular, undefined in templates:
+                try:
+                    natural, si, _ = _evaluate(q, p)
+                except LightconeSingularityError:
+                    rows.append(singular % (t_text, z_text, ratio_text, *flags))
+                    continue
+                except ValueError:  # asymptote at t <= 2z, or outside the float range
+                    rows.append(undefined % (t_text, z_text, ratio_text, *flags))
+                    continue
+                natural_text = repr(natural)
+                si_text = natural_text if si is natural else repr(si)
+                rows.append(ok % (t_text, z_text, ratio_text, natural_text, si_text, *flags))
+            yield lead + between.join(rows)
+            lead = between
+        yield tail
+
+    text = chunks()
+    _emit(opts.output, next(text), text)
     return 0
 
 
@@ -513,9 +556,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
-        # No flag starts with -<digit> or -.<digit>, so such a token is a value: argparse's
-        # own pattern, which varies by Python version, misses -1e-3 and -1m on some.
-        command._negative_number_matcher = re.compile(r"-\.?\d")
+        # No flag starts with -<digit>, -.<digit>, -inf or -nan, so such a token is a value:
+        # argparse's own pattern, which varies by Python version, misses -1e-3 and -1m on
+        # some and -inf and -nan on all.
+        command._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
         for key in flags:
             _, default, flag_help = _FLAGS[key]
             if default is not None:

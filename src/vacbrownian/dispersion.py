@@ -23,6 +23,9 @@ x^2/6 with the log into g = x^2 + ln(1 - x^2), summed as a series at small
 x, and near the pole 1 - x and x - 1 are formed directly (exact for x in
 [1/2, 2]).  Past LARGE_X, where the transverse forms cancel, each bracket
 is summed as its large-x series a x^2 + b ln x + sum_k d_k w^k, w = 1/x^2.
+What the four share at one point -- the lightcone test, x, L(x) (past
+LARGE_X: ln x and w) and g(x) -- is worked out once per point, by
+`_shared_terms`, which every closed-form value reaches.
 Against 60-digit mpmath all four hold 1e-13 relative accuracy over t/z in
 [1e-9, 1e12] and at t/z = 2(1 +- k 1e-6); beyond, a value is finite or
 refused with ValueError.  The printed asymptotes truncate the same series,
@@ -85,6 +88,7 @@ class EvalPoint:
     t: float
     z: float
     particle: ParticleSpec = field(default_factory=electron_preset)
+    _terms = None  # not a field: what the closed forms here share, kept by `_shared_terms`
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.z):
@@ -176,6 +180,27 @@ def _g(x: float) -> float:
     return y + math.log(abs((1.0 - x) * (1.0 + x)))
 
 
+def _shared_terms(p: EvalPoint, position: bool) -> tuple[float, float, float | None]:
+    """(x, log, third) at p, worked out at p's first closed form and kept on p.
+
+    Past LARGE_X ``log`` is ln x and ``third`` is w = 1/x^2.  Up to it they
+    are L(x) and g(x), where g is None until a ``position`` form needs it.
+    The lightcone test runs first, and a refused point keeps nothing, so it
+    is refused again.  The terms are kept as a plain attribute, where a
+    cached property would take a lock on every first use.
+    """
+    terms = p._terms
+    if terms is None or (position and terms[2] is None):
+        if terms is None:
+            _check_lightcone(p)
+            x = p.x
+            terms = (x, math.log(x), 1.0 / (x * x)) if x > LARGE_X else (x, _log_ratio(x), None)
+        if position and terms[2] is None:
+            terms = (terms[0], terms[1], _g(terms[0]))
+        object.__setattr__(p, "_terms", terms)
+    return terms
+
+
 # --- the quantity registry -----------------------------------------------------
 #
 # Each entry lists its direct bracket, then its two series.  About x = 0,
@@ -191,7 +216,8 @@ _K = range(40)
 class Quantity:
     """One of the four dispersions: every fact the package keeps about it.
 
-    ``bracket`` is the direct scaled closed form in x = t/2z, ``series_coeff(k)``
+    ``bracket(x, L, g)`` is the direct scaled closed form in x = t/2z, given
+    L(x) and, for a position, g(x) (see `_shared_terms`), ``series_coeff(k)``
     the Taylor coefficient c_k of x^(2k+2) in it, and ``a``, ``b``, ``d`` its
     large-x series a x^2 + b ln x + sum_k d[k] / x^(2k), of whose d_k the
     printed asymptote keeps the first ``asym_terms``.  The prefactor
@@ -201,7 +227,7 @@ class Quantity:
     id: str
     kind: str
     component: str
-    bracket: Callable[[float], float]
+    bracket: Callable[[float, float, float | None], float]
     series_coeff: Callable[[int], float]
     a: float
     b: float
@@ -219,50 +245,56 @@ class Quantity:
         formula = "e^2/(pi^2 m^2 z^2)" if self.kind == "velocity" else "e^2/(pi^2 m^2)"
         return _checked_prefactor(self.kind, formula, value)
 
-    def _large_x_bracket(self, x: float, terms: int = len(_K)) -> float:
-        """The large-x series at x > 1, keeping the first ``terms`` of the d_k."""
+    def _large_x_bracket(self, x: float, log_x: float, w: float, terms: int = len(_K)) -> float:
+        """The large-x series at x > 1 from ln x and w = 1/x^2, keeping the first ``terms`` d_k."""
         # a * x * x groups as (a * x) * x, so a = 0 gives 0, not 0 * inf, at huge x
-        return self.a * x * x + self.b * math.log(x) + _power_sum(self.d[:terms], 1.0 / (x * x))
-
-    def _scaled(self, p: EvalPoint, bracket: float) -> float:
-        value = self.prefactor(p) * bracket
-        if math.isfinite(value):
-            return value
-        raise ValueError("value leaves the float range")
+        return self.a * x * x + self.b * log_x + _power_sum(self.d[:terms], w)
 
     def value(self, p: EvalPoint) -> float:
         """Closed-form value at p; refuses inside the lightcone window or outside the float range."""
-        _check_lightcone(p)
-        x = p.x
-        return self._scaled(p, self._large_x_bracket(x) if x > LARGE_X else self.bracket(x))
+        x, log, third = _shared_terms(p, self.kind == "position")
+        if x > LARGE_X:
+            bracket = self._large_x_bracket(x, log, third)
+        else:
+            bracket = self.bracket(x, log, third)
+        return _scaled(self.prefactor(p), bracket)
 
     def evaluate(self, p: EvalPoint) -> DispersionResult:
         """Closed-form value at p with its regime flags."""
-        return _result(p, self.value(p), self)
+        return _result(p, self.value(p), self, near_lightcone=False)  # value refuses near it
 
     def asymptote(self, p: EvalPoint) -> float:
         """The printed asymptote, the large-x series cut after ``asym_terms`` d_k; needs t > 2z."""
         if p.t <= 2.0 * p.z:
             raise ValueError("asymptotic forms require t > 2z")
-        return self._scaled(p, self._large_x_bracket(p.x, self.asym_terms))
+        x = p.x
+        return _scaled(self.prefactor(p),
+                       self._large_x_bracket(x, math.log(x), 1.0 / (x * x), self.asym_terms))
+
+
+def _scaled(prefactor: float, bracket: float) -> float:
+    value = prefactor * bracket
+    if math.isfinite(value):
+        return value
+    raise ValueError("value leaves the float range")
 
 
 QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (
     Quantity("vel_disp_transverse", "velocity", "x",
-             lambda x: (x / 16.0) * _log_ratio(x) + x * x / (8.0 * (1.0 - x) * (1.0 + x)),
+             lambda x, L, g: (x / 16.0) * L + x * x / (8.0 * (1.0 - x) * (1.0 + x)),
              lambda k: (k + 1) / (4.0 * (2 * k + 1)),
              0.0, 0.0, tuple(-k / (4.0 * (2 * k + 1)) for k in _K), 3),
     Quantity("vel_disp_normal", "velocity", "z",
-             lambda x: (x / 8.0) * _log_ratio(x),
+             lambda x, L, g: (x / 8.0) * L,
              lambda k: 1.0 / (4.0 * (2 * k + 1)),
              0.0, 0.0, tuple(1.0 / (4.0 * (2 * k + 1)) for k in _K), 2),
     Quantity("pos_disp_transverse", "position", "x",
-             lambda x: (x**3 / 12.0) * _log_ratio(x) - _g(x) / 6.0,
+             lambda x, L, g: (x**3 / 12.0) * L - g / 6.0,
              lambda k: 0.0 if k == 0 else (1.0 / (2 * k - 1) + 1.0 / (k + 1)) / 6.0,
              0.0, -1.0 / 3.0, tuple(1.0 / (6.0 * (2 * k + 3)) + (1.0 / (6.0 * k) if k else 0.0)
                                     for k in _K), 0),
     Quantity("pos_disp_normal", "position", "z",
-             lambda x: (x**3 / 6.0) * _log_ratio(x) + _g(x) / 6.0,
+             lambda x, L, g: (x**3 / 6.0) * L + g / 6.0,
              lambda k: 0.0 if k == 0 else (2.0 / (2 * k - 1) - 1.0 / (k + 1)) / 6.0,
              0.5, 1.0 / 3.0, tuple(1.0 / (3.0 * (2 * k + 3)) - (1.0 / (6.0 * k) if k else 0.0)
                                   for k in _K), 1),
@@ -280,16 +312,10 @@ def _check_lightcone(p: EvalPoint) -> None:
         )
 
 
-def _result(p: EvalPoint, value: float, q: Quantity) -> DispersionResult:
+def _result(p: EvalPoint, value: float, q: Quantity, near_lightcone: bool) -> DispersionResult:
     validity_ok, radiation_ok = regime_flags(p.particle, p.z, p.t)
-    return DispersionResult(
-        value=value,
-        component=q.component,
-        kind=q.kind,
-        validity_ok=validity_ok,
-        radiation_ok=radiation_ok,
-        near_lightcone=p.near_lightcone,
-    )
+    # positional, in field order: keyword arguments made the call about a third slower
+    return DispersionResult(value, q.component, q.kind, validity_ok, radiation_ok, near_lightcone)
 
 
 def vel_disp_transverse(p: EvalPoint) -> DispersionResult:
@@ -323,7 +349,7 @@ def pos_disp_normal(p: EvalPoint) -> DispersionResult:
 
 def _asymptote_result(quantity: str, p: EvalPoint) -> DispersionResult:
     q = QUANTITIES[quantity]
-    return _result(p, q.asymptote(p), q)
+    return _result(p, q.asymptote(p), q, p.near_lightcone)
 
 
 def vel_disp_transverse_asym(p: EvalPoint) -> DispersionResult:

@@ -6,11 +6,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import vacbrownian.cli_io
@@ -141,6 +142,13 @@ class TestNegativeValues:
                    "--quantity", "vel_disp_normal") == (
             2, "", "error: parameter t/z: t must be positive\n")
 
+    @pytest.mark.parametrize("ratio", ["-inf", "-Infinity", "-nan", "-NaN"])
+    def test_negative_infinity_and_nan_get_our_refusal(self, capsys, ratio):
+        # argparse's own negative-number pattern takes these tokens for flags
+        assert run(capsys, "eval", "--z", "1", "--t-over-z", ratio,
+                   "--quantity", "vel_disp_normal") == (
+            2, "", "error: parameter t/z: t must be finite\n")
+
 
 class TestQuantityTable:
     DISPERSIONS = ("vel_disp_transverse", "vel_disp_normal", "pos_disp_transverse", "pos_disp_normal")
@@ -188,6 +196,49 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 3.6 * target.stat().st_size
+
+    def test_memory_does_not_grow_with_count(self, tmp_path):
+        # Rows are written as they are made: a sweep of 100,000 points peaks
+        # within twice what one of 1,000 points does (each holding all its
+        # rows, the larger one would peak near 40 MB).
+        import tracemalloc
+
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--particle", "unit", "--min", "1e-3", "--max", "1e4",
+                             "--count", str(count), "--quantity", "vel_disp_normal",
+                             "--output", str(tmp_path / "sweep.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = peak(1000)
+        assert peak(100_000) < 2 * small
+
+    @pytest.mark.parametrize("argv, message", [
+        # the last point's t = 1e308 * 10 overflows
+        (["--min", "1", "--max", "1e308", "--z", "10"], "t must be finite"),
+        # the first point's t/z = 1 / 1e-320 overflows
+        (["--var", "z", "--t", "1", "--min", "1e-320", "--max", "1"], "t/z must be finite"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refusal_writes_nothing(self, tmp_path, capsys, argv, message, fmt):
+        argv = ["sweep", "--particle", "unit", "--count", "5", "--format", fmt, *argv]
+        target = tmp_path / "sweep.out"
+        assert_refused(*run(capsys, *argv), "parameter t/z:", message)
+        assert_refused(*run(capsys, *argv, "--output", str(target)), "parameter t/z:", message)
+        assert not target.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_error_mid_stream_exits_5(self, capsys, fmt):
+        # 2,000 points overrun the file buffer, so the write fails between rows
+        code, out, err = run(capsys, "sweep", "--particle", "unit", "--min", "1e-3",
+                             "--max", "1e4", "--count", "2000", "--format", fmt,
+                             "--output", "/dev/full")
+        assert (code, out) == (5, "")
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
 
     def test_header_and_row_count(self, capsys):
         code, out, _ = run(capsys, "sweep", "--particle", "unit",
@@ -374,6 +425,53 @@ class TestSweepTemplate:
                   for unit in (natural, si)]
         for text in texts:
             assert json.dumps(text)[1:-1] == text
+
+
+# Sweep ranges of t/z over every closed-form branch: the series (t/z < 1e-2),
+# both sides of the lightcone, the edges of its window (t/z = 2(1 +- 1e-6)
+# and an ulp inside each), past LARGE_X (t/z > 8) and far past it.
+EDGE = 2.0 * vacbrownian.dispersion.DEFAULT_LIGHTCONE_DELTA
+BRANCH_RANGES = st.sampled_from([
+    (1e-9, 1e-2), (1e-2, 1.99), (2.01, 8.0), (7.9, 8.1), (8.0, 1e12),
+    (2.0 - EDGE, 2.0 + EDGE), (math.nextafter(2.0 - EDGE, 3.0), math.nextafter(2.0 + EDGE, 1.0)),
+])
+
+
+class TestSweepValues:
+    @seed(20261018)
+    @given(
+        bounds=BRANCH_RANGES.flatmap(lambda b: st.tuples(
+            st.floats(min_value=b[0], max_value=b[1]), st.floats(min_value=b[0], max_value=b[1]))
+            .filter(lambda r: r[0] < r[1])),
+        count=st.integers(min_value=2, max_value=5),
+        spacing=st.sampled_from(["linear", "log"]),
+        preset=st.sampled_from(["electron", "unit"]),
+        z=st.sampled_from([1.0, 1e-6, 3.7e-5, 2.5]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_cells_are_the_single_evaluation_path(self, bounds, count, spacing, preset, z):
+        # Every quantity of every row, bit for bit: value_natural is the repr of
+        # `_QUANTITIES[id][0]` at the row's point, value_si that of its SI form.
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["sweep", "--particle", preset, "--z", repr(z), "--min", repr(bounds[0]),
+                         "--max", repr(bounds[1]), "--count", str(count), "--spacing", spacing,
+                         *[f"--quantity={q}" for q in QUANTITY_CHOICES]])
+        assert (code, stderr.getvalue()) == (0, "")
+        out = stdout.getvalue()
+        spec = vacbrownian.cli_io._PRESETS[preset]()
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == count * len(QUANTITY_CHOICES)
+        for t, z_text, _, q, natural, si, status, *_ in rows:
+            p = EvalPoint(t=float(t), z=float(z_text), particle=spec)
+            value, kind = vacbrownian.cli_io._QUANTITIES[q]
+            try:
+                expected = value(p)
+            except (ValueError, vacbrownian.LightconeSingularityError):
+                assert (natural, si) == ("", "") and status != "ok"
+                continue
+            assert (natural, si, status) == (
+                repr(expected), repr(vacbrownian.cli_io._UNITS[kind][2](expected)), "ok")
 
 
 class TestVerify:
