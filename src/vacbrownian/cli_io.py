@@ -16,9 +16,10 @@ whose keys mirror its long flag names (dashes as underscores) other than
 --output; any other key is refused.  Precedence is flags > config file >
 defaults, and a JSON null counts as unset.
 
-Exit codes: 0 success; 1 verify comparison failure; 2 argument errors;
-3 lightcone-window hits; 4 oracle non-convergence; 5 unwritable output;
-70 an internal error (any other exception), reported without a traceback.
+Exit codes: 0 success, also when a reader closes stdout before the end;
+1 verify comparison failure; 2 argument errors; 3 lightcone-window hits;
+4 oracle non-convergence; 5 unwritable output; 70 an internal error (any
+other exception), reported without a traceback.
 Identical inputs produce byte-identical outputs.
 """
 
@@ -28,11 +29,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from . import dispersion, regimes
+from . import correlators, dispersion, regimes
 from .errors import (
     ExtrapolationError,
     LightconeSingularityError,
@@ -176,8 +178,6 @@ class _Options:
         if value is None:
             return default
         parse = parse or flag_parse
-        if parse is None:
-            return value
         text = str(value)
         try:
             return parse(text)
@@ -234,18 +234,12 @@ class _Options:
 def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float, str]:
     """(value_natural, value_si, kind) for one quantity at one point.
 
-    Raises ValueError when a value leaves the float range, so nothing
-    non-finite reaches the output.
+    Both values are finite: the quantity's function and the SI conversion
+    raise ValueError for a value outside the float range.
     """
     value, kind = _QUANTITIES[quantity]  # `_Options.quantities` has checked the id
-    try:
-        natural = value(point)
-        si = _UNITS[kind][2](natural)
-    except ArithmeticError:  # a float ** overflowing or a / by an underflowed zero
-        raise ValueError("value leaves the float range") from None
-    if not (math.isfinite(natural) and math.isfinite(si)):
-        raise ValueError("value leaves the float range")
-    return natural, si, kind
+    natural = value(point)
+    return natural, _UNITS[kind][2](natural), kind
 
 
 # --- output plumbing ------------------------------------------------------------
@@ -253,11 +247,19 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
 def _emit(path: str | None, text: str, more: Iterable[str] = ()) -> None:
     """Write text, then each of ``more`` as it is made, to stdout or to a file.
 
-    Nothing is opened before ``text`` exists.  OSError propagates (exit code 5).
+    Nothing is opened before ``text`` exists.  A reader that closes stdout
+    ends the writing quietly; any other OSError propagates (exit code 5).
     """
     if path is None:
-        sys.stdout.write(text)
-        sys.stdout.writelines(more)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.writelines(more)
+            sys.stdout.flush()
+        except BrokenPipeError:  # as after `| head`: nobody reads the rest
+            # stdout now writes to /dev/null, so the interpreter's flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -414,7 +416,7 @@ def _cmd_verify(opts: _Options) -> int:
         raise UsageError(f"parameter tolerance: need a finite tolerance >= 0, got {tol!r}")
     try:
         rows = oracle.verify_grid(spec, z, grid=grid, tolerance=tol)
-    except (ValueError, ArithmeticError) as exc:  # an unknown grid, or a refused z or particle
+    except ValueError as exc:  # an unknown grid, or a refused z or particle
         name = "grid" if grid not in oracle.GRIDS else "t/z"
         raise UsageError(f"parameter {name}: {exc}") from None
 
@@ -436,15 +438,13 @@ def _cmd_regimes(opts: _Options) -> int:
         raise UsageError("parameter t/z: t and z must be positive")
     try:
         text = json.dumps(regimes.regime_report(spec, z, t).as_dict(), indent=2, allow_nan=False)
-    except (ValueError, ArithmeticError):
+    except ValueError:  # a refused estimate, or an infinite time bound json.dumps refuses
         raise UsageError("parameter t/z: regime report leaves the float range") from None
     _emit(None, text + "\n")
     return 0
 
 
 def _cmd_corr(opts: _Options) -> int:
-    from . import correlators
-
     z = opts.get("z")
     lo = opts.get("dt_min")
     hi = opts.get("dt_max")
@@ -458,7 +458,7 @@ def _cmd_corr(opts: _Options) -> int:
         raise UsageError("parameter dt-min/dt-max: need dt-min < dt-max")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError("parameter dt-min/dt-max: dt-min and dt-max must be finite")
-    # 4z^2 sets the lightcone window; outside (0, inf) every cell is NaN or singular
+    # the kernels form 4z^2, which must stay inside the float range
     if not (z > 0.0 and 0.0 < 4.0 * z * z < math.inf):
         raise UsageError(f"parameter z: need z > 0 with 4z^2 inside the float range, got {z!r}")
     if eps is not None and not 0.0 < eps < math.inf:
@@ -477,11 +477,9 @@ def _cmd_corr(opts: _Options) -> int:
         except LightconeSingularityError:
             lines.append(f"{dt!r},{z!r},,,singular")
             continue
-        except ArithmeticError:  # a / by an underflowed zero
-            xx = zz = math.nan
-        if not (math.isfinite(xx) and math.isfinite(zz)):
+        except ValueError:  # z and eps are checked above: a value outside the float range
             raise UsageError(f"parameter {'dt/z' if eps is None else 'dt/z/eps'}: "
-                             f"correlators at dt={dt!r} leave the float range")
+                             f"correlators at dt={dt!r} leave the float range") from None
         lines.append(",".join([repr(dt), repr(z), repr(xx), repr(zz), "ok"]))
     _emit(opts.output, "\n".join(lines) + "\n")
     return 0

@@ -14,9 +14,11 @@ the (divergent) Minkowski part is dropped by construction.
 
 Regularized variants displace the time separation off the real axis,
 dt -> dt - i*eps, and take the real part.  They are finite for every real
-dt and back `corr --eps`.  The quadrature oracle needs no regulator: it
-takes the eps -> 0 limit exactly, by integrating the complex kernels at
-eps = 0 along a path that passes below the pole.
+dt and back `corr --eps`.  The plain correlators refuse a dt inside the
+lightcone window, |dt| within DEFAULT_LIGHTCONE_DELTA * z of 2z, the window
+in which the closed forms of `dispersion` refuse t.  The quadrature oracle
+needs no regulator: it takes the eps -> 0 limit exactly, by integrating the
+complex kernels at eps = 0 along a path that passes below the pole.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import LightconeSingularityError
+from .errors import LightconeSingularityError, finite
 
 __all__ = [
     "RegulatorSpec",
-    "DEFAULT_EXCLUSION_WINDOW",
+    "DEFAULT_LIGHTCONE_DELTA",
     "corr_transverse",
     "corr_normal",
     "corr_transverse_reg",
@@ -40,9 +42,8 @@ __all__ = [
 
 PI_SQ = math.pi * math.pi
 
-# Relative half-width of the refused band around the pole, measured on
-# |dt^2 - 4z^2| against 4z^2.
-DEFAULT_EXCLUSION_WINDOW = 1e-9
+# Relative half-width (in units of z) of the refusal window around |dt| = 2z.
+DEFAULT_LIGHTCONE_DELTA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -71,9 +72,15 @@ def _check_z(z: float) -> None:
         raise ValueError("distance from the plate must satisfy z > 0")
 
 
+def _near_lightcone(dt: float, z: float) -> bool:
+    """Whether dt lies in the lightcone window ||dt| - 2z| / z < DEFAULT_LIGHTCONE_DELTA."""
+    # divided, not multiplied: DEFAULT_LIGHTCONE_DELTA * z underflows to 0
+    # for z below about 5e-318, and the window with it
+    return abs(abs(dt) - 2.0 * z) / z < DEFAULT_LIGHTCONE_DELTA
+
+
 def _check_pole(dt: float, z: float) -> None:
-    four_z_sq = 4.0 * z * z
-    if abs(dt * dt - four_z_sq) <= DEFAULT_EXCLUSION_WINDOW * four_z_sq:
+    if _near_lightcone(dt, z):
         raise LightconeSingularityError(
             f"time separation dt={dt!r} lies within the lightcone exclusion "
             f"window around |dt| = 2z (z={z!r})",
@@ -81,10 +88,11 @@ def _check_pole(dt: float, z: float) -> None:
         )
 
 
+@finite
 def corr_transverse(dt: float, z: float) -> float:
     """Transverse (xx = yy) boundary correlator; even in dt.
 
-    Refuses inside the exclusion window around the |dt| = 2z pole instead of
+    Refuses inside the lightcone window around the |dt| = 2z pole instead of
     returning a huge float.
     """
     _check_z(z)
@@ -92,6 +100,7 @@ def corr_transverse(dt: float, z: float) -> float:
     return transverse_kernel_complex(dt, z)
 
 
+@finite
 def corr_normal(dt: float, z: float) -> float:
     """Normal (zz) boundary correlator; even in dt."""
     _check_z(z)
@@ -121,6 +130,7 @@ def _check_eps(eps: float) -> None:
         raise ValueError("point-splitting parameter eps must be positive")
 
 
+@finite
 def corr_transverse_reg(dt: float, z: float, eps: float) -> float:
     """Re of the transverse kernel at dt - i*eps; finite for all real dt."""
     _check_z(z)
@@ -128,6 +138,7 @@ def corr_transverse_reg(dt: float, z: float, eps: float) -> float:
     return transverse_kernel_complex(complex(dt, -eps), z).real
 
 
+@finite
 def corr_normal_reg(dt: float, z: float, eps: float) -> float:
     """Re of the normal kernel at dt - i*eps; finite for all real dt."""
     _check_z(z)
@@ -135,6 +146,7 @@ def corr_normal_reg(dt: float, z: float, eps: float) -> float:
     return normal_kernel_complex(complex(dt, -eps), z).real
 
 
+@finite
 def mean_e_squared(z: float) -> float:
     """Renormalized <E^2> at distance z: 3 / (16 pi^2 z^4).
 

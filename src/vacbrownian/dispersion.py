@@ -12,11 +12,11 @@ closed forms that depend on geometry only through x = t / 2z:
 
 with A = e^2 / (pi^2 m^2 z^2), B = e^2 / (pi^2 m^2) and
 L(x) = ln((1 + x)/|1 - x|).  All four are singular at x = 1 (t = 2z, the
-round-trip light travel time); an exclusion window refuses evaluation near
-that point.  Logarithms of quantities that change sign across x = 1 are
-taken of absolute values, the unique reading that keeps the results real,
-continuous in each branch, vanishing as t -> 0, and in agreement with the
-quadrature oracle on both sides of the lightcone.
+round-trip light travel time); the correlators' lightcone window refuses
+evaluation near that point.  Logarithms of quantities that change sign
+across x = 1 are taken of absolute values, the unique reading that keeps
+the results real, continuous in each branch, vanishing as t -> 0, and in
+agreement with the quadrature oracle on both sides of the lightcone.
 
 Up to x = LARGE_X the direct forms are evaluated: the position forms group
 x^2/6 with the log into g = x^2 + ln(1 - x^2), summed as a series at small
@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .errors import LightconeSingularityError
+from .correlators import _near_lightcone
+from .errors import LightconeSingularityError, finite
 from .regimes import regime_flags
 from .units_constants import ParticleSpec, electron_preset
 
@@ -49,7 +50,6 @@ __all__ = [
     "DispersionResult",
     "Quantity",
     "SeriesValue",
-    "DEFAULT_LIGHTCONE_DELTA",
     "QUANTITIES",
     "QUANTITY_IDS",
     "vel_disp_transverse",
@@ -65,9 +65,6 @@ __all__ = [
 
 PI_SQ = math.pi * math.pi
 
-# Relative half-width (in units of z) of the refusal window around t = 2z.
-DEFAULT_LIGHTCONE_DELTA = 1e-6
-
 # The closed forms sum the large-x series past x = t/2z = LARGE_X, where
 # w = 1/x^2 <= 1/16; the direct transverse forms cancel ever more beyond it.
 LARGE_X = 4.0
@@ -82,7 +79,8 @@ class EvalPoint:
 
     ``t`` is the elapsed time since the coupling switched on, ``z`` the
     distance from the plane, both natural lengths.  The point is near the
-    lightcone inside the refusal window |t - 2z| / z < DEFAULT_LIGHTCONE_DELTA.
+    lightcone inside the correlators' refusal window
+    |t - 2z| / z < DEFAULT_LIGHTCONE_DELTA.
     """
 
     t: float
@@ -113,9 +111,7 @@ class EvalPoint:
 
     @property
     def near_lightcone(self) -> bool:
-        # divided, not multiplied: DEFAULT_LIGHTCONE_DELTA * z underflows to 0
-        # for z below about 5e-318, and the window with it
-        return abs(self.t - 2.0 * self.z) / self.z < DEFAULT_LIGHTCONE_DELTA
+        return _near_lightcone(self.t, self.z)
 
 
 @dataclass(frozen=True)
@@ -250,33 +246,26 @@ class Quantity:
         # a * x * x groups as (a * x) * x, so a = 0 gives 0, not 0 * inf, at huge x
         return self.a * x * x + self.b * log_x + _power_sum(self.d[:terms], w)
 
+    @finite
     def value(self, p: EvalPoint) -> float:
         """Closed-form value at p; refuses inside the lightcone window or outside the float range."""
         x, log, third = _shared_terms(p, self.kind == "position")
         if x > LARGE_X:
-            bracket = self._large_x_bracket(x, log, third)
-        else:
-            bracket = self.bracket(x, log, third)
-        return _scaled(self.prefactor(p), bracket)
+            return self.prefactor(p) * self._large_x_bracket(x, log, third)
+        return self.prefactor(p) * self.bracket(x, log, third)
 
     def evaluate(self, p: EvalPoint) -> DispersionResult:
         """Closed-form value at p with its regime flags."""
         return _result(p, self.value(p), self, near_lightcone=False)  # value refuses near it
 
+    @finite
     def asymptote(self, p: EvalPoint) -> float:
         """The printed asymptote, the large-x series cut after ``asym_terms`` d_k; needs t > 2z."""
         if p.t <= 2.0 * p.z:
             raise ValueError("asymptotic forms require t > 2z")
         x = p.x
-        return _scaled(self.prefactor(p),
-                       self._large_x_bracket(x, math.log(x), 1.0 / (x * x), self.asym_terms))
-
-
-def _scaled(prefactor: float, bracket: float) -> float:
-    value = prefactor * bracket
-    if math.isfinite(value):
-        return value
-    raise ValueError("value leaves the float range")
+        return self.prefactor(p) * self._large_x_bracket(x, math.log(x), 1.0 / (x * x),
+                                                         self.asym_terms)
 
 
 QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (

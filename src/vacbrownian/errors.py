@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types and the float-range refusal shared across the package."""
 
 from __future__ import annotations
+
+import functools
+import math
+from typing import Callable
 
 __all__ = [
     "VacBrownianError",
@@ -38,3 +42,21 @@ class QuadratureConvergenceError(VacBrownianError):
 
 class ExtrapolationError(VacBrownianError):
     """An oracle value whose error estimate is not below its magnitude."""
+
+
+def finite(function: Callable[..., float]) -> Callable[..., float]:
+    """``function``, returning a finite float or raising ValueError("value leaves the float range").
+
+    A ZeroDivisionError (a / by an underflowed zero) or OverflowError (a
+    float **) met while forming the value is the same refusal.
+    """
+    @functools.wraps(function)
+    def checked(*args, **kwargs):
+        try:
+            value = function(*args, **kwargs)
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError("value leaves the float range") from None
+        if math.isfinite(value):
+            return value
+        raise ValueError("value leaves the float range")
+    return checked

@@ -83,7 +83,7 @@ from .correlators import (
     transverse_kernel_complex,
 )
 from .dispersion import QUANTITIES, EvalPoint, _check_lightcone, _checked_prefactor
-from .errors import ExtrapolationError, QuadratureConvergenceError
+from .errors import ExtrapolationError, QuadratureConvergenceError, finite
 from .units_constants import ParticleSpec, unit_preset
 
 __all__ = [
@@ -497,6 +497,11 @@ class VerifyRow:
     passed: bool
 
 
+@finite
+def _relative_error(value: float, reference: float) -> float:
+    return abs(value - reference) / abs(reference)
+
+
 def verify_grid(
     particle: ParticleSpec | None = None,
     z: float = 1.0,
@@ -511,8 +516,9 @@ def verify_grid(
     points are held to TOL_PRE_LIGHTCONE, pole-crossing points to
     TOL_POST_LIGHTCONE.
     ``grid`` selects "pre-lightcone", "post-lightcone", or "full".  Every
-    row's closed form and oracle checks run first, in row order; then the
-    rows of each quantity run as one batch.
+    row's closed form and oracle checks run first, in row order, refusing a
+    closed form that underflowed to zero, against which no relative error
+    exists; then the rows of each quantity run as one batch.
     """
     if grid not in GRIDS:
         raise ValueError("grid must be 'full', 'pre-lightcone', or 'post-lightcone'")
@@ -524,7 +530,9 @@ def verify_grid(
         plans = []
         for ratio in _GRID_RATIOS[grid]:
             point = EvalPoint(t=ratio * z, z=z, particle=particle)
-            cases.append((quantity, ratio, quantity.value(point)))
+            closed = quantity.value(point)
+            _relative_error(closed, closed)  # refuses a closed form of 0.0
+            cases.append((quantity, ratio, closed))
             plans.append(_plan(quantity.kind, point))
         batches.append((quantity, plans))
     results = [result for quantity, plans in batches
@@ -533,7 +541,7 @@ def verify_grid(
     rows: list[VerifyRow] = []
     for (quantity, ratio, closed), result in zip(cases, results):
         tier = TOL_PRE_LIGHTCONE if ratio < 2.0 else TOL_POST_LIGHTCONE
-        rel_err = abs(result.value - closed) / abs(closed)
+        rel_err = _relative_error(result.value, closed)
         rows.append(
             VerifyRow(
                 quantity=quantity.id,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import finite
+
 __all__ = [
     "ALPHA",
     "BOLTZMANN_SI",
@@ -100,6 +102,7 @@ def time_si_to_natural(t_s: float) -> float:
     return t_s * C_SI
 
 
+@finite
 def velocity_sq_natural_to_si(v2_nat: float) -> float:
     """Squared velocity in units of c^2 to (m/s)^2."""
     return v2_nat * C_SI * C_SI

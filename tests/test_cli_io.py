@@ -8,6 +8,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -25,7 +28,7 @@ from vacbrownian.units_constants import C_SI, unit_preset
 
 
 # Numeric CLI inputs are fuzzed with these boundary values and with ordinary floats.
-EXTREMES = [math.inf, -math.inf, math.nan, 0.0, -1.0, 1e-300, 1e300]
+EXTREMES = [math.inf, -math.inf, math.nan, 0.0, -1.0, 1e-300, 1e300, 1e-100, 1e-160]
 BOUNDARY_FLOATS = st.sampled_from(EXTREMES) | st.floats(min_value=1e-3, max_value=1e3) | st.floats()
 
 
@@ -240,6 +243,24 @@ class TestSweep:
         assert (code, out) == (5, "")
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_closing_stdout_ends_quietly(self, unbuffered):
+        # as under `| head -1`: the reader takes the header of a 200,000-point
+        # sweep and closes the pipe; the sweep exits 0 and writes no stderr,
+        # not even when the interpreter flushes stdout at exit
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        src = str(Path(vacbrownian.cli_io.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vacbrownian.cli_io", "sweep", "--particle", "unit",
+             "--min", "1e-3", "--max", "1e4", "--count", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        with proc:
+            assert proc.stdout.readline() == (SWEEP_HEADER + "\n").encode()
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 0
+            assert proc.stderr.read() == b""
+
     def test_header_and_row_count(self, capsys):
         code, out, _ = run(capsys, "sweep", "--particle", "unit",
                            "--var", "t_over_z", "--min", "0.5", "--max", "8",
@@ -430,7 +451,7 @@ class TestSweepTemplate:
 # Sweep ranges of t/z over every closed-form branch: the series (t/z < 1e-2),
 # both sides of the lightcone, the edges of its window (t/z = 2(1 +- 1e-6)
 # and an ulp inside each), past LARGE_X (t/z > 8) and far past it.
-EDGE = 2.0 * vacbrownian.dispersion.DEFAULT_LIGHTCONE_DELTA
+EDGE = 2.0 * vacbrownian.DEFAULT_LIGHTCONE_DELTA
 BRANCH_RANGES = st.sampled_from([
     (1e-9, 1e-2), (1e-2, 1.99), (2.01, 8.0), (7.9, 8.1), (8.0, 1e12),
     (2.0 - EDGE, 2.0 + EDGE), (math.nextafter(2.0 - EDGE, 3.0), math.nextafter(2.0 + EDGE, 1.0)),
@@ -686,6 +707,32 @@ def strict_json(text):
     check(json.loads(text, parse_constant=refuse))
 
 
+def assert_cli_contract(argv):
+    """One CLI call exits 0 to 3; a refusal prints no output and one stderr line,
+    anything else strict output: RFC 8259 JSON, or CSV with no NaN or infinite cell."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    if code in (2, 3):
+        assert out == "", argv
+        assert err.startswith("error: parameter " if code == 2 else "error: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
+        return
+    assert err == "", (argv, err)
+    if out.startswith("{"):
+        strict_json(out)
+        return
+    for row in out.splitlines()[1:]:
+        for cell in row.split(","):
+            try:
+                value = float(cell)
+            except ValueError:  # a status, a quantity id, or a singular row's empty cell
+                continue
+            assert math.isfinite(value), (argv, row)
+
+
 def assert_refused(code, out, err, *fragments):
     assert code == 2
     assert out == ""
@@ -800,6 +847,7 @@ class TestBoundary:
         assert_refused(*run(capsys, "verify", "--grid", "diagonal", "--z", "inf"),
                        "parameter grid:")
 
+    @seed(20261019)
     @given(
         z=BOUNDARY_FLOATS,
         lo=BOUNDARY_FLOATS,
@@ -811,21 +859,32 @@ class TestBoundary:
         argv = ["corr", f"--z={z!r}", f"--dt-min={lo!r}", f"--dt-max={hi!r}", "--count=5"]
         if eps is not None:
             argv.append(f"--eps={eps!r}")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-        assert code in (0, 2), (argv, stderr.getvalue())
-        if code == 2:
-            assert stdout.getvalue() == ""
-            assert stderr.getvalue().startswith("error: parameter ")
-            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
-            return
-        assert stderr.getvalue() == ""
-        for row in stdout.getvalue().splitlines()[1:]:
-            cells = row.split(",")
-            if cells[4] != "singular":
-                assert all(math.isfinite(float(cell)) for cell in cells[:4]), (argv, row)
+        assert_cli_contract(argv)
 
+    @seed(20261019)
+    @given(
+        z=BOUNDARY_FLOATS,
+        charge=st.none() | BOUNDARY_FLOATS,
+        mass=st.none() | BOUNDARY_FLOATS,
+        grid=st.sampled_from(["pre-lightcone", "post-lightcone"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fuzz_verify(self, z, charge, mass, grid):
+        argv = ["verify", f"--grid={grid}", f"--z={z!r}"]
+        if charge is not None:
+            argv.append(f"--charge={charge!r}")
+        if mass is not None:
+            argv.append(f"--mass={mass!r}")
+        assert_cli_contract(argv)
+
+    def test_verify_closed_form_underflow_refused(self, capsys):
+        # e^2 = 1e-320 keeps the prefactors positive, but a closed form
+        # rounds to 0.0 and no relative error against it exists
+        code, out, err = run(capsys, "verify", "--charge", "1e-160", "--mass", "1",
+                             "--grid", "pre-lightcone")
+        assert (code, out, err) == (2, "", "error: parameter t/z: value leaves the float range\n")
+
+    @seed(20261019)
     @given(
         z=BOUNDARY_FLOATS,
         ratio=BOUNDARY_FLOATS,

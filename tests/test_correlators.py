@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from vacbrownian.correlators import (
-    DEFAULT_EXCLUSION_WINDOW,
+    DEFAULT_LIGHTCONE_DELTA,
     RegulatorSpec,
     corr_normal,
     corr_normal_reg,
@@ -19,6 +20,7 @@ from vacbrownian.correlators import (
     normal_kernel_complex,
     transverse_kernel_complex,
 )
+from vacbrownian.dispersion import EvalPoint, vel_disp_normal
 from vacbrownian.errors import LightconeSingularityError
 
 PI_SQ = math.pi ** 2
@@ -91,11 +93,23 @@ class TestSingularityWindow:
 
     def test_window_is_relative(self):
         z = 1e-6
-        inside = 2.0 * z * (1.0 + 0.1 * DEFAULT_EXCLUSION_WINDOW)
-        outside = 2.0 * z * (1.0 + 10.0 * DEFAULT_EXCLUSION_WINDOW)
-        with pytest.raises(LightconeSingularityError):
-            corr_transverse(inside, z)
+        inside = 2.0 * z * (1.0 + 0.1 * DEFAULT_LIGHTCONE_DELTA)
+        outside = 2.0 * z * (1.0 + 10.0 * DEFAULT_LIGHTCONE_DELTA)
+        for dt in (inside, -inside):
+            with pytest.raises(LightconeSingularityError):
+                corr_transverse(dt, z)
         corr_transverse(outside, z)  # does not raise
+
+    @pytest.mark.parametrize("offset, inside", [
+        (-1.5e-6, False), (-0.5e-6, True), (0.5e-6, True), (1.5e-6, False)])
+    def test_window_is_the_dispersions(self, offset, inside):
+        # at t/z = 2 + offset the correlators refuse exactly where the closed forms do
+        z = 3.7
+        point = EvalPoint(t=(2.0 + offset) * z, z=z)
+        assert point.near_lightcone == inside
+        for evaluate in (lambda: corr_normal(point.t, z), lambda: vel_disp_normal(point)):
+            with pytest.raises(LightconeSingularityError) if inside else contextlib.nullcontext():
+                evaluate()
 
 
 class TestRegularizedKernels:

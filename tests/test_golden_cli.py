@@ -132,6 +132,11 @@ INVOCATIONS: list[tuple[list[str], dict | None]] = [
       "--z", "1e-6m", "--format", "json", *EXTRA], None),
     (["sweep", *UNIT, "--var", "t_over_z", "--spacing", "linear", "--min", "1.5",
       "--max", "2.5", "--count", "5", "--format", "json", *CLOSED, *ASYM], None),
+    # refusals no other record reaches: a reversed sweep range, an SI value
+    # that overflows, and correlators whose denominator underflows to zero
+    (["sweep", *UNIT, "--min", "3", "--max", "1"], None),
+    (["eval", "--z", "1e-160", "--t-over-z", "3", "--quantity", "vel_disp_normal"], None),
+    (["corr", "--z", "1e-100", "--dt-max", "4e-100", "--count", "5"], None),
 ]
 
 
