@@ -72,7 +72,7 @@ def _check_z(z: float) -> None:
         raise ValueError("distance from the plate must satisfy z > 0")
 
 
-def _near_lightcone(dt: float, z: float) -> bool:
+def near_lightcone(dt: float, z: float) -> bool:
     """Whether dt lies in the lightcone window ||dt| - 2z| / z < DEFAULT_LIGHTCONE_DELTA."""
     # divided, not multiplied: DEFAULT_LIGHTCONE_DELTA * z underflows to 0
     # for z below about 5e-318, and the window with it
@@ -80,7 +80,7 @@ def _near_lightcone(dt: float, z: float) -> bool:
 
 
 def _check_pole(dt: float, z: float) -> None:
-    if _near_lightcone(dt, z):
+    if near_lightcone(dt, z):
         raise LightconeSingularityError(
             f"time separation dt={dt!r} lies within the lightcone exclusion "
             f"window around |dt| = 2z (z={z!r})",

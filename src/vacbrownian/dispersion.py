@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
-from .correlators import _near_lightcone
+# DEFAULT_LIGHTCONE_DELTA, the window shared with the correlators, is also read from here
+from .correlators import DEFAULT_LIGHTCONE_DELTA, near_lightcone
 from .errors import LightconeSingularityError, finite
 from .regimes import regime_flags
 from .units_constants import ParticleSpec, electron_preset
@@ -111,7 +112,7 @@ class EvalPoint:
 
     @property
     def near_lightcone(self) -> bool:
-        return _near_lightcone(self.t, self.z)
+        return near_lightcone(self.t, self.z)
 
 
 @dataclass(frozen=True)

@@ -451,7 +451,7 @@ class TestSweepTemplate:
 # Sweep ranges of t/z over every closed-form branch: the series (t/z < 1e-2),
 # both sides of the lightcone, the edges of its window (t/z = 2(1 +- 1e-6)
 # and an ulp inside each), past LARGE_X (t/z > 8) and far past it.
-EDGE = 2.0 * vacbrownian.DEFAULT_LIGHTCONE_DELTA
+EDGE = 2.0 * vacbrownian.dispersion.DEFAULT_LIGHTCONE_DELTA
 BRANCH_RANGES = st.sampled_from([
     (1e-9, 1e-2), (1e-2, 1.99), (2.01, 8.0), (7.9, 8.1), (8.0, 1e12),
     (2.0 - EDGE, 2.0 + EDGE), (math.nextafter(2.0 - EDGE, 3.0), math.nextafter(2.0 + EDGE, 1.0)),
@@ -707,30 +707,21 @@ def strict_json(text):
     check(json.loads(text, parse_constant=refuse))
 
 
-def assert_cli_contract(argv):
-    """One CLI call exits 0 to 3; a refusal prints no output and one stderr line,
-    anything else strict output: RFC 8259 JSON, or CSV with no NaN or infinite cell."""
+def run_fuzzed(argv, codes):
+    """Run one CLI call, which exits with one of ``codes``; a refusal (exit 2
+    or 3) prints no output and one stderr line.  Returns the code and stdout."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     out, err = stdout.getvalue(), stderr.getvalue()
-    assert code in (0, 1, 2, 3), (argv, err)
+    assert code in codes, (argv, err)
     if code in (2, 3):
         assert out == "", argv
         assert err.startswith("error: parameter " if code == 2 else "error: "), (argv, err)
         assert err.count("\n") == 1, (argv, err)
-        return
-    assert err == "", (argv, err)
-    if out.startswith("{"):
-        strict_json(out)
-        return
-    for row in out.splitlines()[1:]:
-        for cell in row.split(","):
-            try:
-                value = float(cell)
-            except ValueError:  # a status, a quantity id, or a singular row's empty cell
-                continue
-            assert math.isfinite(value), (argv, row)
+    else:
+        assert err == "", (argv, err)
+    return code, out
 
 
 def assert_refused(code, out, err, *fragments):
@@ -859,7 +850,13 @@ class TestBoundary:
         argv = ["corr", f"--z={z!r}", f"--dt-min={lo!r}", f"--dt-max={hi!r}", "--count=5"]
         if eps is not None:
             argv.append(f"--eps={eps!r}")
-        assert_cli_contract(argv)
+        code, out = run_fuzzed(argv, (0, 2))
+        if code == 2:
+            return
+        for row in out.splitlines()[1:]:
+            cells = row.split(",")
+            if cells[4] != "singular":
+                assert all(math.isfinite(float(cell)) for cell in cells[:4]), (argv, row)
 
     @seed(20261019)
     @given(
@@ -875,7 +872,14 @@ class TestBoundary:
             argv.append(f"--charge={charge!r}")
         if mass is not None:
             argv.append(f"--mass={mass!r}")
-        assert_cli_contract(argv)
+        code, out = run_fuzzed(argv, (0, 1, 2))
+        if code == 2:
+            return
+        for row in out.splitlines()[1:]:
+            cells = row.split(",")
+            # t/z, closed form, oracle value, relative error, error estimate
+            assert all(math.isfinite(float(cell)) for cell in cells[1:6]), (argv, row)
+            assert cells[6] in ("true", "false"), (argv, row)
 
     def test_verify_closed_form_underflow_refused(self, capsys):
         # e^2 = 1e-320 keeps the prefactors positive, but a closed form
