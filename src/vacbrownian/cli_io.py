@@ -458,9 +458,8 @@ def _cmd_corr(opts: _Options) -> int:
         raise UsageError("parameter dt-min/dt-max: need dt-min < dt-max")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise UsageError("parameter dt-min/dt-max: dt-min and dt-max must be finite")
-    # the kernels form 4z^2, which must stay inside the float range
-    if not (z > 0.0 and 0.0 < 4.0 * z * z < math.inf):
-        raise UsageError(f"parameter z: need z > 0 with 4z^2 inside the float range, got {z!r}")
+    if not 0.0 < z < math.inf:
+        raise UsageError(f"parameter z: need a finite z > 0, got {z!r}")
     if eps is not None and not 0.0 < eps < math.inf:
         raise UsageError(f"parameter eps: need a finite eps > 0, got {eps!r}")
 

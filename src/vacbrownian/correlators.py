@@ -24,9 +24,8 @@ complex kernels at eps = 0 along a path that passes below the pole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import LightconeSingularityError, finite
+from .errors import FrozenRecord, LightconeSingularityError, finite, set_field
 
 __all__ = [
     "RegulatorSpec",
@@ -46,8 +45,7 @@ PI_SQ = math.pi * math.pi
 DEFAULT_LIGHTCONE_DELTA = 1e-6
 
 
-@dataclass(frozen=True)
-class RegulatorSpec:
+class RegulatorSpec(FrozenRecord):
     """Geometric point-splitting ladder eps0 * 0.5^k, k = 0..5.
 
     The oracle computes no ladder; only the benchmark's rung probe reads one,
@@ -55,11 +53,12 @@ class RegulatorSpec:
     benchmark change of ROADMAP item 4.
     """
 
-    eps0: float
+    __slots__ = ("eps0",)
 
-    def __post_init__(self) -> None:
-        if not (self.eps0 > 0.0):
+    def __init__(self, eps0: float) -> None:
+        if not (eps0 > 0.0):
             raise ValueError("eps0 must be positive")
+        set_field(self, "eps0", eps0)
 
     @property
     def ladder(self) -> tuple[float, ...]:
@@ -75,8 +74,9 @@ def _check_z(z: float) -> None:
 def near_lightcone(dt: float, z: float) -> bool:
     """Whether dt lies in the lightcone window ||dt| - 2z| / z < DEFAULT_LIGHTCONE_DELTA."""
     # divided, not multiplied: DEFAULT_LIGHTCONE_DELTA * z underflows to 0
-    # for z below about 5e-318, and the window with it
-    return abs(abs(dt) - 2.0 * z) / z < DEFAULT_LIGHTCONE_DELTA
+    # for z below about 5e-318, and the window with it; halved, not doubled:
+    # 2z overflows for z above about 9e307
+    return abs(0.5 * abs(dt) - z) / z < 0.5 * DEFAULT_LIGHTCONE_DELTA
 
 
 def _check_pole(dt: float, z: float) -> None:

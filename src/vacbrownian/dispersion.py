@@ -36,13 +36,12 @@ each dispersion's kind, component, bracket and both series in one place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 # DEFAULT_LIGHTCONE_DELTA, the window shared with the correlators, is also read from here
 from .correlators import DEFAULT_LIGHTCONE_DELTA, near_lightcone
-from .errors import LightconeSingularityError, finite
+from .errors import FrozenRecord, LightconeSingularityError, finite, set_field
 from .regimes import regime_flags
 from .units_constants import ParticleSpec, electron_preset
 
@@ -74,9 +73,8 @@ LARGE_X = 4.0
 SERIES_TERMS = 12
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """One (t, z) evaluation point with its particle.
+class EvalPoint(FrozenRecord):
+    """One (t, z) evaluation point with its particle, by default the electron.
 
     ``t`` is the elapsed time since the coupling switched on, ``z`` the
     distance from the plane, both natural lengths.  The point is near the
@@ -84,22 +82,24 @@ class EvalPoint:
     |t - 2z| / z < DEFAULT_LIGHTCONE_DELTA.
     """
 
-    t: float
-    z: float
-    particle: ParticleSpec = field(default_factory=electron_preset)
-    _terms = None  # not a field: what the closed forms here share, kept by `_shared_terms`
+    # _terms is no field: what the closed forms here share, kept by `_shared_terms`
+    __slots__ = ("t", "z", "particle", "_terms")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.z):
+    def __init__(self, t: float, z: float, particle: ParticleSpec | None = None) -> None:
+        if not math.isfinite(z):
             raise ValueError("z must be finite")
-        if not math.isfinite(self.t):
+        if not math.isfinite(t):
             raise ValueError("t must be finite")
-        if not (self.t > 0.0):
+        if not (t > 0.0):
             raise ValueError("t must be positive")
-        if not (self.z > 0.0):
+        if not (z > 0.0):
             raise ValueError("z must be positive")
-        if not math.isfinite(self.t / self.z):
+        if not math.isfinite(t / z):
             raise ValueError("t/z must be finite")
+        set_field(self, "t", t)
+        set_field(self, "z", z)
+        set_field(self, "particle", electron_preset() if particle is None else particle)
+        set_field(self, "_terms", None)
 
     @property
     def t_over_z(self) -> float:
@@ -108,15 +108,14 @@ class EvalPoint:
     @property
     def x(self) -> float:
         """Lightcone coordinate t / 2z; the pole sits at x = 1."""
-        return self.t / (2.0 * self.z)
+        return 0.5 * (self.t / self.z)  # 2z overflows for z above about 9e307; t/z is finite
 
     @property
     def near_lightcone(self) -> bool:
         return near_lightcone(self.t, self.z)
 
 
-@dataclass(frozen=True)
-class DispersionResult:
+class DispersionResult(FrozenRecord):
     """A dispersion value with its regime flags.
 
     ``component`` "x" stands for either transverse direction (x and y are
@@ -126,12 +125,16 @@ class DispersionResult:
     True for an asymptote evaluated there, which refuses only t <= 2z.
     """
 
-    value: float
-    component: str
-    kind: str
-    validity_ok: bool
-    radiation_ok: bool
-    near_lightcone: bool
+    __slots__ = ("value", "component", "kind", "validity_ok", "radiation_ok", "near_lightcone")
+
+    def __init__(self, value: float, component: str, kind: str, validity_ok: bool,
+                 radiation_ok: bool, near_lightcone: bool) -> None:
+        set_field(self, "value", value)
+        set_field(self, "component", component)
+        set_field(self, "kind", kind)
+        set_field(self, "validity_ok", validity_ok)
+        set_field(self, "radiation_ok", radiation_ok)
+        set_field(self, "near_lightcone", near_lightcone)
 
 
 def _checked_prefactor(kind: str, formula: str, value: float) -> float:
@@ -194,7 +197,7 @@ def _shared_terms(p: EvalPoint, position: bool) -> tuple[float, float, float | N
             terms = (x, math.log(x), 1.0 / (x * x)) if x > LARGE_X else (x, _log_ratio(x), None)
         if position and terms[2] is None:
             terms = (terms[0], terms[1], _g(terms[0]))
-        object.__setattr__(p, "_terms", terms)
+        set_field(p, "_terms", terms)
     return terms
 
 
@@ -209,8 +212,7 @@ def _shared_terms(p: EvalPoint, position: bool) -> tuple[float, float, float | N
 _K = range(40)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(FrozenRecord):
     """One of the four dispersions: every fact the package keeps about it.
 
     ``bracket(x, L, g)`` is the direct scaled closed form in x = t/2z, given
@@ -221,15 +223,21 @@ class Quantity:
     follows from ``kind``: A for "velocity", B for "position".
     """
 
-    id: str
-    kind: str
-    component: str
-    bracket: Callable[[float, float, float | None], float]
-    series_coeff: Callable[[int], float]
-    a: float
-    b: float
-    d: tuple[float, ...]
-    asym_terms: int
+    __slots__ = ("id", "kind", "component", "bracket", "series_coeff", "a", "b", "d", "asym_terms")
+
+    def __init__(self, id: str, kind: str, component: str,
+                 bracket: Callable[[float, float, float | None], float],
+                 series_coeff: Callable[[int], float], a: float, b: float, d: tuple[float, ...],
+                 asym_terms: int) -> None:
+        set_field(self, "id", id)
+        set_field(self, "kind", kind)
+        set_field(self, "component", component)
+        set_field(self, "bracket", bracket)
+        set_field(self, "series_coeff", series_coeff)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "d", d)
+        set_field(self, "asym_terms", asym_terms)
 
     def prefactor(self, p: EvalPoint) -> float:
         """A = e^2/(pi^2 m^2 z^2) or B = e^2/(pi^2 m^2); refuses a value outside the float range."""

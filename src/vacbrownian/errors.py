@@ -1,4 +1,4 @@
-"""Exception types and the float-range refusal shared across the package."""
+"""Exception types, the float-range refusal and the immutable record base of the package."""
 
 from __future__ import annotations
 
@@ -60,3 +60,50 @@ def finite(function: Callable[..., float]) -> Callable[..., float]:
             return value
         raise ValueError("value leaves the float range")
     return checked
+
+
+# A record's __init__ stores each field with this, past the record's refusing __setattr__.
+set_field = object.__setattr__
+
+
+class FrozenRecord:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in constructor order, and
+    writes its own ``__init__``, which checks its arguments and stores them
+    with `set_field`.  A slot whose name starts with "_" is no field: it
+    holds a cache outside the record's value.  Equality (against the same
+    class only), hash, repr and pickling go by the fields, as a frozen
+    dataclass's do; assigning or deleting any attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return self.__class__, self._values()

@@ -72,7 +72,6 @@ row run ahead for nothing costs real work, so they do not look ahead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -83,7 +82,7 @@ from .correlators import (
     transverse_kernel_complex,
 )
 from .dispersion import QUANTITIES, EvalPoint, _check_lightcone, _checked_prefactor
-from .errors import ExtrapolationError, QuadratureConvergenceError
+from .errors import ExtrapolationError, FrozenRecord, QuadratureConvergenceError, set_field
 from .units_constants import ParticleSpec, unit_preset
 
 __all__ = [
@@ -484,17 +483,20 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
 
 # --- verification grid -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(FrozenRecord):
     """One oracle-vs-closed-form comparison."""
 
-    quantity: str
-    t_over_z: float
-    closed: float
-    oracle: float
-    rel_err: float
-    eps_estimate: float
-    passed: bool
+    __slots__ = ("quantity", "t_over_z", "closed", "oracle", "rel_err", "eps_estimate", "passed")
+
+    def __init__(self, quantity: str, t_over_z: float, closed: float, oracle: float,
+                 rel_err: float, eps_estimate: float, passed: bool) -> None:
+        set_field(self, "quantity", quantity)
+        set_field(self, "t_over_z", t_over_z)
+        set_field(self, "closed", closed)
+        set_field(self, "oracle", oracle)
+        set_field(self, "rel_err", rel_err)
+        set_field(self, "eps_estimate", eps_estimate)
+        set_field(self, "passed", passed)
 
 
 def verify_grid(

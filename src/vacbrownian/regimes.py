@@ -12,10 +12,9 @@ or refuses with ValueError; a time bound may be infinite, meaning no bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .correlators import PI_SQ, mean_e_squared
-from .errors import finite
+from .errors import FrozenRecord, finite, set_field
 from .units_constants import ParticleSpec, natural_to_si_temperature
 
 __all__ = [
@@ -42,22 +41,22 @@ __all__ = [
 DEFAULT_MARGIN = 0.1
 
 
-@dataclass(frozen=True)
-class PacketSpec:
+class PacketSpec(FrozenRecord):
     """Gaussian wave packet: initial width and momentum width.
 
     Natural units (lengths and inverse lengths); the uncertainty product
     must satisfy dz0 * dpz >= 1/2.
     """
 
-    dz0: float
-    dpz: float
+    __slots__ = ("dz0", "dpz")
 
-    def __post_init__(self) -> None:
-        if not (self.dz0 > 0.0 and self.dpz > 0.0):
+    def __init__(self, dz0: float, dpz: float) -> None:
+        if not (dz0 > 0.0 and dpz > 0.0):
             raise ValueError("packet widths must be positive")
-        if self.dz0 * self.dpz < 0.5 * (1.0 - 1e-12):
+        if dz0 * dpz < 0.5 * (1.0 - 1e-12):
             raise ValueError("uncertainty product dz0*dpz must be >= 1/2")
+        set_field(self, "dz0", dz0)
+        set_field(self, "dpz", dpz)
 
 
 def validity_time_limit(spec: ParticleSpec, z: float) -> float:
@@ -175,25 +174,31 @@ def effective_temperature(spec: ParticleSpec, z: float) -> float:
     return natural_to_si_temperature(effective_temperature_natural(spec, z))
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(FrozenRecord):
     """All regime diagnostics for one (particle, z, t).
 
-    The flags hold t against DEFAULT_MARGIN times each bound; `as_dict`
-    prints that constant as ``margin``.
+    ``ratio_x`` is None when t <= 2z, where its asymptote is undefined.  The
+    flags hold t against DEFAULT_MARGIN times each bound; `as_dict` prints
+    that constant as ``margin``.
     """
 
-    particle: str
-    z: float
-    t: float
-    t_validity: float
-    t_radiation: float
-    dv2_rad: float
-    t_eff_kelvin: float
-    ratio_x: float | None  # None when t <= 2z (asymptote undefined)
-    ratio_z: float
-    validity_ok: bool
-    radiation_ok: bool
+    __slots__ = ("particle", "z", "t", "t_validity", "t_radiation", "dv2_rad", "t_eff_kelvin",
+                 "ratio_x", "ratio_z", "validity_ok", "radiation_ok")
+
+    def __init__(self, particle: str, z: float, t: float, t_validity: float, t_radiation: float,
+                 dv2_rad: float, t_eff_kelvin: float, ratio_x: float | None, ratio_z: float,
+                 validity_ok: bool, radiation_ok: bool) -> None:
+        set_field(self, "particle", particle)
+        set_field(self, "z", z)
+        set_field(self, "t", t)
+        set_field(self, "t_validity", t_validity)
+        set_field(self, "t_radiation", t_radiation)
+        set_field(self, "dv2_rad", dv2_rad)
+        set_field(self, "t_eff_kelvin", t_eff_kelvin)
+        set_field(self, "ratio_x", ratio_x)
+        set_field(self, "ratio_z", ratio_z)
+        set_field(self, "validity_ok", validity_ok)
+        set_field(self, "radiation_ok", radiation_ok)
 
     def as_dict(self) -> dict[str, object]:
         def qty(value: object, unit: str) -> dict[str, object]:

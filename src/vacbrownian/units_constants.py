@@ -10,9 +10,8 @@ inverse lengths (m -> m*c/hbar), times as light-travel lengths
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import finite
+from .errors import FrozenRecord, finite, set_field
 
 __all__ = [
     "ALPHA",
@@ -48,28 +47,28 @@ def constants_table() -> dict[str, dict[str, object]]:
     }
 
 
-@dataclass(frozen=True)
-class ParticleSpec:
+class ParticleSpec(FrozenRecord):
     """Charge and mass of the test particle in natural units.
 
     ``e`` is the Lorentz-Heaviside charge (dimensionless), ``m`` the mass
     as an inverse length (1/m).  ``name`` is a label carried into reports.
     """
 
-    e: float
-    m: float
-    name: str = "custom"
+    __slots__ = ("e", "m", "name")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.e) and math.isfinite(self.m)):
+    def __init__(self, e: float, m: float, name: str = "custom") -> None:
+        if not (math.isfinite(e) and math.isfinite(m)):
             raise ValueError("particle charge and mass must be finite")
-        if not (self.m > 0.0):
+        if not (m > 0.0):
             raise ValueError("particle mass must be positive")
-        if self.e == 0.0:
+        if e == 0.0:
             raise ValueError("particle charge must be nonzero")
         # Every formula carries e^2 and m^2; neither may leave the float range.
-        if not (0.0 < self.e * self.e < math.inf and 0.0 < self.m * self.m < math.inf):
+        if not (0.0 < e * e < math.inf and 0.0 < m * m < math.inf):
             raise ValueError("particle charge and mass squared must stay within the float range")
+        set_field(self, "e", e)
+        set_field(self, "m", m)
+        set_field(self, "name", name)
 
     @property
     def alpha_eff(self) -> float:

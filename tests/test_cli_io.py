@@ -806,8 +806,8 @@ class TestBoundary:
         (["--z", "nan", "--dt-max", "4"], "parameter z:"),
         (["--z", "-1", "--dt-max", "4"], "parameter z:"),
         (["--z", "inf", "--dt-max", "4"], "parameter z:"),
-        (["--z", "1e200", "--dt-max", "4e200"], "parameter z:"),
-        (["--z", "1e-200", "--dt-max", "4e-200"], "parameter z:"),  # 4z^2 underflows
+        (["--z", "1e200", "--dt-max", "4e200"], "parameter dt/z:"),  # 4z^2 overflows
+        (["--z", "1e-200", "--dt-max", "4e-200"], "parameter dt/z:"),  # 4z^2 underflows at dt = 0
         (["--dt-max", "4", "--eps", "0"], "parameter eps:"),
         (["--dt-max", "4", "--eps", "nan"], "parameter eps:"),
         (["--dt-max", "4", "--eps", "1e300"], "parameter dt/z/eps:"),
@@ -816,6 +816,17 @@ class TestBoundary:
     ])
     def test_corr_out_of_range_refused(self, capsys, extra, fragment):
         assert_refused(*run(capsys, "corr", "--count", "5", *extra), fragment)
+
+    def test_corr_accepts_z_whose_square_underflows(self, capsys):
+        # 4z^2 underflows to zero, yet every cell with dt >> z is finite
+        code, out, err = run(capsys, "corr", "--z", "1e-200", "--dt-min", "1", "--dt-max", "2",
+                             "--count", "3")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[4] for row in rows] == ["ok"] * 3
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row[:4])
+        # at dt = 1 both kernels reach their free-space limits -+1/pi^2
+        assert float(rows[0][2]) == -1.0 / math.pi**2 == -float(rows[0][3])
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-6"])
     def test_verify_bad_tolerance_refused(self, capsys, tolerance):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import mpmath
@@ -393,3 +394,30 @@ class TestHugeRatios:
         else:
             assert math.isfinite(value)
             assert not (name.startswith("pos_disp_normal") and ratio == 1e300)
+
+
+class TestHugeZ:
+    # 2z overflows past z ~ 9e307; x = t/2z and the lightcone test must not form it
+
+    @pytest.mark.parametrize("z", [1e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("ratio", [0.1, 0.5, 1.0])  # t = ratio * z stays finite
+    def test_position_forms_do_not_depend_on_z(self, z, ratio):
+        p = up(ratio * z, z=z)
+        assert p.x == 0.5 * ratio
+        assert p.near_lightcone is False
+        for fn in (pos_disp_transverse, pos_disp_normal):
+            assert fn(p).value == fn(up(ratio)).value
+
+    def test_lightcone_window_at_huge_z(self):
+        z = 8e307  # 2z is still finite here
+        assert up(2.0 * z, z=z).near_lightcone is True
+        assert up(2.0 * z * (1.0 + 1e-5), z=z).near_lightcone is False
+
+    def test_eval_cli_at_huge_z(self, capsys):
+        printed = []
+        for z in ("1e307", "1e308"):
+            assert main(["eval", "--particle", "unit", "--z", z, "--t-over-z", "1",
+                         "--quantity", "pos_disp_normal"]) == 0
+            printed.append(json.loads(capsys.readouterr().out)["quantities"])
+        assert printed[0] == printed[1]
+        assert printed[1]["pos_disp_normal"]["value_natural"] != 0.0

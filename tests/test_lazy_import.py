@@ -1,4 +1,5 @@
-"""Import hygiene: numpy loads only with the quadrature oracle, scipy never."""
+"""Import hygiene: numpy loads only with the quadrature oracle, scipy never, and
+the closed-form paths load no costly standard-library module."""
 
 from __future__ import annotations
 
@@ -14,17 +15,32 @@ import vacbrownian
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def modules_after(code: str, package: str) -> list[str]:
-    """Run `code` in a fresh interpreter; return the modules of `package` it loaded."""
+def run_fresh(source: str) -> str:
+    """Run `source` in a fresh interpreter with the package on its path; return its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    report = ("import sys; print('\\n'.join(m for m in sys.modules "
-              f"if m == {package!r} or m.startswith({package + '.'!r})))")
     result = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"],
+        [sys.executable, "-c", source],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    return result.stdout.split()
+    return result.stdout
+
+
+def modules_after(code: str, package: str) -> list[str]:
+    """Run `code` in a fresh interpreter; return the modules of `package` it loaded."""
+    report = ("import sys; print('\\n'.join(m for m in sys.modules "
+              f"if m == {package!r} or m.startswith({package + '.'!r})))")
+    return run_fresh(f"{code}\n{report}").split()
+
+
+def modules_added_by(code: str) -> set[str]:
+    """Run `code` in a fresh interpreter; return the modules it added to sys.modules.
+
+    Taken as a difference, so modules that the interpreter's start-up already
+    loaded (`site` may load `typing` through a .pth file) do not count.
+    """
+    return set(run_fresh("import sys\nbefore = set(sys.modules)\n"
+                         f"{code}\nprint('\\n'.join(sorted(set(sys.modules) - before)))").split())
 
 
 def run_main(*argvs: list[str]) -> str:
@@ -66,6 +82,23 @@ def test_no_subcommand_loads_scipy():
 def test_package_import_and_closed_form_subcommands_leave_numpy_unloaded():
     assert modules_after("import vacbrownian", "numpy") == []
     assert modules_after(run_main(*CLOSED_FORM_CALLS), "numpy") == []
+
+
+# Each costs milliseconds per cold start, so no closed-form path may load it.
+COSTLY_STDLIB = {"dataclasses", "inspect"}
+
+
+def test_package_import_adds_no_costly_stdlib_module():
+    added = modules_added_by("import vacbrownian")
+    assert "vacbrownian.dispersion" in added
+    assert not added & COSTLY_STDLIB
+
+
+@pytest.mark.parametrize("argv", CLOSED_FORM_CALLS, ids=[argv[0] for argv in CLOSED_FORM_CALLS])
+def test_closed_form_subcommand_adds_no_costly_stdlib_module(argv):
+    added = modules_added_by(run_main(argv))
+    assert "vacbrownian.cli_io" in added
+    assert not added & COSTLY_STDLIB
 
 
 def test_verify_loads_numpy():
