@@ -411,13 +411,11 @@ def _cmd_verify(opts: _Options) -> int:
     spec = opts.particle(unset="unit")
     z = opts.get("z")
     grid = opts.get("grid")
-    tol = opts.get("tolerance")
-    if tol is not None and not 0.0 <= tol < math.inf:
-        raise UsageError(f"parameter tolerance: need a finite tolerance >= 0, got {tol!r}")
     try:
-        rows = oracle.verify_grid(spec, z, grid=grid, tolerance=tol)
-    except ValueError as exc:  # an unknown grid, or a refused z or particle
-        name = "grid" if grid not in oracle.GRIDS else "t/z"
+        rows = oracle.verify_grid(spec, z, grid=grid, tolerance=opts.get("tolerance"))
+    except ValueError as exc:  # a refused tolerance, an unknown grid, or a refused z or particle
+        name = ("tolerance" if "tolerance" in str(exc)
+                else "grid" if grid not in oracle.GRIDS else "t/z")
         raise UsageError(f"parameter {name}: {exc}") from None
 
     lines = [VERIFY_HEADER]

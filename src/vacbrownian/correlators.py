@@ -50,7 +50,7 @@ class RegulatorSpec(FrozenRecord):
 
     The oracle computes no ladder; only the benchmark's rung probe reads one,
     through `oracle.default_regulator`, and its removal waits for the
-    benchmark change of ROADMAP item 4.
+    benchmark change of ROADMAP item 5, "perfbench after the ladder".
     """
 
     __slots__ = ("eps0",)

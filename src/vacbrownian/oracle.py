@@ -67,11 +67,29 @@ halving passes in 6 rule calls instead of 14; a large batch fills the
 budget with the halves it needs anyway.  `reduced_time_integral` and
 `direct_time_integral` call the caller's Python f once per node, where a
 row run ahead for nothing costs real work, so they do not look ahead.
+
+A point's oracle value is a scaled integral at z = 1 times its prefactor,
+and the scaled integral, with its error estimate, depends only on (kind,
+component, T).  `verify_grid` therefore keeps each one it computes in a
+module-level memo keyed on that triple, T the exact float t/z that the
+point's own t and z give, and runs only the T it does not hold, as one
+batch per quantity.  A later grid at any particle, and at any z whose
+(ratio z)/z rounds to a T already held, runs no quadrature.  Since no
+integral's value depends on its batch, a held value is bit for bit the one
+a fresh batch would give, and the prefactor, the "no significant digit"
+refusal and the float-range refusal still run for every point.  A batch
+that would take the memo past `_MEMO_ENTRIES` (256) entries clears it
+first; a full grid fills 36.  Threads share the memo: a lock keeps that
+check and the update together, and since a held value depends only on its
+key, a race can at worst compute one twice.  A process's first grid gains
+nothing, so a single CLI `verify` runs as before.  `dispersion_oracle`
+takes an arbitrary t/z and neither reads nor fills the memo.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -115,7 +133,7 @@ def default_regulator(z: float, t: float) -> RegulatorSpec:
     """A point-splitting ladder for an evaluation at (t, z): eps0 = 1e-4 z
     before the lightcone, 1e-2 z beyond.  The oracle itself needs none; only
     the benchmark's rung probe reads it, and its removal waits for the
-    benchmark change of ROADMAP item 4."""
+    benchmark change of ROADMAP item 5, "perfbench after the ladder"."""
     return RegulatorSpec(eps0=(1e-4 if t < 2.0 * z else 1e-2) * z)
 
 
@@ -126,7 +144,7 @@ class OracleResult(NamedTuple):
     rounding bound of the module docstring.  ``rungs`` is the single pair
     (0.0, value): the value at regulator eps = 0, the only one computed.
     Only the benchmark's oracle probes read it; its removal waits for the
-    benchmark change of ROADMAP item 4.
+    benchmark change of ROADMAP item 5, "perfbench after the ladder".
     """
 
     value: float
@@ -386,24 +404,54 @@ def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
     return p.t / p.z, _checked_prefactor(kind, formula, prefactor)
 
 
-def _oracle_batch(kind: str, component: str,
-                  plans: Sequence[tuple[float, float]]) -> list[OracleResult]:
-    """Every plan's contour pieces as one batch, then each plan's value in order."""
-    contours = [_contour(T) for T, _ in plans]
-    Ts, a, b, arc, signs = zip(*((T, *piece) for (T, _), pieces in zip(plans, contours)
-                                 for piece in pieces))
-    integrand = _contour_integrand(kind, component, np.array(Ts), np.array(arc))
+def _scaled(kind: str, component: str, Ts: Sequence[float]) -> list[tuple[float, float]]:
+    """Each scaled integral's (value, error estimate) at z = 1, t/z = T: every
+    contour piece of every T as one `_integrate` batch, then each T's sums."""
+    contours = [_contour(T) for T in Ts]
+    piece_T, a, b, arc, signs = zip(*((T, *piece) for T, pieces in zip(Ts, contours)
+                                      for piece in pieces))
+    integrand = _contour_integrand(kind, component, np.array(piece_T), np.array(arc))
     values, errors = _integrate(integrand, a, b, _LOOKAHEAD_ROWS)
 
-    results = []
+    scaled = []
     i = 0
-    for (T, prefactor), pieces in zip(plans, contours):
+    for T, pieces in zip(Ts, contours):
         j = i + len(pieces)
         # fsum rounds once, alike on every Python (sum() compensates from 3.12 on)
         parts = [sign * v for sign, v in zip(signs[i:j], values[i:j])]
-        value = math.fsum(parts)
         error_estimate = (math.fsum(errors[i:j]) + _EPS * math.fsum(map(abs, parts))
                           * max(1.0, T / abs(T - 2.0)))
+        scaled.append((math.fsum(parts), error_estimate))
+        i = j
+    return scaled
+
+
+# `verify_grid`'s scaled (value, error estimate) by (kind, component, exact T);
+# see the module docstring.
+_MEMO: dict[tuple[str, str, float], tuple[float, float]] = {}
+_MEMO_ENTRIES = 256
+_MEMO_LOCK = threading.Lock()  # keeps the bound check and the update together
+
+
+def _memoised(kind: str, component: str, Ts: Sequence[float]) -> list[tuple[float, float]]:
+    """`_scaled` through `_MEMO`: only the T not held there run, as one batch."""
+    found = {T: _MEMO.get((kind, component, T)) for T in Ts}
+    missing = [T for T, scaled in found.items() if scaled is None]
+    if missing:
+        found.update(zip(missing, _scaled(kind, component, missing)))
+        with _MEMO_LOCK:
+            if len(_MEMO) + len(missing) > _MEMO_ENTRIES:
+                _MEMO.clear()
+            _MEMO.update(((kind, component, T), found[T]) for T in missing)
+    return [found[T] for T in Ts]
+
+
+def _results(plans: Sequence[tuple[float, float]],
+             scaled: Sequence[tuple[float, float]]) -> list[OracleResult]:
+    """Each plan's result from its scaled (value, error estimate), in order,
+    refusing a value without a significant digit or outside the float range."""
+    results = []
+    for (T, prefactor), (value, error_estimate) in zip(plans, scaled):
         if not error_estimate < abs(value):
             raise ExtrapolationError(
                 f"error estimate {error_estimate:.3e} is not below the magnitude "
@@ -417,8 +465,13 @@ def _oracle_batch(kind: str, component: str,
             error_estimate=prefactor * error_estimate,
             rungs=((0.0, value),),
         ))
-        i = j
     return results
+
+
+def _oracle_batch(kind: str, component: str,
+                  plans: Sequence[tuple[float, float]]) -> list[OracleResult]:
+    """Every plan's contour pieces as one batch, then each plan's value in order."""
+    return _results(plans, _scaled(kind, component, [T for T, _ in plans]))
 
 
 def dispersion_oracle(kind: str, component: str, p: EvalPoint) -> OracleResult:
@@ -509,14 +562,17 @@ def verify_grid(
     """Compare every closed form against the oracle on the standard grid.
 
     Rows are ordered quantity-major, then by t/z.  A row passes when its
-    relative error is at most ``tolerance``; without one, pre-lightcone
-    points are held to TOL_PRE_LIGHTCONE, pole-crossing points to
-    TOL_POST_LIGHTCONE.
+    relative error is at most ``tolerance``, which must be finite and >= 0;
+    without one, pre-lightcone points are held to TOL_PRE_LIGHTCONE,
+    pole-crossing points to TOL_POST_LIGHTCONE.
     ``grid`` selects "pre-lightcone", "post-lightcone", or "full".  Every
     row's closed form and oracle checks run first, in row order, refusing a
     closed form that underflowed to zero, against which no relative error
-    exists; then the rows of each quantity run as one batch.
+    exists; then each quantity's rows take their scaled integrals from the
+    memo of the module docstring, the rest running as one batch.
     """
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"need a finite tolerance >= 0, got {tolerance!r}")
     if grid not in GRIDS:
         raise ValueError("grid must be 'full', 'pre-lightcone', or 'post-lightcone'")
     if particle is None:
@@ -533,8 +589,8 @@ def verify_grid(
             cases.append((quantity, ratio, closed))
             plans.append(_plan(quantity.kind, point))
         batches.append((quantity, plans))
-    results = [result for quantity, plans in batches
-               for result in _oracle_batch(quantity.kind, quantity.component, plans)]
+    results = [result for quantity, plans in batches for result in _results(
+        plans, _memoised(quantity.kind, quantity.component, [T for T, _ in plans]))]
 
     rows: list[VerifyRow] = []
     for (quantity, ratio, closed), result in zip(cases, results):

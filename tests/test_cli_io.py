@@ -524,7 +524,8 @@ class TestVerify:
         assert target.read_bytes() == first
         capsys.readouterr()
 
-    def test_oracle_failure_exits_4(self, capsys, monkeypatch):
+    def test_oracle_failure_exits_4(self, capsys, monkeypatch, cold_oracle_memo):
+        # a warm memo would hold every scaled integral and call no quadrature
         def broken(*args, **kwargs):
             raise QuadratureConvergenceError("forced failure", achieved=1.0)
 

@@ -47,6 +47,20 @@ def up(t, z=1.0):
     return EvalPoint(t=t, z=z, particle=UNIT)
 
 
+@pytest.fixture
+def rule_calls(monkeypatch):
+    """The rows of each `_gk21` call the test makes."""
+    calls = []
+    rule = oracle._gk21
+
+    def counted(f, k, lo, hi):
+        calls.append(len(k))
+        return rule(f, k, lo, hi)
+
+    monkeypatch.setattr(oracle, "_gk21", counted)
+    return calls
+
+
 class TestWeights:
     def test_velocity_weight(self):
         assert weight_velocity(0.0, 3.0) == 6.0
@@ -293,6 +307,11 @@ class TestVerifyGrid:
             tol = TOL_PRE_LIGHTCONE if row.t_over_z < 2.0 else TOL_POST_LIGHTCONE
             assert row.passed == (row.rel_err <= tol), (row.quantity, row.t_over_z)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf, -math.inf])
+    def test_bad_tolerance_refused(self, tolerance):
+        with pytest.raises(ValueError, match="need a finite tolerance >= 0"):
+            verify_grid(tolerance=tolerance)
+
 
 def closed_form_mp(quantity, p):
     """The closed form in the `dispersion` docstring at p's float inputs, to 50 digits."""
@@ -393,24 +412,12 @@ class TestLookAhead:
     # The contour batches run the rule ahead on the descendants of the halves
     # they need; one rule call per pass, as with the integrals of a caller's f,
     # took 14 calls for the far-band point below and 19 for the verify grid.
-    @pytest.fixture
-    def rule_calls(self, monkeypatch):
-        calls = []
-        rule = oracle._gk21
-
-        def counted(f, k, lo, hi):
-            calls.append(len(k))
-            return rule(f, k, lo, hi)
-
-        monkeypatch.setattr(oracle, "_gk21", counted)
-        return calls
-
     def test_far_band_point_in_few_rule_calls(self, rule_calls):
         dispersion_oracle("velocity", "x", up(1e4))
         assert len(rule_calls) <= 7
         assert max(rule_calls) <= oracle._LOOKAHEAD_ROWS
 
-    def test_verify_grid_needs_no_more_rule_calls(self, rule_calls):
+    def test_verify_grid_needs_no_more_rule_calls(self, rule_calls, cold_oracle_memo):
         verify_grid()
         assert len(rule_calls) <= 19
 
@@ -424,6 +431,46 @@ class TestLookAhead:
 
         reduced_time_integral(kernel, 1.9, "velocity")
         assert calls[0] == 9 * 21
+
+
+class TestVerifyMemo:
+    # verify_grid keeps each scaled integral, keyed on (kind, component, t/z),
+    # so a later grid at any particle and z runs only the t/z it has not seen.
+    def test_warm_grid_runs_no_quadrature(self, rule_calls, cold_oracle_memo):
+        verify_grid(UNIT, 1.0)
+        assert rule_calls
+        rule_calls.clear()
+        verify_grid(electron_preset(), 2.0)  # t/z is each ratio exactly
+        assert rule_calls == []
+
+    @pytest.mark.parametrize("z", [1.0, 3.7])
+    def test_warm_rows_equal_cold_rows(self, cold_oracle_memo, z):
+        if z == 3.7:  # two t/z one ulp off their ratios miss the memo
+            off = [r for r in oracle._GRID_RATIOS["full"] if (r * z) / z != r]
+            assert off == [1.5, 3.0]
+        cold = repr(verify_grid(UNIT, z))
+        cold_oracle_memo.clear()
+        verify_grid(electron_preset(), 0.5)
+        assert repr(verify_grid(UNIT, z)) == cold
+
+    def test_memo_stays_within_its_bound(self, cold_oracle_memo):
+        # z from 1e-311, subnormal, where t/z lands off the ratios, to 1e-306;
+        # this particle keeps both prefactors inside the float range there
+        particle = ParticleSpec(e=3e-5, m=1e153)
+        sizes = []
+        for z in np.geomspace(1e-311, 1e-306, 30).tolist():
+            verify_grid(particle, z)
+            sizes.append(len(cold_oracle_memo))
+        assert max(sizes) <= oracle._MEMO_ENTRIES
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the bound was reached
+
+    def test_single_points_leave_memo_alone(self, cold_oracle_memo):
+        verify_grid()
+        before = dict(cold_oracle_memo)
+        for ratio in (1.5, 3.0, 7.0):
+            dispersion_oracle("velocity", "x", up(ratio))
+            dispersion_oracle("position", "z", up(ratio * 3.7, 3.7))
+        assert cold_oracle_memo == before
 
 
 class TestFarBand:
