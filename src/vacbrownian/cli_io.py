@@ -32,7 +32,7 @@ import math
 import os
 import re
 import sys
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import correlators, dispersion, regimes
 from .errors import (
@@ -146,7 +146,7 @@ class _Options:
         self._args = args
 
     @functools.cached_property
-    def _config(self) -> dict[str, Any]:
+    def _config(self) -> dict[str, object]:
         path = self._args.config
         if path is None:
             return {}
@@ -165,13 +165,13 @@ class _Options:
                 raise UsageError(f"parameter config: unknown key {key!r}")
         return config
 
-    def raw(self, key: str) -> Any:
+    def raw(self, key: str) -> object:
         """The flag's value, else the config's, unparsed; None when neither is set."""
         config = self._config  # read first, so a bad --config is the first error
         value = getattr(self._args, key)
         return config.get(key) if value is None else value
 
-    def get(self, key: str, parse: Callable[[str], Any] | None = None) -> Any:
+    def get(self, key: str, parse: Callable[[str], object] | None = None) -> object:
         """The parsed setting, or the flag's default when unset; ``parse`` overrides its parser."""
         flag_parse, default, _ = _FLAGS[key]
         value = self.raw(key)
@@ -229,6 +229,14 @@ class _Options:
             raise UsageError("parameter t: give exactly one of --t or --t-over-z")
         ratio = self.get("t_over_z")
         return self.get("t") if ratio is None else ratio * z
+
+
+def _point(t: float, z: float, spec: ParticleSpec) -> dispersion.EvalPoint:
+    """The evaluation point (t, z), whose refusal is one of parameter t/z."""
+    try:
+        return dispersion.EvalPoint(t=t, z=z, particle=spec)
+    except ValueError as exc:
+        raise UsageError(f"parameter t/z: {exc}") from None
 
 
 def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float, str]:
@@ -289,12 +297,9 @@ def _cmd_eval(opts: _Options) -> int:
     spec = opts.particle()
     z = opts.get("z")
     quantities = opts.quantities()
-    try:
-        point = dispersion.EvalPoint(t=opts.t(z), z=z, particle=spec)
-    except ValueError as exc:
-        raise UsageError(f"parameter t/z: {exc}") from None
+    point = _point(opts.t(z), z, spec)
 
-    record: dict[str, Any] = {
+    record: dict[str, object] = {
         "particle": spec.name,
         "t": {"value": point.t, "unit": "m (light-travel)"},
         "z": {"value": point.z, "unit": "m"},
@@ -361,10 +366,7 @@ def _cmd_sweep(opts: _Options) -> int:
             t, z = t_fixed, value
         else:
             t, z = value * z_fixed, z_fixed
-        try:
-            return dispersion.EvalPoint(t=t, z=z, particle=spec)
-        except ValueError as exc:
-            raise UsageError(f"parameter t/z: {exc}") from None
+        return _point(t, z, spec)
 
     # t, z and t/z are monotonic along the grid, so a point the end points
     # pass passes too: checking them refuses a bad sweep before any output.
@@ -431,11 +433,10 @@ def _cmd_verify(opts: _Options) -> int:
 def _cmd_regimes(opts: _Options) -> int:
     spec = opts.particle()
     z = opts.get("z")
-    t = opts.t(z)
-    if not (t > 0.0 and z > 0.0):
-        raise UsageError("parameter t/z: t and z must be positive")
+    point = _point(opts.t(z), z, spec)
     try:
-        text = json.dumps(regimes.regime_report(spec, z, t).as_dict(), indent=2, allow_nan=False)
+        text = json.dumps(regimes.regime_report(spec, z, point.t).as_dict(), indent=2,
+                          allow_nan=False)
     except ValueError:  # a refused estimate, or an infinite time bound json.dumps refuses
         raise UsageError("parameter t/z: regime report leaves the float range") from None
     _emit(None, text + "\n")

@@ -26,21 +26,27 @@ is summed as its large-x series a x^2 + b ln x + sum_k d_k w^k, w = 1/x^2.
 What the four share at one point -- the lightcone test, x, L(x) (past
 LARGE_X: ln x and w) and g(x) -- is worked out once per point, by
 `_shared_terms`, which every closed-form value reaches.
-Against 60-digit mpmath all four hold 1e-13 relative accuracy over t/z in
-[1e-9, 1e12] and at t/z = 2(1 +- k 1e-6); beyond, a value is finite or
-refused with ValueError.  The printed asymptotes truncate the same series,
-`small_t_series` sums the Taylor series about t = 0, and `QUANTITIES` holds
-each dispersion's kind, component, bracket and both series in one place.
+Against 60-digit mpmath at the exact t/(2z) of the double inputs t and z,
+all four hold 1e-13 relative accuracy over t/z in [1e-9, 1e12], except in
+two places (ROADMAP item 1).  Within |t/2z - 1| < 1e-3 of the lightcone, x
+is rounded before 1 - x is formed: `vel_disp_transverse` is off by up to
+1e-10 there, the others by up to 1e-11.  Near its zero t0 = 3.19855169347299 z,
+`pos_disp_transverse` is off by about 1e-16/|t/t0 - 1| relative.  Beyond
+that range a value is finite or refused with ValueError.  The printed
+asymptotes truncate the same series, `small_t_series` sums the Taylor
+series about t = 0, and `QUANTITIES` holds each dispersion's kind,
+component, bracket and both series in one place.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple
 
 # DEFAULT_LIGHTCONE_DELTA, the window shared with the correlators, is also read from here
-from .correlators import DEFAULT_LIGHTCONE_DELTA, near_lightcone
+from .correlators import DEFAULT_LIGHTCONE_DELTA, PI_SQ, near_lightcone
 from .errors import FrozenRecord, LightconeSingularityError, finite, set_field
 from .regimes import regime_flags
 from .units_constants import ParticleSpec, electron_preset
@@ -62,8 +68,6 @@ __all__ = [
     "pos_disp_normal_asym",
     "small_t_series",
 ]
-
-PI_SQ = math.pi * math.pi
 
 # The closed forms sum the large-x series past x = t/2z = LARGE_X, where
 # w = 1/x^2 <= 1/16; the direct transverse forms cancel ever more beyond it.
@@ -377,9 +381,8 @@ def pos_disp_normal_asym(p: EvalPoint) -> DispersionResult:
 
 # --- small-t Taylor series ---------------------------------------------------
 
-class SeriesValue(NamedTuple):
-    value: float
-    truncation_bound: float
+# two floats in the units of the quantity's closed form
+SeriesValue = namedtuple("SeriesValue", "value truncation_bound")
 
 
 def small_t_series(quantity: str, p: EvalPoint) -> SeriesValue:

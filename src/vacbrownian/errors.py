@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable
+from collections.abc import Callable
 
 __all__ = [
     "VacBrownianError",

@@ -90,7 +90,8 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -137,19 +138,16 @@ def default_regulator(z: float, t: float) -> RegulatorSpec:
     return RegulatorSpec(eps0=(1e-4 if t < 2.0 * z else 1e-2) * z)
 
 
-class OracleResult(NamedTuple):
-    """Oracle value with its error estimate, both in the caller's units.
+OracleResult = namedtuple("OracleResult", "value error_estimate rungs")
+OracleResult.__doc__ = """Oracle value with its error estimate, both in the caller's units.
 
-    ``error_estimate`` is the pieces' quadrature error estimates plus the
-    rounding bound of the module docstring.  ``rungs`` is the single pair
-    (0.0, value): the value at regulator eps = 0, the only one computed.
-    Only the benchmark's oracle probes read it; its removal waits for the
-    benchmark change of ROADMAP item 5, "perfbench after the ladder".
+    ``value`` and ``error_estimate`` are floats; ``error_estimate`` is the
+    pieces' quadrature error estimates plus the rounding bound of the
+    module docstring.  ``rungs`` is the single pair (0.0, value): the value
+    at regulator eps = 0, the only one computed.  Only the benchmark's oracle
+    probes read it; its removal waits for the benchmark change of ROADMAP
+    item 5, "perfbench after the ladder".
     """
-
-    value: float
-    error_estimate: float
-    rungs: tuple[tuple[float, float], ...]
 
 
 # --- time weights ------------------------------------------------------------
@@ -468,12 +466,6 @@ def _results(plans: Sequence[tuple[float, float]],
     return results
 
 
-def _oracle_batch(kind: str, component: str,
-                  plans: Sequence[tuple[float, float]]) -> list[OracleResult]:
-    """Every plan's contour pieces as one batch, then each plan's value in order."""
-    return _results(plans, _scaled(kind, component, [T for T, _ in plans]))
-
-
 def dispersion_oracle(kind: str, component: str, p: EvalPoint) -> OracleResult:
     """Quadrature value of a dispersion: kind 'velocity'|'position', component 'x'|'z'.
 
@@ -485,7 +477,8 @@ def dispersion_oracle(kind: str, component: str, p: EvalPoint) -> OracleResult:
         raise ValueError("kind must be 'velocity' or 'position'")
     if component not in _KERNELS:
         raise ValueError("component must be 'x' or 'z'")
-    return _oracle_batch(kind, component, [_plan(kind, p)])[0]
+    T, prefactor = _plan(kind, p)
+    return _results([(T, prefactor)], _scaled(kind, component, [T]))[0]
 
 
 # --- generic weighted integrals for audits ---------------------------------------

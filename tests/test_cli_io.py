@@ -803,6 +803,16 @@ class TestBoundary:
                             "--t", "inf"),
                        "parameter t/z:")
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--z", "1", "--t", "inf"], "t must be finite"),
+        (["--z", "1", "--t", "nan"], "t must be finite"),
+        (["--z", "inf", "--t", "1"], "z must be finite"),
+    ], ids=["t=inf", "t=nan", "z=inf"])
+    def test_regimes_refuses_non_finite_point_as_eval_does(self, capsys, extra, message):
+        expected = (2, "", f"error: parameter t/z: {message}\n")
+        assert run(capsys, "regimes", *extra) == expected
+        assert run(capsys, "eval", *extra, "--quantity", "vel_disp_normal") == expected
+
     @pytest.mark.parametrize("extra, fragment", [
         (["--z", "nan", "--dt-max", "4"], "parameter z:"),
         (["--z", "-1", "--dt-max", "4"], "parameter z:"),

@@ -3,6 +3,7 @@ the closed-form paths load no costly standard-library module."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,12 +16,13 @@ import vacbrownian
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_fresh(source: str) -> str:
-    """Run `source` in a fresh interpreter with the package on its path; return its stdout."""
+def run_fresh(source: str, *flags: str) -> str:
+    """Run `source` in a fresh interpreter, started with `flags`, with the package on its
+    path; return its stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
-        [sys.executable, "-c", source],
+        [sys.executable, *flags, "-c", source],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return result.stdout
@@ -33,14 +35,16 @@ def modules_after(code: str, package: str) -> list[str]:
     return run_fresh(f"{code}\n{report}").split()
 
 
-def modules_added_by(code: str) -> set[str]:
-    """Run `code` in a fresh interpreter; return the modules it added to sys.modules.
+def modules_added_by(code: str, *flags: str) -> set[str]:
+    """Run `code` in a fresh interpreter, started with `flags`; return the modules it
+    added to sys.modules.
 
     Taken as a difference, so modules that the interpreter's start-up already
     loaded (`site` may load `typing` through a .pth file) do not count.
     """
     return set(run_fresh("import sys\nbefore = set(sys.modules)\n"
-                         f"{code}\nprint('\\n'.join(sorted(set(sys.modules) - before)))").split())
+                         f"{code}\nprint('\\n'.join(sorted(set(sys.modules) - before)))",
+                         *flags).split())
 
 
 def run_main(*argvs: list[str]) -> str:
@@ -99,6 +103,29 @@ def test_closed_form_subcommand_adds_no_costly_stdlib_module(argv):
     added = modules_added_by(run_main(argv))
     assert "vacbrownian.cli_io" in added
     assert not added & COSTLY_STDLIB
+
+
+@pytest.mark.parametrize("code", ["import vacbrownian", *map(run_main, CLOSED_FORM_CALLS)],
+                         ids=["import", *(argv[0] for argv in CLOSED_FORM_CALLS)])
+def test_closed_form_paths_add_no_typing_without_site(code):
+    # -S: `site` may have loaded typing through a .pth file, hiding a load by the package
+    added = modules_added_by(code, "-S")
+    assert "vacbrownian.dispersion" in added
+    assert "typing" not in added
+
+
+def test_no_module_imports_typing():
+    # whatever the standard library imports on a given Python, the package's own
+    # annotations come from collections.abc and its result tuples from collections
+    for path in sorted((SRC / "vacbrownian").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert "typing" not in {n.split(".")[0] for n in names}, (path.name, node.lineno)
 
 
 def test_verify_loads_numpy():

@@ -401,7 +401,8 @@ class TestBatchIndependence:
         # the number of rule calls may differ, not a bit of any result.
         ratios = (1.999, 0.5, 2.0001, 10.0, 1e4)
         plans = [oracle._plan(quantity.kind, up(ratio)) for ratio in ratios]
-        batch = oracle._oracle_batch(quantity.kind, quantity.component, plans)
+        batch = oracle._results(plans, oracle._scaled(quantity.kind, quantity.component,
+                                                      [T for T, _ in plans]))
         for ratio, result in zip(ratios, batch):
             alone = dispersion_oracle(quantity.kind, quantity.component, up(ratio))
             assert (alone.value, alone.error_estimate) == (result.value, result.error_estimate), \
