@@ -275,7 +275,8 @@ def _emit(path: str | None, text: str, more: Iterable[str] = ()) -> None:
 
 
 def _grid(lo: float, hi: float, count: int, spacing: str) -> Callable[[int], float]:
-    """The function giving a sweep's i-th grid value, nondecreasing in i."""
+    """The function giving a sweep's i-th grid value, nondecreasing in i; on a log
+    grid whose max/min overflows it refuses every point past the first."""
     if count < 2:
         raise UsageError("parameter count: need at least 2 points")
     if not (lo > 0.0 and lo < hi):
@@ -287,7 +288,15 @@ def _grid(lo: float, hi: float, count: int, spacing: str) -> Callable[[int], flo
         return lambda i: lo + step * i
     if spacing == "log":
         ratio = hi / lo
-        return lambda i: lo * ratio ** (i / (count - 1))
+        if ratio < math.inf:
+            return lambda i: lo * ratio ** (i / (count - 1))
+
+        def overflowed(i: int) -> float:  # the first point, lo, is checked first
+            if i:
+                raise UsageError(f"parameter min/max: max/min = {hi!r}/{lo!r} "
+                                 "leaves the float range")
+            return lo
+        return overflowed
     raise UsageError(f"parameter spacing: unknown spacing {spacing!r}")
 
 
@@ -463,6 +472,8 @@ def _cmd_corr(opts: _Options) -> int:
         raise UsageError(f"parameter eps: need a finite eps > 0, got {eps!r}")
 
     step = (hi - lo) / (count - 1)
+    if step == math.inf:
+        raise UsageError("parameter dt-min/dt-max: dt-max - dt-min leaves the float range")
     lines = [CORR_HEADER]
     for i in range(count):
         dt = lo + step * i

@@ -184,23 +184,19 @@ def _g(x: float) -> float:
     return y + math.log(abs((1.0 - x) * (1.0 + x)))
 
 
-def _shared_terms(p: EvalPoint, position: bool) -> tuple[float, float, float | None]:
+def _shared_terms(p: EvalPoint) -> tuple[float, float, float]:
     """(x, log, third) at p, worked out at p's first closed form and kept on p.
 
-    Past LARGE_X ``log`` is ln x and ``third`` is w = 1/x^2.  Up to it they
-    are L(x) and g(x), where g is None until a ``position`` form needs it.
-    The lightcone test runs first, and a refused point keeps nothing, so it
-    is refused again.  The terms are kept as a plain attribute, where a
-    cached property would take a lock on every first use.
+    Past LARGE_X ``log`` is ln x and ``third`` is w = 1/x^2; up to it they
+    are L(x) and g(x).  The lightcone test runs first, and a refused point
+    keeps nothing, so it is refused again.  The terms are kept as a plain
+    attribute, where a cached property would take a lock on every first use.
     """
     terms = p._terms
-    if terms is None or (position and terms[2] is None):
-        if terms is None:
-            _check_lightcone(p)
-            x = p.x
-            terms = (x, math.log(x), 1.0 / (x * x)) if x > LARGE_X else (x, _log_ratio(x), None)
-        if position and terms[2] is None:
-            terms = (terms[0], terms[1], _g(terms[0]))
+    if terms is None:
+        _check_lightcone(p)
+        x = p.x
+        terms = (x, math.log(x), 1.0 / (x * x)) if x > LARGE_X else (x, _log_ratio(x), _g(x))
         set_field(p, "_terms", terms)
     return terms
 
@@ -220,17 +216,17 @@ class Quantity(FrozenRecord):
     """One of the four dispersions: every fact the package keeps about it.
 
     ``bracket(x, L, g)`` is the direct scaled closed form in x = t/2z, given
-    L(x) and, for a position, g(x) (see `_shared_terms`), ``series_coeff(k)``
-    the Taylor coefficient c_k of x^(2k+2) in it, and ``a``, ``b``, ``d`` its
-    large-x series a x^2 + b ln x + sum_k d[k] / x^(2k), of whose d_k the
-    printed asymptote keeps the first ``asym_terms``.  The prefactor
-    follows from ``kind``: A for "velocity", B for "position".
+    L(x) and g(x) (see `_shared_terms`), ``series_coeff(k)`` the Taylor
+    coefficient c_k of x^(2k+2) in it, and ``a``, ``b``, ``d`` its large-x
+    series a x^2 + b ln x + sum_k d[k] / x^(2k), of whose d_k the printed
+    asymptote keeps the first ``asym_terms``.  The prefactor follows from
+    ``kind``: A for "velocity", B for "position".
     """
 
     __slots__ = ("id", "kind", "component", "bracket", "series_coeff", "a", "b", "d", "asym_terms")
 
     def __init__(self, id: str, kind: str, component: str,
-                 bracket: Callable[[float, float, float | None], float],
+                 bracket: Callable[[float, float, float], float],
                  series_coeff: Callable[[int], float], a: float, b: float, d: tuple[float, ...],
                  asym_terms: int) -> None:
         set_field(self, "id", id)
@@ -262,7 +258,7 @@ class Quantity(FrozenRecord):
     @finite
     def value(self, p: EvalPoint) -> float:
         """Closed-form value at p; refuses inside the lightcone window or outside the float range."""
-        x, log, third = _shared_terms(p, self.kind == "position")
+        x, log, third = _shared_terms(p)
         if x > LARGE_X:
             return self.prefactor(p) * self._large_x_bracket(x, log, third)
         return self.prefactor(p) * self.bracket(x, log, third)

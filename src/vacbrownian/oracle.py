@@ -48,7 +48,7 @@ and resasc are the rule applied to |f| and to |f - mean f|.  An integral
 is done when its summed error meets max(EPSABS, EPSREL |I|) or when it
 holds MAX_SUBDIVISIONS intervals, the fixed 1e-13, 1e-12 and 200.  Then
 `_integrate` itself refuses the batch at its first integral whose estimate
-exceeds 100 times that tolerance, or that QUADPACK's round-off or
+is NaN or exceeds 100 times that tolerance, or that QUADPACK's round-off or
 too-narrow-interval test stopped first.  So is a point whose error estimate
 is not below the magnitude of its value.  The
 rule sums run elementwise along the node axis, so an interval's rule
@@ -71,26 +71,21 @@ row run ahead for nothing costs real work, so they do not look ahead.
 
 A point's oracle value is a scaled integral at z = 1 times its prefactor,
 and the scaled integral, with its error estimate, depends only on (kind,
-component, T).  `verify_grid` therefore keeps each one it computes in a
-module-level memo keyed on that triple, T the exact float t/z that the
-point's own t and z give, and runs only the T it does not hold, as one
-batch per quantity.  A later grid at any particle, and at any z whose
-(ratio z)/z rounds to a T already held, runs no quadrature.  Since no
-integral's value depends on its batch, a held value is bit for bit the one
-a fresh batch would give, and the prefactor, the "no significant digit"
-refusal and the float-range refusal still run for every point.  A batch
-that would take the memo past `_MEMO_ENTRIES` (256) entries clears it
-first; a full grid fills 36.  Threads share the memo: a lock keeps that
-check and the update together, and since a held value depends only on its
-key, a race can at worst compute one twice.  A process's first grid gains
-nothing, so a single CLI `verify` runs as before.  `dispersion_oracle`
-takes an arbitrary t/z and neither reads nor fills the memo.
+component, T).  `verify_grid` therefore takes each quantity's scaled
+integrals from `_grid_scaled`, `_scaled` under
+`functools.lru_cache(maxsize=256)`, keyed on (kind, component, the grid's
+exact T).  A grid whose T all repeat, at any particle, runs no quadrature;
+since no integral's value depends on its batch, a held value is bit for bit
+a fresh one, and the prefactor and both refusals still run for every point.
+Past 256 entries (a full grid fills 4) the least recently used one goes;
+threads can at worst compute one twice.  `dispersion_oracle` calls
+`_scaled` itself and neither reads nor fills the cache.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
@@ -265,7 +260,8 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     above 99 %, or 20 from the 11th interval on that raise the error, counting
     those where neither half's estimate is saturated at resasc; and an interval
     too narrow to halve (ier = 3).  `_within_budget` then refuses the first
-    integral, in order, that stopped early or ended over budget.
+    integral, in order, with a NaN error estimate, that stopped early or that
+    ended over budget.
     """
     n = len(a)
     span = [[(float(x), float(y))] for x, y in zip(a, b)]  # each interval's (lo, hi)
@@ -333,8 +329,15 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
 
 
 def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:
-    """Refuse an integral stopped early or whose error estimate exceeds 100x its
-    tolerance (or is NaN); `_integrate`, its one caller, checks every integral."""
+    """Refuse an integral whose error estimate is NaN, that stopped early, or whose
+    estimate exceeds 100x its tolerance; `_integrate`, its one caller, checks every
+    integral."""
+    if math.isnan(err):
+        raise QuadratureConvergenceError(
+            f"a non-finite integrand or rule sum on [{a!r}, {b!r}] makes the quadrature "
+            "error estimate nan",
+            achieved=err,
+        )
     tol = max(EPSABS, EPSREL * abs(value))
     if stop is not None:
         raise QuadratureConvergenceError(
@@ -411,7 +414,8 @@ def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
     return p.t / p.z, _checked_prefactor(kind, formula, prefactor)
 
 
-def _scaled(kind: str, component: str, Ts: Sequence[float]) -> list[tuple[float, float]]:
+def _scaled(kind: str, component: str,
+            Ts: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
     """Each scaled integral's (value, error estimate) at z = 1, t/z = T: every
     contour piece of every T as one `_integrate` batch, then each T's sums."""
     contours = [_contour(T) for T in Ts]
@@ -430,27 +434,11 @@ def _scaled(kind: str, component: str, Ts: Sequence[float]) -> list[tuple[float,
                           * max(1.0, T / abs(T - 2.0)))
         scaled.append((math.fsum(parts), error_estimate))
         i = j
-    return scaled
+    return tuple(scaled)
 
 
-# `verify_grid`'s scaled (value, error estimate) by (kind, component, exact T);
-# see the module docstring.
-_MEMO: dict[tuple[str, str, float], tuple[float, float]] = {}
-_MEMO_ENTRIES = 256
-_MEMO_LOCK = threading.Lock()  # keeps the bound check and the update together
-
-
-def _memoised(kind: str, component: str, Ts: Sequence[float]) -> list[tuple[float, float]]:
-    """`_scaled` through `_MEMO`: only the T not held there run, as one batch."""
-    found = {T: _MEMO.get((kind, component, T)) for T in Ts}
-    missing = [T for T, scaled in found.items() if scaled is None]
-    if missing:
-        found.update(zip(missing, _scaled(kind, component, missing)))
-        with _MEMO_LOCK:
-            if len(_MEMO) + len(missing) > _MEMO_ENTRIES:
-                _MEMO.clear()
-            _MEMO.update(((kind, component, T), found[T]) for T in missing)
-    return [found[T] for T in Ts]
+# `verify_grid`'s `_scaled`; see the module docstring
+_grid_scaled = functools.lru_cache(maxsize=256)(_scaled)
 
 
 def _results(plans: Sequence[tuple[float, float]],
@@ -487,7 +475,7 @@ def dispersion_oracle(kind: str, component: str, p: EvalPoint) -> OracleResult:
     if component not in _KERNELS:
         raise ValueError("component must be 'x' or 'z'")
     T, prefactor = _plan(kind, p)
-    return _results([(T, prefactor)], _scaled(kind, component, [T]))[0]
+    return _results([(T, prefactor)], _scaled(kind, component, (T,)))[0]
 
 
 # --- generic weighted integrals for audits ---------------------------------------
@@ -570,8 +558,8 @@ def verify_grid(
     ``grid`` selects "pre-lightcone", "post-lightcone", or "full".  Every
     row's closed form and oracle checks run first, in row order, refusing a
     closed form that underflowed to zero, against which no relative error
-    exists; then each quantity's rows take their scaled integrals from the
-    memo of the module docstring, the rest running as one batch.
+    exists; then each quantity's rows take their scaled integrals, as one
+    tuple, from the cache of the module docstring, or run as one batch.
     """
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tolerance!r}")
@@ -592,7 +580,7 @@ def verify_grid(
             plans.append(_plan(quantity.kind, point))
         batches.append((quantity, plans))
     results = [result for quantity, plans in batches for result in _results(
-        plans, _memoised(quantity.kind, quantity.component, [T for T, _ in plans]))]
+        plans, _grid_scaled(quantity.kind, quantity.component, tuple(T for T, _ in plans)))]
 
     rows: list[VerifyRow] = []
     for (quantity, ratio, closed), result in zip(cases, results):

@@ -756,6 +756,22 @@ class TestBoundary:
                             "--min", "1", "--max", "1e10", "--count", "3"),
                        "parameter t/z:", "t must be finite")
 
+    @pytest.mark.parametrize("extra", [
+        ["--min", "1e-200", "--max", "1e200"],
+        ["--var", "z", "--t", "1e-300", "--min", "1e-310", "--max", "1e300"],
+    ])
+    def test_overflowing_log_sweep_ratio_refused(self, capsys, extra):
+        # both ends are finite, but the log grid's max/min overflows
+        assert_refused(*run(capsys, "sweep", "--particle", "unit", *extra, "--count", "3"),
+                       "parameter min/max:", f"max/min = {float(extra[-1])!r}/"
+                       f"{float(extra[-3])!r} leaves the float range")
+
+    def test_overflowing_corr_range_refused(self, capsys):
+        # both ends are finite, but dt-max - dt-min overflows
+        assert_refused(*run(capsys, "corr", "--z", "1", "--dt-min", "-1e308",
+                            "--dt-max", "1e308", "--count", "3"),
+                       "parameter dt-min/dt-max:", "dt-max - dt-min leaves the float range")
+
     def test_prefactor_overflow_refused(self, capsys):
         assert_refused(*run(capsys, "eval", "--z", "1e-300", "--t-over-z", "0.5",
                             "--quantity", "vel_disp_normal"),

@@ -117,8 +117,10 @@ class TestTimeReduction:
     @pytest.mark.parametrize("kernel", [lambda u: math.nan,
                                         lambda u: math.nan if u > 0.5 else 1.0])
     def test_nan_integrand_refused(self, kernel):
-        # a NaN error estimate is over any budget, not under it
-        with pytest.raises(QuadratureConvergenceError):
+        # a NaN error estimate is refused as such, not blamed on round-off or
+        # on the subdivision budget
+        with pytest.raises(QuadratureConvergenceError, match=r"^a non-finite integrand or rule "
+                           r"sum on \[0\.0, 1\.0\] makes the quadrature error estimate nan$"):
             reduced_time_integral(kernel, 1.0, "velocity")
 
     def test_round_off_refused(self):
@@ -164,14 +166,14 @@ class TestRefusalPoint:
         # the third integral is refused too; the NaN one before it is raised
         with pytest.raises(QuadratureConvergenceError) as info:
             oracle._integrate(self.nan_at([1, 2]), [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        assert str(info.value) == ("quadrature error estimate nan exceeds budget 1.000e-11 "
-                                   "on [0.0, 2.0] within 200 subdivisions")
+        assert str(info.value) == ("a non-finite integrand or rule sum on [0.0, 2.0] makes "
+                                   "the quadrature error estimate nan")
 
     def test_last_integral_refused(self):
         with pytest.raises(QuadratureConvergenceError) as info:
             oracle._integrate(self.nan_at([2]), [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        assert str(info.value) == ("quadrature error estimate nan exceeds budget 1.000e-11 "
-                                   "on [0.0, 3.0] within 200 subdivisions")
+        assert str(info.value) == ("a non-finite integrand or rule sum on [0.0, 3.0] makes "
+                                   "the quadrature error estimate nan")
 
     def test_smooth_batch_returns_values_and_errors(self):
         values, errors = oracle._integrate(self.nan_at([]), [0.0, 0.0], [1.0, 2.0])
@@ -244,6 +246,13 @@ class TestOracleAgainstClosedForms:
     def test_outside_float_range_refused(self, kind, p, message):
         with pytest.raises(ValueError, match=message):
             dispersion_oracle(kind, "z", p)
+
+    def test_overflowing_weight_refused_as_non_finite(self):
+        # at t/z = 1e150 the position weight (T - u)^2 (2 T + u) / 3 overflows
+        # on every piece, so the first piece's error estimate is inf - inf
+        with pytest.raises(QuadratureConvergenceError, match=r"^a non-finite integrand or rule "
+                           r"sum on \[0\.0, 1\.0\] makes the quadrature error estimate nan$"):
+            dispersion_oracle("position", "z", up(1e150))
 
     @pytest.mark.parametrize("component, closed_form", [("x", vel_disp_transverse),
                                                         ("z", vel_disp_normal)])
@@ -473,7 +482,7 @@ class TestBatchIndependence:
         ratios = (1.999, 0.5, 2.0001, 10.0, 1e4)
         plans = [oracle._plan(quantity.kind, up(ratio)) for ratio in ratios]
         batch = oracle._results(plans, oracle._scaled(quantity.kind, quantity.component,
-                                                      [T for T, _ in plans]))
+                                                      tuple(T for T, _ in plans)))
         for ratio, result in zip(ratios, batch):
             alone = dispersion_oracle(quantity.kind, quantity.component, up(ratio))
             assert (alone.value, alone.error_estimate) == (result.value, result.error_estimate), \
@@ -563,43 +572,58 @@ class TestLookAhead:
 
 
 class TestVerifyMemo:
-    # verify_grid keeps each scaled integral, keyed on (kind, component, t/z),
-    # so a later grid at any particle and z runs only the t/z it has not seen.
+    # verify_grid keeps each quantity's scaled integrals, keyed on (kind,
+    # component, the grid's t/z), so a grid that repeats every t/z, at any
+    # particle and z, runs no quadrature.
     def test_warm_grid_runs_no_quadrature(self, rule_calls, cold_oracle_memo):
         verify_grid(UNIT, 1.0)
         assert rule_calls
         rule_calls.clear()
         verify_grid(electron_preset(), 2.0)  # t/z is each ratio exactly
         assert rule_calls == []
+        assert cold_oracle_memo.cache_info().hits == len(QUANTITIES)
 
     @pytest.mark.parametrize("z", [1.0, 3.7])
     def test_warm_rows_equal_cold_rows(self, cold_oracle_memo, z):
-        if z == 3.7:  # two t/z one ulp off their ratios miss the memo
+        if z == 3.7:  # two t/z one ulp off their ratios: a key of their own
             off = [r for r in oracle._GRID_RATIOS["full"] if (r * z) / z != r]
             assert off == [1.5, 3.0]
         cold = repr(verify_grid(UNIT, z))
-        cold_oracle_memo.clear()
-        verify_grid(electron_preset(), 0.5)
+        cold_oracle_memo.cache_clear()
+        verify_grid(electron_preset(), z)  # the same keys, filled at another particle
+        hits = cold_oracle_memo.cache_info().hits
         assert repr(verify_grid(UNIT, z)) == cold
+        assert cold_oracle_memo.cache_info().hits == hits + len(QUANTITIES)
 
     def test_memo_stays_within_its_bound(self, cold_oracle_memo):
         # z from 1e-311, subnormal, where t/z lands off the ratios, to 1e-306;
         # this particle keeps both prefactors inside the float range there
         particle = ParticleSpec(e=3e-5, m=1e153)
+        maxsize = cold_oracle_memo.cache_info().maxsize
+        zs = np.geomspace(1e-311, 1e-306, 30).tolist()
         sizes = []
-        for z in np.geomspace(1e-311, 1e-306, 30).tolist():
-            verify_grid(particle, z)
-            sizes.append(len(cold_oracle_memo))
-        assert max(sizes) <= oracle._MEMO_ENTRIES
-        assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the bound was reached
+        for z in zs:
+            for grid in oracle.GRIDS:
+                verify_grid(particle, z, grid=grid)
+                sizes.append(cold_oracle_memo.cache_info().currsize)
+        assert max(sizes) == maxsize
+        misses = cold_oracle_memo.cache_info().misses
+        verify_grid(UNIT, 3.7)  # a grid not held: the least recently used entries go
+        info = cold_oracle_memo.cache_info()
+        assert (info.misses, info.currsize) == (misses + len(QUANTITIES), maxsize)
+        assert sizes == sorted(sizes)  # entries go one by one, never all at once
+        verify_grid(particle, zs[-1], grid=oracle.GRIDS[-1])  # the newest are kept
+        assert cold_oracle_memo.cache_info().hits == info.hits + len(QUANTITIES)
+        verify_grid(particle, zs[0], grid=oracle.GRIDS[0])  # the oldest went
+        assert cold_oracle_memo.cache_info().misses == info.misses + len(QUANTITIES)
 
     def test_single_points_leave_memo_alone(self, cold_oracle_memo):
         verify_grid()
-        before = dict(cold_oracle_memo)
+        before = cold_oracle_memo.cache_info()
         for ratio in (1.5, 3.0, 7.0):
             dispersion_oracle("velocity", "x", up(ratio))
             dispersion_oracle("position", "z", up(ratio * 3.7, 3.7))
-        assert cold_oracle_memo == before
+        assert cold_oracle_memo.cache_info() == before
 
 
 class TestFarBand:
