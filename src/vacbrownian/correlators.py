@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import FrozenRecord, LightconeSingularityError, finite, set_field
+from .errors import FrozenRecord, LightconeSingularityError, finite, finite_nonzero, set_field
 
 __all__ = [
     "RegulatorSpec",
@@ -88,7 +88,7 @@ def _check_pole(dt: float, z: float) -> None:
         )
 
 
-@finite
+@finite_nonzero
 def corr_transverse(dt: float, z: float) -> float:
     """Transverse (xx = yy) boundary correlator; even in dt.
 
@@ -100,7 +100,7 @@ def corr_transverse(dt: float, z: float) -> float:
     return transverse_kernel_complex(dt, z)
 
 
-@finite
+@finite_nonzero
 def corr_normal(dt: float, z: float) -> float:
     """Normal (zz) boundary correlator; even in dt."""
     _check_z(z)
@@ -146,7 +146,7 @@ def corr_normal_reg(dt: float, z: float, eps: float) -> float:
     return normal_kernel_complex(complex(dt, -eps), z).real
 
 
-@finite
+@finite_nonzero
 def mean_e_squared(z: float) -> float:
     """Renormalized <E^2> at distance z: 3 / (16 pi^2 z^4).
 

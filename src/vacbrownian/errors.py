@@ -44,22 +44,36 @@ class ExtrapolationError(VacBrownianError):
     """An oracle value whose error estimate is not below its magnitude."""
 
 
-def finite(function: Callable[..., float]) -> Callable[..., float]:
-    """``function``, returning a finite float or raising ValueError("value leaves the float range").
-
-    A ZeroDivisionError (a / by an underflowed zero) or OverflowError (a
-    float **) met while forming the value is the same refusal.
-    """
+def _range_checked(function: Callable[..., float],
+                   in_range: Callable[[float], bool]) -> Callable[..., float]:
     @functools.wraps(function)
     def checked(*args, **kwargs):
         try:
             value = function(*args, **kwargs)
         except (ZeroDivisionError, OverflowError):
             raise ValueError("value leaves the float range") from None
-        if math.isfinite(value):
+        if in_range(value):
             return value
         raise ValueError("value leaves the float range")
     return checked
+
+
+def finite(function: Callable[..., float]) -> Callable[..., float]:
+    """``function``, returning a finite float or raising ValueError("value leaves the float range").
+
+    A ZeroDivisionError (a / by an underflowed zero) or OverflowError (a
+    float **) met while forming the value is the same refusal.
+    """
+    return _range_checked(function, math.isfinite)
+
+
+def finite_nonzero(function: Callable[..., float]) -> Callable[..., float]:
+    """``finite``, refusing a zero as well, for a value that cannot vanish.
+
+    Such a value comes out 0.0 only when a denominator overflowed or the
+    value itself underflowed: it has left the float range too.
+    """
+    return _range_checked(function, lambda value: value != 0.0 and math.isfinite(value))
 
 
 # A record's __init__ stores each field with this, past the record's refusing __setattr__.

@@ -5,8 +5,10 @@ against z) and that radiation reaction is negligible.  Both assumptions turn
 into time bounds proportional to (m z) * z; this module exposes the bounds,
 the Larmor-based radiated velocity spread, the quantum wave-packet spreading
 scale used for comparison, and the effective temperature associated with the
-late-time normal velocity dispersion.  Every estimate returns a finite float
-or refuses with ValueError; a time bound may be infinite, meaning no bound.
+late-time normal velocity dispersion.  Every estimate returns a finite,
+nonzero float or refuses with ValueError; a time bound may be infinite,
+meaning no bound, and the kelvin value of a subnormal natural temperature
+underflows to 0.0 in its conversion.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .correlators import PI_SQ, mean_e_squared
-from .errors import FrozenRecord, finite, set_field
+from .errors import FrozenRecord, finite, finite_nonzero, set_field
 from .units_constants import ParticleSpec, natural_to_si_temperature
 
 __all__ = [
@@ -86,13 +88,13 @@ def regime_flags(spec: ParticleSpec, z: float, t: float) -> tuple[bool, bool]:
             t < DEFAULT_MARGIN * radiation_time_limit(spec, z))
 
 
-@finite
+@finite_nonzero
 def larmor_power(spec: ParticleSpec, z: float) -> float:
     """Average radiated power (e^4 / 6 pi m^2) <E^2> of the jittering charge."""
     return spec.e**4 / (6.0 * math.pi * spec.m**2) * mean_e_squared(z)
 
 
-@finite
+@finite_nonzero
 def radiated_velocity_sq(spec: ParticleSpec, z: float, t: float) -> float:
     """Squared-velocity change from radiating for time t.
 
@@ -113,7 +115,7 @@ def packet_width(packet: PacketSpec, m: float, t: float) -> float:
     return math.hypot(packet.dz0, packet.dpz * t / m)
 
 
-@finite
+@finite_nonzero
 def optimal_initial_width(m: float, t: float) -> float:
     """Initial width sqrt(t / 2m) minimizing the spread width at time t."""
     if not (t > 0.0 and m > 0.0):
@@ -121,7 +123,7 @@ def optimal_initial_width(m: float, t: float) -> float:
     return math.sqrt(t / (2.0 * m))
 
 
-@finite
+@finite_nonzero
 def minimum_packet_width(m: float, t: float) -> float:
     """Smallest achievable packet width at time t: sqrt(t / m)."""
     if not (t > 0.0 and m > 0.0):
@@ -129,7 +131,7 @@ def minimum_packet_width(m: float, t: float) -> float:
     return math.sqrt(t / m)
 
 
-@finite
+@finite_nonzero
 def fluctuation_to_quantum_ratio(component: str, spec: ParticleSpec, z: float, t: float) -> float:
     """Size of the fluctuation-induced position spread against the quantum one.
 
@@ -156,7 +158,7 @@ def fluctuation_to_quantum_ratio(component: str, spec: ParticleSpec, z: float, t
     return math.sqrt(alpha / (2.0 * math.pi)) * math.sqrt(t / spec.m) / z
 
 
-@finite
+@finite_nonzero
 def effective_temperature_natural(spec: ParticleSpec, z: float) -> float:
     """k_B T in natural units (inverse length): e^2 / (4 pi^2 m z^2).
 

@@ -512,6 +512,14 @@ class TestVerify:
         assert any(line.split(",")[6] == "false"
                    for line in out.strip().split("\n")[1:])
 
+    def test_one_tolerance_passes_every_row(self, capsys):
+        # 1e-4 replaces the tighter pre-lightcone tier too, and every row still holds
+        code, out, _ = run(capsys, "verify", "--grid", "full", "--tolerance", "1e-4")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 1 + 36
+        assert all(line.split(",")[6] == "true" for line in lines[1:])
+
     def test_bad_grid_exits_2(self, capsys):
         assert run(capsys, "verify", "--grid", "everywhere")[0] == 2
 
@@ -809,6 +817,10 @@ class TestBoundary:
          "--quantity", "radiated_velocity_sq"],  # z**4 raises OverflowError
         ["--particle", "unit", "--z", "1", "--t-over-z", "1e300",
          "--quantity", "pos_disp_normal_asym"],  # the same x^2/2 as pos_disp_normal
+        ["--charge", "1e150", "--mass", "1", "--z", "1e160", "--t", "1e161",
+         "--quantity", "effective_temperature"],  # 4 pi^2 m z z overflows: 0.0, not 2.533e-22
+        ["--particle", "unit", "--mass", "1e100", "--z", "1e70", "--t", "1e300",
+         "--quantity", "radiated_velocity_sq"],  # z^4 m^3 overflows: 0.0, not 2.02e-283
     ])
     def test_values_outside_float_range_refused(self, capsys, extra):
         assert_refused(*run(capsys, "eval", *extra),
@@ -818,6 +830,19 @@ class TestBoundary:
         assert_refused(*run(capsys, "regimes", "--particle", "unit", "--z", "1",
                             "--t", "inf"),
                        "parameter t/z:")
+
+    def test_regimes_estimate_rounding_to_zero_refused(self, capsys):
+        # 3 pi t m overflows, so ratio_x, truly 1.22e-156, would print as 0.0
+        assert run(capsys, "regimes", "--mass", "1e102", "--z", "1", "--t", "1e210") == (
+            2, "", "error: parameter t/z: regime report leaves the float range\n")
+
+    def test_estimate_rounding_to_zero_sweep_rows_undefined(self, capsys):
+        code, out, err = run(capsys, "sweep", "--charge", "1e150", "--mass", "1", "--z", "1e160",
+                             "--var", "t", "--min", "1e161", "--max", "1e162", "--count", "3",
+                             "--quantity", "effective_temperature")
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[4:7] for row in rows] == [["", "", "undefined"]] * 3
 
     @pytest.mark.parametrize("extra, message", [
         (["--z", "1", "--t", "inf"], "t must be finite"),
@@ -840,6 +865,8 @@ class TestBoundary:
         (["--dt-max", "4", "--eps", "1e300"], "parameter dt/z/eps:"),
         (["--dt-max", "inf"], "parameter dt-min/dt-max:"),
         (["--dt-max", "1e200"], "parameter dt/z:"),
+        # (dt^2 - 4z^2)^3 overflows: corr_transverse is 0.0, not -1.0132e-241
+        (["--z", "1", "--dt-min", "1e60", "--dt-max", "2e60"], "parameter dt/z:"),
     ])
     def test_corr_out_of_range_refused(self, capsys, extra, fragment):
         assert_refused(*run(capsys, "corr", "--count", "5", *extra), fragment)
@@ -895,6 +922,8 @@ class TestBoundary:
             cells = row.split(",")
             if cells[4] != "singular":
                 assert all(math.isfinite(float(cell)) for cell in cells[:4]), (argv, row)
+                # a plain correlator never vanishes; a regularized one may cross zero
+                assert eps is not None or 0.0 not in map(float, cells[2:4]), (argv, row)
 
     @seed(20261019)
     @given(
@@ -951,6 +980,17 @@ class TestBoundary:
         if code == 0:
             assert stderr.getvalue() == ""
             strict_json(stdout.getvalue())
+            record = json.loads(stdout.getvalue())
+            # estimates that cannot vanish print no 0.0 (the kelvin value of a
+            # subnormal natural temperature may truly underflow, and is not checked)
+            if command == "eval":
+                printed = [record["quantities"][q]["value_natural"] for q in quantities
+                           if q in ("effective_temperature", "radiated_velocity_sq")]
+            else:
+                printed = [record[key]["value"] for key in ("t_eff", "dv2_rad", "ratio_z")]
+                if record["ratio_x"]["value"] is not None:
+                    printed.append(record["ratio_x"]["value"])
+            assert 0.0 not in printed, (argv, printed)
         else:
             assert stdout.getvalue() == ""
             assert stderr.getvalue().count("\n") == 1, stderr.getvalue()

@@ -108,10 +108,11 @@ def test_closed_form_subcommand_adds_no_costly_stdlib_module(argv):
 @pytest.mark.parametrize("code", ["import vacbrownian", *map(run_main, CLOSED_FORM_CALLS)],
                          ids=["import", *(argv[0] for argv in CLOSED_FORM_CALLS)])
 def test_closed_form_paths_add_no_typing_without_site(code):
-    # -S: `site` may have loaded typing through a .pth file, hiding a load by the package
+    # -S: `site` may have loaded typing, or a costly module, through a .pth
+    # file, hiding a load by the package
     added = modules_added_by(code, "-S")
     assert "vacbrownian.dispersion" in added
-    assert "typing" not in added
+    assert not added & (COSTLY_STDLIB | {"typing"})
 
 
 def test_no_module_imports_typing():

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from vacbrownian import correlators, oracle
-from vacbrownian.correlators import corr_transverse, mean_e_squared
+from vacbrownian.correlators import corr_normal, corr_transverse, mean_e_squared
 from vacbrownian.regimes import (
     PacketSpec,
     effective_temperature_natural,
@@ -42,9 +42,27 @@ OUT_OF_RANGE = [
     (velocity_sq_natural_to_si, (1e300,)),  # inf
 ]
 
+# (function, arguments) whose value cannot vanish but is formed as 0.0, from
+# an overflowing denominator or an underflow; the true value is in each comment
+ROUNDS_TO_ZERO = [
+    (corr_transverse, (1e60, 1.0)),  # -1.0132e-241: (dt^2 - 4z^2)^3 overflows
+    (corr_normal, (1.5e77, 1.0)),  # 2.0e-310: (dt^2 - 4z^2)^2 overflows
+    (mean_e_squared, (5e76,)),  # 3.04e-309: 16 pi^2 z^4 overflows
+    (larmor_power, (unit_preset(), 5e76)),  # 1.61e-310, through mean_e_squared
+    # 2.02e-283: z^4 m^3 overflows
+    (radiated_velocity_sq, (ParticleSpec(unit_preset().e, 1e100), 1e70, 1e300)),
+    (optimal_initial_width, (1e200, 1e-200)),  # 7.07e-201: t / 2m underflows
+    (minimum_packet_width, (1e200, 1e-200)),  # 1e-200
+    # 1.22e-156: 3 pi t m overflows
+    (fluctuation_to_quantum_ratio, ("x", ParticleSpec(electron_preset().e, 1e102), 1.0, 1e210)),
+    # 2.533e-22: 4 pi^2 m z z overflows
+    (effective_temperature_natural, (ParticleSpec(1e150, 1.0), 1e160)),
+]
 
-@pytest.mark.parametrize("function, args", OUT_OF_RANGE,
-                         ids=[function.__name__ for function, _ in OUT_OF_RANGE])
+
+@pytest.mark.parametrize("function, args", OUT_OF_RANGE + ROUNDS_TO_ZERO,
+                         ids=[function.__name__ for function, _ in OUT_OF_RANGE]
+                         + [f"{function.__name__}-zero" for function, _ in ROUNDS_TO_ZERO])
 def test_value_outside_float_range_refused(function, args):
     with pytest.raises(ValueError, match="value leaves the float range"):
         function(*args)
