@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 # DEFAULT_LIGHTCONE_DELTA, the window shared with the correlators, is also read from here
@@ -122,6 +122,9 @@ class EvalPoint(FrozenRecord):
 class DispersionResult(FrozenRecord):
     """A dispersion value with its regime flags.
 
+    Fields, in constructor order: value, component, kind, validity_ok,
+    radiation_ok, near_lightcone.
+
     ``component`` "x" stands for either transverse direction (x and y are
     identical by symmetry); ``kind`` is "velocity" (units c^2) or
     "position" (units length^2).  ``near_lightcone`` is the point's: always
@@ -130,15 +133,6 @@ class DispersionResult(FrozenRecord):
     """
 
     __slots__ = ("value", "component", "kind", "validity_ok", "radiation_ok", "near_lightcone")
-
-    def __init__(self, value: float, component: str, kind: str, validity_ok: bool,
-                 radiation_ok: bool, near_lightcone: bool) -> None:
-        set_field(self, "value", value)
-        set_field(self, "component", component)
-        set_field(self, "kind", kind)
-        set_field(self, "validity_ok", validity_ok)
-        set_field(self, "radiation_ok", radiation_ok)
-        set_field(self, "near_lightcone", near_lightcone)
 
 
 def _checked_prefactor(kind: str, formula: str, value: float) -> float:
@@ -215,6 +209,9 @@ _K = range(40)
 class Quantity(FrozenRecord):
     """One of the four dispersions: every fact the package keeps about it.
 
+    Fields, in constructor order: id, kind, component, bracket,
+    series_coeff, a, b, d, asym_terms.
+
     ``bracket(x, L, g)`` is the direct scaled closed form in x = t/2z, given
     L(x) and g(x) (see `_shared_terms`), ``series_coeff(k)`` the Taylor
     coefficient c_k of x^(2k+2) in it, and ``a``, ``b``, ``d`` its large-x
@@ -224,20 +221,6 @@ class Quantity(FrozenRecord):
     """
 
     __slots__ = ("id", "kind", "component", "bracket", "series_coeff", "a", "b", "d", "asym_terms")
-
-    def __init__(self, id: str, kind: str, component: str,
-                 bracket: Callable[[float, float, float], float],
-                 series_coeff: Callable[[int], float], a: float, b: float, d: tuple[float, ...],
-                 asym_terms: int) -> None:
-        set_field(self, "id", id)
-        set_field(self, "kind", kind)
-        set_field(self, "component", component)
-        set_field(self, "bracket", bracket)
-        set_field(self, "series_coeff", series_coeff)
-        set_field(self, "a", a)
-        set_field(self, "b", b)
-        set_field(self, "d", d)
-        set_field(self, "asym_terms", asym_terms)
 
     def prefactor(self, p: EvalPoint) -> float:
         """A = e^2/(pi^2 m^2 z^2) or B = e^2/(pi^2 m^2); refuses a value outside the float range."""

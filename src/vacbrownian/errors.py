@@ -76,19 +76,24 @@ def finite_nonzero(function: Callable[..., float]) -> Callable[..., float]:
     return _range_checked(function, lambda value: value != 0.0 and math.isfinite(value))
 
 
-# A record's __init__ stores each field with this, past the record's refusing __setattr__.
+# A checking record's __init__ stores each field with this, past the refusing __setattr__.
 set_field = object.__setattr__
 
 
 class FrozenRecord:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__``, in constructor order, and
-    writes its own ``__init__``, which checks its arguments and stores them
-    with `set_field`.  A slot whose name starts with "_" is no field: it
-    holds a cache outside the record's value.  Equality (against the same
-    class only), hash, repr and pickling go by the fields, as a frozen
-    dataclass's do; assigning or deleting any attribute raises AttributeError.
+    A subclass names its fields in ``__slots__``, in constructor order; a
+    subclass of a record adds the fields of its own ``__slots__`` after its
+    base's.  A slot whose name starts with "_" is no field: it holds a cache
+    outside the record's value.  A record that only stores its fields takes
+    this base's ``__init__``, which binds arguments to fields by position
+    and by keyword, as a frozen dataclass's does, and raises TypeError for a
+    missing, extra, unknown or repeated field.  A record that checks its
+    arguments writes its own ``__init__`` and stores them with `set_field`.
+    Equality (against the same class only), hash, repr and pickling go by
+    the fields, as a frozen dataclass's do; assigning or deleting any
+    attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -96,7 +101,27 @@ class FrozenRecord:
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields += tuple(name for name in slots if not name.startswith("_"))
+        # Each field's slot descriptor stores past the refusing __setattr__, quicker than set_field.
+        cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def __init__(self, *values: object, **named: object) -> None:
+        fields = self._fields
+        if named:
+            try:
+                values += tuple(map(named.pop, fields[len(values):]))
+            except KeyError as missing:
+                raise TypeError(f"{self.__class__.__qualname__}() missing field "
+                                f"{missing}") from None
+            if named:
+                raise TypeError(f"{self.__class__.__qualname__}() got unknown or repeated "
+                                f"fields {sorted(named)}")
+        if len(values) != len(fields):
+            raise TypeError(f"{self.__class__.__qualname__}() takes {len(fields)} fields, "
+                            f"got {len(values)}")
+        for store, value in zip(self._stores, values):
+            store(self, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

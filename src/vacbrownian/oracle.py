@@ -97,7 +97,7 @@ from .correlators import (
     transverse_kernel_complex,
 )
 from .dispersion import QUANTITIES, EvalPoint, _check_lightcone, _checked_prefactor
-from .errors import ExtrapolationError, FrozenRecord, QuadratureConvergenceError, set_field
+from .errors import ExtrapolationError, FrozenRecord, QuadratureConvergenceError
 from .units_constants import ParticleSpec, unit_preset
 
 __all__ = [
@@ -527,19 +527,13 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
 # --- verification grid -------------------------------------------------------------
 
 class VerifyRow(FrozenRecord):
-    """One oracle-vs-closed-form comparison."""
+    """One oracle-vs-closed-form comparison.
+
+    Fields, in constructor order: quantity, t_over_z, closed, oracle,
+    rel_err, eps_estimate, passed.
+    """
 
     __slots__ = ("quantity", "t_over_z", "closed", "oracle", "rel_err", "eps_estimate", "passed")
-
-    def __init__(self, quantity: str, t_over_z: float, closed: float, oracle: float,
-                 rel_err: float, eps_estimate: float, passed: bool) -> None:
-        set_field(self, "quantity", quantity)
-        set_field(self, "t_over_z", t_over_z)
-        set_field(self, "closed", closed)
-        set_field(self, "oracle", oracle)
-        set_field(self, "rel_err", rel_err)
-        set_field(self, "eps_estimate", eps_estimate)
-        set_field(self, "passed", passed)
 
 
 def verify_grid(
@@ -586,15 +580,7 @@ def verify_grid(
     for (quantity, ratio, closed), result in zip(cases, results):
         tier = TOL_PRE_LIGHTCONE if ratio < 2.0 else TOL_POST_LIGHTCONE
         rel_err = abs(result.value - closed) / abs(closed)
-        rows.append(
-            VerifyRow(
-                quantity=quantity.id,
-                t_over_z=ratio,
-                closed=closed,
-                oracle=result.value,
-                rel_err=rel_err,
-                eps_estimate=result.error_estimate,
-                passed=rel_err <= (tier if tolerance is None else tolerance),
-            )
-        )
+        passed = rel_err <= (tier if tolerance is None else tolerance)
+        rows.append(VerifyRow(quantity.id, ratio, closed, result.value, rel_err,
+                              result.error_estimate, passed))
     return rows

@@ -46,8 +46,8 @@ DEFAULT_MARGIN = 0.1
 class PacketSpec(FrozenRecord):
     """Gaussian wave packet: initial width and momentum width.
 
-    Natural units (lengths and inverse lengths); the uncertainty product
-    must satisfy dz0 * dpz >= 1/2.
+    Natural units (lengths and inverse lengths); both widths must be finite
+    and positive, and the uncertainty product must satisfy dz0 * dpz >= 1/2.
     """
 
     __slots__ = ("dz0", "dpz")
@@ -55,6 +55,8 @@ class PacketSpec(FrozenRecord):
     def __init__(self, dz0: float, dpz: float) -> None:
         if not (dz0 > 0.0 and dpz > 0.0):
             raise ValueError("packet widths must be positive")
+        if not (dz0 < math.inf and dpz < math.inf):
+            raise ValueError("packet widths must be finite")
         if dz0 * dpz < 0.5 * (1.0 - 1e-12):
             raise ValueError("uncertainty product dz0*dpz must be >= 1/2")
         set_field(self, "dz0", dz0)
@@ -179,6 +181,9 @@ def effective_temperature(spec: ParticleSpec, z: float) -> float:
 class RegimeReport(FrozenRecord):
     """All regime diagnostics for one (particle, z, t).
 
+    Fields, in constructor order: particle, z, t, t_validity, t_radiation,
+    dv2_rad, t_eff_kelvin, ratio_x, ratio_z, validity_ok, radiation_ok.
+
     ``ratio_x`` is None when t <= 2z, where its asymptote is undefined.  The
     flags hold t against DEFAULT_MARGIN times each bound; `as_dict` prints
     that constant as ``margin``.
@@ -186,21 +191,6 @@ class RegimeReport(FrozenRecord):
 
     __slots__ = ("particle", "z", "t", "t_validity", "t_radiation", "dv2_rad", "t_eff_kelvin",
                  "ratio_x", "ratio_z", "validity_ok", "radiation_ok")
-
-    def __init__(self, particle: str, z: float, t: float, t_validity: float, t_radiation: float,
-                 dv2_rad: float, t_eff_kelvin: float, ratio_x: float | None, ratio_z: float,
-                 validity_ok: bool, radiation_ok: bool) -> None:
-        set_field(self, "particle", particle)
-        set_field(self, "z", z)
-        set_field(self, "t", t)
-        set_field(self, "t_validity", t_validity)
-        set_field(self, "t_radiation", t_radiation)
-        set_field(self, "dv2_rad", dv2_rad)
-        set_field(self, "t_eff_kelvin", t_eff_kelvin)
-        set_field(self, "ratio_x", ratio_x)
-        set_field(self, "ratio_z", ratio_z)
-        set_field(self, "validity_ok", validity_ok)
-        set_field(self, "radiation_ok", radiation_ok)
 
     def as_dict(self) -> dict[str, object]:
         def qty(value: object, unit: str) -> dict[str, object]:
@@ -231,16 +221,7 @@ def regime_report(spec: ParticleSpec, z: float, t: float) -> RegimeReport:
     ratio_x = None
     if t > 2.0 * z:
         ratio_x = fluctuation_to_quantum_ratio("x", spec, z, t)
-    return RegimeReport(
-        particle=spec.name,
-        z=z,
-        t=t,
-        t_validity=validity_time_limit(spec, z),
-        t_radiation=radiation_time_limit(spec, z),
-        dv2_rad=radiated_velocity_sq(spec, z, t),
-        t_eff_kelvin=effective_temperature(spec, z),
-        ratio_x=ratio_x,
-        ratio_z=fluctuation_to_quantum_ratio("z", spec, z, t),
-        validity_ok=validity_ok,
-        radiation_ok=radiation_ok,
-    )
+    return RegimeReport(spec.name, z, t, validity_time_limit(spec, z),
+                        radiation_time_limit(spec, z), radiated_velocity_sq(spec, z, t),
+                        effective_temperature(spec, z), ratio_x,
+                        fluctuation_to_quantum_ratio("z", spec, z, t), validity_ok, radiation_ok)

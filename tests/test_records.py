@@ -50,6 +50,20 @@ RECORDS = [
 IDS = [record[0].__name__ for record in RECORDS]
 DUPLICATES = (lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy)
 
+# A subclass of each record with slots of its own, kept at module level for pickle to find.
+SLOTTED = {cls: type("Slotted" + cls.__name__, (cls,), {"__slots__": ()}) for cls, *_ in RECORDS}
+globals().update((sub.__name__, sub) for sub in SLOTTED.values())
+
+# Records whose last field has a default; the last field they need is the one before it.
+DEFAULTED_LAST = {vb.ParticleSpec, vb.EvalPoint}
+
+
+def wrong_calls(args: tuple, first: str, needed: int) -> list[tuple[tuple, dict]]:
+    """Calls that leave out the last needed field, add a positional, name an
+    unknown field, or give the first field by position and by keyword."""
+    return [(args[:needed - 1], {}), (args + (args[-1],), {}), (args, {"not_a_field": 1.0}),
+            (args, {first: args[0]})]
+
 
 def quantity_args(quantity: vb.Quantity) -> tuple:
     return (quantity.id, quantity.kind, quantity.component, quantity.bracket,
@@ -103,6 +117,25 @@ class TestRecord:
         assert type(twin) is cls
         assert twin == record and hash(twin) == hash(record) and repr(twin) == text
 
+    def test_wrong_arguments_refused(self, cls, args, kwargs, text):
+        needed = len(args) - 1 if cls in DEFAULTED_LAST else len(args)
+        for wrong_args, wrong_kwargs in wrong_calls(args, next(iter(kwargs)), needed):
+            with pytest.raises(TypeError):
+                cls(*wrong_args, **wrong_kwargs)
+
+    def test_slotted_subclass_keeps_the_fields(self, cls, args, kwargs, text):
+        sub = SLOTTED[cls]
+        record = sub(*args)
+        assert sub._fields == cls._fields
+        assert repr(record) == sub.__name__ + text[len(cls.__name__):]
+        changed = dict(kwargs)
+        name = next(n for n, v in kwargs.items() if isinstance(v, float))
+        changed[name] = kwargs[name] * 2.0
+        assert record == sub(**kwargs) and record != sub(**changed)
+        for duplicate in DUPLICATES:
+            twin = duplicate(record)
+            assert type(twin) is sub and twin == record and hash(twin) == hash(record)
+
 
 class TestDefaults:
     def test_particle_name_defaults_to_custom(self):
@@ -151,6 +184,8 @@ class TestValidation:
         (0.0, 1.0, "packet widths must be positive"),
         (1.0, -1.0, "packet widths must be positive"),
         (math.nan, 1.0, "packet widths must be positive"),
+        (math.inf, 1.0, "packet widths must be finite"),
+        (1.0, math.inf, "packet widths must be finite"),
         (1.0, 0.25, r"uncertainty product dz0\*dpz must be >= 1/2"),
     ])
     def test_packet(self, dz0, dpz, message):
@@ -196,3 +231,9 @@ class TestQuantity:
         quantity = QUANTITIES["vel_disp_normal"]
         args = quantity_args(quantity)
         assert vb.Quantity(*args[:5], 1.0, *args[6:]) != quantity
+
+    def test_wrong_arguments_refused(self):
+        args = quantity_args(QUANTITIES["vel_disp_normal"])
+        for wrong_args, wrong_kwargs in wrong_calls(args, "id", len(args)):
+            with pytest.raises(TypeError):
+                vb.Quantity(*wrong_args, **wrong_kwargs)
