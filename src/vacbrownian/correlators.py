@@ -16,9 +16,10 @@ Regularized variants displace the time separation off the real axis,
 dt -> dt - i*eps, and take the real part.  They are finite for every real
 dt and back `corr --eps`.  The plain correlators refuse a dt inside the
 lightcone window, |dt| within DEFAULT_LIGHTCONE_DELTA * z of 2z, the window
-in which the closed forms of `dispersion` refuse t.  The quadrature oracle
-needs no regulator: it takes the eps -> 0 limit exactly, by integrating the
-complex kernels at eps = 0 along a path that passes below the pole.
+in which the closed forms of `dispersion` refuse t; `check_lightcone` is
+that one refusal for both.  The quadrature oracle needs no regulator: it
+takes the eps -> 0 limit exactly, by integrating the complex kernels at
+eps = 0 along a path that passes below the pole.
 """
 
 from __future__ import annotations
@@ -79,13 +80,20 @@ def near_lightcone(dt: float, z: float) -> bool:
     return abs(0.5 * abs(dt) - z) / z < 0.5 * DEFAULT_LIGHTCONE_DELTA
 
 
-def _check_pole(dt: float, z: float) -> None:
+def check_lightcone(dt: float, z: float, refusal: str) -> None:
+    """Raise LightconeSingularityError if dt lies in the lightcone window.
+
+    Its message is ``refusal.format(dt=dt, z=z)``, formed only then.  Its
+    ``pole_distance`` ||dt| - 2z| is twice the window test's own difference
+    |dt|/2 - z, which stays finite where 2z overflows.
+    """
     if near_lightcone(dt, z):
-        raise LightconeSingularityError(
-            f"time separation dt={dt!r} lies within the lightcone exclusion "
-            f"window around |dt| = 2z (z={z!r})",
-            pole_distance=abs(abs(dt) - 2.0 * z),
-        )
+        raise LightconeSingularityError(refusal.format(dt=dt, z=z),
+                                        pole_distance=2.0 * abs(0.5 * abs(dt) - z))
+
+
+_CORR_REFUSAL = ("time separation dt={dt!r} lies within the lightcone exclusion "
+                 "window around |dt| = 2z (z={z!r})")
 
 
 @finite_nonzero
@@ -96,7 +104,7 @@ def corr_transverse(dt: float, z: float) -> float:
     returning a huge float.
     """
     _check_z(z)
-    _check_pole(dt, z)
+    check_lightcone(dt, z, _CORR_REFUSAL)
     return transverse_kernel_complex(dt, z)
 
 
@@ -104,7 +112,7 @@ def corr_transverse(dt: float, z: float) -> float:
 def corr_normal(dt: float, z: float) -> float:
     """Normal (zz) boundary correlator; even in dt."""
     _check_z(z)
-    _check_pole(dt, z)
+    check_lightcone(dt, z, _CORR_REFUSAL)
     return normal_kernel_complex(dt, z)
 
 

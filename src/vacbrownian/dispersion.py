@@ -32,10 +32,11 @@ two places (ROADMAP item 1).  Within |t/2z - 1| < 1e-3 of the lightcone, x
 is rounded before 1 - x is formed: `vel_disp_transverse` is off by up to
 1e-10 there, the others by up to 1e-11.  Near its zero t0 = 3.19855169347299 z,
 `pos_disp_transverse` is off by about 1e-16/|t/t0 - 1| relative.  Beyond
-that range a value is finite or refused with ValueError.  The printed
-asymptotes truncate the same series, `small_t_series` sums the Taylor
-series about t = 0, and `QUANTITIES` holds each dispersion's kind,
-component, bracket and both series in one place.
+that range a value is finite or refused with ValueError; below the
+lightcone, where none vanishes, so is a value that underflows to 0.0.
+The printed asymptotes truncate the same series, `small_t_series` sums
+the Taylor series about t = 0, and `QUANTITIES` holds each dispersion's
+kind, component, bracket and both series in one place.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from collections.abc import Iterable, Mapping
 from types import MappingProxyType
 
 # DEFAULT_LIGHTCONE_DELTA, the window shared with the correlators, is also read from here
-from .correlators import DEFAULT_LIGHTCONE_DELTA, PI_SQ, near_lightcone
-from .errors import FrozenRecord, LightconeSingularityError, finite, set_field
+from .correlators import DEFAULT_LIGHTCONE_DELTA, PI_SQ, check_lightcone, near_lightcone
+from .errors import FrozenRecord, finite, set_field
 from .regimes import regime_flags
 from .units_constants import ParticleSpec, electron_preset
 
@@ -75,6 +76,10 @@ LARGE_X = 4.0
 
 # Terms `small_t_series` keeps: powers x^2 through x^24.
 SERIES_TERMS = 12
+
+# The closed forms' and the oracle's refusal of a t in the lightcone window.
+_LIGHTCONE_REFUSAL = ("t={dt!r} lies within the lightcone exclusion window around "
+                      "t = 2z (z={z!r}); the dispersions diverge there")
 
 
 class EvalPoint(FrozenRecord):
@@ -188,7 +193,7 @@ def _shared_terms(p: EvalPoint) -> tuple[float, float, float]:
     """
     terms = p._terms
     if terms is None:
-        _check_lightcone(p)
+        check_lightcone(p.t, p.z, _LIGHTCONE_REFUSAL)
         x = p.x
         terms = (x, math.log(x), 1.0 / (x * x)) if x > LARGE_X else (x, _log_ratio(x), _g(x))
         set_field(p, "_terms", terms)
@@ -240,11 +245,18 @@ class Quantity(FrozenRecord):
 
     @finite
     def value(self, p: EvalPoint) -> float:
-        """Closed-form value at p; refuses inside the lightcone window or outside the float range."""
+        """Closed-form value at p; refuses inside the lightcone window or outside the float range.
+
+        No closed form vanishes for 0 < x < 1, so a 0.0 there has underflowed
+        and is refused as well.
+        """
         x, log, third = _shared_terms(p)
         if x > LARGE_X:
             return self.prefactor(p) * self._large_x_bracket(x, log, third)
-        return self.prefactor(p) * self.bracket(x, log, third)
+        value = self.prefactor(p) * self.bracket(x, log, third)
+        if value == 0.0 and x < 1.0:
+            raise ValueError("value leaves the float range")
+        return value
 
     def evaluate(self, p: EvalPoint) -> DispersionResult:
         """Closed-form value at p with its regime flags."""
@@ -282,15 +294,6 @@ QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (
 )})
 
 QUANTITY_IDS = tuple(QUANTITIES)
-
-
-def _check_lightcone(p: EvalPoint) -> None:
-    if p.near_lightcone:
-        raise LightconeSingularityError(
-            f"t={p.t!r} lies within the lightcone exclusion window around "
-            f"t = 2z (z={p.z!r}); the dispersions diverge there",
-            pole_distance=abs(p.t - 2.0 * p.z),
-        )
 
 
 def _result(p: EvalPoint, value: float, q: Quantity, near_lightcone: bool) -> DispersionResult:

@@ -88,9 +88,10 @@ class FrozenRecord:
     base's.  A slot whose name starts with "_" is no field: it holds a cache
     outside the record's value.  A record that only stores its fields takes
     this base's ``__init__``, which binds arguments to fields by position
-    and by keyword, as a frozen dataclass's does, and raises TypeError for a
-    missing, extra, unknown or repeated field.  A record that checks its
-    arguments writes its own ``__init__`` and stores them with `set_field`.
+    and by keyword, as a frozen dataclass's does, stores each with
+    `set_field`, and raises TypeError for a missing, extra, unknown or
+    repeated field.  A record that checks its arguments writes its own
+    ``__init__`` and stores them with `set_field` too.
     Equality (against the same class only), hash, repr and pickling go by
     the fields, as a frozen dataclass's do; assigning or deleting any
     attribute raises AttributeError.
@@ -103,8 +104,6 @@ class FrozenRecord:
         super().__init_subclass__()
         slots = cls.__dict__.get("__slots__", ())
         cls._fields += tuple(name for name in slots if not name.startswith("_"))
-        # Each field's slot descriptor stores past the refusing __setattr__, quicker than set_field.
-        cls._stores = tuple(getattr(cls, name).__set__ for name in cls._fields)
 
     def __init__(self, *values: object, **named: object) -> None:
         fields = self._fields
@@ -120,8 +119,8 @@ class FrozenRecord:
         if len(values) != len(fields):
             raise TypeError(f"{self.__class__.__qualname__}() takes {len(fields)} fields, "
                             f"got {len(values)}")
-        for store, value in zip(self._stores, values):
-            store(self, value)
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

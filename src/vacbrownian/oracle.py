@@ -38,23 +38,25 @@ tolerances meaningful for any z.
 Quadrature is QUADPACK's globally adaptive 21-point Gauss-Kronrod rule
 (G10/K21; Piessens et al., *QUADPACK*, 1983; Kronrod 1965) over a batch of
 integrals: every (point, contour piece) of one quantity is one integral.
-The bookkeeping is per integral, in plain Python lists:
-each pass, every integral not yet done sums its intervals' values and
-errors left to right and halves its interval of largest error.  Only the
-rule runs on numpy arrays, on all new halves of the batch in one array
-expression.  An interval's error estimate is QUADPACK's: resasc * min(1,
-(200 |K - G| / resasc)^1.5), floored at 50 eps_mach * resabs, where resabs
-and resasc are the rule applied to |f| and to |f - mean f|.  An integral
-is done when its summed error meets max(EPSABS, EPSREL |I|) or when it
-holds MAX_SUBDIVISIONS intervals, the fixed 1e-13, 1e-12 and 200.  Then
-`_integrate` itself refuses the batch at its first integral whose estimate
-is NaN or exceeds 100 times that tolerance, or that QUADPACK's round-off or
-too-narrow-interval test stopped first.  So is a point whose error estimate
-is not below the magnitude of its value.  The
-rule sums run elementwise along the node axis, so an interval's rule
-result does not depend on the call it ran in, and each integral sums only
-its own intervals, so no integral's value depends on the batch it was
-computed in.
+The bookkeeping is per integral, in plain Python lists: each pass, every
+integral not yet done sums its intervals' values and errors left to right
+and halves its interval of largest error.  Only the rule runs on numpy
+arrays, on all new halves of the batch in one call: the integrand at the
+21 nodes of every half is one row of an (m, 21) array, and each of the
+rule's sums (K and G of f, K of |f| and of |f - mean f|) is that array
+times one weight row, summed along each row.  An interval's error
+estimate is QUADPACK's: resasc * min(1, (200 |K - G| / resasc)^1.5),
+floored at 50 eps_mach * resabs, where resabs and resasc are the rule
+applied to |f| and to |f - mean f|.  An integral is done when its summed
+error meets max(EPSABS, EPSREL |I|) or when it holds MAX_SUBDIVISIONS
+intervals, the fixed 1e-13, 1e-12 and 200.  Then `_integrate` itself
+refuses the batch at its first integral whose estimate is NaN or exceeds
+100 times that tolerance, or that QUADPACK's round-off or
+too-narrow-interval test stopped first.  So is a point whose error
+estimate is not below the magnitude of its value.  Each row is summed
+along its own 21 nodes, so an interval's rule result does not depend on
+the call it ran in, and each integral sums only its own intervals, so no
+integral's value depends on the batch it was computed in.
 
 That lets a contour batch run the rule ahead.  When a pass must call the
 rule, the same call also covers the new halves' descendants (quarters,
@@ -93,10 +95,11 @@ import numpy as np
 
 from .correlators import (
     RegulatorSpec,
+    check_lightcone,
     normal_kernel_complex,
     transverse_kernel_complex,
 )
-from .dispersion import QUANTITIES, EvalPoint, _check_lightcone, _checked_prefactor
+from .dispersion import QUANTITIES, EvalPoint, _LIGHTCONE_REFUSAL, _checked_prefactor
 from .errors import ExtrapolationError, FrozenRecord, QuadratureConvergenceError
 from .units_constants import ParticleSpec, unit_preset
 
@@ -198,7 +201,6 @@ NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
 KRONROD_WEIGHTS = np.array(list(_WK) + [_WK_CENTRE] + list(reversed(_WK)))
 _WG_AT_XK = [0.0 if i % 2 == 0 else _WG[i // 2] for i in range(10)]
 GAUSS_WEIGHTS = np.array(_WG_AT_XK + [0.0] + list(reversed(_WG_AT_XK)))
-_RULE_WEIGHTS = np.array([KRONROD_WEIGHTS, GAUSS_WEIGHTS, KRONROD_WEIGHTS])[:, None]
 
 # Every integral's tolerance and subdivision budget.  The tolerances apply to
 # the scaled (z = 1) integrals, which are O(1) on the standard grid.
@@ -225,15 +227,15 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     centre = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     fx = f(centre[:, None] + half[:, None] * NODES, k)
-    terms = fx * _RULE_WEIGHTS  # (3, m, 21): f w_K, f w_G and |f w_K| = |f| w_K, as w_K > 0
-    np.abs(terms[2], out=terms[2])
-    kronrod, gauss, resabs = terms.sum(axis=2)  # each row along its own 21 nodes
+    kronrod = (fx * KRONROD_WEIGHTS).sum(axis=1)  # each row along its own 21 nodes
+    gauss = (fx * GAUSS_WEIGHTS).sum(axis=1)
+    resabs = (np.abs(fx) * KRONROD_WEIGHTS).sum(axis=1) * half
     resasc = (np.abs(fx - 0.5 * kronrod[:, None]) * KRONROD_WEIGHTS).sum(axis=1) * half
     err = np.abs((kronrod - gauss) * half)
     ratio = 200.0 * err / resasc
     err = np.where((resasc != 0.0) & (err != 0.0),
                    resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
-    return kronrod * half, np.maximum(err, 50.0 * _EPS * (resabs * half)), resasc
+    return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs), resasc
 
 
 def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
@@ -401,7 +403,7 @@ def _contour_integrand(kind: str, component: str, T: np.ndarray, arc: np.ndarray
 def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
     """A point's (t/z, prefactor e^2/m^2 (/z^2)); refuses the point on the lightcone
     or, as the closed form does, with its prefactor outside the float range."""
-    _check_lightcone(p)
+    check_lightcone(p.t, p.z, _LIGHTCONE_REFUSAL)
     spec = p.particle
     # the denominator multiplied out first, as the closed form does: with
     # e = 1e-150, m = 1e150, z = 1e-300 this gives 1, where e^2/m^2 and z^2

@@ -821,6 +821,10 @@ class TestBoundary:
          "--quantity", "effective_temperature"],  # 4 pi^2 m z z overflows: 0.0, not 2.533e-22
         ["--particle", "unit", "--mass", "1e100", "--z", "1e70", "--t", "1e300",
          "--quantity", "radiated_velocity_sq"],  # z^4 m^3 overflows: 0.0, not 2.02e-283
+        ["--particle", "unit", "--z", "1e-150", "--t", "1e-320",
+         "--quantity", "vel_disp_normal"],  # x^2 underflows in the bracket: 0.0, not 6.3e-43
+        ["--z", "1e308", "--t", "1e-320",
+         "--quantity", "pos_disp_transverse"],  # t/z underflows to 0
     ])
     def test_values_outside_float_range_refused(self, capsys, extra):
         assert_refused(*run(capsys, "eval", *extra),
@@ -843,6 +847,21 @@ class TestBoundary:
         assert code == 0 and err == ""
         rows = [line.split(",") for line in out.strip().split("\n")[1:]]
         assert [row[4:7] for row in rows] == [["", "", "undefined"]] * 3
+
+    @pytest.mark.parametrize("extra", [
+        ["--particle", "unit", "--z", "1e-150", "--max", "1e-300",
+         "--quantity", "vel_disp_normal"],  # x^2 underflows in the bracket
+        ["--z", "1e308", "--max", "1.7976931348623157e308", "--spacing", "linear",
+         "--quantity", "pos_disp_transverse"],  # t/z underflows
+    ], ids=["bracket", "ratio"])
+    def test_closed_form_rounding_to_zero_sweep_row_undefined(self, capsys, extra):
+        # no closed form vanishes below the lightcone: the first row's 0.0 underflowed
+        code, out, err = run(capsys, "sweep", "--var", "t", "--min", "1e-320", "--count", "3",
+                             *extra)
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert rows[0][4:7] == ["", "", "undefined"]
+        assert [row[6] for row in rows[1:]] == ["ok", "ok"]
 
     @pytest.mark.parametrize("extra, message", [
         (["--z", "1", "--t", "inf"], "t must be finite"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +21,7 @@ from vacbrownian.correlators import (
     normal_kernel_complex,
     transverse_kernel_complex,
 )
-from vacbrownian.dispersion import EvalPoint, vel_disp_normal
+from vacbrownian.dispersion import EvalPoint, pos_disp_transverse, vel_disp_normal
 from vacbrownian.errors import LightconeSingularityError
 
 PI_SQ = math.pi ** 2
@@ -90,6 +91,33 @@ class TestSingularityWindow:
         with pytest.raises(LightconeSingularityError) as info:
             corr_transverse(2.0, 1.0)
         assert info.value.pole_distance == 0.0
+
+    def test_refusal_message(self):
+        with pytest.raises(LightconeSingularityError) as info:
+            corr_normal(-2.0, 1.0)
+        assert str(info.value) == ("time separation dt=-2.0 lies within the lightcone exclusion "
+                                   "window around |dt| = 2z (z=1.0)")
+
+    def test_pole_distance_finite_where_2z_overflows(self):
+        # 2z is inf here; the distance, 7.19e301, is not
+        dt, z = 1.7976931348623157e308, 8.988469269697847e307
+        point = EvalPoint(t=dt, z=z)
+        for evaluate in (lambda: corr_transverse(dt, z), lambda: corr_normal(-dt, z),
+                         lambda: vel_disp_normal(point), lambda: pos_disp_transverse(point)):
+            with pytest.raises(LightconeSingularityError) as info:
+                evaluate()
+            assert Fraction(info.value.pole_distance) == 2 * Fraction(z) - Fraction(dt)
+
+    @given(st.floats(min_value=2.0 ** -1021, max_value=1e300),
+           st.floats(min_value=-4.9e-7, max_value=4.9e-7))
+    def test_pole_distance_is_exact(self, dt, offset):
+        # in the window, ||dt| - 2z| is a double; halving dt >= 2^-1021 is exact
+        z = 0.5 * dt * (1.0 + offset)
+        exact = abs(Fraction(dt) - 2 * Fraction(z))
+        for evaluate in (lambda: corr_transverse(-dt, z), lambda: vel_disp_normal(EvalPoint(dt, z))):
+            with pytest.raises(LightconeSingularityError) as info:
+                evaluate()
+            assert Fraction(info.value.pole_distance) == exact
 
     def test_window_is_relative(self):
         z = 1e-6

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+from collections.abc import Sequence
 
 import pytest
 
@@ -58,11 +59,12 @@ globals().update((sub.__name__, sub) for sub in SLOTTED.values())
 DEFAULTED_LAST = {vb.ParticleSpec, vb.EvalPoint}
 
 
-def wrong_calls(args: tuple, first: str, needed: int) -> list[tuple[tuple, dict]]:
-    """Calls that leave out the last needed field, add a positional, name an
-    unknown field, or give the first field by position and by keyword."""
-    return [(args[:needed - 1], {}), (args + (args[-1],), {}), (args, {"not_a_field": 1.0}),
-            (args, {first: args[0]})]
+def wrong_calls(args: tuple, names: Sequence[str], needed: int) -> list[tuple[tuple, dict]]:
+    """Calls that leave out the last needed field by position or by keyword,
+    add a positional, name an unknown field, or give the first field by
+    position and by keyword."""
+    return [(args[:needed - 1], {}), ((), dict(zip(names[:needed - 1], args))),
+            (args + (args[-1],), {}), (args, {"not_a_field": 1.0}), (args, {names[0]: args[0]})]
 
 
 def quantity_args(quantity: vb.Quantity) -> tuple:
@@ -119,7 +121,7 @@ class TestRecord:
 
     def test_wrong_arguments_refused(self, cls, args, kwargs, text):
         needed = len(args) - 1 if cls in DEFAULTED_LAST else len(args)
-        for wrong_args, wrong_kwargs in wrong_calls(args, next(iter(kwargs)), needed):
+        for wrong_args, wrong_kwargs in wrong_calls(args, list(kwargs), needed):
             with pytest.raises(TypeError):
                 cls(*wrong_args, **wrong_kwargs)
 
@@ -234,6 +236,6 @@ class TestQuantity:
 
     def test_wrong_arguments_refused(self):
         args = quantity_args(QUANTITIES["vel_disp_normal"])
-        for wrong_args, wrong_kwargs in wrong_calls(args, "id", len(args)):
+        for wrong_args, wrong_kwargs in wrong_calls(args, vb.Quantity._fields, len(args)):
             with pytest.raises(TypeError):
                 vb.Quantity(*wrong_args, **wrong_kwargs)

@@ -8,6 +8,7 @@ import pytest
 
 from vacbrownian import correlators, oracle
 from vacbrownian.correlators import corr_normal, corr_transverse, mean_e_squared
+from vacbrownian.dispersion import EvalPoint, pos_disp_normal, vel_disp_normal, vel_disp_transverse
 from vacbrownian.regimes import (
     PacketSpec,
     effective_temperature_natural,
@@ -57,6 +58,10 @@ ROUNDS_TO_ZERO = [
     (fluctuation_to_quantum_ratio, ("x", ParticleSpec(electron_preset().e, 1e102), 1.0, 1e210)),
     # 2.533e-22: 4 pi^2 m z z overflows
     (effective_temperature_natural, (ParticleSpec(1e150, 1.0), 1e160)),
+    # below the lightcone, where no closed form vanishes
+    (vel_disp_transverse, (EvalPoint(1e-320, 1e-150, unit_preset()),)),  # 6.3e-43: x^2 underflows
+    (vel_disp_normal, (EvalPoint(1e-320, 1e-150, unit_preset()),)),  # 6.3e-43, the same way
+    (pos_disp_normal, (EvalPoint(1e-320, 1e308),)),  # 2.2e-2541: t/z underflows to 0
 ]
 
 
