@@ -363,6 +363,9 @@ def _cmd_sweep(opts: _Options) -> int:
         raise UsageError("parameter min/max: sweep needs --min and --max")
     parse = float if var == "t_over_z" else _natural_length
     at = _grid(opts.get("min", parse=parse), opts.get("max", parse=parse), count, spacing)
+    swept = "z" if var == "z" else "t"  # sweeping t/z sweeps t at the fixed z
+    if opts.raw(swept) is not None:
+        raise UsageError(f"parameter {swept}: sweeping {var} takes no fixed --{swept}")
     z_fixed = opts.get("z")
     t_fixed = opts.get("t")
     if var == "z" and t_fixed is None:

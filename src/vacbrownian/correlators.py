@@ -84,12 +84,15 @@ def check_lightcone(dt: float, z: float, refusal: str) -> None:
     """Raise LightconeSingularityError if dt lies in the lightcone window.
 
     Its message is ``refusal.format(dt=dt, z=z)``, formed only then.  Its
-    ``pole_distance`` ||dt| - 2z| is twice the window test's own difference
-    |dt|/2 - z, which stays finite where 2z overflows.
+    ``pole_distance`` is ||dt| - 2z|, which Sterbenz's lemma makes exact in
+    the window, subnormal dt included; where 2z overflows it is twice the
+    window test's own difference |dt|/2 - z, exact there since halving so
+    large a dt is.
     """
     if near_lightcone(dt, z):
-        raise LightconeSingularityError(refusal.format(dt=dt, z=z),
-                                        pole_distance=2.0 * abs(0.5 * abs(dt) - z))
+        two_z = 2.0 * z
+        distance = abs(abs(dt) - two_z) if two_z < math.inf else 2.0 * abs(0.5 * abs(dt) - z)
+        raise LightconeSingularityError(refusal.format(dt=dt, z=z), pole_distance=distance)
 
 
 _CORR_REFUSAL = ("time separation dt={dt!r} lies within the lightcone exclusion "

@@ -58,16 +58,19 @@ along its own 21 nodes, so an interval's rule result does not depend on
 the call it ran in, and each integral sums only its own intervals, so no
 integral's value depends on the batch it was computed in.
 
-That lets a contour batch run the rule ahead.  When a pass must call the
-rule, the same call also covers the new halves' descendants (quarters,
+That lets a contour batch run the rule ahead.  The first call runs every
+whole piece and, when the pieces and their halves fit within
+`_LOOKAHEAD_ROWS` rows, as a lone point's do, both halves of each as well,
+so the first halving of a piece calls no rule.  When a later pass must call
+the rule, the same call also covers the new halves' descendants (quarters,
 eighths, ...) along the two ends of each integral's piece, where a point's
 integrand keeps needing halvings, level by level while it stays within
 `_LOOKAHEAD_ROWS` rows; a later pass that halves one of them takes its
 halves from there and calls the rule only if some are missing.  Which
 interval is halved, every sum and every stop stay those of one call per
 pass, bit for bit.  A lone far-band point (velocity x, t/z = 1e4) makes 13
-halving passes in 4 rule calls instead of 14; a large batch fills the
-budget with the halves it needs anyway.  `reduced_time_integral` and
+halving passes in 3 rule calls (37 rows) instead of 14; a large batch fills
+the budget with the halves it needs anyway.  `reduced_time_integral` and
 `direct_time_integral` call the caller's Python f once per node, where a
 row run ahead for nothing costs real work, so they do not look ahead.
 
@@ -209,9 +212,11 @@ EPSREL = 1e-12
 MAX_SUBDIVISIONS = 200
 
 # Rows one `_gk21` call of a contour batch may fill with look-ahead (see
-# `_integrate`).  Of 6, 14, 30 and 62 rows, 14 and 30 ran far-band points
-# fastest (0.57 and 0.56 ms against 0.67 ms, unit preset, z = 1), and 14
-# runs fewer rows for nothing and post-band points 8 % faster than 30.
+# `_integrate`).  Against 14, the time per point at 6, 30 and 62 rows was
+# 1.35, 1.11 and 1.30-1.33 times as long past the lightcone (t/z 2 to 100)
+# and 1.41, 0.88-0.91 and 0.95-0.97 in the far band, and within a few
+# percent before it (`tools/ab_oracle.py`, two runs each, 2-CPU Xeon): 14
+# is best before and past the lightcone, and 30 helps only the far band.
 _LOOKAHEAD_ROWS = 14
 
 _EPS = float(np.finfo(float).eps)
@@ -238,6 +243,12 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs), resasc
 
 
+def _halves(level: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
+    """Both halves, left then right, of each interval (integral, lo, hi) of a level."""
+    return [(i, x, y) for i, lo, hi in level
+            for mid in (0.5 * (lo + hi),) for x, y in ((lo, mid), (mid, hi))]
+
+
 def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                rows: int = 0) -> tuple[list[float], list[float]]:
     """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
@@ -248,15 +259,18 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     and is done when the error meets max(EPSABS, EPSREL |value|) or it holds
     MAX_SUBDIVISIONS intervals; else it halves its interval of largest
     error (the first of equal ones, a NaN one only if all are).  Only the rule
-    runs on numpy arrays, in at most one `_gk21` call per pass: on every new
-    half that no earlier call ran ahead, then, level by level while the call
-    keeps within ``rows`` rows, on both halves of each interval of the last
-    level that shares an end with its integral's piece [a[i], b[i]].  With
-    ``rows`` = 14, one halving of a whole piece runs 2 + 4 + 4 + 4 rows, one
-    at an end of it 2 + 2 + ... + 2 (six levels below), one inside it only
-    its 2 halves.  A pass whose halves all ran ahead calls no rule.  The
-    halving choice and every sum are those of one call per pass, so ``rows``
-    changes the number of calls, never a bit.
+    runs on numpy arrays, in at most one `_gk21` call per pass.  The first
+    pass's call runs every whole piece [a[i], b[i]] and, when the n pieces and
+    their 2n halves fit within ``rows`` rows, both halves of each, no deeper.
+    Each later call runs every new half that no earlier call ran ahead, then,
+    level by level while the call keeps within ``rows`` rows, both halves of
+    each interval of the last level that shares an end with its integral's
+    piece.  With ``rows`` = 14, the first halving of a piece in a batch of
+    more than 4 pieces runs 2 + 4 + 4 + 4 rows, a later one at an end of the
+    piece 2 + 2 + ... + 2 (six levels below), one inside it only its 2
+    halves.  A pass whose halves all ran ahead calls no rule.  The halving
+    choice and every sum are those of one call per pass, so ``rows`` changes
+    the number of calls, never a bit.
     QUADPACK's (qag) early stops also end an integral: round-off (ier = 2),
     after 6 halvings that keep the value within 1e-5 relative and the error
     above 99 %, or 20 from the 11th interval on that raise the error, counting
@@ -268,12 +282,33 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     n = len(a)
     span = [[(float(x), float(y))] for x, y in zip(a, b)]  # each interval's (lo, hi)
     stalled, rising = [0] * n, [0] * n  # QUADPACK's iroff1 and iroff2
-    values, errors, stops, running = [0.0] * n, [0.0] * n, [None] * n, range(n)
+    values, errors, stops = [0.0] * n, [0.0] * n, [None] * n
+    res = err = None  # each interval's rule value and error, from the first call on
     ahead = {}  # (integral, lo, hi) to the rule's (value, error, resasc) there
+    keys, halving = [(i, lo, hi) for i, ((lo, hi),) in enumerate(span)], []
+    if 3 * n <= rows:  # the pieces and both halves of each fit in one call
+        keys += _halves(keys)
     with np.errstate(all="ignore"):
-        r, e, _ = _gk21(f, np.arange(n), np.array(a, dtype=float), np.array(b, dtype=float))
-        res, err = [[x] for x in r.tolist()], [[x] for x in e.tolist()]
         while True:
+            if keys:
+                k, lo, hi = zip(*keys)
+                r, e, resasc = _gk21(f, np.array(k), np.array(lo), np.array(hi))
+                ahead.update(zip(keys, zip(r.tolist(), e.tolist(), resasc.tolist())))
+            if res is None:  # the first pass: every whole piece
+                whole = [ahead.pop((i, lo, hi)) for i, ((lo, hi),) in enumerate(span)]
+                res, err = [[x] for x, _, _ in whole], [[y] for _, y, _ in whole]
+            running = [i for i, *_ in halving] or range(n)  # in the first pass, all
+            for i, j, a1, mid, b2 in halving:
+                (r1, e1, c1), (r2, e2, c2) = ahead.pop((i, a1, mid)), ahead.pop((i, mid, b2))
+                both, errs = r1 + r2, e1 + e2
+                if e1 != c1 and e2 != c2:
+                    stalled[i] += (abs(res[i][j] - both) <= 1e-5 * abs(both)
+                                   and errs >= 0.99 * err[i][j])
+                    rising[i] += len(err[i]) >= 10 and errs > err[i][j]
+                span[i][j], res[i][j], err[i][j] = (a1, mid), r1, e1
+                span[i].append((mid, b2))
+                res[i].append(r2)
+                err[i].append(e2)
             halving = []
             for i in running:
                 value = error = 0.0
@@ -308,26 +343,8 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                 level = [(i, lo, hi) for i, lo, hi in level if lo == a[i] or hi == b[i]]
                 if not level or len(keys) + 2 * len(level) > rows:
                     break
-                level = [(i, x, y) for i, lo, hi in level
-                         for mid in (0.5 * (lo + hi),) for x, y in ((lo, mid), (mid, hi))]
+                level = _halves(level)
                 keys += level
-            if keys:
-                k, lo, hi = zip(*keys)
-                r, e, resasc = _gk21(f, np.array(k), np.array(lo), np.array(hi))
-                ahead.update(zip(keys, zip(r.tolist(), e.tolist(), resasc.tolist())))
-            running = []
-            for i, j, a1, mid, b2 in halving:
-                (r1, e1, c1), (r2, e2, c2) = ahead.pop((i, a1, mid)), ahead.pop((i, mid, b2))
-                both, errs = r1 + r2, e1 + e2
-                if e1 != c1 and e2 != c2:
-                    stalled[i] += (abs(res[i][j] - both) <= 1e-5 * abs(both)
-                                   and errs >= 0.99 * err[i][j])
-                    rising[i] += len(err[i]) >= 10 and errs > err[i][j]
-                span[i][j], res[i][j], err[i][j] = (a1, mid), r1, e1
-                span[i].append((mid, b2))
-                res[i].append(r2)
-                err[i].append(e2)
-                running.append(i)
 
 
 def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:

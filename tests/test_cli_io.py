@@ -233,6 +233,22 @@ class TestSweep:
         assert_refused(*run(capsys, *argv, "--output", str(target)), "parameter t/z:", message)
         assert not target.exists()
 
+    @pytest.mark.parametrize("var, key", [("t", "t"), ("t_over_z", "t"), ("z", "z")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_fixed_value_of_swept_variable_refused(self, tmp_path, capsys, var, key, source):
+        # the grid sets the swept variable (t/z sets t), so a fixed one would go unused
+        argv = ["sweep", "--particle", "unit", "--var", var, "--min", "1", "--max", "3",
+                "--count", "2", "--quantity", "vel_disp_normal"]
+        if var == "z":
+            argv += ["--t", "1"]
+        if source == "flag":
+            argv += [f"--{key}", "1e300"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({key: "1e300"}))
+            argv += ["--config", str(config)]
+        assert_refused(*run(capsys, *argv), f"parameter {key}: sweeping {var} takes no fixed --{key}")
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_write_error_mid_stream_exits_5(self, capsys, fmt):

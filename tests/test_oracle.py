@@ -542,15 +542,27 @@ class TestLookAheadMovesNoBit:
 
 class TestLookAhead:
     # The contour batches run the rule ahead below the halves they need, along
-    # the ends of each piece, where a far-band point keeps halving.  One rule
-    # call per pass, as with the integrals of a caller's f, took 14 calls for
-    # the far-band point below and 19 for the verify grid; whole levels below
-    # each halving took 6 calls (71 rows) and 15.
+    # the ends of each piece, where a far-band point keeps halving; a lone
+    # point's first call also runs both halves of each piece.  One rule call
+    # per pass, as with the integrals of a caller's f, took 14 calls for the
+    # far-band point below and 19 for the verify grid; whole levels below
+    # each halving took 6 calls (71 rows) and 15; a first call of whole
+    # pieces only, 4 calls (43 rows) for that point.
     def test_far_band_point_in_few_rule_calls(self, rule_calls):
         dispersion_oracle("velocity", "x", up(1e4))
-        assert len(rule_calls) <= 4
-        assert sum(rule_calls) <= 45
+        assert len(rule_calls) <= 3
+        assert sum(rule_calls) <= 37
         assert max(rule_calls) <= oracle._LOOKAHEAD_ROWS
+
+    @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
+    def test_lone_points_in_few_rule_calls(self, rule_calls, quantity):
+        # t/z = 30 and 2.5 took 3 and 2 calls, and t/z = 0.5 one call of 1 row,
+        # while the first call ran whole pieces only
+        for ratio, most in ((30.0, 2), (2.5, 1), (0.5, 1)):
+            rule_calls.clear()
+            dispersion_oracle(quantity.kind, quantity.component, up(ratio))
+            assert len(rule_calls) <= most, ratio
+        assert rule_calls == [3]  # the pre-lightcone piece and both its halves
 
     def test_verify_grid_needs_no_more_rule_calls(self, rule_calls, cold_oracle_memo):
         verify_grid()
