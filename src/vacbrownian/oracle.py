@@ -59,9 +59,10 @@ the call it ran in, and each integral sums only its own intervals, so no
 integral's value depends on the batch it was computed in.
 
 That lets a contour batch run the rule ahead.  The first call runs every
-whole piece and, when the pieces and their halves fit within
-`_LOOKAHEAD_ROWS` rows, as a lone point's do, both halves of each as well,
-so the first halving of a piece calls no rule.  When a later pass must call
+whole piece and, when there are several and they and their halves fit
+within `_LOOKAHEAD_ROWS` rows, as the three pieces of a lone point past
+the lightcone do, both halves of each as well, so the first halving of a
+piece calls no rule.  When a later pass must call
 the rule, the same call also covers the new halves' descendants (quarters,
 eighths, ...) along the two ends of each integral's piece, where a point's
 integrand keeps needing halvings, level by level while it stays within
@@ -213,9 +214,9 @@ MAX_SUBDIVISIONS = 200
 
 # Rows one `_gk21` call of a contour batch may fill with look-ahead (see
 # `_integrate`).  Against 14, the time per point at 6, 30 and 62 rows was
-# 1.35, 1.11 and 1.30-1.33 times as long past the lightcone (t/z 2 to 100)
-# and 1.41, 0.88-0.91 and 0.95-0.97 in the far band, and within a few
-# percent before it (`tools/ab_oracle.py`, two runs each, 2-CPU Xeon): 14
+# 1.37-1.38, 1.11 and 1.31-1.32 times as long past the lightcone (t/z 2 to
+# 100) and 1.43-1.45, 0.90 and 0.97-0.98 in the far band, and within 5 %
+# before it (`tools/ab_oracle.py`, two runs each, 2-CPU Xeon): 14
 # is best before and past the lightcone, and 30 helps only the far band.
 _LOOKAHEAD_ROWS = 14
 
@@ -260,8 +261,9 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     MAX_SUBDIVISIONS intervals; else it halves its interval of largest
     error (the first of equal ones, a NaN one only if all are).  Only the rule
     runs on numpy arrays, in at most one `_gk21` call per pass.  The first
-    pass's call runs every whole piece [a[i], b[i]] and, when the n pieces and
-    their 2n halves fit within ``rows`` rows, both halves of each, no deeper.
+    pass's call runs every whole piece [a[i], b[i]] and, when n > 1 and the n
+    pieces and their 2n halves fit within ``rows`` rows, both halves of each,
+    no deeper.
     Each later call runs every new half that no earlier call ran ahead, then,
     level by level while the call keeps within ``rows`` rows, both halves of
     each interval of the last level that shares an end with its integral's
@@ -286,7 +288,9 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     res = err = None  # each interval's rule value and error, from the first call on
     ahead = {}  # (integral, lo, hi) to the rule's (value, error, resasc) there
     keys, halving = [(i, lo, hi) for i, ((lo, hi),) in enumerate(span)], []
-    if 3 * n <= rows:  # the pieces and both halves of each fit in one call
+    # several pieces and both halves of each within one call; a lone piece, a
+    # point before the lightcone, mostly needs no halving at all
+    if 1 < n and 3 * n <= rows:
         keys += _halves(keys)
     with np.errstate(all="ignore"):
         while True:

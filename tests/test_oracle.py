@@ -542,8 +542,8 @@ class TestLookAheadMovesNoBit:
 
 class TestLookAhead:
     # The contour batches run the rule ahead below the halves they need, along
-    # the ends of each piece, where a far-band point keeps halving; a lone
-    # point's first call also runs both halves of each piece.  One rule call
+    # the ends of each piece, where a far-band point keeps halving; the first
+    # call of several pieces also runs both halves of each.  One rule call
     # per pass, as with the integrals of a caller's f, took 14 calls for the
     # far-band point below and 19 for the verify grid; whole levels below
     # each halving took 6 calls (71 rows) and 15; a first call of whole
@@ -556,13 +556,13 @@ class TestLookAhead:
 
     @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
     def test_lone_points_in_few_rule_calls(self, rule_calls, quantity):
-        # t/z = 30 and 2.5 took 3 and 2 calls, and t/z = 0.5 one call of 1 row,
-        # while the first call ran whole pieces only
+        # t/z = 30 and 2.5 took 3 and 2 calls while the first call ran whole
+        # pieces only; t/z = 0.5, a lone piece, runs nothing ahead
         for ratio, most in ((30.0, 2), (2.5, 1), (0.5, 1)):
             rule_calls.clear()
             dispersion_oracle(quantity.kind, quantity.component, up(ratio))
             assert len(rule_calls) <= most, ratio
-        assert rule_calls == [3]  # the pre-lightcone piece and both its halves
+        assert rule_calls == [1]  # the pre-lightcone piece, no halves
 
     def test_verify_grid_needs_no_more_rule_calls(self, rule_calls, cold_oracle_memo):
         verify_grid()

@@ -1,6 +1,6 @@
 """In-process A/B of the quadrature oracle: a changed source tree against its parent.
 
-    python3 tools/ab_oracle.py PARENT_SRC CHANGE_SRC [--repeats N] [--points N] [--seed N]
+    python3 tools/ab_oracle.py PARENT_SRC CHANGE_SRC [--repeats N] [--points N]
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `vacbrownian` package,
 such as the `src` of two checkouts.  The package imports itself by relative
@@ -13,10 +13,10 @@ trees, the value and error estimate or the refusal's type and message, at
 every probe point, and identical full `verify_grid` rows; it exits 1 if any
 differ.  Then it runs ``--repeats`` rounds.  Each round times, for each tree
 in turn (which tree goes first alternates by round), the probe points of each
-band of t/z, drawn as perfbench's oracle_audit draws them (pre 1e-3 to 2,
-post 2 to 100, far 100 to 1e6; z log-uniform in [1e-9, 1e-3] m, electron or
-unit preset, the four quantities in turn), and one full `verify_grid` on an
-empty memo.  It prints one line per probe:
+band of t/z, drawn by perfbench's own `oracle_points` from a generator seeded
+401 (pre 1e-3 to 2, post 2 to 100, far 100 to 1e6; z log-uniform in
+[1e-9, 1e-3] m, electron or unit preset, the four quantities in turn), and
+one full `verify_grid` on an empty memo.  It prints one line per probe:
 
     pre   change/parent 0.712  q1 0.701  q3 0.730  parent 0.3510 ms  change 0.2500 ms  rounds 15
 
@@ -31,15 +31,16 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import math
 import random
 import statistics
 import sys
 import time
 from pathlib import Path
 
-BANDS = {"pre": (1e-3, 2.0), "post": (2.0, 100.0), "far": (100.0, 1e6)}
-QUANTITIES = ("vel_disp_transverse", "vel_disp_normal", "pos_disp_transverse", "pos_disp_normal")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from common import ORACLE_BANDS, oracle_points  # noqa: E402  (standard library only)
+
+SEED = 401  # of the drawn points
 LINE = ("{probe:<5} change/parent {ratio:.3f}  q1 {q1:.3f}  q3 {q3:.3f}  "
         "parent {parent:.4f} ms  change {change:.4f} ms  rounds {rounds}")
 
@@ -61,14 +62,14 @@ class Tree:
         self.refusal = importlib.import_module(f"{name}.errors").VacBrownianError
         self.presets = importlib.import_module(f"{name}.units_constants")
 
-    def points(self, drawn: list[tuple[str, float, float, str]]) -> list[tuple]:
-        """Each draw (quantity, t/z, z, preset) as dispersion_oracle's arguments."""
+    def points(self, drawn: list[dict]) -> list[tuple]:
+        """Each of `oracle_points`' draws as dispersion_oracle's arguments."""
         made = []
-        for quantity, ratio, z, preset in drawn:
-            q = self.dispersion.QUANTITIES[quantity]
-            particle = getattr(self.presets, f"{preset}_preset")()
-            made.append((q.kind, q.component,
-                         self.dispersion.EvalPoint(t=ratio * z, z=z, particle=particle)))
+        for pt in drawn:
+            q = self.dispersion.QUANTITIES[pt["quantity"]]
+            particle = getattr(self.presets, f"{pt['preset']}_preset")()
+            made.append((q.kind, q.component, self.dispersion.EvalPoint(
+                t=pt["t_over_z"] * pt["z"], z=pt["z"], particle=particle)))
         return made
 
     def outcome(self, kind: str, component: str, point) -> tuple:
@@ -93,37 +94,24 @@ class Tree:
         return self.oracle.verify_grid()
 
 
-def draws(rng: random.Random, per_band: int) -> dict[str, list[tuple[str, float, float, str]]]:
-    """per_band (quantity, t/z, z, preset) in each band, t/z log-uniform in equal log-strata."""
-    found = {}
-    for band, (lo, hi) in BANDS.items():
-        a, b = math.log(lo), math.log(hi)
-        step = (b - a) / per_band
-        found[band] = [(QUANTITIES[i % 4], math.exp(a + step * (i + rng.random())),
-                        math.exp(rng.uniform(math.log(1e-9), math.log(1e-3))),
-                        rng.choice(("electron", "unit")))
-                       for i in range(per_band)]
-    return found
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="source tree holding the parent's vacbrownian")
     parser.add_argument("change", help="source tree holding the change's vacbrownian")
     parser.add_argument("--repeats", type=int, default=15, help="timed rounds (default 15)")
     parser.add_argument("--points", type=int, default=40, help="points per band (default 40)")
-    parser.add_argument("--seed", type=int, default=401, help="seed of the draws (default 401)")
     args = parser.parse_args(argv)
     if args.repeats < 1 or args.points < 1:
         parser.error("--repeats and --points must be at least 1")
 
     trees = {"parent": Tree(args.parent, "ab_parent_vacbrownian"),
              "change": Tree(args.change, "ab_change_vacbrownian")}
-    band_draws = draws(random.Random(args.seed), args.points)
+    drawn = oracle_points(random.Random(SEED), args.points)
+    band_draws = {band: [pt for pt in drawn if pt["band"] == band] for band in ORACLE_BANDS}
     points = {side: {band: tree.points(d) for band, d in band_draws.items()}
               for side, tree in trees.items()}
 
-    for band in BANDS:
+    for band in ORACLE_BANDS:
         for at, (x, y) in enumerate(zip(*(points[side][band] for side in trees))):
             left, right = trees["parent"].outcome(*x), trees["change"].outcome(*y)
             if left != right:
@@ -137,9 +125,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     runs = {band: (lambda side, band=band: trees[side].run_points(points[side][band]))
-            for band in BANDS}
+            for band in ORACLE_BANDS}
     runs["grid"] = lambda side: trees[side].cold_grid()
-    calls = dict.fromkeys(BANDS, args.points) | {"grid": 1}
+    calls = dict.fromkeys(ORACLE_BANDS, args.points) | {"grid": 1}
     times = {side: {probe: [] for probe in runs} for side in trees}
     for i in range(args.repeats):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
