@@ -155,7 +155,9 @@ class _Options:
                 config = json.load(handle)
         except OSError as exc:
             raise UsageError(f"parameter config: cannot read {path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        # a JSONDecodeError, bytes that are not UTF-8, an integer past
+        # Python's digit limit, or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise UsageError(f"parameter config: invalid JSON in {path!r}: {exc}") from None
         if not isinstance(config, dict):
             raise UsageError("parameter config: top-level JSON value must be an object")

@@ -36,7 +36,9 @@ that range a value is finite or refused with ValueError; below the
 lightcone, where none vanishes, so is a value that underflows to 0.0.
 The printed asymptotes truncate the same series, `small_t_series` sums
 the Taylor series about t = 0, and `QUANTITIES` holds each dispersion's
-kind, component, bracket and both series in one place.
+kind, component, bracket and both series in one place.  One function,
+`_prefactor`, forms A and B and also the oracle's prefactors e^2/(m^2 z^2)
+and e^2/m^2, the same products without pi^2.
 """
 
 from __future__ import annotations
@@ -140,12 +142,27 @@ class DispersionResult(FrozenRecord):
     __slots__ = ("value", "component", "kind", "validity_ok", "radiation_ok", "near_lightcone")
 
 
-def _checked_prefactor(kind: str, formula: str, value: float) -> float:
-    """value, if it lies in (0, inf); else ValueError naming the kind's prefactor formula."""
+# Each prefactor's formula in its refusal, by c and kind (see `_prefactor`).
+_PREFACTOR_FORMULAS = {PI_SQ: {"velocity": "e^2/(pi^2 m^2 z^2)", "position": "e^2/(pi^2 m^2)"},
+                       1.0: {"velocity": "e^2/(m^2 z^2)", "position": "e^2/m^2"}}
+
+
+def _prefactor(kind: str, p: EvalPoint, c: float) -> float:
+    """e^2/(c m^2 z^2) for a velocity, e^2/(c m^2) for a position, at c = pi^2 or 1.
+
+    The closed forms take c = pi^2 and the oracle c = 1.0, whose product
+    1.0 m is exact.  The denominator is multiplied out first: with
+    e = 1e-150, m = 1e150, z = 1e-300 that gives e^2/(m^2 z^2) = 1, where
+    e^2/m^2 and z^2 would both round to zero.  A value outside (0, inf) is
+    refused with ValueError naming the formula.
+    """
+    s = p.particle
+    denominator = c * s.m * s.m * p.z * p.z if kind == "velocity" else c * s.m * s.m
+    value = s.e * s.e / denominator if denominator else math.inf
     if 0.0 < value < math.inf:
         return value
     problem = "underflows to zero" if value == 0.0 else "overflows"
-    raise ValueError(f"{kind} prefactor {formula} {problem}")
+    raise ValueError(f"{kind} prefactor {_PREFACTOR_FORMULAS[c][kind]} {problem}")
 
 
 # --- helpers for the scaled brackets in x = t/2z ----------------------------
@@ -229,14 +246,7 @@ class Quantity(FrozenRecord):
 
     def prefactor(self, p: EvalPoint) -> float:
         """A = e^2/(pi^2 m^2 z^2) or B = e^2/(pi^2 m^2); refuses a value outside the float range."""
-        s = p.particle
-        if self.kind == "velocity":
-            denominator = PI_SQ * s.m * s.m * p.z * p.z
-        else:
-            denominator = PI_SQ * s.m * s.m
-        value = s.e * s.e / denominator if denominator else math.inf
-        formula = "e^2/(pi^2 m^2 z^2)" if self.kind == "velocity" else "e^2/(pi^2 m^2)"
-        return _checked_prefactor(self.kind, formula, value)
+        return _prefactor(self.kind, p, PI_SQ)
 
     def _large_x_bracket(self, x: float, log_x: float, w: float, terms: int = len(_K)) -> float:
         """The large-x series at x > 1 from ln x and w = 1/x^2, keeping the first ``terms`` d_k."""
@@ -257,10 +267,6 @@ class Quantity(FrozenRecord):
         if value == 0.0 and x < 1.0:
             raise ValueError("value leaves the float range")
         return value
-
-    def evaluate(self, p: EvalPoint) -> DispersionResult:
-        """Closed-form value at p with its regime flags."""
-        return _result(p, self.value(p), self, near_lightcone=False)  # value refuses near it
 
     @finite
     def asymptote(self, p: EvalPoint) -> float:
@@ -296,10 +302,14 @@ QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (
 QUANTITY_IDS = tuple(QUANTITIES)
 
 
-def _result(p: EvalPoint, value: float, q: Quantity, near_lightcone: bool) -> DispersionResult:
+def _result(quantity: str, p: EvalPoint, *, asymptote: bool = False) -> DispersionResult:
+    """The quantity's closed form, or its printed asymptote, at p with the regime flags."""
+    q = QUANTITIES[quantity]
+    value = q.asymptote(p) if asymptote else q.value(p)
     validity_ok, radiation_ok = regime_flags(p.particle, p.z, p.t)
     # positional, in field order: keyword arguments made the call about a third slower
-    return DispersionResult(value, q.component, q.kind, validity_ok, radiation_ok, near_lightcone)
+    return DispersionResult(value, q.component, q.kind, validity_ok, radiation_ok,
+                            p.near_lightcone)
 
 
 def vel_disp_transverse(p: EvalPoint) -> DispersionResult:
@@ -308,7 +318,7 @@ def vel_disp_transverse(p: EvalPoint) -> DispersionResult:
     Positive at early times and negative beyond the lightcone, decaying to
     zero at late times.
     """
-    return QUANTITIES["vel_disp_transverse"].evaluate(p)
+    return _result("vel_disp_transverse", p)
 
 
 def vel_disp_normal(p: EvalPoint) -> DispersionResult:
@@ -316,34 +326,29 @@ def vel_disp_normal(p: EvalPoint) -> DispersionResult:
 
     Strictly positive, approaching e^2 / (4 pi^2 m^2 z^2) at late times.
     """
-    return QUANTITIES["vel_disp_normal"].evaluate(p)
+    return _result("vel_disp_normal", p)
 
 
 def pos_disp_transverse(p: EvalPoint) -> DispersionResult:
     """Mean-squared position fluctuation parallel to the plane (x = y)."""
-    return QUANTITIES["pos_disp_transverse"].evaluate(p)
+    return _result("pos_disp_transverse", p)
 
 
 def pos_disp_normal(p: EvalPoint) -> DispersionResult:
     """Mean-squared position fluctuation normal to the plane."""
-    return QUANTITIES["pos_disp_normal"].evaluate(p)
+    return _result("pos_disp_normal", p)
 
 
 # --- printed large-time asymptotes: truncated large-x series ------------------
 
-def _asymptote_result(quantity: str, p: EvalPoint) -> DispersionResult:
-    q = QUANTITIES[quantity]
-    return _result(p, q.asymptote(p), q, p.near_lightcone)
-
-
 def vel_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
     """Leading large-time form: -e^2/(3 pi^2 m^2 t^2) - 8 e^2 z^2/(5 pi^2 m^2 t^4)."""
-    return _asymptote_result("vel_disp_transverse", p)
+    return _result("vel_disp_transverse", p, asymptote=True)
 
 
 def vel_disp_normal_asym(p: EvalPoint) -> DispersionResult:
     """Large-time form e^2/(4 pi^2 m^2 z^2) + e^2/(3 pi^2 m^2 t^2)."""
-    return _asymptote_result("vel_disp_normal", p)
+    return _result("vel_disp_normal", p, asymptote=True)
 
 
 def pos_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
@@ -353,12 +358,12 @@ def pos_disp_transverse_asym(p: EvalPoint) -> DispersionResult:
     additional constant 1/18 inside the bracket, so the relative gap to
     the closed form closes slowly, like 1/ln(t/2z).
     """
-    return _asymptote_result("pos_disp_transverse", p)
+    return _result("pos_disp_transverse", p, asymptote=True)
 
 
 def pos_disp_normal_asym(p: EvalPoint) -> DispersionResult:
     """Large-time form (e^2/pi^2 m^2) [t^2/8z^2 + (1/3) ln(t/2z) + 1/9]."""
-    return _asymptote_result("pos_disp_normal", p)
+    return _result("pos_disp_normal", p, asymptote=True)
 
 
 # --- small-t Taylor series ---------------------------------------------------

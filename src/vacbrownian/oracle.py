@@ -58,22 +58,23 @@ along its own 21 nodes, so an interval's rule result does not depend on
 the call it ran in, and each integral sums only its own intervals, so no
 integral's value depends on the batch it was computed in.
 
-That lets a contour batch run the rule ahead.  The first call runs every
-whole piece and, when there are several and they and their halves fit
-within `_LOOKAHEAD_ROWS` rows, as the three pieces of a lone point past
-the lightcone do, both halves of each as well, so the first halving of a
-piece calls no rule.  When a later pass must call
-the rule, the same call also covers the new halves' descendants (quarters,
-eighths, ...) along the two ends of each integral's piece, where a point's
-integrand keeps needing halvings, level by level while it stays within
-`_LOOKAHEAD_ROWS` rows; a later pass that halves one of them takes its
-halves from there and calls the rule only if some are missing.  Which
-interval is halved, every sum and every stop stay those of one call per
-pass, bit for bit.  A lone far-band point (velocity x, t/z = 1e4) makes 13
-halving passes in 3 rule calls (37 rows) instead of 14; a large batch fills
-the budget with the halves it needs anyway.  `reduced_time_integral` and
-`direct_time_integral` call the caller's Python f once per node, where a
-row run ahead for nothing costs real work, so they do not look ahead.
+That lets a contour batch run the rule ahead, by one rule in every call.
+After the intervals it must run (at the first call the whole pieces, later
+the new halves), a call also covers their descendants (halves, quarters,
+...) along the two ends of each integral's piece, where a point's integrand
+keeps needing halvings, level by level while it stays within
+`_LOOKAHEAD_ROWS` rows.  The first call does so only for several pieces: a
+lone piece, a point before the lightcone, mostly needs no halving at all,
+while the three pieces of a lone point past it take their halves along, so
+the first halving of a piece calls no rule.  A later pass that halves an
+interval run ahead takes its halves from there and calls the rule only if
+some are missing.  Which interval is halved, every sum and every stop stay
+those of one call per pass, bit for bit.  A lone far-band point (velocity
+x, t/z = 1e4) makes 13 halving passes in 3 rule calls (37 rows) instead of
+14; a large batch fills the budget with the halves it needs anyway.
+`reduced_time_integral` and `direct_time_integral` call the caller's Python
+f once per node, where a row run ahead for nothing costs real work, so they
+do not look ahead.
 
 A point's oracle value is a scaled integral at z = 1 times its prefactor,
 and the scaled integral, with its error estimate, depends only on (kind,
@@ -103,7 +104,7 @@ from .correlators import (
     normal_kernel_complex,
     transverse_kernel_complex,
 )
-from .dispersion import QUANTITIES, EvalPoint, _LIGHTCONE_REFUSAL, _checked_prefactor
+from .dispersion import QUANTITIES, EvalPoint, _LIGHTCONE_REFUSAL, _prefactor
 from .errors import ExtrapolationError, FrozenRecord, QuadratureConvergenceError
 from .units_constants import ParticleSpec, unit_preset
 
@@ -170,6 +171,14 @@ def weight_position(tau, t):
 
 
 _WEIGHTS = {"velocity": weight_velocity, "position": weight_position}
+
+
+def _weight(kind: str) -> Callable:
+    """The time weight of ``kind``; refuses a kind other than 'velocity' or 'position'."""
+    weight = _WEIGHTS.get(kind)
+    if weight is None:
+        raise ValueError("kind must be 'velocity' or 'position'")
+    return weight
 
 _KERNELS = {"x": transverse_kernel_complex, "z": normal_kernel_complex}
 
@@ -244,12 +253,6 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs), resasc
 
 
-def _halves(level: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
-    """Both halves, left then right, of each interval (integral, lo, hi) of a level."""
-    return [(i, x, y) for i, lo, hi in level
-            for mid in (0.5 * (lo + hi),) for x, y in ((lo, mid), (mid, hi))]
-
-
 def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                rows: int = 0) -> tuple[list[float], list[float]]:
     """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
@@ -260,19 +263,19 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     and is done when the error meets max(EPSABS, EPSREL |value|) or it holds
     MAX_SUBDIVISIONS intervals; else it halves its interval of largest
     error (the first of equal ones, a NaN one only if all are).  Only the rule
-    runs on numpy arrays, in at most one `_gk21` call per pass.  The first
-    pass's call runs every whole piece [a[i], b[i]] and, when n > 1 and the n
-    pieces and their 2n halves fit within ``rows`` rows, both halves of each,
-    no deeper.
-    Each later call runs every new half that no earlier call ran ahead, then,
-    level by level while the call keeps within ``rows`` rows, both halves of
-    each interval of the last level that shares an end with its integral's
-    piece.  With ``rows`` = 14, the first halving of a piece in a batch of
-    more than 4 pieces runs 2 + 4 + 4 + 4 rows, a later one at an end of the
-    piece 2 + 2 + ... + 2 (six levels below), one inside it only its 2
-    halves.  A pass whose halves all ran ahead calls no rule.  The halving
-    choice and every sum are those of one call per pass, so ``rows`` changes
-    the number of calls, never a bit.
+    runs on numpy arrays, in at most one `_gk21` call per pass.  Each call
+    runs its new intervals, at the first pass every whole piece [a[i], b[i]]
+    and later every new half that no earlier call ran ahead, then looks
+    ahead: level by level while the call keeps within ``rows`` rows, both
+    halves of each interval of the last level that shares an end with its
+    integral's piece.  The first call looks ahead only when n > 1.  With
+    ``rows`` = 14, 3 or 4 whole pieces take their halves along, no deeper,
+    and 5 or more none; the first halving of a piece in such a batch runs
+    2 + 4 + 4 + 4 rows, a later one at an end of the piece 2 + 2 + ... + 2
+    (six levels below), one inside it only its 2 halves.  A pass whose
+    halves all ran ahead calls no rule.  The halving choice and every sum
+    are those of one call per pass, so ``rows`` changes the number of
+    calls, never a bit.
     QUADPACK's (qag) early stops also end an integral: round-off (ier = 2),
     after 6 halvings that keep the value within 1e-5 relative and the error
     above 99 %, or 20 from the 11th interval on that raise the error, counting
@@ -288,12 +291,19 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     res = err = None  # each interval's rule value and error, from the first call on
     ahead = {}  # (integral, lo, hi) to the rule's (value, error, resasc) there
     keys, halving = [(i, lo, hi) for i, ((lo, hi),) in enumerate(span)], []
-    # several pieces and both halves of each within one call; a lone piece, a
-    # point before the lightcone, mostly needs no halving at all
-    if 1 < n and 3 * n <= rows:
-        keys += _halves(keys)
+    # a lone piece, a point before the lightcone, mostly needs no halving at all
+    level = keys if n > 1 else []
     with np.errstate(all="ignore"):
         while True:
+            # both halves of each interval of the last level that shares an end
+            # with its integral's piece, level by level while the call stays within rows
+            while True:
+                level = [(i, lo, hi) for i, lo, hi in level if lo == a[i] or hi == b[i]]
+                if not level or len(keys) + 2 * len(level) > rows:
+                    break
+                level = [(i, x, y) for i, lo, hi in level
+                         for mid in (0.5 * (lo + hi),) for x, y in ((lo, mid), (mid, hi))]
+                keys += level
             if keys:
                 k, lo, hi = zip(*keys)
                 r, e, resasc = _gk21(f, np.array(k), np.array(lo), np.array(hi))
@@ -337,18 +347,10 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                 for args in zip(values, errors, stops, a, b):
                     _within_budget(*args)
                 return values, errors
-            # the halves no earlier call ran ahead (they come and go in pairs),
-            # then both halves of each one at an end of its integral's piece,
-            # level by level while the call stays within rows
+            # the halves no earlier call ran ahead (they come and go in pairs)
             keys = [(i, x, y) for i, _, a1, mid, b2 in halving if (i, a1, mid) not in ahead
                     for x, y in ((a1, mid), (mid, b2))]
             level = keys
-            while True:
-                level = [(i, lo, hi) for i, lo, hi in level if lo == a[i] or hi == b[i]]
-                if not level or len(keys) + 2 * len(level) > rows:
-                    break
-                level = _halves(level)
-                keys += level
 
 
 def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:
@@ -406,7 +408,7 @@ def _contour_integrand(kind: str, component: str, T: np.ndarray, arc: np.ndarray
 
     On the axis u = s; on the semicircle u = 2 + e^{is}.
     """
-    weight, kernel = _WEIGHTS[kind], _KERNELS[component]
+    weight, kernel = _weight(kind), _KERNELS[component]
 
     def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
         u = s.astype(complex)
@@ -423,18 +425,9 @@ def _contour_integrand(kind: str, component: str, T: np.ndarray, arc: np.ndarray
 
 def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
     """A point's (t/z, prefactor e^2/m^2 (/z^2)); refuses the point on the lightcone
-    or, as the closed form does, with its prefactor outside the float range."""
+    or with its prefactor outside the float range, as the closed form does."""
     check_lightcone(p.t, p.z, _LIGHTCONE_REFUSAL)
-    spec = p.particle
-    # the denominator multiplied out first, as the closed form does: with
-    # e = 1e-150, m = 1e150, z = 1e-300 this gives 1, where e^2/m^2 and z^2
-    # would both round to zero
-    if kind == "velocity":
-        denominator, formula = spec.m * spec.m * p.z * p.z, "e^2/(m^2 z^2)"
-    else:
-        denominator, formula = spec.m * spec.m, "e^2/m^2"
-    prefactor = spec.e * spec.e / denominator if denominator else math.inf
-    return p.t / p.z, _checked_prefactor(kind, formula, prefactor)
+    return p.t / p.z, _prefactor(kind, p, 1.0)
 
 
 def _scaled(kind: str, component: str,
@@ -493,8 +486,7 @@ def dispersion_oracle(kind: str, component: str, p: EvalPoint) -> OracleResult:
     docstring, below the pole beyond the lightcone, and rescales by e^2/m^2
     (velocities carry an extra 1/z^2).
     """
-    if kind not in _WEIGHTS:
-        raise ValueError("kind must be 'velocity' or 'position'")
+    _weight(kind)  # refuses an unknown kind before any other check
     if component not in _KERNELS:
         raise ValueError("component must be 'x' or 'z'")
     T, prefactor = _plan(kind, p)
@@ -512,10 +504,8 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
     settled by one rule call, takes 0.033 ms (minimum of 20 calls in process,
     2-CPU Xeon, Python 3.11).
     """
-    if kind not in _WEIGHTS:
-        raise ValueError("kind must be 'velocity' or 'position'")
+    weight = _weight(kind)
     _check_time(t)
-    weight = _WEIGHTS[kind]
     return _integrate(lambda x, _: weight(x, t) * _per_node(f, x), [0.0], [t])[0][0]
 
 
@@ -527,8 +517,7 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
     the diagonal so kernels with a |u| kink stay piecewise smooth; the inner
     integrals at every outer node of a pass form one batch.
     """
-    if kind not in _WEIGHTS:
-        raise ValueError("kind must be 'velocity' or 'position'")
+    _weight(kind)  # the unreduced integral has no weight; this refuses an unknown kind
     _check_time(t)
 
     def inner(x: np.ndarray, _: np.ndarray) -> np.ndarray:

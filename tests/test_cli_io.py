@@ -713,6 +713,19 @@ class TestConfigFile:
                    "--z", "1", "--t", "1",
                    "--quantity", "vel_disp_normal")[0] == 2
 
+    # json.load raises other errors than JSONDecodeError for these three
+    @pytest.mark.parametrize("command, content", [
+        ("eval", b'{"z": "1\xff"}'),
+        ("eval", b'{"z": ' + b"1" * 5000 + b"}"),
+        ("sweep", b'{"z": ' + b"1" * 5000 + b"}"),
+        ("eval", b"[" * 100_000 + b"]" * 100_000),
+    ], ids=["not-utf8", "long-integer-eval", "long-integer-sweep", "nested-past-recursion-limit"])
+    def test_unreadable_json_config_exits_2(self, tmp_path, capsys, command, content):
+        path = tmp_path / "run.json"
+        path.write_bytes(content)
+        assert_refused(*run(capsys, command, "--config", str(path)),
+                       f"parameter config: invalid JSON in {str(path)!r}")
+
 
 def strict_json(text):
     """Parse RFC 8259 JSON: NaN and Infinity are refused, every number finite."""

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from vacbrownian import dispersion
+from vacbrownian import dispersion, oracle
 from vacbrownian.cli_io import main
 from vacbrownian.dispersion import (
     LARGE_X,
@@ -221,6 +222,44 @@ class TestPrefactorRange:
         spec = ParticleSpec(e=1e100, m=1e-100)
         with pytest.raises(ValueError, match="position prefactor .* overflows"):
             pos_disp_normal(EvalPoint(t=0.5, z=1.0, particle=spec))
+
+    @pytest.mark.parametrize("kind", ["velocity", "position"])
+    def test_prefactor_bits_and_refusals_across_the_float_range(self, kind):
+        # e and m log-uniform wherever a ParticleSpec takes them, z over every
+        # positive double: the closed form's and the oracle's prefactor are the
+        # plain quotient, bit for bit, or refused naming their formula
+        def plain(e, denominator, formula):
+            value = e * e / denominator if denominator else math.inf
+            if 0.0 < value < math.inf:
+                return value
+            problem = "underflows to zero" if value == 0.0 else "overflows"
+            return f"{kind} prefactor {formula} {problem}"
+
+        def outcome(prefactor, p):
+            try:
+                return prefactor(p)
+            except ValueError as exc:
+                return str(exc)
+
+        pi_sq = dispersion.PI_SQ
+        quantity = next(q for q in QUANTITIES.values() if q.kind == kind)
+        rng = random.Random(27)
+        found = set()
+        for _ in range(4000):
+            e = rng.choice((-1.0, 1.0)) * 2.0 ** rng.uniform(-537.0, 511.0)
+            m = 2.0 ** rng.uniform(-537.0, 511.0)
+            z = 2.0 ** rng.uniform(-1074.0, 1023.0)
+            p = EvalPoint(t=z, z=z, particle=ParticleSpec(e, m))
+            if kind == "velocity":
+                closed = plain(e, pi_sq * m * m * z * z, "e^2/(pi^2 m^2 z^2)")
+                direct = plain(e, m * m * z * z, "e^2/(m^2 z^2)")
+            else:
+                closed = plain(e, pi_sq * m * m, "e^2/(pi^2 m^2)")
+                direct = plain(e, m * m, "e^2/m^2")
+            assert outcome(quantity.prefactor, p) == closed, (e, m, z)
+            assert outcome(lambda p: oracle._plan(kind, p)[1], p) == direct, (e, m, z)
+            found.update(x if isinstance(x, str) else "value" for x in (closed, direct))
+        assert len(found) == 5  # values and both refusals of both prefactors
 
 
 class TestAsymptotes:

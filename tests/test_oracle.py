@@ -543,30 +543,33 @@ class TestLookAheadMovesNoBit:
 class TestLookAhead:
     # The contour batches run the rule ahead below the halves they need, along
     # the ends of each piece, where a far-band point keeps halving; the first
-    # call of several pieces also runs both halves of each.  One rule call
-    # per pass, as with the integrals of a caller's f, took 14 calls for the
-    # far-band point below and 19 for the verify grid; whole levels below
-    # each halving took 6 calls (71 rows) and 15; a first call of whole
-    # pieces only, 4 calls (43 rows) for that point.
+    # call of several pieces looks ahead by the same rule.  The rows of every
+    # `_gk21` call are pinned exactly.  One rule call per pass, as with the
+    # integrals of a caller's f, took 14 calls for the far-band point below
+    # and 19 for the verify grid; whole levels below each halving took 6 calls
+    # (71 rows) and 15; a first call of whole pieces only, 4 calls (43 rows)
+    # for that point, and 3 and 2 for t/z = 30 and 2.5.
     def test_far_band_point_in_few_rule_calls(self, rule_calls):
-        dispersion_oracle("velocity", "x", up(1e4))
-        assert len(rule_calls) <= 3
-        assert sum(rule_calls) <= 37
-        assert max(rule_calls) <= oracle._LOOKAHEAD_ROWS
+        dispersion_oracle("velocity", "x", up(1e4))  # 13 halving passes
+        assert rule_calls == [9, 14, 14]
 
     @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
     def test_lone_points_in_few_rule_calls(self, rule_calls, quantity):
-        # t/z = 30 and 2.5 took 3 and 2 calls while the first call ran whole
-        # pieces only; t/z = 0.5, a lone piece, runs nothing ahead
-        for ratio, most in ((30.0, 2), (2.5, 1), (0.5, 1)):
+        # t/z = 0.5 is a lone piece with nothing run ahead; past the lightcone
+        # the first call runs three pieces and their halves
+        for ratio, rows in ((0.5, [1]), (1.9, [1, 14]), (2.5, [9]), (30.0, [9, 14]),
+                            (1e4, [9, 14, 14])):
             rule_calls.clear()
             dispersion_oracle(quantity.kind, quantity.component, up(ratio))
-            assert len(rule_calls) <= most, ratio
-        assert rule_calls == [1]  # the pre-lightcone piece, no halves
+            assert rule_calls == rows, ratio
 
     def test_verify_grid_needs_no_more_rule_calls(self, rule_calls, cold_oracle_memo):
-        verify_grid()
-        assert len(rule_calls) <= 12
+        for grid, rows in (("pre-lightcone", [5, 12, 14]), ("post-lightcone", [12, 12, 14]),
+                           ("full", [17, 16, 12])):
+            rule_calls.clear()
+            cold_oracle_memo.cache_clear()
+            verify_grid(grid=grid)
+            assert rule_calls == rows * len(QUANTITIES), grid  # each quantity's batch in turn
 
     def test_caller_kernel_not_run_ahead(self):
         # 9 rule rows of 21 nodes, as with one rule call per pass
