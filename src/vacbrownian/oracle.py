@@ -513,27 +513,24 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
     """The unreduced double integral over [0, t]^2 for an even kernel f.
 
     Velocity: Int Int f(t' - t'').  Position: Int Int (t-t')(t-t'') f(t'-t'').
-    Used to audit the stationarity weights.  The inner integral is split at
-    the diagonal so kernels with a |u| kink stay piecewise smooth; the inner
-    integrals at every outer node of a pass form one batch.
+    Used to audit the stationarity weights.  At each outer node t' = u one
+    `_integrate` call runs the inner integral split at the diagonal, over
+    [0, u] and [u, t], so kernels with a |u| kink stay piecewise smooth; the
+    two halves' sum is the outer integrand at u.  A refusal therefore names
+    the first failing inner integral in node order, left half before right.
     """
     _weight(kind)  # the unreduced integral has no weight; this refuses an unknown kind
     _check_time(t)
 
-    def inner(x: np.ndarray, _: np.ndarray) -> np.ndarray:
-        outer = x.ravel().tolist()
-        n = len(outer)
-        up = np.array(outer + outer)
+    def inner(u: float) -> float:
+        def integrand(s: np.ndarray, _: np.ndarray) -> np.ndarray:
+            values = _per_node(f, u - s)
+            return values if kind == "velocity" else (t - u) * (t - s) * values
 
-        def integrand(us: np.ndarray, k: np.ndarray) -> np.ndarray:
-            u = up[k][:, None]
-            values = _per_node(f, u - us)
-            return values if kind == "velocity" else (t - u) * (t - us) * values
+        left, right = _integrate(integrand, [0.0, u], [u, t])[0]
+        return left + right
 
-        values, _ = _integrate(integrand, [0.0] * n + outer, outer + [t] * n)
-        return (np.array(values[:n]) + np.array(values[n:])).reshape(x.shape)
-
-    return _integrate(inner, [0.0], [t])[0][0]
+    return _integrate(lambda x, _: _per_node(inner, x), [0.0], [t])[0][0]
 
 
 # --- verification grid -------------------------------------------------------------

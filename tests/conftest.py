@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 
+import mpmath
 import pytest
 
 from vacbrownian import oracle
@@ -17,3 +18,25 @@ def cold_oracle_memo(monkeypatch):
     cache = functools.lru_cache(maxsize=maxsize)(oracle._scaled)
     monkeypatch.setattr(oracle, "_grid_scaled", cache)
     return cache
+
+
+@pytest.fixture(scope="session")
+def closed_form():
+    """`closed_form(quantity_id, point)`: the `dispersion` docstring's closed form
+    at the exact x = t/(2z) of the point's float inputs, in mpmath, with L(x) by
+    log1p and 60 + 3 |log10(t/z)| digits for the brackets' cancellations."""
+    def value(quantity_id, p):
+        with mpmath.workdps(60 + 3 * int(abs(mpmath.log10(p.t / p.z)))):
+            e, m, t, z = (mpmath.mpf(v) for v in (p.particle.e, p.particle.m, p.t, p.z))
+            x = t / (2 * z)
+            log_ratio = mpmath.log1p(2 * min(x, 1) / abs(1 - x))
+            log_gap = mpmath.log(abs(1 - x * x))
+            bracket = {
+                "vel_disp_transverse": x / 16 * log_ratio + x**2 / (8 * (1 - x**2)),
+                "vel_disp_normal": x / 8 * log_ratio,
+                "pos_disp_transverse": x**3 / 12 * log_ratio - x**2 / 6 - log_gap / 6,
+                "pos_disp_normal": x**2 / 6 + x**3 / 6 * log_ratio + log_gap / 6,
+            }[quantity_id]
+            prefactor = e**2 / (mpmath.pi**2 * m**2)
+            return bracket * (prefactor / z**2 if quantity_id.startswith("vel_") else prefactor)
+    return value

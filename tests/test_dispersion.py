@@ -6,7 +6,6 @@ import json
 import math
 import random
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
@@ -370,38 +369,23 @@ class TestSmallTimeSeries:
 
 
 class TestDirectAccuracy:
-    # The closed forms against a 60-digit evaluation of the brackets in the
-    # module docstring, down to t/z = 1e-9, where the position brackets
-    # cancel to O(x^4), and up to 1e12, where the transverse ones cancel to
-    # O(1/x^2) or O(ln x) out of O(x^2).  With e = m = z = 1 the value is
-    # the bracket over pi^2.
-
-    @staticmethod
-    def reference(qid, x):
-        x = mpmath.mpf(x)
-        log_ratio = mpmath.log((1 + x) / abs(1 - x))
-        log_gap = mpmath.log(abs(1 - x * x))
-        bracket = {
-            "vel_disp_transverse": x / 16 * log_ratio + x**2 / (8 * (1 - x**2)),
-            "vel_disp_normal": x / 8 * log_ratio,
-            "pos_disp_transverse": x**3 / 12 * log_ratio - x**2 / 6 - log_gap / 6,
-            "pos_disp_normal": x**2 / 6 + x**3 / 6 * log_ratio + log_gap / 6,
-        }[qid]
-        return bracket / mpmath.pi**2
+    # The closed forms against the exact-input mpmath reference, down to
+    # t/z = 1e-9, where the position brackets cancel to O(x^4), and up to
+    # 1e12, where the transverse ones cancel to O(1/x^2) or O(ln x) out of
+    # O(x^2).
 
     @pytest.mark.parametrize("qid", QUANTITY_IDS)
-    def test_small_t_relative_error(self, qid):
+    def test_small_t_relative_error(self, qid, closed_form):
         fn = getattr(dispersion, qid)
         worst = 0
-        with mpmath.workdps(60):
-            for i in range(201):
-                p = up(10.0 ** (-9.0 + 7.0 * i / 200))  # t/z from 1e-9 to 1e-2
-                ref = self.reference(qid, p.x)
-                worst = max(worst, abs(fn(p).value - ref) / abs(ref))
+        for i in range(201):
+            p = up(10.0 ** (-9.0 + 7.0 * i / 200))  # t/z from 1e-9 to 1e-2
+            ref = closed_form(qid, p)
+            worst = max(worst, abs(fn(p).value - ref) / abs(ref))
         assert worst <= 2e-15
 
     @pytest.mark.parametrize("qid", QUANTITY_IDS)
-    def test_whole_domain_relative_error(self, qid):
+    def test_whole_domain_relative_error(self, qid, closed_form):
         # a log grid over t/z in [1e-9, 1e12], both sides of the crossover
         # at LARGE_X, and points just outside the lightcone window
         ratios = [10.0 ** (-9.0 + 21.0 * i / 840) for i in range(841)]
@@ -409,11 +393,23 @@ class TestDirectAccuracy:
         ratios += [2.0 * (1.0 + s * k * 1e-6) for k in range(1, 51) for s in (-1, 1)]
         fn = getattr(dispersion, qid)
         worst = 0
-        with mpmath.workdps(60):
-            for ratio in ratios:
-                p = up(ratio)
-                ref = self.reference(qid, p.x)
-                worst = max(worst, abs(fn(p).value - ref) / abs(ref))
+        for ratio in ratios:
+            p = up(ratio)
+            ref = closed_form(qid, p)
+            worst = max(worst, abs(fn(p).value - ref) / abs(ref))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("particle, z", [(UNIT, 3.7), (electron_preset(), math.pi * 1e-6)])
+    def test_relative_error_at_non_dyadic_z(self, particle, z, closed_form):
+        # x = t/(2z) is rounded: left out are the docstring's two windows (ROADMAP item 1)
+        worst = 0
+        for i in range(201):
+            p = EvalPoint(t=10.0 ** (-9.0 + 21.0 * i / 200) * z, z=z, particle=particle)
+            if abs(p.x - 1.0) < 1e-3 or abs(p.t / (3.19855169347299 * z) - 1.0) < 1e-2:
+                continue
+            for qid in QUANTITY_IDS:
+                ref = closed_form(qid, p)
+                worst = max(worst, abs(getattr(dispersion, qid)(p).value - ref) / abs(ref))
         assert worst <= 1e-13
 
 

@@ -62,7 +62,10 @@ CALLS: list[dict] = [
     {"function": "direct_time_integral", "kernel": "cos", "t": 1.3, "kind": "velocity"},
     {"function": "direct_time_integral", "kernel": "gauss", "t": 2.5, "kind": "position"},
 ] + [
-    {"function": "reduced_time_integral", "kernel": kernel, "t": 1.0, "kind": "velocity"}
+    {"function": function, "kernel": kernel, "t": 1.0, "kind": kind}
+    for function, kind in (("reduced_time_integral", "velocity"),
+                           ("direct_time_integral", "velocity"),
+                           ("direct_time_integral", "position"))
     for kernel in ("cancel", "nan_tail", "nan", "inv_sqrt")
 ]
 

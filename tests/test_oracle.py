@@ -260,13 +260,13 @@ class TestOracleAgainstClosedForms:
                            r"sum on \[0\.0, 1\.0\] makes the quadrature error estimate nan$"):
             dispersion_oracle("position", "z", up(1e150))
 
-    @pytest.mark.parametrize("component, closed_form", [("x", vel_disp_transverse),
-                                                        ("z", vel_disp_normal)])
-    def test_prefactor_with_tiny_factors(self, component, closed_form):
+    @pytest.mark.parametrize("component, fn", [("x", vel_disp_transverse),
+                                               ("z", vel_disp_normal)])
+    def test_prefactor_with_tiny_factors(self, component, fn):
         # e^2/m^2 and z^2 both round to zero; e^2/(m^2 z^2) = 1 does not
         p = EvalPoint(t=0.5e-300, z=1e-300, particle=ParticleSpec(e=1e-150, m=1e150))
         assert_allclose(dispersion_oracle("velocity", component, p).value,
-                        closed_form(p).value, rtol=1e-13)
+                        fn(p).value, rtol=1e-13)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
@@ -328,34 +328,15 @@ class TestVerifyGrid:
             verify_grid(tolerance=tolerance)
 
 
-def closed_form_mp(quantity, p):
-    """The closed form in the `dispersion` docstring at p's float inputs, to 50 digits."""
-    e, m, t, z = (mpmath.mpf(v) for v in (p.particle.e, p.particle.m, p.t, p.z))
-    x = t / (2 * z)
-    log_ratio = mpmath.log((1 + x) / abs(1 - x))
-    log_gap = mpmath.log(abs(1 - x * x))
-    bracket = {
-        "vel_disp_transverse": x / 16 * log_ratio + x**2 / (8 * (1 - x**2)),
-        "vel_disp_normal": x / 8 * log_ratio,
-        "pos_disp_transverse": x**3 / 12 * log_ratio - x**2 / 6 - log_gap / 6,
-        "pos_disp_normal": x**2 / 6 + x**3 / 6 * log_ratio + log_gap / 6,
-    }[quantity]
-    prefactor = e**2 / (mpmath.pi**2 * m**2)
-    if quantity.startswith("vel_"):
-        prefactor /= z**2
-    return prefactor * bracket
-
-
 class TestErrorEstimate:
     # The oracle must agree or refuse: its error estimate has to cover its
     # actual error against the exact closed form on every verify row.
     @pytest.mark.parametrize("particle, z", [(UNIT, 1.0), (electron_preset(), 1e-6), (UNIT, 3.7)])
-    def test_estimate_covers_error(self, particle, z):
-        with mpmath.workdps(50):
-            for row in verify_grid(particle, z):
-                p = EvalPoint(t=row.t_over_z * z, z=z, particle=particle)
-                error = abs(row.oracle - closed_form_mp(row.quantity, p))
-                assert row.eps_estimate >= error, (row.quantity, row.t_over_z)
+    def test_estimate_covers_error(self, particle, z, closed_form):
+        for row in verify_grid(particle, z):
+            p = EvalPoint(t=row.t_over_z * z, z=z, particle=particle)
+            error = abs(row.oracle - closed_form(row.quantity, p))
+            assert row.eps_estimate >= error, (row.quantity, row.t_over_z)
 
     # Next to the pole the estimate must also cover the rounding that the
     # quadrature estimate cannot see, and no point is refused.  The last two
@@ -369,14 +350,13 @@ class TestErrorEstimate:
         (electron_preset(), 1.1530100731556522e-05, [("pos_disp_transverse", 1.9431532761222914)]),
         (electron_preset(), 6.307902790603137e-09, [("vel_disp_transverse", 1.9909287481841262)]),
     ], ids=["unit-1.0", "electron-1e-06", "electron-seed401", "electron-seed402"])
-    def test_estimate_covers_error_near_lightcone(self, particle, z, points):
-        with mpmath.workdps(50):
-            for quantity_id, ratio in points:
-                quantity = QUANTITIES[quantity_id]
-                p = EvalPoint(t=ratio * z, z=z, particle=particle)
-                result = dispersion_oracle(quantity.kind, quantity.component, p)
-                error = abs(result.value - closed_form_mp(quantity_id, p))
-                assert result.error_estimate >= error, (quantity_id, ratio)
+    def test_estimate_covers_error_near_lightcone(self, particle, z, points, closed_form):
+        for quantity_id, ratio in points:
+            quantity = QUANTITIES[quantity_id]
+            p = EvalPoint(t=ratio * z, z=z, particle=particle)
+            result = dispersion_oracle(quantity.kind, quantity.component, p)
+            error = abs(result.value - closed_form(quantity_id, p))
+            assert result.error_estimate >= error, (quantity_id, ratio)
 
 
 class TestGaussKronrodRule:
@@ -643,15 +623,14 @@ class TestFarBand:
     # The oracle may refuse there, but any value it returns must carry an
     # error estimate that covers its error against the exact closed form.
     @pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e5, 1e6])
-    def test_refuses_or_estimate_covers_error(self, ratio):
+    def test_refuses_or_estimate_covers_error(self, ratio, closed_form):
         p = up(ratio)
         for quantity in QUANTITIES.values():
             try:
                 result = dispersion_oracle(quantity.kind, quantity.component, p)
             except (QuadratureConvergenceError, ExtrapolationError):
                 continue
-            with mpmath.workdps(50):
-                error = abs(result.value - closed_form_mp(quantity.id, p))
+            error = abs(result.value - closed_form(quantity.id, p))
             assert result.error_estimate >= error, quantity.id
             assert result.error_estimate < abs(result.value), quantity.id
 
