@@ -26,7 +26,6 @@ Identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -99,10 +98,11 @@ _JSON_ROW = "  " + json.dumps({
 
 def _row_template(fmt: str, quantity: str, status: str,
                   units: tuple[str, str] | None = None) -> str:
-    """One quantity's sweep row with one status, as a template over the point's cells.
+    """One quantity's sweep row, as a template over the point's cells.
 
     Those are t, z and t/z, then value_natural and value_si when the row's
-    ``units`` (natural, SI) are given, then the two regime flags.
+    ``units`` (natural, SI) are given, the status when ``status`` is "%s",
+    then the two regime flags.
     """
     if fmt == "csv":
         values = ("%s", "%s") if units else ("", "")
@@ -138,18 +138,17 @@ _EXPECTED = {
 class _Options:
     """One call's settings: each flag if given, else its --config value, else its default.
 
-    A value from either source is read as text by the flag's parser in
-    `_FLAGS`, so a config file may give JSON numbers or strings.
+    The --config file is read and checked when the call starts, so a bad
+    file is the call's first error.  A value from either source is read as
+    text by the flag's parser in `_FLAGS`, so a config file may give JSON
+    numbers or strings.
     """
 
     def __init__(self, args: argparse.Namespace) -> None:
-        self._args = args
-
-    @functools.cached_property
-    def _config(self) -> dict[str, object]:
-        path = self._args.config
+        self._settings = {key: getattr(args, key) for key in _COMMANDS[args.command][2]}
+        path = self._settings.get("config")  # constants takes no --config
         if path is None:
-            return {}
+            return
         try:
             with open(path, encoding="utf-8") as handle:
                 config = json.load(handle)
@@ -161,17 +160,15 @@ class _Options:
             raise UsageError(f"parameter config: invalid JSON in {path!r}: {exc}") from None
         if not isinstance(config, dict):
             raise UsageError("parameter config: top-level JSON value must be an object")
-        flags = _COMMANDS[self._args.command][2]
-        for key in config:
-            if key not in flags or key in ("config", "output"):
+        for key, value in config.items():
+            if key not in self._settings or key in ("config", "output"):
                 raise UsageError(f"parameter config: unknown key {key!r}")
-        return config
+            if self._settings[key] is None:
+                self._settings[key] = value
 
     def raw(self, key: str) -> object:
         """The flag's value, else the config's, unparsed; None when neither is set."""
-        config = self._config  # read first, so a bad --config is the first error
-        value = getattr(self._args, key)
-        return config.get(key) if value is None else value
+        return self._settings[key]
 
     def get(self, key: str, parse: Callable[[str], object] | None = None) -> object:
         """The parsed setting, or the flag's default when unset; ``parse`` overrides its parser."""
@@ -186,11 +183,6 @@ class _Options:
         except ValueError:
             raise UsageError(f"parameter {key.replace('_', '-')}: cannot parse {text!r} "
                              f"{_EXPECTED[parse]}") from None
-
-    @property
-    def output(self) -> str | None:
-        """The --output path; a config file never redirects output."""
-        return self._args.output
 
     def particle(self, unset: str = "electron") -> ParticleSpec:
         """The --particle preset with any --charge/--mass override.
@@ -388,8 +380,7 @@ def _cmd_sweep(opts: _Options) -> int:
     point(at(count - 1))
 
     templates = [(q, _row_template(fmt, q, "ok", _UNITS[_QUANTITIES[q][1]][:2]),
-                  _row_template(fmt, q, "singular"), _row_template(fmt, q, "undefined"))
-                 for q in quantities]
+                  _row_template(fmt, q, "%s")) for q in quantities]
     fixed = repr(t_fixed if var == "z" else z_fixed)
 
     def chunks() -> Iterator[str]:
@@ -400,14 +391,14 @@ def _cmd_sweep(opts: _Options) -> int:
             ratio_text = repr(p.t_over_z)
             flags = [str(ok).lower() for ok in regimes.regime_flags(p.particle, p.z, p.t)]
             rows = []
-            for q, ok, singular, undefined in templates:
+            for q, ok, failed in templates:
                 try:
                     natural, si, _ = _evaluate(q, p)
                 except LightconeSingularityError:
-                    rows.append(singular % (t_text, z_text, ratio_text, *flags))
+                    rows.append(failed % (t_text, z_text, ratio_text, "singular", *flags))
                     continue
                 except ValueError:  # asymptote at t <= 2z, or outside the float range
-                    rows.append(undefined % (t_text, z_text, ratio_text, *flags))
+                    rows.append(failed % (t_text, z_text, ratio_text, "undefined", *flags))
                     continue
                 natural_text = repr(natural)
                 si_text = natural_text if si is natural else repr(si)
@@ -417,7 +408,7 @@ def _cmd_sweep(opts: _Options) -> int:
         yield tail
 
     text = chunks()
-    _emit(opts.output, next(text), text)
+    _emit(opts.raw("output"), next(text), text)
     return 0
 
 
@@ -440,7 +431,7 @@ def _cmd_verify(opts: _Options) -> int:
             row.quantity, repr(row.t_over_z), repr(row.closed), repr(row.oracle),
             repr(row.rel_err), repr(row.eps_estimate), str(row.passed).lower(),
         ]))
-    _emit(opts.output, "\n".join(lines) + "\n")
+    _emit(opts.raw("output"), "\n".join(lines) + "\n")
     return 0 if all(row.passed for row in rows) else 1
 
 
@@ -495,7 +486,7 @@ def _cmd_corr(opts: _Options) -> int:
             raise UsageError(f"parameter {'dt/z' if eps is None else 'dt/z/eps'}: "
                              f"correlators at dt={dt!r} leave the float range") from None
         lines.append(",".join([repr(dt), repr(z), repr(xx), repr(zz), "ok"]))
-    _emit(opts.output, "\n".join(lines) + "\n")
+    _emit(opts.raw("output"), "\n".join(lines) + "\n")
     return 0
 
 

@@ -1,0 +1,45 @@
+"""tools/cli_diff.py: a source tree against itself and against a changed copy."""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+COMMANDS = ["eval", "sweep", "verify", "regimes", "corr", "constants"]
+LINE = re.compile(r"(\w+) +calls +(\d+)  differing (\d+)(  first: (\w+) .*)?")
+
+
+def diff(parent, change):
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_diff.py"), str(parent),
+                           str(change), "--count", "60"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    lines = [LINE.fullmatch(line) for line in proc.stdout.splitlines()]
+    assert all(lines), proc.stdout
+    assert [m.group(1) for m in lines] == COMMANDS
+    assert sum(int(m.group(2)) for m in lines) == 60
+    for m in lines:  # a line names its first differing call, and only when one differs
+        assert (m.group(4) is None) == (m.group(3) == "0")
+        assert m.group(5) in (None, m.group(1))
+    return proc.returncode, {m.group(1): int(m.group(3)) for m in lines}
+
+
+def test_tree_against_itself_differs_nowhere():
+    assert diff(SRC, SRC) == (0, dict.fromkeys(COMMANDS, 0))
+
+
+def test_changed_refusal_message_names_the_call(tmp_path):
+    shutil.copytree(SRC / "vacbrownian", tmp_path / "vacbrownian",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "vacbrownian" / "cli_io.py"
+    text = module.read_text()
+    assert text.count("cannot parse {text!r}") == 1
+    module.write_text(text.replace("cannot parse {text!r}", "could not parse {text!r}"))
+    code, differing = diff(SRC, tmp_path)
+    assert code == 1
+    assert sum(differing.values()) > 0

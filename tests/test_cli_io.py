@@ -1000,6 +1000,13 @@ class TestBoundary:
                              "--grid", "pre-lightcone")
         assert (code, out, err) == (2, "", "error: parameter t/z: value leaves the float range\n")
 
+    def test_verify_grid_zero_closed_form_refused(self, capsys):
+        # past the lightcone `Quantity.value` returns the 0.0, so verify_grid's
+        # own zero refusal is the one that answers
+        code, out, err = run(capsys, "verify", "--charge", "1e-161", "--mass", "1",
+                             "--grid", "post-lightcone")
+        assert (code, out, err) == (2, "", "error: parameter t/z: value leaves the float range\n")
+
     @seed(20261019)
     @given(
         z=BOUNDARY_FLOATS,

@@ -41,8 +41,8 @@ ASYM = ["--quantity", "vel_disp_transverse_asym", "--quantity", "vel_disp_normal
         "--quantity", "pos_disp_transverse_asym", "--quantity", "pos_disp_normal_asym"]
 EXTRA = ["--quantity", "effective_temperature", "--quantity", "radiated_velocity_sq"]
 
-# (argv, config) pairs; config None means no --config file.
-INVOCATIONS: list[tuple[list[str], dict | None]] = [
+# (argv, config) pairs; config is any JSON value, and None means no --config file.
+INVOCATIONS: list[tuple[list[str], object]] = [
     # eval: both sides of the lightcone, the short-time region, SI inputs
     (["eval", "--z", "1e-6m", "--t-over-z", "3", "--quantity", "vel_disp_normal",
       "--quantity", "effective_temperature"], None),
@@ -137,10 +137,15 @@ INVOCATIONS: list[tuple[list[str], dict | None]] = [
     (["sweep", *UNIT, "--min", "3", "--max", "1"], None),
     (["eval", "--z", "1e-160", "--t-over-z", "3", "--quantity", "vel_disp_normal"], None),
     (["corr", "--z", "1e-100", "--dt-max", "4e-100", "--count", "5"], None),
+    # a bad config is the first error, a flag beats the config and a null is
+    # unset, and a config that is not an object is refused (2)
+    (["corr", "--z", "abc", "--dt-max", "4"], {"bogus": 1}),
+    (["regimes", "--z", "2"], {"z": "1e-6m", "t_over_z": 3, "particle": None}),
+    (["eval"], [1]),
 ]
 
 
-def run(argv: list[str], config: dict | None) -> dict:
+def run(argv: list[str], config: object) -> dict:
     """One in-process CLI call: its exit code, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:

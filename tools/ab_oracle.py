@@ -61,6 +61,7 @@ class Tree:
         self.dispersion = importlib.import_module(f"{name}.dispersion")
         self.refusal = importlib.import_module(f"{name}.errors").VacBrownianError
         self.presets = importlib.import_module(f"{name}.units_constants")
+        self.cli_io = importlib.import_module(f"{name}.cli_io")
 
     def points(self, drawn: list[dict]) -> list[tuple]:
         """Each of `oracle_points`' draws as dispersion_oracle's arguments."""
