@@ -51,10 +51,12 @@ __all__ = [
 
 
 def __getattr__(name: str) -> object:
-    """Import the numpy-backed `oracle` submodule when one of its names is asked for."""
+    """Import the numpy-backed `oracle` submodule when one of its names is asked
+    for, and keep that name in the module globals, so later lookups skip this."""
     if name == "oracle" or name in _ORACLE_NAMES:
         oracle = importlib.import_module(".oracle", __name__)
-        return oracle if name == "oracle" else getattr(oracle, name)
+        globals()[name] = oracle if name == "oracle" else getattr(oracle, name)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

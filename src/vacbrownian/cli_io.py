@@ -206,12 +206,15 @@ class _Options:
             raise UsageError(f"parameter charge/mass: {exc}") from None
 
     def quantities(self, default: Sequence[str] = ()) -> Sequence[str]:
-        """The --quantity ids, else ``default``; at least one is required."""
-        names = self.raw("quantity") or default
-        if not names:
-            raise UsageError("parameter quantity: at least one --quantity is required")
+        """The --quantity ids, else ``default`` when unset (a config's null is unset);
+        at least one is required."""
+        names = self.raw("quantity")
+        if names is None:
+            names = default
         if not isinstance(names, (list, tuple)):  # a config file may give one id
             names = [names]
+        if not names:
+            raise UsageError("parameter quantity: at least one --quantity is required")
         for q in names:
             if q not in QUANTITY_CHOICES:
                 raise UsageError(f"parameter quantity: unknown quantity {q!r}")

@@ -59,22 +59,30 @@ the call it ran in, and each integral sums only its own intervals, so no
 integral's value depends on the batch it was computed in.
 
 That lets a contour batch run the rule ahead, by one rule in every call.
-After the intervals it must run (at the first call the whole pieces, later
-the new halves), a call also covers their descendants (halves, quarters,
-...) along the two ends of each integral's piece, where a point's integrand
-keeps needing halvings, level by level while it stays within
-`_LOOKAHEAD_ROWS` rows.  The first call does so only for several pieces: a
-lone piece, a point before the lightcone, mostly needs no halving at all,
-while the three pieces of a lone point past it take their halves along, so
-the first halving of a piece calls no rule.  A later pass that halves an
+The rule converges on an interval at a rate set by the interval's distance
+to the integrand's nearest singularity (the Bernstein-ellipse argument;
+Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", *SIAM Rev.*
+50, 2008), so the adaptive scheme halves an interval about as long as that
+distance or longer.  Each piece therefore comes with its nearest
+singularity in its own variable: the pole u = 2 for an axis piece, and for
+the arc s = pi - i ln 4, where its continuation meets the pole u = -2.
+After the intervals a call must run (at the first call the whole pieces,
+later the new halves), it also runs both halves of every interval longer
+than its distance to that singularity, then the same for those halves,
+level by level, while each integral has run ahead fewer than the
+MAX_SUBDIVISIONS - 1 halvings it can use.  A later pass that halves an
 interval run ahead takes its halves from there and calls the rule only if
 some are missing.  Which interval is halved, every sum and every stop stay
 those of one call per pass, bit for bit.  A lone far-band point (velocity
-x, t/z = 1e4) makes 13 halving passes in 3 rule calls (37 rows) instead of
-14; a large batch fills the budget with the halves it needs anyway.
-`reduced_time_integral` and `direct_time_integral` call the caller's Python
-f once per node, where a row run ahead for nothing costs real work, so they
-do not look ahead.
+x, t/z = 1e4) makes its 13 halving passes in one rule call of 35 rows,
+where a budget of 14 rows along each piece's ends took 3 calls (37 rows)
+and one call per pass 14.  `reduced_time_integral` and
+`direct_time_integral` call the caller's Python f once per node, where a
+row run ahead for nothing costs real work, and pass no singularity, so
+they run nothing ahead.
+
+A point past t/z = MAX_T_OVER_Z = 1e10 is refused before any quadrature
+(`ExtrapolationError`); the constant's comment says why.
 
 A point's oracle value is a scaled integral at z = 1 times its prefactor,
 and the scaled integral, with its error estimate, depends only on (kind,
@@ -221,13 +229,13 @@ EPSABS = 1e-13
 EPSREL = 1e-12
 MAX_SUBDIVISIONS = 200
 
-# Rows one `_gk21` call of a contour batch may fill with look-ahead (see
-# `_integrate`).  Against 14, the time per point at 6, 30 and 62 rows was
-# 1.37-1.38, 1.11 and 1.31-1.32 times as long past the lightcone (t/z 2 to
-# 100) and 1.43-1.45, 0.90 and 0.97-0.98 in the far band, and within 5 %
-# before it (`tools/ab_oracle.py`, two runs each, 2-CPU Xeon): 14
-# is best before and past the lightcone, and 30 helps only the far band.
-_LOOKAHEAD_ROWS = 14
+# The largest t/z the oracle answers.  Beyond about 3.25e10 the tail piece
+# [3, T] meets its tolerance as one interval, whose nodes lie no closer to
+# u = 3 than about 2e-3 T, so it misses the integrand's mass there: seeded
+# scans found velocity values wrong from 3.25e10 (both presets), the
+# transverse position from about 7e53 and the normal one from about 3e79,
+# each with an error estimate far below its error.
+MAX_T_OVER_Z = 1e10
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -254,7 +262,7 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 
 
 def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
-               rows: int = 0) -> tuple[list[float], list[float]]:
+               poles: Sequence[complex] = ()) -> tuple[list[float], list[float]]:
     """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
 
     Each integral keeps its intervals in plain lists, in slot order: a halving
@@ -265,17 +273,14 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     error (the first of equal ones, a NaN one only if all are).  Only the rule
     runs on numpy arrays, in at most one `_gk21` call per pass.  Each call
     runs its new intervals, at the first pass every whole piece [a[i], b[i]]
-    and later every new half that no earlier call ran ahead, then looks
-    ahead: level by level while the call keeps within ``rows`` rows, both
-    halves of each interval of the last level that shares an end with its
-    integral's piece.  The first call looks ahead only when n > 1.  With
-    ``rows`` = 14, 3 or 4 whole pieces take their halves along, no deeper,
-    and 5 or more none; the first halving of a piece in such a batch runs
-    2 + 4 + 4 + 4 rows, a later one at an end of the piece 2 + 2 + ... + 2
-    (six levels below), one inside it only its 2 halves.  A pass whose
-    halves all ran ahead calls no rule.  The halving choice and every sum
-    are those of one call per pass, so ``rows`` changes the number of
-    calls, never a bit.
+    and later every new half that no earlier call ran ahead.  Given
+    ``poles``, each integral's nearest singularity of f, a call then looks
+    ahead: both halves of each of those intervals that is longer than its
+    distance to its integral's singularity, then of such halves, level by
+    level, until an integral has run MAX_SUBDIVISIONS - 1 halvings ahead.
+    Without ``poles`` it runs nothing ahead.  A pass whose halves all ran
+    ahead calls no rule.  The halving choice and every sum are those of one
+    call per pass, so ``poles`` changes the number of calls, never a bit.
     QUADPACK's (qag) early stops also end an integral: round-off (ier = 2),
     after 6 halvings that keep the value within 1e-5 relative and the error
     above 99 %, or 20 from the 11th interval on that raise the error, counting
@@ -290,19 +295,22 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     values, errors, stops = [0.0] * n, [0.0] * n, [None] * n
     res = err = None  # each interval's rule value and error, from the first call on
     ahead = {}  # (integral, lo, hi) to the rule's (value, error, resasc) there
-    keys, halving = [(i, lo, hi) for i, ((lo, hi),) in enumerate(span)], []
-    # a lone piece, a point before the lightcone, mostly needs no halving at all
-    level = keys if n > 1 else []
+    room = [MAX_SUBDIVISIONS - 1] * n  # the halvings each integral may still run ahead
+    keys = level = [(i, lo, hi) for i, ((lo, hi),) in enumerate(span)]
+    halving = []
     with np.errstate(all="ignore"):
         while True:
-            # both halves of each interval of the last level that shares an end
-            # with its integral's piece, level by level while the call stays within rows
-            while True:
-                level = [(i, lo, hi) for i, lo, hi in level if lo == a[i] or hi == b[i]]
-                if not level or len(keys) + 2 * len(level) > rows:
-                    break
-                level = [(i, x, y) for i, lo, hi in level
-                         for mid in (0.5 * (lo + hi),) for x, y in ((lo, mid), (mid, hi))]
+            # both halves of each interval longer than its distance to its
+            # integral's singularity, then of those halves, level by level
+            while poles and level:
+                halves = []
+                for i, lo, hi in level:
+                    pole = poles[i]
+                    if room[i] and hi - lo > abs(pole - min(max(pole.real, lo), hi)):
+                        room[i] -= 1
+                        mid = 0.5 * (lo + hi)
+                        halves += [(i, lo, mid), (i, mid, hi)]
+                level = halves
                 keys += level
             if keys:
                 k, lo, hi = zip(*keys)
@@ -348,9 +356,8 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                     _within_budget(*args)
                 return values, errors
             # the halves no earlier call ran ahead (they come and go in pairs)
-            keys = [(i, x, y) for i, _, a1, mid, b2 in halving if (i, a1, mid) not in ahead
-                    for x, y in ((a1, mid), (mid, b2))]
-            level = keys
+            keys = level = [(i, x, y) for i, _, a1, mid, b2 in halving
+                            if (i, a1, mid) not in ahead for x, y in ((a1, mid), (mid, b2))]
 
 
 def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:
@@ -390,6 +397,12 @@ def _check_time(t: float) -> None:
 
 # --- oracle entry points --------------------------------------------------------
 
+# The integrand's nearest singularity on the arc, in the arc's own variable s:
+# where its continuation u = 2 + e^{is} meets the kernels' other pole, u = -2.
+# Every axis piece's nearest is the pole u = 2 itself.
+_ARC_POLE = complex(math.pi, -math.log(4.0))
+
+
 def _contour(T: float) -> list[tuple[float, float, bool, float]]:
     """(a, b, arc, sign) of each piece of one scaled oracle integral, z = 1, in path order.
 
@@ -425,9 +438,14 @@ def _contour_integrand(kind: str, component: str, T: np.ndarray, arc: np.ndarray
 
 def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
     """A point's (t/z, prefactor e^2/m^2 (/z^2)); refuses the point on the lightcone
-    or with its prefactor outside the float range, as the closed form does."""
+    or with its prefactor outside the float range, as the closed form does, and
+    past MAX_T_OVER_Z."""
     check_lightcone(p.t, p.z, _LIGHTCONE_REFUSAL)
-    return p.t / p.z, _prefactor(kind, p, 1.0)
+    T = p.t / p.z
+    if not T <= MAX_T_OVER_Z:
+        raise ExtrapolationError(f"t/z = {T!r} exceeds {MAX_T_OVER_Z:g}, past which the "
+                                 "oracle's error estimate is not known to cover its error")
+    return T, _prefactor(kind, p, 1.0)
 
 
 def _scaled(kind: str, component: str,
@@ -438,7 +456,7 @@ def _scaled(kind: str, component: str,
     piece_T, a, b, arc, signs = zip(*((T, *piece) for T, pieces in zip(Ts, contours)
                                       for piece in pieces))
     integrand = _contour_integrand(kind, component, np.array(piece_T), np.array(arc))
-    values, errors = _integrate(integrand, a, b, _LOOKAHEAD_ROWS)
+    values, errors = _integrate(integrand, a, b, [_ARC_POLE if on_arc else 2.0 for on_arc in arc])
 
     scaled = []
     i = 0

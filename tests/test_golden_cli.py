@@ -142,6 +142,11 @@ INVOCATIONS: list[tuple[list[str], object]] = [
     (["corr", "--z", "abc", "--dt-max", "4"], {"bogus": 1}),
     (["regimes", "--z", "2"], {"z": "1e-6m", "t_over_z": 3, "particle": None}),
     (["eval"], [1]),
+    # only a null config quantity is unset: an empty or false one is refused (2)
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": ""}),
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": 0}),
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": False}),
+    (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": []}),
 ]
 
 

@@ -155,6 +155,16 @@ def test_oracle_names_come_from_the_oracle_module():
     assert vacbrownian.verify_grid is vacbrownian.oracle.verify_grid
 
 
+def test_resolved_oracle_name_is_kept_in_the_package_globals():
+    # a later lookup finds the name as an ordinary global and imports nothing
+    out = run_fresh("import vacbrownian as vb\n"
+                    "before = 'dispersion_oracle' in vars(vb)\n"
+                    "f = vb.dispersion_oracle\n"
+                    "print(before, vars(vb)['dispersion_oracle'] is f"
+                    " is vb.oracle.dispersion_oracle)")
+    assert out.split() == ["False", "True"]
+
+
 def test_dir_lists_every_public_name():
     listed = dir(vacbrownian)
     assert set(vacbrownian.__all__) <= set(listed)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -23,6 +25,7 @@ from vacbrownian.errors import (
     ExtrapolationError,
     LightconeSingularityError,
     QuadratureConvergenceError,
+    VacBrownianError,
 )
 from vacbrownian.oracle import (
     GAUSS_WEIGHTS,
@@ -255,9 +258,12 @@ class TestOracleAgainstClosedForms:
 
     def test_overflowing_weight_refused_as_non_finite(self):
         # at t/z = 1e150 the position weight (T - u)^2 (2 T + u) / 3 overflows
-        # on every piece, so the first piece's error estimate is inf - inf
+        # on every piece, so the first piece's error estimate is inf - inf;
+        # `dispersion_oracle` refuses such a t/z before any quadrature
         with pytest.raises(QuadratureConvergenceError, match=r"^a non-finite integrand or rule "
                            r"sum on \[0\.0, 1\.0\] makes the quadrature error estimate nan$"):
+            oracle._scaled("position", "z", (1e150,))
+        with pytest.raises(ExtrapolationError, match="exceeds"):
             dispersion_oracle("position", "z", up(1e150))
 
     @pytest.mark.parametrize("component, fn", [("x", vel_disp_transverse),
@@ -409,7 +415,7 @@ class TestRuleAgainstReference:
     def tabulated(fx):
         return lambda x, k: fx[k]
 
-    @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])  # 17: a full verify batch's first call
+    @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])  # 17: a full verify batch's pieces
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_rows(self, m, seed):
         fx, lo, hi = self.rows(m, seed)
@@ -453,9 +459,9 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
     def test_mixed_batch_equals_points_alone(self, quantity):
-        # Deep points next to shallow ones: alone, a point's halvings run the
-        # rule up to six levels ahead; in this batch of five, fewer.  Only
-        # the number of rule calls may differ, not a bit of any result.
+        # Deep points next to shallow ones: alone, each point's rule rows run
+        # in calls of their own; in this batch of five, in shared calls.
+        # Only the calls may differ, not a bit of any result.
         ratios = (1.999, 0.5, 2.0001, 10.0, 1e4)
         plans = [oracle._plan(quantity.kind, up(ratio)) for ratio in ratios]
         batch = oracle._results(plans, oracle._scaled(quantity.kind, quantity.component,
@@ -467,17 +473,20 @@ class TestBatchIndependence:
 
 
 class TestLookAheadMovesNoBit:
-    # `_integrate` with and without look-ahead: the same values and
-    # estimates, or the same refusal, bit for bit.
+    # `_integrate` with look-ahead, given each integral's singularity, and
+    # without, given none: the same values and estimates, or the same refusal,
+    # bit for bit.
     @staticmethod
-    def outcome(f, a, b, rows):
+    def outcome(run, *args):
         try:
-            return repr(oracle._integrate(f, a, b, rows))
+            return repr(run(*args))
         except QuadratureConvergenceError as exc:
             return type(exc), str(exc), repr(exc.achieved)
 
-    def assert_same(self, f, a, b):
-        assert self.outcome(f, a, b, 0) == self.outcome(f, a, b, oracle._LOOKAHEAD_ROWS)
+    @staticmethod
+    def look_ahead_off(monkeypatch):
+        integrate = oracle._integrate
+        monkeypatch.setattr(oracle, "_integrate", lambda f, a, b, poles=(): integrate(f, a, b))
 
     @staticmethod
     def seeded_ratios(seed):
@@ -485,12 +494,15 @@ class TestLookAheadMovesNoBit:
 
     @pytest.mark.parametrize("kind, component", [(q.kind, q.component) for q in QUANTITIES.values()])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_seeded_contour_batches(self, kind, component, seed):
+    def test_seeded_contour_batches(self, monkeypatch, rule_calls, kind, component, seed):
         Ts = self.seeded_ratios(seed)
-        for batch in [[T] for T in Ts] + [Ts[:9]]:  # single points, one verify-sized batch
-            piece_T, a, b, arc, _ = zip(*((T, *piece) for T in batch for piece in oracle._contour(T)))
-            self.assert_same(oracle._contour_integrand(kind, component, np.array(piece_T),
-                                                       np.array(arc)), a, b)
+        batches = [(T,) for T in Ts] + [tuple(Ts[:9])]  # single points, one verify-sized batch
+        ahead = [self.outcome(oracle._scaled, kind, component, batch) for batch in batches]
+        calls = len(rule_calls)
+        rule_calls.clear()
+        self.look_ahead_off(monkeypatch)
+        assert [self.outcome(oracle._scaled, kind, component, batch) for batch in batches] == ahead
+        assert len(rule_calls) > 2 * calls
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_seeded_points_and_their_refusals(self, monkeypatch, seed):
@@ -507,7 +519,7 @@ class TestLookAheadMovesNoBit:
 
         ahead = outcomes()
         assert any(isinstance(x, tuple) for x in ahead)
-        monkeypatch.setattr(oracle, "_LOOKAHEAD_ROWS", 0)
+        self.look_ahead_off(monkeypatch)
         assert outcomes() == ahead
 
     @pytest.mark.parametrize("kernel", [
@@ -516,40 +528,62 @@ class TestLookAheadMovesNoBit:
         lambda u: abs(u - 1 / 3) ** -0.5 if u != 1 / 3 else 0.0,  # too narrow to halve
     ])
     def test_refused_integrals(self, kernel):
+        # a singularity on each piece runs it ahead to the cap
         f = lambda x, _: oracle._per_node(kernel, x)
-        self.assert_same(f, [0.0, 0.0, 0.5], [1.0, 1 / 3, 2.0])
+        a, b = [0.0, 0.0, 0.5], [1.0, 1 / 3, 2.0]
+        assert (self.outcome(oracle._integrate, f, a, b)
+                == self.outcome(oracle._integrate, f, a, b, [1 / 3, 0.0, 0.5]))
 
 
 class TestLookAhead:
-    # The contour batches run the rule ahead below the halves they need, along
-    # the ends of each piece, where a far-band point keeps halving; the first
-    # call of several pieces looks ahead by the same rule.  The rows of every
+    # A contour batch's rule call also runs both halves of every interval
+    # longer than its distance to its integral's nearest singularity (u = 2
+    # on the axis, s = pi - i ln 4 on the arc), then of those halves, level
+    # by level: where the adaptive scheme will halve.  The rows of every
     # `_gk21` call are pinned exactly.  One rule call per pass, as with the
     # integrals of a caller's f, took 14 calls for the far-band point below
-    # and 19 for the verify grid; whole levels below each halving took 6 calls
-    # (71 rows) and 15; a first call of whole pieces only, 4 calls (43 rows)
-    # for that point, and 3 and 2 for t/z = 30 and 2.5.
+    # and 19 for the verify grid; a look-ahead of at most 14 rows along the
+    # ends of each piece took 3 calls ([9, 14, 14] rows) and 3 per quantity.
     def test_far_band_point_in_few_rule_calls(self, rule_calls):
-        dispersion_oracle("velocity", "x", up(1e4))  # 13 halving passes
-        assert rule_calls == [9, 14, 14]
+        # 13 halving passes: [0, 1] runs alone, the arc 2 levels (5 rows) and
+        # the tail [3, 1e4] 14 levels toward u = 3 (29 rows)
+        dispersion_oracle("velocity", "x", up(1e4))
+        assert rule_calls == [35]
 
     @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
     def test_lone_points_in_few_rule_calls(self, rule_calls, quantity):
-        # t/z = 0.5 is a lone piece with nothing run ahead; past the lightcone
-        # the first call runs three pieces and their halves
-        for ratio, rows in ((0.5, [1]), (1.9, [1, 14]), (2.5, [9]), (30.0, [9, 14]),
-                            (1e4, [9, 14, 14])):
+        # t/z = 0.5 is a lone piece shorter than its distance 1.5 to the pole;
+        # at 1.9 the distance is 0.1, 5 levels; at 2.5 only the arc is run
+        # ahead, the tail [2.5, 3] being no longer than its distance 0.5
+        for ratio, rows in ((0.5, [1]), (1.9, [11]), (2.5, [7]), (30.0, [17]), (1e4, [35])):
             rule_calls.clear()
             dispersion_oracle(quantity.kind, quantity.component, up(ratio))
             assert rule_calls == rows, ratio
 
     def test_verify_grid_needs_no_more_rule_calls(self, rule_calls, cold_oracle_memo):
-        for grid, rows in (("pre-lightcone", [5, 12, 14]), ("post-lightcone", [12, 12, 14]),
-                           ("full", [17, 16, 12])):
+        for grid, rows in (("pre-lightcone", [19]), ("post-lightcone", [36]), ("full", [55])):
             rule_calls.clear()
             cold_oracle_memo.cache_clear()
             verify_grid(grid=grid)
             assert rule_calls == rows * len(QUANTITIES), grid  # each quantity's batch in turn
+
+    def test_huge_t_runs_no_more_rows_ahead_than_the_cap(self, monkeypatch):
+        # The rule would halve the tail [3, 1e300] about 1,000 levels deep
+        # toward u = 3; it stops at the MAX_SUBDIVISIONS - 1 halvings that a
+        # full integral can use.  Every later call runs one halving's two
+        # rows for each integral it serves and nothing ahead.
+        rows = []
+        rule = oracle._gk21
+
+        def counted(f, k, lo, hi):
+            rows.append(collections.Counter(k.tolist()))
+            return rule(f, k, lo, hi)
+
+        monkeypatch.setattr(oracle, "_gk21", counted)
+        with pytest.raises(QuadratureConvergenceError, match="non-finite"):
+            oracle._scaled("position", "z", (1e300,))
+        assert rows[0] == {0: 1, 1: 5, 2: 2 * oracle.MAX_SUBDIVISIONS - 1}
+        assert len(rows) > 100 and all(set(call.values()) == {2} for call in rows[1:])
 
     def test_caller_kernel_not_run_ahead(self):
         # 9 rule rows of 21 nodes, as with one rule call per pass
@@ -640,3 +674,46 @@ class TestFarBand:
         # its own error estimate
         with pytest.raises(ExtrapolationError, match="no significant digit"):
             dispersion_oracle("velocity", "x", up(ratio))
+
+
+class TestHonestAtHugeT:
+    # Past t/z = 1e6 too, every point is refused or its error estimate covers
+    # its error against the exact closed form.  Without the MAX_T_OVER_Z
+    # refusal the velocities were wrong from t/z = 3.25e10 on, with an
+    # estimate 1e13 times smaller than the error.
+    @staticmethod
+    def answered_honestly(quantity, p, closed_form):
+        """Whether the oracle answered at p, asserting that its estimate covers its error."""
+        try:
+            quantity.value(p)  # a point whose closed form refuses is skipped
+            result = dispersion_oracle(quantity.kind, quantity.component, p)
+        except (VacBrownianError, ValueError):
+            return False
+        closed = closed_form(quantity.id, p)
+        assert abs(result.value - closed) <= result.error_estimate + 1e-13 * abs(closed), \
+            (quantity.id, p)
+        return True
+
+    # up to 1e300 nearly every point lies past the bound; up to the bound
+    # nearly every one is answered
+    @pytest.mark.parametrize("top", [1e300, oracle.MAX_T_OVER_Z], ids=["1e300", "bound"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refuses_or_estimate_covers_error(self, seed, top, closed_form):
+        rng = random.Random(seed)  # Python floats: numpy scalars warn on overflow
+        answered = 0
+        for _ in range(50):
+            ratio = 10.0 ** rng.uniform(6.0, math.log10(top))
+            for particle in (UNIT, electron_preset()):
+                z = 10.0 ** rng.uniform(-9.0, 3.0)
+                p = EvalPoint(t=ratio * z, z=z, particle=particle)
+                answered += sum(self.answered_honestly(q, p, closed_form)
+                                for q in QUANTITIES.values())
+        assert answered >= (100 if top == oracle.MAX_T_OVER_Z else 0)
+
+    @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
+    def test_bound_itself_answered_or_refused_and_past_it_refused(self, quantity, closed_form):
+        bound = oracle.MAX_T_OVER_Z
+        self.answered_honestly(quantity, up(bound), closed_form)
+        past = up(math.nextafter(bound, math.inf))
+        with pytest.raises(ExtrapolationError, match="exceeds 1e\\+10"):
+            dispersion_oracle(quantity.kind, quantity.component, past)

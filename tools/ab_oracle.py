@@ -16,7 +16,13 @@ in turn (which tree goes first alternates by round), the probe points of each
 band of t/z, drawn by perfbench's own `oracle_points` from a generator seeded
 401 (pre 1e-3 to 2, post 2 to 100, far 100 to 1e6; z log-uniform in
 [1e-9, 1e-3] m, electron or unit preset, the four quantities in turn), and
-one full `verify_grid` on an empty memo.  It prints one line per probe:
+one full `verify_grid` on an empty memo.  Before the rounds it prints, for
+each probe, the `_gk21` rule calls and rule rows that each tree makes per
+call (per point, or per grid), counted on one untimed run:
+
+    far   rule calls parent 3.15  change 1.00  rows parent 39.10  change 34.65
+
+and after them one line per probe:
 
     pre   change/parent 0.712  q1 0.701  q3 0.730  parent 0.3510 ms  change 0.2500 ms  rounds 15
 
@@ -41,6 +47,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from common import ORACLE_BANDS, oracle_points  # noqa: E402  (standard library only)
 
 SEED = 401  # of the drawn points
+RULE_LINE = ("{probe:<5} rule calls parent {calls[parent]:.2f}  change {calls[change]:.2f}  "
+             "rows parent {rows[parent]:.2f}  change {rows[change]:.2f}")
 LINE = ("{probe:<5} change/parent {ratio:.3f}  q1 {q1:.3f}  q3 {q3:.3f}  "
         "parent {parent:.4f} ms  change {change:.4f} ms  rounds {rounds}")
 
@@ -87,6 +95,22 @@ class Tree:
             except self.refusal:
                 pass
 
+    def rule_use(self, run) -> tuple[int, int]:
+        """The `_gk21` calls and rows that ``run()`` makes in this tree."""
+        rule, used = self.oracle._gk21, [0, 0]
+
+        def counted(f, k, lo, hi):
+            used[0] += 1
+            used[1] += len(k)
+            return rule(f, k, lo, hi)
+
+        self.oracle._gk21 = counted  # `_integrate` looks the rule up at each call
+        try:
+            run()
+        finally:
+            self.oracle._gk21 = rule
+        return used[0], used[1]
+
     def cold_grid(self) -> list:
         # a tree without the verify memo has nothing to empty
         memo = getattr(self.oracle, "_grid_scaled", None)
@@ -129,6 +153,13 @@ def main(argv: list[str] | None = None) -> int:
             for band in ORACLE_BANDS}
     runs["grid"] = lambda side: trees[side].cold_grid()
     calls = dict.fromkeys(ORACLE_BANDS, args.points) | {"grid": 1}
+    for probe, run in runs.items():
+        use = {side: trees[side].rule_use(lambda: run(side)) for side in trees}
+        print(RULE_LINE.format(probe=probe,
+                               calls={side: c / calls[probe] for side, (c, _) in use.items()},
+                               rows={side: r / calls[probe] for side, (_, r) in use.items()}),
+              flush=True)
+
     times = {side: {probe: [] for probe in runs} for side in trees}
     for i in range(args.repeats):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
