@@ -41,8 +41,8 @@ class QuadratureConvergenceError(VacBrownianError):
 
 
 class ExtrapolationError(VacBrownianError):
-    """An oracle value whose error estimate is not below its magnitude, or a
-    point past the t/z range where that estimate is known to hold."""
+    """An oracle value whose error estimate is not below its magnitude: no
+    significant digit."""
 
 
 def _range_checked(function: Callable[..., float],

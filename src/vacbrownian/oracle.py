@@ -41,48 +41,48 @@ integrals: every (point, contour piece) of one quantity is one integral.
 The bookkeeping is per integral, in plain Python lists: each pass, every
 integral not yet done sums its intervals' values and errors left to right
 and halves its interval of largest error.  Only the rule runs on numpy
-arrays, on all new halves of the batch in one call: the integrand at the
-21 nodes of every half is one row of an (m, 21) array, and each of the
-rule's sums (K and G of f, K of |f| and of |f - mean f|) is that array
-times one weight row, summed along each row.  An interval's error
-estimate is QUADPACK's: resasc * min(1, (200 |K - G| / resasc)^1.5),
-floored at 50 eps_mach * resabs, where resabs and resasc are the rule
-applied to |f| and to |f - mean f|.  An integral is done when its summed
-error meets max(EPSABS, EPSREL |I|) or when it holds MAX_SUBDIVISIONS
-intervals, the fixed 1e-13, 1e-12 and 200.  Then `_integrate` itself
-refuses the batch at its first integral whose estimate is NaN or exceeds
-100 times that tolerance, or that QUADPACK's round-off or
-too-narrow-interval test stopped first.  So is a point whose error
-estimate is not below the magnitude of its value.  Each row is summed
-along its own 21 nodes, so an interval's rule result does not depend on
-the call it ran in, and each integral sums only its own intervals, so no
-integral's value depends on the batch it was computed in.
+arrays, in one call per pass on all new intervals of the batch: the
+integrand at the 21 nodes of every interval is one row of an (m, 21)
+array, and each of the rule's sums (K and G of f, K of |f| and of
+|f - mean f|) is that array times one weight row, summed along each row.
+An interval's error estimate is QUADPACK's:
+resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
+50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
+and to |f - mean f|.  An integral is done when its summed error meets
+max(EPSABS, EPSREL |I|) or when it holds MAX_SUBDIVISIONS intervals, the
+fixed 1e-13, 1e-12 and 200.  Then `_integrate` itself refuses the batch at
+its first integral whose estimate is NaN or exceeds 100 times that
+tolerance, or that QUADPACK's round-off or too-narrow-interval test stopped
+first.  So is a point whose error estimate is not below the magnitude of
+its value, or whose estimate, times its prefactor, is below the smallest
+normal float.  Each row is summed along its own 21 nodes, so an interval's
+rule result does not depend on the call it ran in, and each integral sums
+only its own intervals, so no integral's value depends on the batch it was
+computed in.
 
-That lets a contour batch run the rule ahead, by one rule in every call.
-The rule converges on an interval at a rate set by the interval's distance
-to the integrand's nearest singularity (the Bernstein-ellipse argument;
-Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?", *SIAM Rev.*
-50, 2008), so the adaptive scheme halves an interval about as long as that
-distance or longer.  Each piece therefore comes with its nearest
-singularity in its own variable: the pole u = 2 for an axis piece, and for
-the arc s = pi - i ln 4, where its continuation meets the pole u = -2.
-After the intervals a call must run (at the first call the whole pieces,
-later the new halves), it also runs both halves of every interval longer
-than its distance to that singularity, then the same for those halves,
-level by level, while each integral has run ahead fewer than the
-MAX_SUBDIVISIONS - 1 halvings it can use.  A later pass that halves an
-interval run ahead takes its halves from there and calls the rule only if
-some are missing.  Which interval is halved, every sum and every stop stay
-those of one call per pass, bit for bit.  A lone far-band point (velocity
-x, t/z = 1e4) makes its 13 halving passes in one rule call of 35 rows,
-where a budget of 14 rows along each piece's ends took 3 calls (37 rows)
-and one call per pass 14.  `reduced_time_integral` and
-`direct_time_integral` call the caller's Python f once per node, where a
-row run ahead for nothing costs real work, and pass no singularity, so
-they run nothing ahead.
-
-A point past t/z = MAX_T_OVER_Z = 1e10 is refused before any quadrature
-(`ExtrapolationError`); the constant's comment says why.
+Where the pass loop will halve a contour piece is known before any rule
+runs.  The rule converges on an interval at a rate set by the interval's
+distance to the integrand's nearest singularity (the Bernstein-ellipse
+argument; Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
+*SIAM Rev.* 50, 2008), and the kernels' only singularities are the poles
+u = +-2.  Each piece therefore comes with its nearest singularity in its
+own variable: the pole u = 2 for an axis piece, and for the arc
+s = pi - i ln 4, where its continuation meets the pole u = -2.  `_mesh`
+halves each piece, level by level, wherever an interval is longer than
+twice its distance to that singularity (its docstring says why twice),
+putting each half in the slot the pass loop would, and the first rule call
+runs all of the batch's starting intervals.  So each integral makes the
+loop's halvings and sums in the loop's order: on seeded checks from
+t/z = 100 to 1e10 every value and estimate is bit for bit the plain loop's,
+and below t/z = 100 a point moves by at most a few hundredths of its
+estimate, where the loop meets its tolerance before the mesh's last level.  A
+lone far-band point (velocity x, t/z = 1e4) starts from 17 intervals in
+one rule call and halves none, where the plain loop took 14 calls.  A piece
+that would need more than MAX_SUBDIVISIONS intervals is refused before any
+rule runs: a tail [3, T] from t/z between 1e60 and 2e60 on.
+`reduced_time_integral` and `direct_time_integral` call the caller's
+Python f once per node and pass no singularity, so they start from one
+interval.
 
 A point's oracle value is a scaled integral at z = 1 times its prefactor,
 and the scaled integral, with its error estimate, depends only on (kind,
@@ -91,7 +91,7 @@ integrals from `_grid_scaled`, `_scaled` under
 `functools.lru_cache(maxsize=256)`, keyed on (kind, component, the grid's
 exact T).  A grid whose T all repeat, at any particle, runs no quadrature;
 since no integral's value depends on its batch, a held value is bit for bit
-a fresh one, and the prefactor and both refusals still run for every point.
+a fresh one, and the prefactor and every refusal still run for every point.
 Past 256 entries (a full grid fills 4) the least recently used one goes;
 threads can at worst compute one twice.  `dispersion_oracle` calls
 `_scaled` itself and neither reads nor fills the cache.
@@ -229,14 +229,6 @@ EPSABS = 1e-13
 EPSREL = 1e-12
 MAX_SUBDIVISIONS = 200
 
-# The largest t/z the oracle answers.  Beyond about 3.25e10 the tail piece
-# [3, T] meets its tolerance as one interval, whose nodes lie no closer to
-# u = 3 than about 2e-3 T, so it misses the integrand's mass there: seeded
-# scans found velocity values wrong from 3.25e10 (both presets), the
-# transverse position from about 7e53 and the normal one from about 3e79,
-# each with an error estimate far below its error.
-MAX_T_OVER_Z = 1e10
-
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
@@ -261,67 +253,78 @@ def _gk21(f: Integrand, k: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return kronrod * half, np.maximum(err, 50.0 * _EPS * resabs), resasc
 
 
+def _mesh(lo: float, hi: float, pole: complex) -> list[tuple[float, float]]:
+    """The intervals an integral over [lo, hi] starts from, in slot order.
+
+    Level by level, every interval longer than twice its distance to
+    ``pole``, the integrand's nearest singularity, is halved: its left half
+    stays in its slot and its right half is appended, as `_integrate`'s pass
+    loop does, so each integral sums its intervals in the loop's own order.
+    Twice the distance is where G10/K21 has converged: on such an interval a
+    singularity on its line, beyond an end, lies on or outside the Bernstein
+    ellipse of rho = 2 + sqrt 3, and rho^-32 = 5e-19 is below double precision
+    (Trefethen, *SIAM Rev.* 50, 2008), so the pass loop stops halving there
+    too.  A pole at infinity leaves the one interval.  A piece that needs
+    more than MAX_SUBDIVISIONS intervals, a singularity on it or a tail past
+    t/z of about 1e60, is refused before any rule runs.
+    """
+    span, level = [(lo, hi)], [0]
+    while level:
+        halved = []
+        for j in level:
+            a, b = span[j]
+            if b - a > 2.0 * abs(pole - min(max(pole.real, a), b)):
+                mid = 0.5 * (a + b)
+                span[j] = (a, mid)
+                span.append((mid, b))
+                halved += [j, len(span) - 1]
+        if len(span) > MAX_SUBDIVISIONS:  # nothing achieved: no rule has run
+            raise QuadratureConvergenceError(f"[{lo!r}, {hi!r}] needs more than {MAX_SUBDIVISIONS} "
+                                             "intervals before the quadrature rule runs", math.inf)
+        level = halved
+    return span
+
+
 def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                poles: Sequence[complex] = ()) -> tuple[list[float], list[float]]:
     """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
 
     Each integral keeps its intervals in plain lists, in slot order: a halving
-    puts the left half in the halved slot and appends the right half.  Each
-    pass, every integral not yet done sums its values and errors left to right
-    and is done when the error meets max(EPSABS, EPSREL |value|) or it holds
-    MAX_SUBDIVISIONS intervals; else it halves its interval of largest
-    error (the first of equal ones, a NaN one only if all are).  Only the rule
-    runs on numpy arrays, in at most one `_gk21` call per pass.  Each call
-    runs its new intervals, at the first pass every whole piece [a[i], b[i]]
-    and later every new half that no earlier call ran ahead.  Given
-    ``poles``, each integral's nearest singularity of f, a call then looks
-    ahead: both halves of each of those intervals that is longer than its
-    distance to its integral's singularity, then of such halves, level by
-    level, until an integral has run MAX_SUBDIVISIONS - 1 halvings ahead.
-    Without ``poles`` it runs nothing ahead.  A pass whose halves all ran
-    ahead calls no rule.  The halving choice and every sum are those of one
-    call per pass, so ``poles`` changes the number of calls, never a bit.
-    QUADPACK's (qag) early stops also end an integral: round-off (ier = 2),
-    after 6 halvings that keep the value within 1e-5 relative and the error
-    above 99 %, or 20 from the 11th interval on that raise the error, counting
-    those where neither half's estimate is saturated at resasc; and an interval
-    too narrow to halve (ier = 3).  `_within_budget` then refuses the first
-    integral, in order, with a NaN error estimate, that stopped early or that
-    ended over budget.
+    puts the left half in the halved slot and appends the right half.  Given
+    ``poles``, each integral's nearest singularity of f, each starts from its
+    `_mesh`; without, from its one interval [a[i], b[i]].  The first `_gk21`
+    call runs every starting interval of the batch.  Then each pass, every
+    integral not yet done sums its values and errors left to right and is
+    done when the error meets max(EPSABS, EPSREL |value|) or it holds
+    MAX_SUBDIVISIONS intervals; else it halves its interval of largest error
+    (the first of equal ones, a NaN one only if all are), and one `_gk21`
+    call runs the new halves.  QUADPACK's (qag) early stops also end an
+    integral: round-off (ier = 2), after 6 halvings that keep the value
+    within 1e-5 relative and the error above 99 %, or 20 from the 11th
+    interval on that raise the error, counting those where neither half's
+    estimate is saturated at resasc; and an interval too narrow to halve
+    (ier = 3).  `_within_budget` then refuses the first integral, in order,
+    with a NaN error estimate, that stopped early or that ended over budget.
     """
     n = len(a)
-    span = [[(float(x), float(y))] for x, y in zip(a, b)]  # each interval's (lo, hi)
+    span = [_mesh(float(x), float(y), pole) for x, y, pole in zip(a, b, poles or [math.inf] * n)]
     stalled, rising = [0] * n, [0] * n  # QUADPACK's iroff1 and iroff2
     values, errors, stops = [0.0] * n, [0.0] * n, [None] * n
-    res = err = None  # each interval's rule value and error, from the first call on
-    ahead = {}  # (integral, lo, hi) to the rule's (value, error, resasc) there
-    room = [MAX_SUBDIVISIONS - 1] * n  # the halvings each integral may still run ahead
-    keys = level = [(i, lo, hi) for i, ((lo, hi),) in enumerate(span)]
+    res, err = [[] for _ in span], [[] for _ in span]  # each interval's rule value and error
+    rows = [(i, lo, hi) for i, pieces in enumerate(span) for lo, hi in pieces]
     halving = []
     with np.errstate(all="ignore"):
         while True:
-            # both halves of each interval longer than its distance to its
-            # integral's singularity, then of those halves, level by level
-            while poles and level:
-                halves = []
-                for i, lo, hi in level:
-                    pole = poles[i]
-                    if room[i] and hi - lo > abs(pole - min(max(pole.real, lo), hi)):
-                        room[i] -= 1
-                        mid = 0.5 * (lo + hi)
-                        halves += [(i, lo, mid), (i, mid, hi)]
-                level = halves
-                keys += level
-            if keys:
-                k, lo, hi = zip(*keys)
-                r, e, resasc = _gk21(f, np.array(k), np.array(lo), np.array(hi))
-                ahead.update(zip(keys, zip(r.tolist(), e.tolist(), resasc.tolist())))
-            if res is None:  # the first pass: every whole piece
-                whole = [ahead.pop((i, lo, hi)) for i, ((lo, hi),) in enumerate(span)]
-                res, err = [[x] for x, _, _ in whole], [[y] for _, y, _ in whole]
+            k, lo, hi = zip(*rows)
+            r, e, resasc = _gk21(f, np.array(k), np.array(lo), np.array(hi))
+            ruled = iter(zip(r.tolist(), e.tolist(), resasc.tolist()))
+            if not halving:  # the first pass: every starting interval
+                for i, (x, y, _) in zip(k, ruled):
+                    res[i].append(x)
+                    err[i].append(y)
             running = [i for i, *_ in halving] or range(n)  # in the first pass, all
             for i, j, a1, mid, b2 in halving:
-                (r1, e1, c1), (r2, e2, c2) = ahead.pop((i, a1, mid)), ahead.pop((i, mid, b2))
+                (r1, e1, c1), (r2, e2, c2) = next(ruled), next(ruled)
                 both, errs = r1 + r2, e1 + e2
                 if e1 != c1 and e2 != c2:
                     stalled[i] += (abs(res[i][j] - both) <= 1e-5 * abs(both)
@@ -355,9 +358,7 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                 for args in zip(values, errors, stops, a, b):
                     _within_budget(*args)
                 return values, errors
-            # the halves no earlier call ran ahead (they come and go in pairs)
-            keys = level = [(i, x, y) for i, _, a1, mid, b2 in halving
-                            if (i, a1, mid) not in ahead for x, y in ((a1, mid), (mid, b2))]
+            rows = [(i, x, y) for i, _, a1, mid, b2 in halving for x, y in ((a1, mid), (mid, b2))]
 
 
 def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:
@@ -438,14 +439,9 @@ def _contour_integrand(kind: str, component: str, T: np.ndarray, arc: np.ndarray
 
 def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
     """A point's (t/z, prefactor e^2/m^2 (/z^2)); refuses the point on the lightcone
-    or with its prefactor outside the float range, as the closed form does, and
-    past MAX_T_OVER_Z."""
+    or with its prefactor outside the float range, as the closed form does."""
     check_lightcone(p.t, p.z, _LIGHTCONE_REFUSAL)
-    T = p.t / p.z
-    if not T <= MAX_T_OVER_Z:
-        raise ExtrapolationError(f"t/z = {T!r} exceeds {MAX_T_OVER_Z:g}, past which the "
-                                 "oracle's error estimate is not known to cover its error")
-    return T, _prefactor(kind, p, 1.0)
+    return p.t / p.z, _prefactor(kind, p, 1.0)
 
 
 def _scaled(kind: str, component: str,
@@ -478,7 +474,9 @@ _grid_scaled = functools.lru_cache(maxsize=256)(_scaled)
 def _results(plans: Sequence[tuple[float, float]],
              scaled: Sequence[tuple[float, float]]) -> list[OracleResult]:
     """Each plan's result from its scaled (value, error estimate), in order,
-    refusing a value without a significant digit or outside the float range."""
+    refusing a value without a significant digit or outside the float range,
+    and an error estimate below the smallest normal float, which covers nothing
+    once it has lost its digits or underflowed to zero."""
     results = []
     for (T, prefactor), (value, error_estimate) in zip(plans, scaled):
         if not error_estimate < abs(value):
@@ -487,13 +485,13 @@ def _results(plans: Sequence[tuple[float, float]],
                 f"{abs(value):.3e} of the value at t/z = {T!r}: no significant digit"
             )
         value *= prefactor
+        error_estimate *= prefactor
         if not math.isfinite(value):
             raise ValueError(f"value at t/z = {T!r} leaves the float range")
-        results.append(OracleResult(
-            value=value,
-            error_estimate=prefactor * error_estimate,
-            rungs=((0.0, value),),
-        ))
+        if error_estimate < _TINY:
+            raise ValueError(f"error estimate {error_estimate!r} at t/z = {T!r} is below "
+                             "the smallest normal float")
+        results.append(OracleResult(value, error_estimate, rungs=((0.0, value),)))
     return results
 
 
@@ -517,10 +515,11 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
     """Int_0^t weight(tau, t) f(tau) dtau for a caller-supplied even kernel f.
 
     ``f`` is called once per node with a float; t must be finite and > 0.
-    Each pass halves one interval and runs the numpy rule on its two halves,
-    without look-ahead.  ``reduced_time_integral(math.cos, 1.0, "velocity")``,
-    settled by one rule call, takes 0.033 ms (minimum of 20 calls in process,
-    2-CPU Xeon, Python 3.11).
+    The integral starts from the one interval [0, t]; each pass halves one
+    interval and runs the numpy rule on its two halves.
+    ``reduced_time_integral(math.cos, 1.0, "velocity")``, settled by one rule
+    call, takes 0.033 ms (minimum of 20 calls in process, 2-CPU Xeon,
+    Python 3.11).
     """
     weight = _weight(kind)
     _check_time(t)

@@ -147,6 +147,8 @@ INVOCATIONS: list[tuple[list[str], object]] = [
     (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": 0}),
     (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": False}),
     (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": []}),
+    # an oracle error estimate below the smallest normal float covers nothing (2)
+    (["verify", "--charge", "1e-160", "--mass", "1", "--grid", "post-lightcone"], None),
 ]
 
 

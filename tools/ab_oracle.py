@@ -8,10 +8,24 @@ imports only, so each tree loads under its own name and both run in one
 process, on one numpy and one CPU state.  A separate process per tree would
 add its own start-up and cache noise to differences of a few percent.
 
-The script first requires identical `dispersion_oracle` outcomes from both
-trees, the value and error estimate or the refusal's type and message, at
-every probe point, and identical full `verify_grid` rows; it exits 1 if any
-differ.  Then it runs ``--repeats`` rounds.  Each round times, for each tree
+The script first compares the two trees' `dispersion_oracle` outcomes, the
+value and error estimate or the refusal's type and message, at every probe
+point, and their full `verify_grid` rows cell by cell.  It prints, for each
+band of t/z and for the grid, how many differ and the largest move of a
+value in units of the parent's error estimate (a refusal that appears, goes
+or changes counts as differing but moves nothing):
+
+    post  outcomes differ 3 of 40  refusals moved 0  largest move 0.021 parent estimates
+    grid  cells differ 1 of 252  largest move 0 parent estimates
+
+then, per band and for the grid, how many of each tree's points perfbench's
+oracle_audit would count as failed, refused or off the closed form by more
+than the band's TOL_* tier (for the grid: rows that do not pass), so that a
+change's effect on the benchmark's failure-share gate shows before it runs:
+
+    far   failed parent 25  change 25  of 40
+
+Then it runs ``--repeats`` rounds.  Each round times, for each tree
 in turn (which tree goes first alternates by round), the probe points of each
 band of t/z, drawn by perfbench's own `oracle_points` from a generator seeded
 401 (pre 1e-3 to 2, post 2 to 100, far 100 to 1e6; z log-uniform in
@@ -28,8 +42,8 @@ and after them one line per probe:
 
 the median and quartiles over rounds of the paired ratio change/parent, and
 each tree's median time per call.  A ratio below 1 means the change is
-faster.  The script reports and does not gate: its exit code says nothing
-about speed.
+faster.  The script exits 1 at the end if any outcome or grid cell differed,
+and 0 otherwise: its exit code says nothing about speed.
 """
 
 from __future__ import annotations
@@ -47,6 +61,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from common import ORACLE_BANDS, oracle_points  # noqa: E402  (standard library only)
 
 SEED = 401  # of the drawn points
+OUTCOME_LINE = ("{probe:<5} outcomes differ {differ} of {of}  refusals moved {refusals}  "
+                "largest move {move:.3g} parent estimates")
+GRID_LINE = "grid  cells differ {differ} of {of}  largest move {move:.3g} parent estimates"
+FAILED_LINE = "{probe:<5} failed parent {failed[parent]}  change {failed[change]}  of {of}"
 RULE_LINE = ("{probe:<5} rule calls parent {calls[parent]:.2f}  change {calls[change]:.2f}  "
              "rows parent {rows[parent]:.2f}  change {rows[change]:.2f}")
 LINE = ("{probe:<5} change/parent {ratio:.3f}  q1 {q1:.3f}  q3 {q3:.3f}  "
@@ -87,6 +105,20 @@ class Tree:
         except self.refusal as exc:
             return type(exc).__name__, str(exc)
         return result.value, result.error_estimate
+
+    def failed(self, drawn: list[dict], points: list[tuple], outcomes: list[tuple],
+               band: str) -> int:
+        """How many points oracle_audit would count as failed: refused, or off the
+        closed form by more than the band's tolerance tier."""
+        tol = self.oracle.TOL_PRE_LIGHTCONE if band == "pre" else self.oracle.TOL_POST_LIGHTCONE
+        count = 0
+        for pt, (_, _, point), (value, _) in zip(drawn, points, outcomes):
+            if isinstance(value, str):  # refused
+                count += 1
+                continue
+            closed = self.dispersion.QUANTITIES[pt["quantity"]].value(point)
+            count += not abs(value - closed) / abs(closed) <= tol
+        return count
 
     def run_points(self, points: list[tuple]) -> None:
         for kind, component, point in points:
@@ -136,18 +168,31 @@ def main(argv: list[str] | None = None) -> int:
     points = {side: {band: tree.points(d) for band, d in band_draws.items()}
               for side, tree in trees.items()}
 
+    outcomes = {side: {band: [tree.outcome(*x) for x in points[side][band]]
+                       for band in ORACLE_BANDS} for side, tree in trees.items()}
+    differ = 0
     for band in ORACLE_BANDS:
-        for at, (x, y) in enumerate(zip(*(points[side][band] for side in trees))):
-            left, right = trees["parent"].outcome(*x), trees["change"].outcome(*y)
-            if left != right:
-                print(f"error: {band} point {band_draws[band][at]} differs: parent {left!r}, "
-                      f"change {right!r}", file=sys.stderr)
-                return 1
-    rows = {side: [(r.quantity, r.t_over_z, r.oracle, r.eps_estimate, r.passed)
-                   for r in tree.cold_grid()] for side, tree in trees.items()}
-    if rows["parent"] != rows["change"]:
-        print("error: verify_grid rows differ", file=sys.stderr)
-        return 1
+        moved = [(p, c) for p, c in zip(outcomes["parent"][band], outcomes["change"][band])
+                 if p != c]
+        moves = [abs(c[0] - p[0]) / p[1] for p, c in moved
+                 if not isinstance(p[0], str) and not isinstance(c[0], str)]
+        print(OUTCOME_LINE.format(probe=band, differ=len(moved), of=len(band_draws[band]),
+                                  refusals=len(moved) - len(moves), move=max(moves, default=0)))
+        differ += len(moved)
+    rows = {side: [(r.quantity, r.t_over_z, r.closed, r.oracle, r.rel_err, r.eps_estimate,
+                    r.passed) for r in tree.cold_grid()] for side, tree in trees.items()}
+    pairs = list(zip(rows["parent"], rows["change"]))
+    cells = sum(p != c for pr, cr in pairs for p, c in zip(pr, cr))
+    print(GRID_LINE.format(differ=cells, of=sum(len(pr) for pr, _ in pairs),
+                           move=max((abs(cr[3] - pr[3]) / pr[5] for pr, cr in pairs), default=0)))
+    differ += cells
+    for band in ORACLE_BANDS:
+        failed = {side: tree.failed(band_draws[band], points[side][band],
+                                    outcomes[side][band], band) for side, tree in trees.items()}
+        print(FAILED_LINE.format(probe=band, failed=failed, of=len(band_draws[band])))
+    print(FAILED_LINE.format(probe="grid", of=len(rows["parent"]),
+                             failed={side: sum(not r[-1] for r in rows[side]) for side in trees}),
+          flush=True)
 
     runs = {band: (lambda side, band=band: trees[side].run_points(points[side][band]))
             for band in ORACLE_BANDS}
@@ -177,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
                           parent=statistics.median(times["parent"][probe]),
                           change=statistics.median(times["change"][probe]),
                           rounds=len(ratios)))
+    if differ:
+        print(f"error: {differ} outcomes or grid cells differ", file=sys.stderr)
+        return 1
     return 0
 
 
