@@ -12,9 +12,10 @@ Conventions: Lorentz-Heaviside units with c = hbar = 1; the reference
 length is the meter, so masses and temperatures carry unit 1/m and
 times are light-travel distances.
 
-Only the oracle needs numpy, so `vacbrownian.oracle` and its names load on
-first use: `import vacbrownian` and the closed forms use only the standard
-library.
+Only the oracle's integrals past the lightcone need numpy, and
+`vacbrownian.oracle` and its names load on first use: `import vacbrownian`,
+the closed forms and every oracle call before the lightcone use only the
+standard library.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ __all__ = [
 
 
 def __getattr__(name: str) -> object:
-    """Import the numpy-backed `oracle` submodule when one of its names is asked
-    for, and keep that name in the module globals, so later lookups skip this."""
+    """Import the `oracle` submodule when one of its names is asked for, and keep
+    that name in the module globals, so later lookups skip this."""
     if name == "oracle" or name in _ORACLE_NAMES:
         oracle = importlib.import_module(".oracle", __name__)
         globals()[name] = oracle if name == "oracle" else getattr(oracle, name)

@@ -416,7 +416,7 @@ def _cmd_sweep(opts: _Options) -> int:
 
 
 def _cmd_verify(opts: _Options) -> int:
-    from . import oracle  # the only subcommand that needs numpy
+    from . import oracle  # verify alone runs the oracle; only rows past the lightcone load numpy
 
     spec = opts.particle(unset="unit")
     z = opts.get("z")

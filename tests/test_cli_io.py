@@ -944,6 +944,12 @@ class TestBoundary:
         assert_refused(*run(capsys, "verify", "--grid", "pre-lightcone", *extra),
                        "parameter t/z:", fragment)
 
+    @pytest.mark.parametrize("z", ["0", "-1", "-0.0"])
+    def test_verify_non_positive_z_refused_as_z(self, capsys, z):
+        # t = (t/z) z is no verify input, so the refusal blames z, as eval's does
+        assert run(capsys, "verify", "--grid", "pre-lightcone", f"--z={z}") == (
+            2, "", "error: parameter t/z: z must be positive\n")
+
     def test_verify_unknown_grid_names_grid(self, capsys):
         assert_refused(*run(capsys, "verify", "--grid", "diagonal", "--z", "inf"),
                        "parameter grid:")

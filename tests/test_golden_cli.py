@@ -149,6 +149,8 @@ INVOCATIONS: list[tuple[list[str], object]] = [
     (["sweep", *UNIT, "--min", "1", "--max", "3", "--count", "2"], {"quantity": []}),
     # an oracle error estimate below the smallest normal float covers nothing (2)
     (["verify", "--charge", "1e-160", "--mass", "1", "--grid", "post-lightcone"], None),
+    # a non-positive z is refused as such, not as the t = (t/z) z it makes (2)
+    (["verify", "--z", "0"], None),
 ]
 
 

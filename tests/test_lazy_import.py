@@ -1,5 +1,6 @@
-"""Import hygiene: numpy loads only with the quadrature oracle, scipy never, and
-the closed-form paths load no costly standard-library module."""
+"""Import hygiene: numpy loads only for an oracle integral with a piece past the
+lightcone, scipy never, and the closed-form paths load no costly standard-library
+module."""
 
 from __future__ import annotations
 
@@ -129,8 +130,24 @@ def test_no_module_imports_typing():
             assert "typing" not in {n.split(".")[0] for n in names}, (path.name, node.lineno)
 
 
-def test_verify_loads_numpy():
-    assert "numpy" in modules_after(run_main(["verify", "--grid", "pre-lightcone"]), "numpy")
+# Oracle calls whose every contour piece lies on the axis, t/z < 2, and the
+# caller integrals: all ruled in floats.
+POINT = ("from vacbrownian import oracle\n"
+         "from vacbrownian.dispersion import EvalPoint\n"
+         "oracle.dispersion_oracle('velocity', 'x', EvalPoint(t={}, z=1.0))\n")
+ARC_FREE_CALLS = ("import vacbrownian.oracle", run_main(["verify", "--grid", "pre-lightcone"]),
+                  POINT.format(1.5), "import math\nfrom vacbrownian import oracle\n"
+                  "oracle.reduced_time_integral(math.cos, 1.0, 'velocity')")
+
+
+def test_arc_free_oracle_calls_leave_numpy_unloaded():
+    assert modules_after("\n".join(ARC_FREE_CALLS), "numpy") == []
+
+
+@pytest.mark.parametrize("code", [run_main(["verify", "--grid", "post-lightcone"]),
+                                  POINT.format(3.0)], ids=["verify-post-lightcone", "point"])
+def test_arc_pieces_load_numpy(code):
+    assert "numpy" in modules_after(code, "numpy")
 
 
 def test_every_public_name_resolves():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import re
+import struct
 
 import mpmath
 import numpy as np
@@ -48,6 +49,12 @@ UNIT = unit_preset()
 
 def up(t, z=1.0):
     return EvalPoint(t=t, z=z, particle=UNIT)
+
+
+def bits(values):
+    """Each float's bit pattern, every NaN as one: equal lists are equal bit for
+    bit, NaN for NaN."""
+    return [None if math.isnan(v) else struct.pack("<d", v) for v in values]
 
 
 @pytest.fixture
@@ -165,11 +172,7 @@ class TestRefusalPoint:
 
     @staticmethod
     def nan_at(bad):
-        def f(s, k):
-            values = np.cos(s)
-            values[np.isin(k, bad)] = math.nan
-            return values
-        return f
+        return lambda x, i: [math.nan if i in bad else math.cos(u) for u in x]
 
     def test_middle_integral_refused_first(self):
         # the third integral is refused too; the NaN one before it is raised
@@ -340,6 +343,11 @@ class TestVerifyGrid:
             tol = TOL_PRE_LIGHTCONE if row.t_over_z < 2.0 else TOL_POST_LIGHTCONE
             assert row.passed == (row.rel_err <= tol), (row.quantity, row.t_over_z)
 
+    @pytest.mark.parametrize("z", [0.0, -0.0, -1.0])
+    def test_non_positive_z_refused(self, z):
+        with pytest.raises(ValueError, match="^z must be positive$"):
+            verify_grid(z=z)
+
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf, -math.inf])
     def test_bad_tolerance_refused(self, tolerance):
         with pytest.raises(ValueError, match="need a finite tolerance >= 0"):
@@ -382,13 +390,14 @@ class TestGaussKronrodRule:
     # embedded G10 those of degree <= 19.
     @pytest.mark.parametrize("weights, degree", [(KRONROD_WEIGHTS, 31), (GAUSS_WEIGHTS, 19)])
     def test_monomials_exact(self, weights, degree):
+        weights, nodes = np.array(weights), np.array(NODES)
         assert_allclose(weights.sum(), 2.0, rtol=1e-15)
         for d in range(degree + 1):
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
-            assert abs((weights * NODES**d).sum() - exact) < 4e-16, d
+            assert abs((weights * nodes**d).sum() - exact) < 4e-16, d
 
     def test_gauss_nodes_are_legendre_roots(self):
-        gauss_nodes = NODES[GAUSS_WEIGHTS != 0.0]
+        gauss_nodes = np.array(NODES)[np.array(GAUSS_WEIGHTS) != 0.0]
         assert len(gauss_nodes) == 10
         with mpmath.workdps(30):
             for x in gauss_nodes:
@@ -401,31 +410,42 @@ class TestRuleAgainstReference:
     # depend on the rows it runs with, bit for bit, NaN for NaN.  The mesh's
     # first call relies on this (`TestLookAheadMovesNoBit`).
     @staticmethod
-    def assert_bits_equal(got, want):
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            nan = np.isnan(w)
-            assert np.array_equal(np.isnan(g), nan)
-            assert np.array_equal(g[~nan].view(np.int64), w[~nan].view(np.int64))
-
-    @staticmethod
     def rows(m, seed):
         rng = np.random.default_rng(seed)
         fx = rng.standard_normal((m, 21)) * 10.0 ** rng.uniform(-30, 30, (m, 1))
         lo = rng.uniform(-5.0, 5.0, m)
-        return fx, lo, lo + 10.0 ** rng.uniform(-12, 3, m)
+        return fx, lo.tolist(), (lo + 10.0 ** rng.uniform(-12, 3, m)).tolist()
 
-    def run_both(self, f, lo, hi):
-        k = np.arange(len(lo))
-        with np.errstate(all="ignore"):
-            together = oracle._gk21(f, k, lo, hi)
-            for i in k:
-                alone = oracle._gk21(f, k[i:i + 1], lo[i:i + 1], hi[i:i + 1])
-                self.assert_bits_equal([result[i:i + 1] for result in together], alone)
+    @classmethod
+    def special_rows(cls):
+        """Rows of zeros, constants, non-finite, overflowing and subnormal values."""
+        fx, lo, hi = cls.rows(17, 7)
+        fx[0] = 0.0  # resasc and the error vanish
+        fx[1] = -0.0
+        fx[2] = 3.0  # K and G an ulp apart, resasc at the rounding level
+        for row, values in enumerate(([math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
+                                      [math.nan, math.inf], [math.inf] * 21, [math.nan] * 21),
+                                     start=3):
+            fx[row, :len(values)] = values
+        nodes = np.array(NODES)
+        fx[10] = 1e308  # finite nodes whose sums overflow
+        fx[11] = 5e-324  # subnormal nodes
+        fx[12] = nodes ** 3  # K and G agree to rounding: the 50 eps resabs floor holds
+        fx[13:] = np.cos(nodes) * np.array([[1.0], [-3.0], [1e-3], [7e5]])
+        return fx, lo, hi
+
+    @staticmethod
+    def run_both(f, lo, hi):
+        k = list(range(len(lo)))
+        together = oracle._gk21(f, k, lo, hi)
+        for i in k:
+            alone = oracle._gk21(f, k[i:i + 1], lo[i:i + 1], hi[i:i + 1])
+            for result, row in zip(together, alone):
+                assert bits(result[i:i + 1]) == bits(row)
 
     @staticmethod
     def tabulated(fx):
-        return lambda x, k: fx[k]
+        return oracle.OnArrays(lambda x, k: fx[k])
 
     @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])  # 17: a full verify batch's pieces
     @pytest.mark.parametrize("seed", range(5))
@@ -437,24 +457,55 @@ class TestRuleAgainstReference:
     def test_contour_rows(self, m):
         # the oracle's own integrand, on the axis and on the arc
         _, lo, hi = self.rows(m, 99)
-        arc = np.arange(m) % 2 == 1
-        self.run_both(oracle._contour_integrand("position", "x", np.geomspace(0.1, 1e5, m), arc),
-                      lo, hi)
+        arc = [i % 2 == 1 for i in range(m)]
+        self.run_both(oracle._contour_integrand("position", "x",
+                                                np.geomspace(0.1, 1e5, m).tolist(), arc), lo, hi)
 
     def test_zero_constant_and_non_finite_nodes(self):
-        fx, lo, hi = self.rows(17, 7)
-        fx[0] = 0.0  # resasc and the error vanish
-        fx[1] = -0.0
-        fx[2] = 3.0  # K and G an ulp apart, resasc at the rounding level
-        for row, values in enumerate(([math.inf], [-math.inf], [math.nan], [math.inf, -math.inf],
-                                      [math.nan, math.inf], [math.inf] * 21, [math.nan] * 21),
-                                     start=3):
-            fx[row, :len(values)] = values
-        fx[10] = 1e308  # finite nodes whose sums overflow
-        fx[11] = 5e-324  # subnormal nodes
-        fx[12] = NODES ** 3  # K and G agree to rounding: the 50 eps resabs floor holds
-        fx[13:] = np.cos(NODES) * np.array([[1.0], [-3.0], [1e-3], [7e5]])
+        fx, lo, hi = self.special_rows()
         self.run_both(self.tabulated(fx), lo, hi)
+
+
+class TestFloatRuleMatchesNumpy:
+    # A batch without an arc piece is ruled in floats, row by row, and its
+    # integrand is the real-axis form of the complex one.  Each row's value,
+    # error and resasc, and the integrand at each node, are numpy's bit for
+    # bit, NaN for NaN.
+    @staticmethod
+    def assert_paths_agree(fx, lo, hi):
+        k, rows = list(range(len(lo))), fx.tolist()
+        in_floats = oracle._gk21(lambda x, i: rows[i], k, lo, hi)
+        on_arrays = oracle._gk21(TestRuleAgainstReference.tabulated(fx), k, lo, hi)
+        for got, want in zip(in_floats, on_arrays):
+            assert bits(got) == bits(want)
+
+    @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_rows(self, m, seed):
+        self.assert_paths_agree(*TestRuleAgainstReference.rows(m, seed))
+
+    def test_zero_constant_and_non_finite_nodes(self):
+        self.assert_paths_agree(*TestRuleAgainstReference.special_rows())
+
+    @pytest.mark.parametrize("kind, component", [(q.kind, q.component) for q in QUANTITIES.values()])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_axis_integrand_is_real_part_of_complex(self, kind, component, seed):
+        # T across (0, 2) and within 1e-5 of the pole, each on one interval
+        # inside [0, T]; the batch's last integral is an arc, so that the same
+        # integrand runs on numpy's complex arrays
+        rng = np.random.default_rng(seed)
+        Ts = [*(2.0 * rng.uniform(size=16)), *(2.0 - 10.0 ** rng.uniform(-5.6, -5.0, 8))]
+        lo = [T * x for T, x in zip(Ts, rng.uniform(size=24))]
+        hi = [a + (T - a) * x for T, a, x in zip(Ts, lo, rng.uniform(size=24))]
+        in_floats = oracle._contour_integrand(kind, component, Ts, [False] * 24)
+        on_arrays = oracle._contour_integrand(kind, component, [*Ts, 3.0], [False] * 24 + [True])
+        assert isinstance(on_arrays, oracle.OnArrays) and not isinstance(in_floats, oracle.OnArrays)
+        nodes = [[0.5 * (a + b) + 0.5 * (b - a) * x for x in NODES] for a, b in zip(lo, hi)]
+        want = on_arrays.f(np.array(nodes), np.arange(24)).tolist()
+        assert [bits(in_floats(x, i)) for i, x in enumerate(nodes)] == [bits(row) for row in want]
+        k = list(range(24))
+        assert [bits(r) for r in oracle._gk21(in_floats, k, lo, hi)] == \
+            [bits(r) for r in oracle._gk21(on_arrays, k, lo, hi)]
 
 
 class TestBatchIndependence:
@@ -558,7 +609,7 @@ class TestLookAheadMovesNoBit:
         # a singularity on each piece, where both halves of the interval that
         # holds it keep distance 0, the mesh cap refuses the first piece
         # before any rule runs, whatever the kernel.
-        f = lambda x, _: oracle._per_node(kernel, x)
+        f = lambda x, _: [kernel(u) for u in x]
         a, b = [0.0, 0.0, 0.5], [1.0, 1 / 3, 2.0]
         assert self.outcome(oracle._integrate, f, a, b)[0] is QuadratureConvergenceError
         rule_calls.clear()
