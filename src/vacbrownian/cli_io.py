@@ -33,7 +33,7 @@ import re
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from . import correlators, dispersion, regimes
+from . import correlators, dispersion, oracle, regimes
 from .errors import (
     ExtrapolationError,
     LightconeSingularityError,
@@ -416,8 +416,6 @@ def _cmd_sweep(opts: _Options) -> int:
 
 
 def _cmd_verify(opts: _Options) -> int:
-    from . import oracle  # verify alone runs the oracle; only rows past the lightcone load numpy
-
     spec = opts.particle(unset="unit")
     z = opts.get("z")
     grid = opts.get("grid")

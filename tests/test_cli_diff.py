@@ -11,7 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 COMMANDS = ["eval", "sweep", "verify", "regimes", "corr", "constants"]
-LINE = re.compile(r"(\w+) +calls +(\d+)  differing (\d+)(  first: (\w+) .*)?")
+LINE = re.compile(r"(\w+) +calls +(\d+)  differing (\d+)  exits((?: \d+:\d+)*)"
+                  r"(  first: (\w+) .*)?")
 
 
 def diff(parent, change):
@@ -24,8 +25,10 @@ def diff(parent, change):
     assert [m.group(1) for m in lines] == COMMANDS
     assert sum(int(m.group(2)) for m in lines) == 60
     for m in lines:  # a line names its first differing call, and only when one differs
-        assert (m.group(4) is None) == (m.group(3) == "0")
-        assert m.group(5) in (None, m.group(1))
+        assert (m.group(5) is None) == (m.group(3) == "0")
+        assert m.group(6) in (None, m.group(1))
+        exits = dict(pair.split(":") for pair in m.group(4).split())
+        assert sum(map(int, exits.values())) == int(m.group(2))  # each call one exit code
     return proc.returncode, {m.group(1): int(m.group(3)) for m in lines}
 
 

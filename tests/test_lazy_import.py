@@ -1,6 +1,6 @@
-"""Import hygiene: numpy loads only for an oracle integral with a piece past the
-lightcone, scipy never, and the closed-form paths load no costly standard-library
-module."""
+"""Import hygiene: `import vacbrownian` loads every submodule and only the standard
+library, numpy loads only for an oracle integral with a piece past the lightcone,
+scipy never, and the closed-form paths load no costly standard-library module."""
 
 from __future__ import annotations
 
@@ -155,31 +155,34 @@ def test_every_public_name_resolves():
         assert getattr(vacbrownian, name) is not None, name
 
 
+ORACLE_NAMES = ["OracleResult", "VerifyRow", "dispersion_oracle", "verify_grid"]
+
+
 def test_public_names_are_the_submodules_names():
-    from vacbrownian import correlators, dispersion, errors, regimes, units_constants
+    from vacbrownian import correlators, dispersion, errors, oracle, regimes, units_constants
 
     eager = [*correlators.__all__, *dispersion.__all__, *errors.__all__,
              *regimes.__all__, *units_constants.__all__]
-    assert vacbrownian.__all__ == eager + sorted(vacbrownian._ORACLE_NAMES) + ["__version__"]
+    assert vacbrownian.__all__ == eager + ORACLE_NAMES + ["__version__"]
     assert len(set(vacbrownian.__all__)) == len(vacbrownian.__all__)
-
-
-def test_lazy_names_are_oracle_names():
-    assert vacbrownian._ORACLE_NAMES <= set(vacbrownian.oracle.__all__)
+    assert set(ORACLE_NAMES) <= set(oracle.__all__)
 
 
 def test_oracle_names_come_from_the_oracle_module():
     assert vacbrownian.verify_grid is vacbrownian.oracle.verify_grid
 
 
-def test_resolved_oracle_name_is_kept_in_the_package_globals():
-    # a later lookup finds the name as an ordinary global and imports nothing
-    out = run_fresh("import vacbrownian as vb\n"
-                    "before = 'dispersion_oracle' in vars(vb)\n"
-                    "f = vb.dispersion_oracle\n"
-                    "print(before, vars(vb)['dispersion_oracle'] is f"
-                    " is vb.oracle.dispersion_oracle)")
-    assert out.split() == ["False", "True"]
+def test_package_import_loads_the_oracle_and_only_the_standard_library():
+    # every module the import adds is the package's own or the standard library's
+    added = modules_added_by("import vacbrownian")
+    assert "vacbrownian.oracle" in added
+    allowed = {*sys.stdlib_module_names, "vacbrownian"}
+    assert {m for m in added if m.split(".")[0] not in allowed} == set()
+    # bound by the import itself, each name the oracle module's own object
+    out = run_fresh("import vacbrownian\n"
+                    "print(all(vars(vacbrownian)[name] is getattr(vacbrownian.oracle, name)"
+                    f" for name in {ORACLE_NAMES!r}))")
+    assert out.split() == ["True"]
 
 
 def test_dir_lists_every_public_name():

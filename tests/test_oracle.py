@@ -507,6 +507,24 @@ class TestFloatRuleMatchesNumpy:
         assert [bits(r) for r in oracle._gk21(in_floats, k, lo, hi)] == \
             [bits(r) for r in oracle._gk21(on_arrays, k, lo, hi)]
 
+    @pytest.mark.parametrize("weight", [weight_velocity, weight_position])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_public_weights_on_floats_match_numpy_float_arrays(self, weight, seed):
+        # Seeded (tau, t) with t from 1e-320 to 1e308, a third of the position
+        # weights past the float range, and pairs whose weight is inf or NaN:
+        # a float's ** 2 would raise OverflowError there.  Float arrays only:
+        # numpy divides a complex array by 3.0 as a * (1 / 3.0), which is why
+        # the axis integrand keeps weights of its own.
+        rng = np.random.default_rng(seed)
+        t = 10.0 ** rng.uniform(-320.0, 308.0, 10_000)
+        edges = [(0.0, 1e200), (0.0, 1e308), (1e300, 1e308), (0.0, math.inf),
+                 (math.inf, math.inf), (-1e300, 1e300)]
+        tau = (t * rng.uniform(0.0, 1.0, 10_000)).tolist() + [a for a, _ in edges]
+        t = t.tolist() + [b for _, b in edges]
+        with np.errstate(all="ignore"):
+            want = weight(np.array(tau), np.array(t)).tolist()
+        assert bits(map(weight, tau, t)) == bits(want)
+
 
 class TestBatchIndependence:
     # Each integral's value depends on its own intervals only, so a point
