@@ -41,22 +41,20 @@ integrals: every (point, contour piece) of one quantity is one integral.
 The bookkeeping is per integral, in plain Python lists: each pass, every
 integral not yet done sums its intervals' values and errors left to right
 and halves its interval of largest error.  The rule runs in one `_gk21`
-call per pass on all new intervals of the batch, and where depends only on
-whether the batch has an arc piece.  A batch without one (the points
-before the lightcone, t/z < 2, and the caller integrals) is ruled in
-floats, row by row, and never imports numpy.  A batch with one runs on
-numpy arrays, imported at the first such batch: the integrand at the 21
+call per pass on all new intervals of the batch.  Where it runs depends on
+the point, not on its batch: `_scaled` runs the points before the
+lightcone, t/z <= 2, as one batch ruled in floats, row by row, with the
+public weight times the kernel at z = 1, and the contour pieces of the
+points past it as another, on numpy arrays.  So a point is ruled the same
+way alone as beside any other points, and the two rules need not agree to
+the bit.  The caller integrals are ruled in floats too, so only a
+point past the lightcone imports numpy.  On numpy the integrand at the 21
 nodes of every interval is one row of an (m, 21) array, and each of the
 rule's sums (K and G of f, K of |f| and of |f - mean f|) is that array
-times one weight row, summed along each row.  The float rule does numpy's
-arithmetic operation for operation: it sums each row's 21 products in
-numpy's pairwise order, from numpy's starting 0.0, and its axis integrand
-is the real part of the complex one, whose quotient a / b numpy computes
-as a * (1 / b) when the imaginary parts are zero.  So a row gives the same
-bits on either path.  The arc stays on numpy: its integrand is complex, and
-numpy's complex products, fused multiply-adds on CPUs that have them, fix
-its bits; on the few-dozen-row arc batches numpy's rule is also the
-faster one.
+times one weight row, summed along each row.  The arc's integrand is
+complex, and numpy's complex products, fused multiply-adds on CPUs that
+have them, fix its bits; on the few-dozen-row batches past the lightcone
+numpy's rule is also the faster one.
 An interval's error estimate is QUADPACK's:
 resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
 50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
@@ -113,13 +111,11 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
 from .correlators import (
-    PI_SQ,
     RegulatorSpec,
     check_lightcone,
     normal_kernel_complex,
@@ -187,10 +183,11 @@ def weight_position(tau, t):
 
     (t - tau)^2 (2 t + tau) / 3, which is (2/3)(t^3 - tau^3) - tau (t^2 - tau^2)
     without that form's cancellation near tau = t; equals 2 t^3 / 3 at tau = 0.
-    The square is a product, as numpy computes x ** 2, so floats and numpy
-    float arrays give the same bits, and inf past the float range.
+    The square is a product, so floats and numpy float arrays give the same
+    bits, and inf past the float range, where a float's ** 2 would raise.
     """
-    return (t - tau) * (t - tau) * (2.0 * t + tau) / 3.0
+    gap = t - tau
+    return gap * gap * (2.0 * t + tau) / 3.0
 
 
 _WEIGHTS = {"velocity": weight_velocity, "position": weight_position}
@@ -262,16 +259,22 @@ OnArrays.__doc__ = """An integrand on numpy arrays, which `_gk21` rules with num
 @functools.cache
 def _numpy() -> tuple:
     """numpy, imported on the first batch ruled on arrays, and the nodes and both
-    weight rows as its arrays."""
-    import numpy
+    weight rows as its arrays; without numpy, a ModuleNotFoundError that says
+    what needs it."""
+    try:
+        import numpy
+    except ModuleNotFoundError as exc:
+        raise ModuleNotFoundError(f"oracle integrals past the lightcone (t/z > 2) need numpy: "
+                                  f"{exc}", name=exc.name) from exc
 
     return numpy, numpy.array(NODES), numpy.array(KRONROD_WEIGHTS), numpy.array(GAUSS_WEIGHTS)
 
 
 def _row_sum(a: list[float]) -> float:
-    """The sum of 21 floats as numpy sums a row: the eight sums a[j] + a[j + 8],
-    added pairwise, then a[16] to a[20] one at a time, all added to numpy's
-    starting value 0.0, which turns a sum of -0.0 into 0.0."""
+    """The sum of 21 floats in one fixed order, the same on every Python
+    (sum() compensates from 3.12 on): the eight sums a[j] + a[j + 8], added
+    pairwise, then a[16] to a[20] one at a time, all added to 0.0, so that a
+    sum of -0.0 reads 0.0."""
     return 0.0 + (((((a[0] + a[8]) + (a[1] + a[9])) + ((a[2] + a[10]) + (a[3] + a[11])))
                    + (((a[4] + a[12]) + (a[5] + a[13])) + ((a[6] + a[14]) + (a[7] + a[15]))))
                   + a[16] + a[17] + a[18] + a[19] + a[20])
@@ -283,8 +286,7 @@ def _gk21(f: Integrand | OnArrays, k: Sequence[int], lo: Sequence[float],
     lists of their values, errors and resasc.
 
     An `OnArrays` integrand's rows run as one numpy batch; any other's run row
-    by row in floats, in numpy's operations and its order of each row's sums,
-    so that a row's results are the same bits on either path.
+    by row in floats.
     """
     if isinstance(f, OnArrays):
         np, nodes, kronrod_weights, gauss_weights = _numpy()
@@ -316,7 +318,7 @@ def _gk21(f: Integrand | OnArrays, k: Sequence[int], lo: Sequence[float],
         err = abs((kronrod - gauss) * half)
         if resasc != 0.0 and err != 0.0:
             ratio = 200.0 * err / resasc
-            err = resasc * min(ratio * math.sqrt(ratio), 1.0)  # a NaN first stays, as in numpy
+            err = resasc * min(ratio * math.sqrt(ratio), 1.0)  # a NaN first stays
         values.append(kronrod * half)
         errors.append(max(err, 50.0 * _EPS * resabs))  # resabs is NaN only where err is
         resascs.append(resasc)
@@ -480,22 +482,6 @@ def _contour(T: float) -> list[tuple[float, float, bool, float]]:
     return [(0.0, 1.0, False, 1.0), (math.pi, 2.0 * math.pi, True, 1.0), tail]
 
 
-# The contour integrand on the axis in floats: the real part of the complex
-# arithmetic that `_contour_integrand` runs on arrays, operation for operation.
-# On the axis every imaginary part is zero, so numpy's complex product is the
-# product of the real parts, its quotient a / b is Smith's a * (1 / b), / 3.0
-# included, and its x ** 2 is x * x.
-_AXIS_WEIGHTS = {
-    "velocity": lambda x, T: [2.0 * (T - u) for u in x],
-    "position": lambda x, T: [(T - u) * (T - u) * (2.0 * T + u) * (1.0 / 3.0) for u in x],
-}
-_AXIS_KERNELS = {  # `correlators`' kernels at z = 1
-    "x": lambda x: [-(u * u + 4.0) * (1.0 / (PI_SQ * d * d * d))
-                    for u in x for d in (u * u - 4.0,)],
-    "z": lambda x: [1.0 / (PI_SQ * d * d) for u in x for d in (u * u - 4.0,)],
-}
-
-
 def _contour_integrand(kind: str, component: str, T: Sequence[float],
                        arc: Sequence[bool]) -> Integrand | OnArrays:
     """Re of weight(u, T) kernel(u) du/ds on each integral's piece.
@@ -503,12 +489,11 @@ def _contour_integrand(kind: str, component: str, T: Sequence[float],
     On the axis u = s; on the semicircle u = 2 + e^{is}.  A batch without an
     arc piece runs in floats, one with one on numpy's complex arrays.
     """
+    weight, kernel = _weight(kind), _KERNELS[component]
     if not any(arc):
-        weight, kernel = _AXIS_WEIGHTS[kind], _AXIS_KERNELS[component]
-        return lambda x, i: list(map(operator.mul, weight(x, T[i]), kernel(x)))
+        return lambda x, i: [weight(u, T[i]) * kernel(u, 1.0) for u in x]
 
     np = _numpy()[0]
-    weight, kernel = _weight(kind), _KERNELS[component]
     T, arc = np.array(T), np.array(arc)
 
     def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -533,8 +518,19 @@ def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
 
 def _scaled(kind: str, component: str,
             Ts: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
-    """Each scaled integral's (value, error estimate) at z = 1, t/z = T: every
-    contour piece of every T as one `_integrate` batch, then each T's sums."""
+    """Each scaled integral's (value, error estimate) at z = 1, t/z = T, in the
+    order of Ts: the points before the lightcone, T <= 2, run as one `_batch`,
+    ruled in floats, then those past it as another, on numpy; so no point's
+    bits depend on the points it comes with."""
+    before = [T <= 2.0 for T in Ts]
+    sides = {side: iter(_batch(kind, component, [T for T, b in zip(Ts, before) if b is side]))
+             for side in (True, False) if side in before}
+    return tuple(next(sides[b]) for b in before)
+
+
+def _batch(kind: str, component: str, Ts: list[float]) -> list[tuple[float, float]]:
+    """Each T's (value, error estimate): every contour piece of every T as one
+    `_integrate` batch, then each T's sums."""
     contours = [_contour(T) for T in Ts]
     piece_T, a, b, arc, signs = zip(*((T, *piece) for T, pieces in zip(Ts, contours)
                                       for piece in pieces))
@@ -551,7 +547,7 @@ def _scaled(kind: str, component: str,
                           * max(1.0, T / abs(T - 2.0)))
         scaled.append((math.fsum(parts), error_estimate))
         i = j
-    return tuple(scaled)
+    return scaled
 
 
 # `verify_grid`'s `_scaled`; see the module docstring

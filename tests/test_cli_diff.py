@@ -8,11 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from vacbrownian.cli_io import QUANTITY_CHOICES
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 COMMANDS = ["eval", "sweep", "verify", "regimes", "corr", "constants"]
 LINE = re.compile(r"(\w+) +calls +(\d+)  differing (\d+)  exits((?: \d+:\d+)*)"
                   r"(  first: (\w+) .*)?")
+QUANTITY_LINE = re.compile(r"quantities((?: \w+:\d+)+)")
 
 
 def diff(parent, change):
@@ -20,8 +23,14 @@ def diff(parent, change):
                            str(change), "--count", "60"],
                           capture_output=True, text=True, timeout=120)
     assert proc.stderr == ""
-    lines = [LINE.fullmatch(line) for line in proc.stdout.splitlines()]
+    *lines, last = proc.stdout.splitlines()
+    lines = [LINE.fullmatch(line) for line in lines]
     assert all(lines), proc.stdout
+    quantities = QUANTITY_LINE.fullmatch(last)
+    assert quantities, proc.stdout
+    counts = dict(pair.split(":") for pair in quantities.group(1).split())
+    assert set(QUANTITY_CHOICES) <= set(counts)  # every known id, drawn or not
+    assert sum(map(int, counts.values())) > 0
     assert [m.group(1) for m in lines] == COMMANDS
     assert sum(int(m.group(2)) for m in lines) == 60
     for m in lines:  # a line names its first differing call, and only when one differs

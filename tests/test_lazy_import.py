@@ -150,6 +150,22 @@ def test_arc_pieces_load_numpy(code):
     assert "numpy" in modules_after(code, "numpy")
 
 
+def test_grid_past_the_lightcone_without_numpy_names_numpy():
+    # an internal error still, exit 70, but one that says what is missing
+    out = run_fresh(
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from vacbrownian.cli_io import main\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "    code = main(['verify', '--grid', 'post-lightcone'])\n"
+        "print(repr((code, out.getvalue(), err.getvalue())))\n")
+    code, stdout, stderr = ast.literal_eval(out)
+    assert (code, stdout) == (70, "")
+    assert stderr.startswith("error: internal: ModuleNotFoundError: oracle integrals past the "
+                             "lightcone (t/z > 2) need numpy: "), stderr
+
+
 def test_every_public_name_resolves():
     for name in vacbrownian.__all__:
         assert getattr(vacbrownian, name) is not None, name

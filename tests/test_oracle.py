@@ -57,14 +57,24 @@ def bits(values):
     return [None if math.isnan(v) else struct.pack("<d", v) for v in values]
 
 
+class RuleCalls(list):
+    """The rows of each `_gk21` call, and in ``branches`` each call's branch:
+    "numpy" for an `OnArrays` integrand, else "floats"."""
+
+    def __init__(self):
+        super().__init__()
+        self.branches = []
+
+
 @pytest.fixture
 def rule_calls(monkeypatch):
-    """The rows of each `_gk21` call the test makes."""
-    calls = []
+    """The rows of each `_gk21` call the test makes, with its branch."""
+    calls = RuleCalls()
     rule = oracle._gk21
 
     def counted(f, k, lo, hi):
         calls.append(len(k))
+        calls.branches.append("numpy" if isinstance(f, oracle.OnArrays) else "floats")
         return rule(f, k, lo, hi)
 
     monkeypatch.setattr(oracle, "_gk21", counted)
@@ -407,8 +417,9 @@ class TestGaussKronrodRule:
 class TestRuleAgainstReference:
     # Each row's reference is the same row run alone: the rule sums every row
     # along its own 21 nodes, so a row's (value, error, resasc) does not
-    # depend on the rows it runs with, bit for bit, NaN for NaN.  The mesh's
-    # first call relies on this (`TestLookAheadMovesNoBit`).
+    # depend on the rows it runs with, bit for bit, NaN for NaN, in floats
+    # and on numpy.  The mesh's first call relies on this
+    # (`TestLookAheadMovesNoBit`).
     @staticmethod
     def rows(m, seed):
         rng = np.random.default_rng(seed)
@@ -445,38 +456,43 @@ class TestRuleAgainstReference:
 
     @staticmethod
     def tabulated(fx):
-        return oracle.OnArrays(lambda x, k: fx[k])
+        """The rows ``fx`` as an integrand of each branch: on numpy, then in floats."""
+        rows = fx.tolist()
+        return oracle.OnArrays(lambda x, k: fx[k]), lambda x, i: rows[i]
 
     @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])  # 17: a full verify batch's pieces
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_rows(self, m, seed):
         fx, lo, hi = self.rows(m, seed)
-        self.run_both(self.tabulated(fx), lo, hi)
+        for f in self.tabulated(fx):
+            self.run_both(f, lo, hi)
 
     @pytest.mark.parametrize("m", [1, 2, 14, 17])
     def test_contour_rows(self, m):
-        # the oracle's own integrand, on the axis and on the arc
+        # the oracle's own integrand: on numpy with arc pieces, in floats without
         _, lo, hi = self.rows(m, 99)
-        arc = [i % 2 == 1 for i in range(m)]
-        self.run_both(oracle._contour_integrand("position", "x",
-                                                np.geomspace(0.1, 1e5, m).tolist(), arc), lo, hi)
+        T = np.geomspace(0.1, 1e5, m).tolist()
+        for arc in ([i % 2 == 1 for i in range(m)], [False] * m):
+            self.run_both(oracle._contour_integrand("position", "x", T, arc), lo, hi)
 
     def test_zero_constant_and_non_finite_nodes(self):
         fx, lo, hi = self.special_rows()
-        self.run_both(self.tabulated(fx), lo, hi)
+        for f in self.tabulated(fx):
+            self.run_both(f, lo, hi)
 
 
 class TestFloatRuleMatchesNumpy:
-    # A batch without an arc piece is ruled in floats, row by row, and its
-    # integrand is the real-axis form of the complex one.  Each row's value,
-    # error and resasc, and the integrand at each node, are numpy's bit for
-    # bit, NaN for NaN.
+    # The float rule and numpy's are two implementations of one G10/K21 rule.
+    # Each point is ruled by one of them only, by its side of the lightcone,
+    # so the oracle does not need them to agree; but the float rule sums each
+    # row in numpy's fixed order, so on the same tabulated rows they agree
+    # bit for bit, NaN for NaN, which cross-checks the float rule's error
+    # estimate, its NaN handling included, against the vectorised one.
     @staticmethod
     def assert_paths_agree(fx, lo, hi):
-        k, rows = list(range(len(lo))), fx.tolist()
-        in_floats = oracle._gk21(lambda x, i: rows[i], k, lo, hi)
-        on_arrays = oracle._gk21(TestRuleAgainstReference.tabulated(fx), k, lo, hi)
-        for got, want in zip(in_floats, on_arrays):
+        k = list(range(len(lo)))
+        on_arrays, in_floats = TestRuleAgainstReference.tabulated(fx)
+        for got, want in zip(oracle._gk21(in_floats, k, lo, hi), oracle._gk21(on_arrays, k, lo, hi)):
             assert bits(got) == bits(want)
 
     @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])
@@ -487,34 +503,13 @@ class TestFloatRuleMatchesNumpy:
     def test_zero_constant_and_non_finite_nodes(self):
         self.assert_paths_agree(*TestRuleAgainstReference.special_rows())
 
-    @pytest.mark.parametrize("kind, component", [(q.kind, q.component) for q in QUANTITIES.values()])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_axis_integrand_is_real_part_of_complex(self, kind, component, seed):
-        # T across (0, 2) and within 1e-5 of the pole, each on one interval
-        # inside [0, T]; the batch's last integral is an arc, so that the same
-        # integrand runs on numpy's complex arrays
-        rng = np.random.default_rng(seed)
-        Ts = [*(2.0 * rng.uniform(size=16)), *(2.0 - 10.0 ** rng.uniform(-5.6, -5.0, 8))]
-        lo = [T * x for T, x in zip(Ts, rng.uniform(size=24))]
-        hi = [a + (T - a) * x for T, a, x in zip(Ts, lo, rng.uniform(size=24))]
-        in_floats = oracle._contour_integrand(kind, component, Ts, [False] * 24)
-        on_arrays = oracle._contour_integrand(kind, component, [*Ts, 3.0], [False] * 24 + [True])
-        assert isinstance(on_arrays, oracle.OnArrays) and not isinstance(in_floats, oracle.OnArrays)
-        nodes = [[0.5 * (a + b) + 0.5 * (b - a) * x for x in NODES] for a, b in zip(lo, hi)]
-        want = on_arrays.f(np.array(nodes), np.arange(24)).tolist()
-        assert [bits(in_floats(x, i)) for i, x in enumerate(nodes)] == [bits(row) for row in want]
-        k = list(range(24))
-        assert [bits(r) for r in oracle._gk21(in_floats, k, lo, hi)] == \
-            [bits(r) for r in oracle._gk21(on_arrays, k, lo, hi)]
-
     @pytest.mark.parametrize("weight", [weight_velocity, weight_position])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_public_weights_on_floats_match_numpy_float_arrays(self, weight, seed):
         # Seeded (tau, t) with t from 1e-320 to 1e308, a third of the position
         # weights past the float range, and pairs whose weight is inf or NaN:
         # a float's ** 2 would raise OverflowError there.  Float arrays only:
-        # numpy divides a complex array by 3.0 as a * (1 / 3.0), which is why
-        # the axis integrand keeps weights of its own.
+        # numpy divides a complex array by 3.0 as a * (1 / 3.0).
         rng = np.random.default_rng(seed)
         t = 10.0 ** rng.uniform(-320.0, 308.0, 10_000)
         edges = [(0.0, 1e200), (0.0, 1e308), (1e300, 1e308), (0.0, math.inf),
@@ -551,6 +546,23 @@ class TestBatchIndependence:
             alone = dispersion_oracle(quantity.kind, quantity.component, up(ratio))
             assert (alone.value, alone.error_estimate) == (result.value, result.error_estimate), \
                 ratio
+
+    @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
+    def test_each_point_ruled_by_its_side_of_the_lightcone(self, rule_calls, quantity):
+        # The mixed batch makes the float calls of its points before the
+        # lightcone, as those points make alone, then the numpy calls of the
+        # points past it: no row before the lightcone reaches numpy, and none
+        # past it the float rule.
+        def calls(ratios):
+            start = len(rule_calls)
+            oracle._scaled(quantity.kind, quantity.component, ratios)
+            return list(zip(rule_calls.branches[start:], rule_calls[start:]))
+
+        mixed = calls((0.5, 1.999, 2.0001, 10.0, 1e4))
+        pre, post = calls((0.5, 1.999)), calls((2.0001, 10.0, 1e4))
+        assert {branch for branch, _ in pre} == {"floats"}
+        assert {branch for branch, _ in post} == {"numpy"}
+        assert mixed == pre + post
 
 
 class TestLookAheadMovesNoBit:
@@ -672,11 +684,12 @@ class TestLookAhead:
             assert rule_calls == rows, ratio
 
     def test_verify_grid_needs_no_more_rule_calls(self, rule_calls, cold_oracle_memo):
-        # each quantity's batch in turn; the velocity z batch past the
+        # each quantity's batches in turn, in a full grid the one before the
+        # lightcone, then the one past it; the velocity z batch past the
         # lightcone takes one halving fewer
         post = [[18, 4], [18, 2], [18, 4], [18, 4]]
         for grid, rows in (("pre-lightcone", [[10]] * 4), ("post-lightcone", post),
-                           ("full", [[28, x] for _, x in post])):
+                           ("full", [[10, *calls] for calls in post])):
             rule_calls.clear()
             cold_oracle_memo.cache_clear()
             verify_grid(grid=grid)

@@ -25,7 +25,12 @@ prints one line per subcommand, with its calls per exit code of the change:
 
     eval       calls   982  differing 0  exits 0:255 2:682 3:45
 
-and, on a line that differs, the first differing call's argv and config.
+and, on a line that differs, the first differing call's argv and config;
+then one line with the calls that draw each --quantity id, by flag or in a
+config file, every known id listed even when no call draws it:
+
+    quantities vel_disp_transverse:412 vel_disp_normal:398 ... bogus:50
+
 It exits 1 if any call differs, else 0.  The default count runs in about
 30 s on a 2-CPU Xeon.
 """
@@ -195,8 +200,9 @@ def config_value(rng: random.Random, value: object) -> object:
 
 
 def draw(rng: random.Random, choices: tuple[str, ...], config_path: str,
-         output_path: str) -> tuple[list[str], bytes | None]:
-    """One call: its argv and the bytes of its --config file (None: no file there).
+         output_path: str) -> tuple[list[str], bytes | None, list[str]]:
+    """One call: its argv, the bytes of its --config file (None: no file there)
+    and the --quantity ids it drew, whether given by flag or in the config.
 
     A tenth of the calls but constants get a bad config and keep every
     setting as a flag, so the config's refusal must come first; a fifth get a
@@ -204,6 +210,7 @@ def draw(rng: random.Random, choices: tuple[str, ...], config_path: str,
     """
     command = rng.choice(COMMANDS)
     settings = settings_for(command, rng, choices)
+    drawn = settings.get("quantity", [])
     roll = 1.0 if command == "constants" else rng.random()
     config = rng.choice(BAD_CONFIGS) if roll < 0.1 else None
     if 0.1 <= roll < 0.3:
@@ -225,7 +232,7 @@ def draw(rng: random.Random, choices: tuple[str, ...], config_path: str,
         argv += ["--config", config_path]
     if rng.random() < 0.02:
         argv.append(rng.choice(("--bogus", "--z", "-h")))
-    return argv, config
+    return argv, config, drawn
 
 
 def outcome(tree: Tree, argv: list[str], config: bytes | None, config_path: Path,
@@ -264,12 +271,14 @@ def main(argv: list[str] | None = None) -> int:
     differing = dict.fromkeys(COMMANDS, 0)
     exits: dict[str, Counter] = {command: Counter() for command in COMMANDS}
     first: dict[str, str] = {}
+    quantities = Counter(dict.fromkeys(parent.cli_io.QUANTITY_CHOICES, 0))
     with tempfile.TemporaryDirectory() as tmp:
         config_path, output_path = Path(tmp, "config.json"), Path(tmp, "out")
         for _ in range(args.count):
-            call, config = draw(rng, parent.cli_io.QUANTITY_CHOICES, str(config_path),
-                                str(output_path))
+            call, config, drawn = draw(rng, parent.cli_io.QUANTITY_CHOICES, str(config_path),
+                                       str(output_path))
             command = call[0]
+            quantities.update(set(drawn))
             before = outcome(parent, call, config, config_path, output_path)
             after = outcome(change, call, config, config_path, output_path)
             exits[command][after[0]] += 1
@@ -282,6 +291,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{command:<10} calls {sum(codes.values()):>5}  differing {differing[command]}"
               "  exits" + "".join(f" {code}:{n}" for code, n in sorted(codes.items()))
               + first.get(command, ""))
+    print("quantities" + "".join(f" {q}:{n}" for q, n in quantities.items()))
     return 1 if any(differing.values()) else 0
 
 
