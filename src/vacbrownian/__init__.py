@@ -13,8 +13,7 @@ length is the meter, so masses and temperatures carry unit 1/m and
 times are light-travel distances.
 
 `import vacbrownian` loads every submodule, the oracle included, and only
-the standard library: the oracle imports numpy itself, at its first
-integral past the lightcone.
+the standard library, which is all that any of them ever needs.
 """
 
 from __future__ import annotations

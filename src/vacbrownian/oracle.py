@@ -22,7 +22,13 @@ it.  Each point is therefore one contour integral at eps = 0: for t < 2z the
 axis from 0 to t; beyond, the axis from 0 to z, a semicircle of radius z
 centred at 2z below the axis, then the axis from 3z to t (run as
 -Int_t^{3z} when t < 3z).  The radius does not shrink with t - 2z, so the
-integrand stays smooth on every piece except near tau = t itself.
+integrand stays smooth on every piece except near tau = t itself.  Each
+piece runs in a variable of its own (see `_contour`): the axis from 0 in
+u = tau/z itself; the semicircle u = 2 + e^{is} in r = tan((s - 3 pi/2)/2)
+on [-1, 1], where e^{is} = (2r - i(1 - r^2))/(1 + r^2) and
+du/dr = 2i e^{is}/(1 + r^2), so that no trigonometric function runs; and
+the tail in v = ln(u - 2), where the integrand varies on the scale of
+u - 2, so a few intervals cover it up to the largest float.
 
 A point's error estimate is the sum of its pieces' quadrature error
 estimates plus eps_mach * Sum |pieces| * max(1, t / |t - 2z|).  The first
@@ -41,20 +47,13 @@ integrals: every (point, contour piece) of one quantity is one integral.
 The bookkeeping is per integral, in plain Python lists: each pass, every
 integral not yet done sums its intervals' values and errors left to right
 and halves its interval of largest error.  The rule runs in one `_gk21`
-call per pass on all new intervals of the batch.  Where it runs depends on
-the point, not on its batch: `_scaled` runs the points before the
-lightcone, t/z <= 2, as one batch ruled in floats, row by row, with the
-public weight times the kernel at z = 1, and the contour pieces of the
-points past it as another, on numpy arrays.  So a point is ruled the same
-way alone as beside any other points, and the two rules need not agree to
-the bit.  The caller integrals are ruled in floats too, so only a
-point past the lightcone imports numpy.  On numpy the integrand at the 21
-nodes of every interval is one row of an (m, 21) array, and each of the
-rule's sums (K and G of f, K of |f| and of |f - mean f|) is that array
-times one weight row, summed along each row.  The arc's integrand is
-complex, and numpy's complex products, fused multiply-adds on CPUs that
-have them, fix its bits; on the few-dozen-row batches past the lightcone
-numpy's rule is also the faster one.
+call per pass on all new intervals of the batch, row by row in Python
+floats, on the public weight times `correlators`' kernel at z = 1, times
+du on the arc and the tail.  Each of the rule's sums (K and G of f, K of
+|f| and of |f - mean f|) adds its 21 products in one fixed order
+(`_row_sum`), so no sum depends on the Python it runs on, and no bit on
+numpy or on the CPU's dispatch; the tail's `math.exp` follows the libm,
+and the arc's complex products are CPython's own.
 An interval's error estimate is QUADPACK's:
 resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
 50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
@@ -75,21 +74,23 @@ runs.  The rule converges on an interval at a rate set by the interval's
 distance to the integrand's nearest singularity (the Bernstein-ellipse
 argument; Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
 *SIAM Rev.* 50, 2008), and the kernels' only singularities are the poles
-u = +-2.  Each piece therefore comes with its nearest singularity in its
-own variable: the pole u = 2 for an axis piece, and for the arc
-s = pi - i ln 4, where its continuation meets the pole u = -2.  `_mesh`
-halves each piece, level by level, wherever an interval is longer than
-twice its distance to that singularity (its docstring says why twice),
-putting each half in the slot the pass loop would, and the first rule call
-runs all of the batch's starting intervals.  So each integral makes the
-loop's halvings and sums in the loop's order: on seeded checks from
-t/z = 100 to 1e10 every value and estimate is bit for bit the plain loop's,
-and below t/z = 100 a point moves by at most a few hundredths of its
-estimate, where the loop meets its tolerance before the mesh's last level.  A
-lone far-band point (velocity x, t/z = 1e4) starts from 17 intervals in
-one rule call and halves none, where the plain loop took 14 calls.  A piece
-that would need more than MAX_SUBDIVISIONS intervals is refused before any
-rule runs: a tail [3, T] from t/z between 1e60 and 2e60 on.
+u = +-2.  Each piece therefore comes with a singularity in its own
+variable, `_POLES`: the pole u = 2 for the axis; for the arc and the tail,
+whose true nearest lie where u meets -2 (r = -(8 + 15i)/17,
+v = ln 4 + i pi), points nearer the real line, chosen by measurement so
+that a point's mesh leaves the pass loop nothing to halve.  `_mesh` halves
+each piece, level by level, wherever an interval is longer than twice its
+distance to that singularity, putting each half in the slot the pass loop
+would, and the first rule call runs all of the batch's starting intervals.
+On
+`tools/ab_oracle.py`'s draws every point takes one rule call, of 1.07, 5.62
+and 7.53 rows before the lightcone, past it and in the far band
+(t/z > 100); a lone far-band point (velocity x, t/z = 1e4) starts from 8
+intervals and halves none.  The tail starts from at most 10 intervals up to
+the largest float, so the MAX_SUBDIVISIONS cap of `_mesh` refuses no
+contour piece.  The arc's nodes and its kernel times du/dr depend on no T,
+so `_arc` holds them per interval in a `functools.lru_cache(maxsize=256)`,
+and an arc row computes only the weight.
 `reduced_time_integral` and `direct_time_integral` call the caller's
 Python f once per node, in floats, and pass no singularity, so they start
 from one interval.
@@ -114,6 +115,7 @@ import math
 import sys
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from operator import mul
 
 from .correlators import (
     RegulatorSpec,
@@ -248,27 +250,6 @@ _TINY = sys.float_info.min
 # real integrand at those nodes.
 Integrand = Callable[[list[float], int], list[float]]
 
-OnArrays = namedtuple("OnArrays", "f")
-OnArrays.__doc__ = """An integrand on numpy arrays, which `_gk21` rules with numpy.
-
-    ``f`` takes the nodes of shape (m, 21) on intervals of the integrals k,
-    shape (m,), to the real integrand at those nodes.
-    """
-
-
-@functools.cache
-def _numpy() -> tuple:
-    """numpy, imported on the first batch ruled on arrays, and the nodes and both
-    weight rows as its arrays; without numpy, a ModuleNotFoundError that says
-    what needs it."""
-    try:
-        import numpy
-    except ModuleNotFoundError as exc:
-        raise ModuleNotFoundError(f"oracle integrals past the lightcone (t/z > 2) need numpy: "
-                                  f"{exc}", name=exc.name) from exc
-
-    return numpy, numpy.array(NODES), numpy.array(KRONROD_WEIGHTS), numpy.array(GAUSS_WEIGHTS)
-
 
 def _row_sum(a: list[float]) -> float:
     """The sum of 21 floats in one fixed order, the same on every Python
@@ -280,39 +261,17 @@ def _row_sum(a: list[float]) -> float:
                   + a[16] + a[17] + a[18] + a[19] + a[20])
 
 
-def _gk21(f: Integrand | OnArrays, k: Sequence[int], lo: Sequence[float],
+def _gk21(f: Integrand, k: Sequence[int], lo: Sequence[float],
           hi: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
-    """The G10/K21 rule on each interval [lo, hi], lo <= hi, of integral k: the
-    lists of their values, errors and resasc.
-
-    An `OnArrays` integrand's rows run as one numpy batch; any other's run row
-    by row in floats.
-    """
-    if isinstance(f, OnArrays):
-        np, nodes, kronrod_weights, gauss_weights = _numpy()
-        lo, hi = np.array(lo), np.array(hi)
-        with np.errstate(all="ignore"):
-            centre = 0.5 * (lo + hi)
-            half = 0.5 * (hi - lo)
-            fx = f.f(centre[:, None] + half[:, None] * nodes, np.array(k))
-            kronrod = (fx * kronrod_weights).sum(axis=1)  # each row along its own 21 nodes
-            gauss = (fx * gauss_weights).sum(axis=1)
-            resabs = (np.abs(fx) * kronrod_weights).sum(axis=1) * half
-            resasc = (np.abs(fx - 0.5 * kronrod[:, None]) * kronrod_weights).sum(axis=1) * half
-            err = np.abs((kronrod - gauss) * half)
-            ratio = 200.0 * err / resasc
-            err = np.where((resasc != 0.0) & (err != 0.0),
-                           resasc * np.minimum(1.0, ratio * np.sqrt(ratio)), err)
-            err = np.maximum(err, 50.0 * _EPS * resabs)
-        return (kronrod * half).tolist(), err.tolist(), resasc.tolist()
-
+    """The G10/K21 rule on each interval [lo, hi], lo <= hi, of integral k, row
+    by row in floats: the lists of their values, errors and resasc."""
     values, errors, resascs = [], [], []
     for i, a, b in zip(k, lo, hi):
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
         fx = f([centre + half * x for x in NODES], i)
-        kronrod = _row_sum([y * w for y, w in zip(fx, KRONROD_WEIGHTS)])
-        gauss = _row_sum([y * w for y, w in zip(fx, GAUSS_WEIGHTS)])
-        resabs = _row_sum([abs(y) * w for y, w in zip(fx, KRONROD_WEIGHTS)]) * half
+        kronrod = _row_sum(list(map(mul, fx, KRONROD_WEIGHTS)))
+        gauss = _row_sum(list(map(mul, fx, GAUSS_WEIGHTS)))
+        resabs = _row_sum(list(map(mul, map(abs, fx), KRONROD_WEIGHTS))) * half
         mean = 0.5 * kronrod
         resasc = _row_sum([abs(y - mean) * w for y, w in zip(fx, KRONROD_WEIGHTS)]) * half
         err = abs((kronrod - gauss) * half)
@@ -337,8 +296,8 @@ def _mesh(lo: float, hi: float, pole: complex) -> list[tuple[float, float]]:
     ellipse of rho = 2 + sqrt 3, and rho^-32 = 5e-19 is below double precision
     (Trefethen, *SIAM Rev.* 50, 2008), so the pass loop stops halving there
     too.  A pole at infinity leaves the one interval.  A piece that needs
-    more than MAX_SUBDIVISIONS intervals, a singularity on it or a tail past
-    t/z of about 1e60, is refused before any rule runs.
+    more than MAX_SUBDIVISIONS intervals, as one with its singularity on it
+    does, is refused before any rule runs.
     """
     span, level = [(lo, hi)], [0]
     while level:
@@ -357,7 +316,7 @@ def _mesh(lo: float, hi: float, pole: complex) -> list[tuple[float, float]]:
     return span
 
 
-def _integrate(f: Integrand | OnArrays, a: Sequence[float], b: Sequence[float],
+def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                poles: Sequence[complex] = ()) -> tuple[list[float], list[float]]:
     """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
 
@@ -463,50 +422,65 @@ def _check_time(t: float) -> None:
 
 # --- oracle entry points --------------------------------------------------------
 
-# The integrand's nearest singularity on the arc, in the arc's own variable s:
-# where its continuation u = 2 + e^{is} meets the kernels' other pole, u = -2.
-# Every axis piece's nearest is the pole u = 2 itself.
-_ARC_POLE = complex(math.pi, -math.log(4.0))
+# Each contour piece's singularity for `_mesh`, in the piece's own variable.
+# The axis's is the pole u = 2 itself.  The arc's and the tail's true nearest
+# lie where u meets the pole u = -2, at r = -(8 + 15i)/17 and v = ln 4 + i pi;
+# at twice their distance a point took 1.6 to 1.9 rule calls, the pass loop
+# halving what the mesh had left.  Their imaginary parts are therefore
+# shortened, by measurement, to where every point takes one call and no
+# seed of oracle_audit fails more often: the arc then starts from
+# [-1, -1/2], [-1/2, 0] and [0, 1], and the tail from at most 10 intervals
+# up to the largest float.
+_POLES = {"axis": 2.0, "arc": complex(-8.0 / 17.0, -0.45), "tail": complex(math.log(4.0), 1.1)}
 
 
-def _contour(T: float) -> list[tuple[float, float, bool, float]]:
-    """(a, b, arc, sign) of each piece of one scaled oracle integral, z = 1, in path order.
+def _contour(T: float) -> list[tuple[float, float, str, float]]:
+    """(a, b, piece, sign) of each piece of one scaled oracle integral, z = 1, in path order.
 
-    For T <= 2 one piece on the axis.  Beyond, the axis from 0 to 1, the
-    semicircle u = 2 + e^{is} over s in [pi, 2 pi], below the pole, and the
-    axis from 3 to T; when T < 3 that is -Int_T^3, since `_gk21` needs lo <= hi.
+    For T <= 2 one piece on the axis, u from 0 to T.  Beyond, the axis from 0
+    to 1; the arc, over r in [-1, 1], below the pole from u = 1 to 3; and the
+    tail, in v = ln(u - 2) from 0 to ln(T - 2), which for T < 3 is
+    -Int_{ln(T - 2)}^0, since `_gk21` needs lo <= hi.
     """
     if T <= 2.0:
-        return [(0.0, T, False, 1.0)]
-    tail = (3.0, T, False, 1.0) if T >= 3.0 else (T, 3.0, False, -1.0)
-    return [(0.0, 1.0, False, 1.0), (math.pi, 2.0 * math.pi, True, 1.0), tail]
+        return [(0.0, T, "axis", 1.0)]
+    end = math.log(T - 2.0)
+    tail = (0.0, end, "tail", 1.0) if end >= 0.0 else (end, 0.0, "tail", -1.0)
+    return [(0.0, 1.0, "axis", 1.0), (-1.0, 1.0, "arc", 1.0), tail]
+
+
+@functools.lru_cache(maxsize=256)
+def _arc(component: str, r: tuple[float, ...]) -> list[tuple[complex, complex]]:
+    """(u, kernel(u) du/dr) at each arc node r, which depend on no T.
+
+    e^{is} = (2r - i(1 - r^2))/(1 + r^2) runs the semicircle u = 2 + e^{is}
+    without a trigonometric function, and du/dr = 2i e^{is}/(1 + r^2).  Held
+    per interval, so an arc row computes only the weight; past 256 intervals
+    the least recently used one goes.
+    """
+    kernel, nodes = _KERNELS[component], []
+    for x in r:
+        d = 1.0 + x * x
+        turn = complex(2.0 * x / d, (x * x - 1.0) / d)
+        u = 2.0 + turn
+        nodes.append((u, kernel(u, 1.0) * complex(-2.0 * turn.imag / d, 2.0 * turn.real / d)))
+    return nodes
 
 
 def _contour_integrand(kind: str, component: str, T: Sequence[float],
-                       arc: Sequence[bool]) -> Integrand | OnArrays:
-    """Re of weight(u, T) kernel(u) du/ds on each integral's piece.
-
-    On the axis u = s; on the semicircle u = 2 + e^{is}.  A batch without an
-    arc piece runs in floats, one with one on numpy's complex arrays.
-    """
+                       pieces: Sequence[str]) -> Integrand:
+    """Re of weight(u, T) kernel(u) du on each integral's piece, in its variable:
+    u on the axis, r on the arc (`_arc`), v = ln(u - 2) on the tail."""
     weight, kernel = _weight(kind), _KERNELS[component]
-    if not any(arc):
-        return lambda x, i: [weight(u, T[i]) * kernel(u, 1.0) for u in x]
 
-    np = _numpy()[0]
-    T, arc = np.array(T), np.array(arc)
-
-    def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        u = s.astype(complex)
-        on_arc = np.flatnonzero(arc[k])
-        if on_arc.size:
-            turn = np.exp(1j * s[on_arc])
-            u[on_arc] = 2.0 + turn
-        g = weight(u, T[k][:, None]) * kernel(u, 1.0)
-        if on_arc.size:
-            g[on_arc] *= 1j * turn  # du/ds, which is 1 on the axis
-        return g.real
-    return OnArrays(f)
+    def f(x: list[float], i: int) -> list[float]:
+        t, piece = T[i], pieces[i]
+        if piece == "axis":
+            return [weight(u, t) * kernel(u, 1.0) for u in x]
+        if piece == "arc":
+            return [(weight(u, t) * g).real for u, g in _arc(component, tuple(x))]
+        return [weight(2.0 + du, t) * kernel(2.0 + du, 1.0) * du for du in map(math.exp, x)]
+    return f
 
 
 def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
@@ -519,23 +493,12 @@ def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
 def _scaled(kind: str, component: str,
             Ts: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
     """Each scaled integral's (value, error estimate) at z = 1, t/z = T, in the
-    order of Ts: the points before the lightcone, T <= 2, run as one `_batch`,
-    ruled in floats, then those past it as another, on numpy; so no point's
-    bits depend on the points it comes with."""
-    before = [T <= 2.0 for T in Ts]
-    sides = {side: iter(_batch(kind, component, [T for T, b in zip(Ts, before) if b is side]))
-             for side in (True, False) if side in before}
-    return tuple(next(sides[b]) for b in before)
-
-
-def _batch(kind: str, component: str, Ts: list[float]) -> list[tuple[float, float]]:
-    """Each T's (value, error estimate): every contour piece of every T as one
-    `_integrate` batch, then each T's sums."""
+    order of Ts: every contour piece of every T as one `_integrate` batch, then
+    each T's sums.  No integral's bits depend on the batch it runs in."""
     contours = [_contour(T) for T in Ts]
-    piece_T, a, b, arc, signs = zip(*((T, *piece) for T, pieces in zip(Ts, contours)
-                                      for piece in pieces))
-    integrand = _contour_integrand(kind, component, piece_T, arc)
-    values, errors = _integrate(integrand, a, b, [_ARC_POLE if on_arc else 2.0 for on_arc in arc])
+    piece_T, a, b, pieces, signs = zip(*((T, *piece) for T, c in zip(Ts, contours) for piece in c))
+    values, errors = _integrate(_contour_integrand(kind, component, piece_T, pieces), a, b,
+                                [_POLES[piece] for piece in pieces])
 
     scaled = []
     i = 0
@@ -547,7 +510,7 @@ def _batch(kind: str, component: str, Ts: list[float]) -> list[tuple[float, floa
                           * max(1.0, T / abs(T - 2.0)))
         scaled.append((math.fsum(parts), error_estimate))
         i = j
-    return scaled
+    return tuple(scaled)
 
 
 # `verify_grid`'s `_scaled`; see the module docstring
@@ -599,10 +562,10 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
 
     ``f`` is called once per node with a float; t must be finite and > 0.
     The integral starts from the one interval [0, t]; each pass halves one
-    interval and rules its two halves in floats, without numpy.
+    interval and rules its two halves.
     ``reduced_time_integral(math.cos, 1.0, "velocity")``, settled by one rule
-    call, takes 0.028 ms, 0.050 ms with the numpy rule (minimum of 20 calls
-    in process, best of five sets, 2-CPU Xeon, Python 3.11).
+    call, takes 0.028 ms (minimum of 20 calls in process, best of five sets,
+    2-CPU Xeon, Python 3.11).
     """
     weight = _weight(kind)  # refuses an unknown kind
     _check_time(t)

@@ -68,9 +68,11 @@ def test_tree_against_itself_prints_rule_and_time_lines():
 
 
 def test_different_outcomes_counted_then_timed(tmp_path):
-    # a looser tolerance moves oracle values: they are counted, everything
-    # is still timed, and the exit code says that something differed
-    change = changed_copy(tmp_path, lambda text: text.replace("EPSREL = 1e-12", "EPSREL = 1e-6"))
+    # a finer mesh, each interval halved while longer than its distance to the
+    # singularity, moves oracle values: they are counted, everything is still
+    # timed, and the exit code says that something differed
+    change = changed_copy(tmp_path, lambda text: text.replace("b - a > 2.0 * abs(",
+                                                              "b - a > 1.0 * abs("))
     proc = ab(SRC, change)
     assert proc.returncode == 1
     assert DIFFER.fullmatch(proc.stderr), proc.stderr

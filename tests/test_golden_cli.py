@@ -6,7 +6,7 @@ argv, an optional config object (written to a file and passed with
 ``cli_io.main`` in-process and must reproduce all three exactly.
 
 The recorded values are floating-point results printed with ``repr``, so
-they pin this platform's libm and numpy down to the last bit.  After an
+they pin this platform's libm down to the last bit.  After an
 intended output change, re-record with::
 
     PYTHONPATH=src python tests/test_golden_cli.py

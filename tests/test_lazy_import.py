@@ -1,6 +1,6 @@
-"""Import hygiene: `import vacbrownian` loads every submodule and only the standard
-library, numpy loads only for an oracle integral with a piece past the lightcone,
-scipy never, and the closed-form paths load no costly standard-library module."""
+"""Import hygiene: `import vacbrownian` and every subcommand load the package's own
+modules and the standard library only, numpy and scipy never, and the closed-form
+paths load no costly standard-library module."""
 
 from __future__ import annotations
 
@@ -144,26 +144,13 @@ def test_arc_free_oracle_calls_leave_numpy_unloaded():
     assert modules_after("\n".join(ARC_FREE_CALLS), "numpy") == []
 
 
-@pytest.mark.parametrize("code", [run_main(["verify", "--grid", "post-lightcone"]),
-                                  POINT.format(3.0)], ids=["verify-post-lightcone", "point"])
-def test_arc_pieces_load_numpy(code):
-    assert "numpy" in modules_after(code, "numpy")
-
-
-def test_grid_past_the_lightcone_without_numpy_names_numpy():
-    # an internal error still, exit 70, but one that says what is missing
-    out = run_fresh(
-        "import contextlib, io, sys\n"
-        "sys.modules['numpy'] = None\n"
-        "from vacbrownian.cli_io import main\n"
-        "out, err = io.StringIO(), io.StringIO()\n"
-        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "    code = main(['verify', '--grid', 'post-lightcone'])\n"
-        "print(repr((code, out.getvalue(), err.getvalue())))\n")
-    code, stdout, stderr = ast.literal_eval(out)
-    assert (code, stdout) == (70, "")
-    assert stderr.startswith("error: internal: ModuleNotFoundError: oracle integrals past the "
-                             "lightcone (t/z > 2) need numpy: "), stderr
+def test_every_subcommand_loads_only_the_standard_library():
+    # every module that main() adds, a full verify grid's oracle included, is
+    # the package's own or the standard library's
+    added = modules_added_by(run_main(*CLOSED_FORM_CALLS, ["verify", "--grid", "full"]))
+    assert "vacbrownian.oracle" in added
+    allowed = {*sys.stdlib_module_names, "vacbrownian"}
+    assert {m for m in added if m.split(".")[0] not in allowed} == set()
 
 
 def test_every_public_name_resolves():

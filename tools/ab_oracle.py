@@ -5,8 +5,9 @@
 PARENT_SRC and CHANGE_SRC are directories that hold a `vacbrownian` package,
 such as the `src` of two checkouts.  The package imports itself by relative
 imports only, so each tree loads under its own name and both run in one
-process, on one numpy and one CPU state.  A separate process per tree would
-add its own start-up and cache noise to differences of a few percent.
+process, on one interpreter and one CPU state; the script itself needs only
+the standard library.  A separate process per tree would add its own
+start-up and cache noise to differences of a few percent.
 
 The script first compares the two trees' `dispersion_oracle` outcomes, the
 value and error estimate or the refusal's type and message, at every probe
@@ -34,7 +35,7 @@ one full `verify_grid` on an empty memo.  Before the rounds it prints, for
 each probe, the `_gk21` rule calls and rule rows that each tree makes per
 call (per point, or per grid), counted on one untimed run:
 
-    far   rule calls parent 3.15  change 1.00  rows parent 39.10  change 34.65
+    far   rule calls parent 1.25  change 1.00  rows parent 17.32  change 7.53
 
 and after them one line per probe:
 
