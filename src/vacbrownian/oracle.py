@@ -23,19 +23,31 @@ axis from 0 to t; beyond, the axis from 0 to z, a semicircle of radius z
 centred at 2z below the axis, then the axis from 3z to t (run as
 -Int_t^{3z} when t < 3z).  The radius does not shrink with t - 2z, so the
 integrand stays smooth on every piece except near tau = t itself.  Each
-piece runs in a variable of its own (see `_contour`): the axis from 0 in
-u = tau/z itself; the semicircle u = 2 + e^{is} in r = tan((s - 3 pi/2)/2)
-on [-1, 1], where e^{is} = (2r - i(1 - r^2))/(1 + r^2) and
-du/dr = 2i e^{is}/(1 + r^2), so that no trigonometric function runs; and
-the tail in v = ln(u - 2), where the integrand varies on the scale of
-u - 2, so a few intervals cover it up to the largest float.
+piece runs in a variable of its own: the axis from 0 in u = tau/z itself;
+the semicircle u = 2 + e^{is} in r = tan((s - 3 pi/2)/2) on [-1, 1], where
+e^{is} = (2r - i(1 - r^2))/(1 + r^2) and du/dr = 2i e^{is}/(1 + r^2), so
+that no trigonometric function runs (`_arc_point`); and the tail in
+v = ln(u - 2), where the integrand varies on the scale of u - 2, so a few
+intervals cover it up to the largest float (`_contour`).
+
+Past the lightcone the weight is a polynomial in u, Sum_j c_j(T) u^j with
+j in {0, 1} (velocity: 2T - 2u) or {0, 1, 3} (position:
+(2/3)T^3 - T^2 u + u^3/3).  So the axis from 0 to 1 plus the arc is
+Sum_j c_j(T) F_j, where the moments F_j = Re Int u^j kernel(u) du over those
+two pieces depend on no T.  `_moments` rules them once per process and
+component, lazily, on the first point past the lightcone, and each such
+point then rules only its tail.  Each F_j is the math.fsum of all its
+Kronrod products, rounded once; summed interval by interval, as an integral
+is, they left the far band's transverse errors 2.6 to 5 times larger
+(median and worst over 300 seeded points, t/z from 1e2 to 1e6).
 
 A point's error estimate is the sum of its pieces' quadrature error
-estimates plus eps_mach * Sum |pieces| * max(1, t / |t - 2z|).  The first
-term is how well the rule fits the integrand it was given; the second
-covers what it cannot see, the rounding of the pieces' cancelling sum and of
-the nodes next to the pole (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2002, ch. 4).
+estimates, the moments' E_j each times |c_j(T)|, plus
+eps_mach * Sum |parts| * max(1, t / |t - 2z|), where the parts are the
+tail and each c_j F_j.  The first terms are how well the rule fits the
+integrands it was given; the last covers what they cannot see, the rounding
+of the parts' cancelling sum and of the nodes next to the pole (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4).
 
 Internally everything is computed at z = 1 in the scaled variables
 u = tau/z, T = t/z and rescaled afterward; this keeps absolute quadrature
@@ -43,17 +55,17 @@ tolerances meaningful for any z.
 
 Quadrature is QUADPACK's globally adaptive 21-point Gauss-Kronrod rule
 (G10/K21; Piessens et al., *QUADPACK*, 1983; Kronrod 1965) over a batch of
-integrals: every (point, contour piece) of one quantity is one integral.
+integrals: each point's one ruled piece, of one quantity, is one integral.
 The bookkeeping is per integral, in plain Python lists: each pass, every
 integral not yet done sums its intervals' values and errors left to right
 and halves its interval of largest error.  The rule runs in one `_gk21`
 call per pass on all new intervals of the batch, row by row in Python
 floats, on the public weight times `correlators`' kernel at z = 1, times
-du on the arc and the tail.  Each of the rule's sums (K and G of f, K of
-|f| and of |f - mean f|) adds its 21 products in one fixed order
-(`_row_sum`), so no sum depends on the Python it runs on, and no bit on
-numpy or on the CPU's dispatch; the tail's `math.exp` follows the libm,
-and the arc's complex products are CPython's own.
+du on the tail.  Each of the rule's sums (K and G of f, K of |f| and of
+|f - mean f|) adds its 21 products in one fixed order (`_row_sum`), so no
+sum depends on the Python it runs on, and no bit on numpy or on the CPU's
+dispatch; the tail's `math.exp` follows the libm, and the moments' complex
+products are CPython's own.
 An interval's error estimate is QUADPACK's:
 resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
 50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
@@ -82,15 +94,13 @@ that a point's mesh leaves the pass loop nothing to halve.  `_mesh` halves
 each piece, level by level, wherever an interval is longer than twice its
 distance to that singularity, putting each half in the slot the pass loop
 would, and the first rule call runs all of the batch's starting intervals.
-On
-`tools/ab_oracle.py`'s draws every point takes one rule call, of 1.07, 5.62
-and 7.53 rows before the lightcone, past it and in the far band
-(t/z > 100); a lone far-band point (velocity x, t/z = 1e4) starts from 8
-intervals and halves none.  The tail starts from at most 10 intervals up to
-the largest float, so the MAX_SUBDIVISIONS cap of `_mesh` refuses no
-contour piece.  The arc's nodes and its kernel times du/dr depend on no T,
-so `_arc` holds them per interval in a `functools.lru_cache(maxsize=256)`,
-and an arc row computes only the weight.
+On `tools/ab_oracle.py`'s draws every point takes one rule call, of 1.07,
+1.62 and 3.52 rows before the lightcone, past it and in the far band
+(t/z > 100), once the moments are held; a lone far-band point (velocity x,
+t/z = 1e4) starts its tail from 4 intervals and halves none.  The moments
+take one rule call of 4 rows per power and component: [0, 1] whole and the
+arc in three.  The tail starts from at most 10 intervals up to the largest
+float, so the MAX_SUBDIVISIONS cap of `_mesh` refuses no contour piece.
 `reduced_time_integral` and `direct_time_integral` call the caller's
 Python f once per node, in floats, and pass no singularity, so they start
 from one interval.
@@ -192,11 +202,25 @@ def weight_position(tau, t):
     return gap * gap * (2.0 * t + tau) / 3.0
 
 
-_WEIGHTS = {"velocity": weight_velocity, "position": weight_position}
+def _velocity_coefficients(t):
+    """(c_0, c_1): weight_velocity(u, t) = c_0 + c_1 u."""
+    return 2.0 * t, -2.0
 
 
-def _weight(kind: str) -> Callable:
-    """The time weight of ``kind``; refuses a kind other than 'velocity' or 'position'."""
+def _position_coefficients(t):
+    """(c_0, c_1, c_3): weight_position(u, t) = c_0 + c_1 u + c_3 u^3."""
+    return 2.0 / 3.0 * t * t * t, -t * t, 1.0 / 3.0
+
+
+# Each kind's weight and its coefficients c_j(t) by power j of u, in the order
+# of `_POWERS`.
+_WEIGHTS = {"velocity": (weight_velocity, _velocity_coefficients),
+            "position": (weight_position, _position_coefficients)}
+
+
+def _weight(kind: str) -> tuple[Callable, Callable]:
+    """The time weight of ``kind`` and its coefficients; refuses a kind other than
+    'velocity' or 'position'."""
     weight = _WEIGHTS.get(kind)
     if weight is None:
         raise ValueError("kind must be 'velocity' or 'position'")
@@ -433,52 +457,74 @@ def _check_time(t: float) -> None:
 # up to the largest float.
 _POLES = {"axis": 2.0, "arc": complex(-8.0 / 17.0, -0.45), "tail": complex(math.log(4.0), 1.1)}
 
+# u^j for each power j = 0, 1, 3 of the weights' coefficients, as products:
+# a float's ** would follow the libm.
+_POWERS = (lambda u: 1.0, lambda u: u, lambda u: u * u * u)
 
-def _contour(T: float) -> list[tuple[float, float, str, float]]:
-    """(a, b, piece, sign) of each piece of one scaled oracle integral, z = 1, in path order.
 
-    For T <= 2 one piece on the axis, u from 0 to T.  Beyond, the axis from 0
-    to 1; the arc, over r in [-1, 1], below the pole from u = 1 to 3; and the
-    tail, in v = ln(u - 2) from 0 to ln(T - 2), which for T < 3 is
-    -Int_{ln(T - 2)}^0, since `_gk21` needs lo <= hi.
+def _contour(T: float) -> tuple[float, float, str, float]:
+    """(a, b, piece, sign) of the piece of one scaled oracle integral, z = 1, that
+    is ruled per point.
+
+    For T <= 2 the axis, u from 0 to T.  Beyond, the tail, in v = ln(u - 2)
+    from 0 to ln(T - 2), which for T < 3 is -Int_{ln(T - 2)}^0, since `_gk21`
+    needs lo <= hi; the axis from 0 to 1 and the arc are `_moments`.
     """
     if T <= 2.0:
-        return [(0.0, T, "axis", 1.0)]
+        return 0.0, T, "axis", 1.0
     end = math.log(T - 2.0)
-    tail = (0.0, end, "tail", 1.0) if end >= 0.0 else (end, 0.0, "tail", -1.0)
-    return [(0.0, 1.0, "axis", 1.0), (-1.0, 1.0, "arc", 1.0), tail]
+    return (0.0, end, "tail", 1.0) if end >= 0.0 else (end, 0.0, "tail", -1.0)
 
 
-@functools.lru_cache(maxsize=256)
-def _arc(component: str, r: tuple[float, ...]) -> list[tuple[complex, complex]]:
-    """(u, kernel(u) du/dr) at each arc node r, which depend on no T.
+def _arc_point(r: float) -> tuple[complex, complex]:
+    """(u, du/dr) at r on the arc: e^{is} = (2r - i(1 - r^2))/(1 + r^2) runs the
+    semicircle u = 2 + e^{is} without a trigonometric function, and
+    du/dr = 2i e^{is}/(1 + r^2)."""
+    d = 1.0 + r * r
+    turn = complex(2.0 * r / d, (r * r - 1.0) / d)
+    return 2.0 + turn, complex(-2.0 * turn.imag / d, 2.0 * turn.real / d)
 
-    e^{is} = (2r - i(1 - r^2))/(1 + r^2) runs the semicircle u = 2 + e^{is}
-    without a trigonometric function, and du/dr = 2i e^{is}/(1 + r^2).  Held
-    per interval, so an arc row computes only the weight; past 256 intervals
-    the least recently used one goes.
+
+@functools.lru_cache(maxsize=None)
+def _moments(component: str) -> tuple[tuple[float, float], ...]:
+    """(F_j, E_j) for each power j of `_POWERS`: F_j = Re Int u^j kernel(u) du
+    over the axis from 0 to 1 and the arc, and E_j its error estimate.
+
+    Neither depends on T, so each is ruled once per process and component, on
+    its pieces' `_mesh`, in one `_gk21` call per power, the kernel times du
+    computed once for all three.  F_j is the math.fsum of all its Kronrod
+    products, so it is rounded once, and E_j the fsum of its intervals' error
+    estimates.
     """
-    kernel, nodes = _KERNELS[component], []
-    for x in r:
-        d = 1.0 + x * x
-        turn = complex(2.0 * x / d, (x * x - 1.0) / d)
-        u = 2.0 + turn
-        nodes.append((u, kernel(u, 1.0) * complex(-2.0 * turn.imag / d, 2.0 * turn.real / d)))
-    return nodes
+    kernel, span, nodes = _KERNELS[component], [], []
+    for piece, a, b in (("axis", 0.0, 1.0), ("arc", -1.0, 1.0)):
+        for lo, hi in _mesh(a, b, _POLES[piece]):
+            centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            x = [centre + half * r for r in NODES]
+            path = [(u, 1.0) for u in x] if piece == "axis" else map(_arc_point, x)
+            span.append((lo, hi, half))
+            nodes.append([(u, kernel(u, 1.0) * du) for u, du in path])
+    lo, hi, halves = zip(*span)
+    moments = []
+    for power in _POWERS:
+        rows = [[(power(u) * g).real for u, g in row] for row in nodes]
+        errors = _gk21(lambda _, i: rows[i], range(len(rows)), lo, hi)[1]
+        products = (half * w * y for half, row in zip(halves, rows)
+                    for w, y in zip(KRONROD_WEIGHTS, row))
+        moments.append((math.fsum(products), math.fsum(errors)))
+    return tuple(moments)
 
 
 def _contour_integrand(kind: str, component: str, T: Sequence[float],
                        pieces: Sequence[str]) -> Integrand:
-    """Re of weight(u, T) kernel(u) du on each integral's piece, in its variable:
-    u on the axis, r on the arc (`_arc`), v = ln(u - 2) on the tail."""
-    weight, kernel = _weight(kind), _KERNELS[component]
+    """weight(u, T) kernel(u) du on each integral's piece, in its variable: u on
+    the axis, v = ln(u - 2) on the tail."""
+    weight, kernel = _weight(kind)[0], _KERNELS[component]
 
     def f(x: list[float], i: int) -> list[float]:
-        t, piece = T[i], pieces[i]
-        if piece == "axis":
+        t = T[i]
+        if pieces[i] == "axis":
             return [weight(u, t) * kernel(u, 1.0) for u in x]
-        if piece == "arc":
-            return [(weight(u, t) * g).real for u, g in _arc(component, tuple(x))]
         return [weight(2.0 + du, t) * kernel(2.0 + du, 1.0) * du for du in map(math.exp, x)]
     return f
 
@@ -493,23 +539,25 @@ def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
 def _scaled(kind: str, component: str,
             Ts: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
     """Each scaled integral's (value, error estimate) at z = 1, t/z = T, in the
-    order of Ts: every contour piece of every T as one `_integrate` batch, then
-    each T's sums.  No integral's bits depend on the batch it runs in."""
-    contours = [_contour(T) for T in Ts]
-    piece_T, a, b, pieces, signs = zip(*((T, *piece) for T, c in zip(Ts, contours) for piece in c))
-    values, errors = _integrate(_contour_integrand(kind, component, piece_T, pieces), a, b,
+    order of Ts: every T's `_contour` piece as one `_integrate` batch, plus, past
+    the lightcone, Sum_j c_j(T) F_j of the `_moments`, with Sum_j |c_j| E_j in
+    the estimate.  No integral's bits depend on the batch it runs in."""
+    a, b, pieces, signs = zip(*map(_contour, Ts))
+    values, errors = _integrate(_contour_integrand(kind, component, Ts, pieces), a, b,
                                 [_POLES[piece] for piece in pieces])
+    coefficients = _weight(kind)[1]
 
     scaled = []
-    i = 0
-    for T, pieces in zip(Ts, contours):
-        j = i + len(pieces)
+    for T, piece, sign, value, error in zip(Ts, pieces, signs, values, errors):
+        parts, errs = [sign * value], [error]
+        if piece == "tail":
+            for c, (moment, moment_error) in zip(coefficients(T), _moments(component)):
+                parts.append(c * moment)
+                errs.append(abs(c) * moment_error)
         # fsum rounds once, alike on every Python (sum() compensates from 3.12 on)
-        parts = [sign * v for sign, v in zip(signs[i:j], values[i:j])]
-        error_estimate = (math.fsum(errors[i:j]) + _EPS * math.fsum(map(abs, parts))
+        error_estimate = (math.fsum(errs) + _EPS * math.fsum(map(abs, parts))
                           * max(1.0, T / abs(T - 2.0)))
         scaled.append((math.fsum(parts), error_estimate))
-        i = j
     return tuple(scaled)
 
 
@@ -567,7 +615,7 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
     call, takes 0.028 ms (minimum of 20 calls in process, best of five sets,
     2-CPU Xeon, Python 3.11).
     """
-    weight = _weight(kind)  # refuses an unknown kind
+    weight = _weight(kind)[0]  # refuses an unknown kind
     _check_time(t)
     return _integrate(lambda x, _: [weight(u, t) * float(f(u)) for u in x], [0.0], [t])[0][0]
 

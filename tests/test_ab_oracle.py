@@ -19,6 +19,9 @@ OUTCOME_LINE = re.compile(r"(pre|post|far) +outcomes differ (\d+) of 2  refusals
 GRID_LINE = re.compile(r"grid  cells differ (\d+) of 252  largest move (\S+) parent estimates")
 DIFFER = re.compile(r"error: \d+ outcomes or grid cells differ\n")
 FAILED_LINE = re.compile(r"(pre|post|far|grid) +failed parent (\d+)  change (\d+)  of (2|36)")
+REL_ERR = r"(\d\.\d\de[+-]\d\d|nan)"
+ERROR_LINE = re.compile(rf"(pre|post|far) +rel err median parent {REL_ERR}  change {REL_ERR}  "
+                        rf"worst parent {REL_ERR}  change {REL_ERR}")
 
 
 def ab(parent, change):
@@ -36,27 +39,34 @@ def changed_copy(tmp_path, edit):
 
 
 def parsed(stdout):
-    """The outcome, grid, failed, rule and time lines, each matched."""
+    """The outcome, grid, failed, error, rule and time lines, each matched."""
     lines = stdout.splitlines()
-    assert len(lines) == 16, stdout
+    assert len(lines) == 19, stdout
     found = ([OUTCOME_LINE.fullmatch(line) for line in lines[:3]], GRID_LINE.fullmatch(lines[3]),
              [FAILED_LINE.fullmatch(line) for line in lines[4:8]],
-             [RULE_LINE.fullmatch(line) for line in lines[8:12]],
-             [LINE.fullmatch(line) for line in lines[12:]])
-    outcomes, grid, failed, rules, times = found
-    assert all(outcomes) and grid and all(failed) and all(rules) and all(times), stdout
+             [ERROR_LINE.fullmatch(line) for line in lines[8:11]],
+             [RULE_LINE.fullmatch(line) for line in lines[11:15]],
+             [LINE.fullmatch(line) for line in lines[15:]])
+    outcomes, grid, failed, errors, rules, times = found
+    assert all(outcomes) and grid and all(failed) and all(errors) and all(rules) and all(times), \
+        stdout
     for matches in (failed, rules, times):
         assert [m.group(1) for m in matches] == ["pre", "post", "far", "grid"]
+    assert [m.group(1) for m in errors] == ["pre", "post", "far"]
     return found
 
 
 def test_tree_against_itself_prints_rule_and_time_lines():
     proc = ab(SRC, SRC)
     assert (proc.returncode, proc.stderr) == (0, "")
-    outcomes, grid, failed, rules, times = parsed(proc.stdout)
+    outcomes, grid, failed, errors, rules, times = parsed(proc.stdout)
     assert all(m.group(2, 3, 4) == ("0", "0", "0") for m in outcomes)
     assert grid.group(1, 2) == ("0", "0")
     assert all(m.group(2) == m.group(3) for m in failed)
+    for m in errors:  # the same answers: the same errors, the median within the worst
+        median, change_median, worst, change_worst = m.groups()[1:]
+        assert (median, worst) == (change_median, change_worst)
+        assert median == worst == "nan" or float(median) <= float(worst)
     for m in rules:
         calls, change_calls, rows, change_rows = map(float, m.groups()[1:])
         assert (calls, rows) == (change_calls, change_rows)
@@ -76,7 +86,7 @@ def test_different_outcomes_counted_then_timed(tmp_path):
     proc = ab(SRC, change)
     assert proc.returncode == 1
     assert DIFFER.fullmatch(proc.stderr), proc.stderr
-    outcomes, grid, failed, rules, times = parsed(proc.stdout)
+    outcomes, grid, failed, errors, rules, times = parsed(proc.stdout)
     assert sum(int(m.group(2)) for m in outcomes) + int(grid.group(1)) > 0
     assert float(grid.group(2)) > 0.0  # the grid's values moved, in parent estimates
 
@@ -88,7 +98,7 @@ def test_rule_lines_show_a_change_without_look_ahead(tmp_path):
         "def _integrate(f, a, b, poles=()):\n    return _with_mesh(f, a, b)\n"))
     proc = ab(SRC, change)
     assert proc.stderr == "" or DIFFER.fullmatch(proc.stderr), proc.stderr
-    rules = parsed(proc.stdout)[3]
+    rules = parsed(proc.stdout)[4]
     calls = {m.group(1): (float(m.group(2)), float(m.group(3))) for m in rules}
     assert calls["far"][0] < calls["far"][1]
     assert all(parent <= change for parent, change in calls.values())

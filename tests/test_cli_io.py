@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -546,6 +547,21 @@ class TestVerify:
         assert main(list(args)) == 0
         assert target.read_bytes() == first
         capsys.readouterr()
+
+    def test_no_grid_reaches_exit_4(self, cold_oracle_memo):
+        # verify evaluates only its grid's fixed t/z, where the oracle answers,
+        # so over z from 1e-320 to 1e300, and at the smallest subnormal z,
+        # where t rounds onto 2z, a call passes (exit 0), is refused (2) or
+        # lands in the lightcone window (3), and no oracle refusal is met (4)
+        rng = random.Random(36)
+        zs = [10.0 ** rng.uniform(-320.0, 300.0) for _ in range(200)]
+        codes = set()
+        for z in zs + [k * 5e-324 for k in range(1, 9)]:
+            for grid in vacbrownian.oracle.GRIDS:
+                argv = ["verify", "--z", repr(z), "--grid", grid,
+                        "--particle", rng.choice(("unit", "electron"))]
+                codes.add(run_fuzzed(argv, (0, 2, 3))[0])
+        assert codes == {0, 2, 3}
 
     def test_oracle_failure_exits_4(self, capsys, monkeypatch, cold_oracle_memo):
         # a warm memo would hold every scaled integral and call no quadrature

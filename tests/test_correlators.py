@@ -134,6 +134,20 @@ class TestSingularityWindow:
                 corr_transverse(dt, z)
         corr_transverse(outside, z)  # does not raise
 
+    @pytest.mark.parametrize("refused, accepted", [(2.0000009999999997, 2.000001),
+                                                   (1.999999, 1.9999989999999999)],
+                             ids=["above", "below"])
+    def test_window_edge_to_the_ulp(self, refused, accepted):
+        # at z = 1, on each side of 2z, the last dt refused and the first one
+        # accepted, one ulp apart: a window wider by a part in 1e9 refuses both
+        assert math.nextafter(refused, accepted) == accepted
+        for dt in (refused, -refused):
+            with pytest.raises(LightconeSingularityError):
+                corr_normal(dt, 1.0)
+            corr_normal(math.copysign(accepted, dt), 1.0)  # does not raise
+        assert EvalPoint(t=refused, z=1.0).near_lightcone
+        assert not EvalPoint(t=accepted, z=1.0).near_lightcone
+
     @pytest.mark.parametrize("offset, inside", [
         (-1.5e-6, False), (-0.5e-6, True), (0.5e-6, True), (1.5e-6, False)])
     def test_window_is_the_dispersions(self, offset, inside):

@@ -144,6 +144,20 @@ def test_arc_free_oracle_calls_leave_numpy_unloaded():
     assert modules_after("\n".join(ARC_FREE_CALLS), "numpy") == []
 
 
+MOMENTS_HELD = "from vacbrownian import oracle\nprint(oracle._moments.cache_info().currsize)\n"
+
+
+def test_only_points_past_the_lightcone_rule_the_moments():
+    # the axis [0, 1] and arc moments are ruled on a process's first oracle
+    # point past the lightcone: the import, every closed-form subcommand and a
+    # pre-lightcone verify rule none of them, a post-lightcone one both
+    assert run_fresh("import vacbrownian\n" + MOMENTS_HELD).split() == ["0"]
+    closed_form_and_pre = run_main(*CLOSED_FORM_CALLS, ["verify", "--grid", "pre-lightcone"])
+    assert run_fresh(closed_form_and_pre + MOMENTS_HELD).split() == ["0"]
+    post = run_main(["verify", "--grid", "post-lightcone"])
+    assert run_fresh(post + MOMENTS_HELD).split() == ["2"]
+
+
 def test_every_subcommand_loads_only_the_standard_library():
     # every module that main() adds, a full verify grid's oracle included, is
     # the package's own or the standard library's

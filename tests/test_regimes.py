@@ -66,6 +66,14 @@ class TestTimeLimits:
                         validity_time_limit(UNIT, 1.0) * z * z, rtol=1e-12)
 
 
+    @pytest.mark.parametrize("limit", [validity_time_limit, radiation_time_limit])
+    @pytest.mark.parametrize("z", [0.0, -0.0])
+    def test_zero_z_refused(self, limit, z):
+        # a zero z would give a zero time bound
+        with pytest.raises(ValueError, match="^z must be positive$"):
+            limit(UNIT, z)
+
+
 class TestRadiation:
     def test_unit_value(self):
         # e = m = z = t = 1 collapses to 1/(16 pi^3)
@@ -100,6 +108,19 @@ class TestPackets:
         PacketSpec(dz0=1.0, dpz=0.5)
         with pytest.raises(ValueError):
             PacketSpec(dz0=1.0, dpz=0.4)
+
+    def test_uncertainty_floor_accepts_its_own_bound(self):
+        # dz0 * dpz equal to the floor's 0.5 (1 - 1e-12) is accepted
+        assert 1.0 * (0.5 * (1.0 - 1e-12)) == 0.5 * (1.0 - 1e-12)
+        PacketSpec(dz0=1.0, dpz=0.5 * (1.0 - 1e-12))
+        with pytest.raises(ValueError, match="uncertainty product"):
+            PacketSpec(dz0=1.0, dpz=math.nextafter(0.5 * (1.0 - 1e-12), 0.0))
+
+    @pytest.mark.parametrize("t, m", [(0.0, 1.0), (1.0, 0.0)])
+    def test_minimum_width_refuses_zero_time_or_mass_as_such(self, t, m):
+        # refused by its own check, before sqrt(t / m) is zero or divides by zero
+        with pytest.raises(ValueError, match="^t and m must be positive$"):
+            minimum_packet_width(m, t)
 
     def test_width_growth(self):
         packet = PacketSpec(dz0=1.0, dpz=0.5)

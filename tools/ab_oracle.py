@@ -26,6 +26,13 @@ change's effect on the benchmark's failure-share gate shows before it runs:
 
     far   failed parent 25  change 25  of 40
 
+and, per band, each tree's median and worst relative error against the
+closed form over the points it answered (nan if it answered none), so that a
+shift in the oracle's accuracy, the far band's cancellation noise above all,
+shows before the benchmark runs:
+
+    far   rel err median parent 1.02e-07  change 4.04e-08  worst parent 4.97e-04  change 3.15e-04
+
 Then it runs ``--repeats`` rounds.  Each round times, for each tree
 in turn (which tree goes first alternates by round), the probe points of each
 band of t/z, drawn by perfbench's own `oracle_points` from a generator seeded
@@ -52,6 +59,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import math
 import random
 import statistics
 import sys
@@ -66,6 +74,8 @@ OUTCOME_LINE = ("{probe:<5} outcomes differ {differ} of {of}  refusals moved {re
                 "largest move {move:.3g} parent estimates")
 GRID_LINE = "grid  cells differ {differ} of {of}  largest move {move:.3g} parent estimates"
 FAILED_LINE = "{probe:<5} failed parent {failed[parent]}  change {failed[change]}  of {of}"
+ERROR_LINE = ("{probe:<5} rel err median parent {median[parent]:.2e}  change {median[change]:.2e}  "
+              "worst parent {worst[parent]:.2e}  change {worst[change]:.2e}")
 RULE_LINE = ("{probe:<5} rule calls parent {calls[parent]:.2f}  change {calls[change]:.2f}  "
              "rows parent {rows[parent]:.2f}  change {rows[change]:.2f}")
 LINE = ("{probe:<5} change/parent {ratio:.3f}  q1 {q1:.3f}  q3 {q3:.3f}  "
@@ -107,19 +117,23 @@ class Tree:
             return type(exc).__name__, str(exc)
         return result.value, result.error_estimate
 
-    def failed(self, drawn: list[dict], points: list[tuple], outcomes: list[tuple],
-               band: str) -> int:
+    def rel_errors(self, drawn: list[dict], points: list[tuple],
+                   outcomes: list[tuple]) -> list[float | None]:
+        """Each point's relative error against the closed form, None where refused."""
+        errors = []
+        for pt, (_, _, point), (value, _) in zip(drawn, points, outcomes):
+            if isinstance(value, str):  # refused
+                errors.append(None)
+                continue
+            closed = self.dispersion.QUANTITIES[pt["quantity"]].value(point)
+            errors.append(abs(value - closed) / abs(closed))
+        return errors
+
+    def failed(self, rel_errors: list[float | None], band: str) -> int:
         """How many points oracle_audit would count as failed: refused, or off the
         closed form by more than the band's tolerance tier."""
         tol = self.oracle.TOL_PRE_LIGHTCONE if band == "pre" else self.oracle.TOL_POST_LIGHTCONE
-        count = 0
-        for pt, (_, _, point), (value, _) in zip(drawn, points, outcomes):
-            if isinstance(value, str):  # refused
-                count += 1
-                continue
-            closed = self.dispersion.QUANTITIES[pt["quantity"]].value(point)
-            count += not abs(value - closed) / abs(closed) <= tol
-        return count
+        return sum(not (error is not None and error <= tol) for error in rel_errors)
 
     def run_points(self, points: list[tuple]) -> None:
         for kind, component, point in points:
@@ -187,13 +201,21 @@ def main(argv: list[str] | None = None) -> int:
     print(GRID_LINE.format(differ=cells, of=sum(len(pr) for pr, _ in pairs),
                            move=max((abs(cr[3] - pr[3]) / pr[5] for pr, cr in pairs), default=0)))
     differ += cells
+    rel_errors = {band: {side: tree.rel_errors(band_draws[band], points[side][band],
+                                               outcomes[side][band])
+                         for side, tree in trees.items()} for band in ORACLE_BANDS}
     for band in ORACLE_BANDS:
-        failed = {side: tree.failed(band_draws[band], points[side][band],
-                                    outcomes[side][band], band) for side, tree in trees.items()}
+        failed = {side: tree.failed(rel_errors[band][side], band) for side, tree in trees.items()}
         print(FAILED_LINE.format(probe=band, failed=failed, of=len(band_draws[band])))
     print(FAILED_LINE.format(probe="grid", of=len(rows["parent"]),
-                             failed={side: sum(not r[-1] for r in rows[side]) for side in trees}),
-          flush=True)
+                             failed={side: sum(not r[-1] for r in rows[side]) for side in trees}))
+    for band in ORACLE_BANDS:
+        answered = {side: [e for e in rel_errors[band][side] if e is not None] for side in trees}
+        print(ERROR_LINE.format(
+            probe=band, median={side: statistics.median(e) if e else math.nan
+                                for side, e in answered.items()},
+            worst={side: max(e, default=math.nan) for side, e in answered.items()}))
+    sys.stdout.flush()
 
     runs = {band: (lambda side, band=band: trees[side].run_points(points[side][band]))
             for band in ORACLE_BANDS}
