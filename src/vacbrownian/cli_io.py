@@ -26,6 +26,7 @@ Identical inputs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,12 +71,17 @@ QUANTITY_CHOICES = tuple(_QUANTITIES)
 
 _PRESETS = {"electron": electron_preset, "unit": unit_preset}
 
-# Each kind of value: its natural unit, its SI unit and the conversion to SI.
+# Each kind of value: its natural unit, its SI unit and the conversion to SI,
+# None for a position, whose SI value is its natural float.
 _UNITS = {
     "velocity": ("c^2", "m^2/s^2", velocity_sq_natural_to_si),
-    "position": ("m^2", "m^2", float),
+    "position": ("m^2", "m^2", None),
     "temperature": ("1/m", "K", natural_to_si_temperature),
 }
+
+# A regime flag's cells: each pair of booleans as JSON text
+_FLAG_CELLS = {(a, b): (str(a).lower(), str(b).lower()) for a in (True, False)
+               for b in (True, False)}
 
 
 # One sweep row per format, filled with %.  The JSON record is laid out by
@@ -236,15 +242,23 @@ def _point(t: float, z: float, spec: ParticleSpec) -> dispersion.EvalPoint:
         raise UsageError(f"parameter t/z: {exc}") from None
 
 
+def _resolve(quantity: str) -> tuple[Callable[[dispersion.EvalPoint], float],
+                                     Callable[[float], float] | None, str]:
+    """(value function, SI conversion, kind) of one quantity; the conversion is
+    None for a position.  `_Options.quantities` has checked the id."""
+    value, kind = _QUANTITIES[quantity]
+    return value, _UNITS[kind][2], kind
+
+
 def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float, str]:
     """(value_natural, value_si, kind) for one quantity at one point.
 
     Both values are finite: the quantity's function and the SI conversion
     raise ValueError for a value outside the float range.
     """
-    value, kind = _QUANTITIES[quantity]  # `_Options.quantities` has checked the id
+    value, to_si, kind = _resolve(quantity)
     natural = value(point)
-    return natural, _UNITS[kind][2](natural), kind
+    return natural, natural if to_si is None else to_si(natural), kind
 
 
 # --- output plumbing ------------------------------------------------------------
@@ -337,11 +351,14 @@ def _cmd_eval(opts: _Options) -> int:
 def _cmd_sweep(opts: _Options) -> int:
     """Write the sweep table in one pass: each grid point's rows as soon as they are made.
 
-    A point's closed forms share their terms through
-    `dispersion._shared_terms`, reached by `_evaluate` as by every other
-    caller.  The fixed --z (or --t) is formatted once, and a position row's
-    value_si, the same float as its value_natural, is not formatted again.
-    Memory does not grow with --count.
+    Once per sweep, each --quantity is resolved by `_resolve`, as `eval`
+    resolves it, to its value function and SI conversion, and given its two
+    row templates, one with value cells and one with a status cell; the
+    fixed --z (or --t) is formatted once.  Once per point: the t, z and t/z
+    texts, and the regime flags' two cells.  Once per row: the quantity's
+    value, through `dispersion._shared_terms` for a closed form, its SI
+    value, whose text is not formed again for a position, and the filled
+    template.  Memory does not grow with --count.
     """
     spec = opts.particle()
     var = opts.get("var")
@@ -382,9 +399,13 @@ def _cmd_sweep(opts: _Options) -> int:
     point(at(0))
     point(at(count - 1))
 
-    templates = [(q, _row_template(fmt, q, "ok", _UNITS[_QUANTITIES[q][1]][:2]),
-                  _row_template(fmt, q, "%s")) for q in quantities]
+    resolved = []
+    for q in quantities:
+        value, to_si, kind = _resolve(q)
+        resolved.append((value, to_si, _row_template(fmt, q, "ok", _UNITS[kind][:2]),
+                         _row_template(fmt, q, "%s")))
     fixed = repr(t_fixed if var == "z" else z_fixed)
+    flags = regimes.regime_flags
 
     def chunks() -> Iterator[str]:
         lead = head
@@ -392,20 +413,24 @@ def _cmd_sweep(opts: _Options) -> int:
             p = point(at(i))
             t_text, z_text = (fixed, repr(p.z)) if var == "z" else (repr(p.t), fixed)
             ratio_text = repr(p.t_over_z)
-            flags = [str(ok).lower() for ok in regimes.regime_flags(p.particle, p.z, p.t)]
+            validity, radiation = _FLAG_CELLS[flags(p.particle, p.z, p.t)]
             rows = []
-            for q, ok, failed in templates:
+            for value, to_si, ok, failed in resolved:
                 try:
-                    natural, si, _ = _evaluate(q, p)
+                    natural = value(p)
+                    si = natural if to_si is None else to_si(natural)
                 except LightconeSingularityError:
-                    rows.append(failed % (t_text, z_text, ratio_text, "singular", *flags))
+                    rows.append(failed % (t_text, z_text, ratio_text, "singular",
+                                          validity, radiation))
                     continue
                 except ValueError:  # asymptote at t <= 2z, or outside the float range
-                    rows.append(failed % (t_text, z_text, ratio_text, "undefined", *flags))
+                    rows.append(failed % (t_text, z_text, ratio_text, "undefined",
+                                          validity, radiation))
                     continue
                 natural_text = repr(natural)
-                si_text = natural_text if si is natural else repr(si)
-                rows.append(ok % (t_text, z_text, ratio_text, natural_text, si_text, *flags))
+                rows.append(ok % (t_text, z_text, ratio_text, natural_text,
+                                  natural_text if to_si is None else repr(si),
+                                  validity, radiation))
             yield lead + between.join(rows)
             lead = between
         yield tail
@@ -551,6 +576,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: six subparsers take about 1 ms
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vacbrownian",

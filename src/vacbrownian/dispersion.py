@@ -248,10 +248,12 @@ class Quantity(FrozenRecord):
         """A = e^2/(pi^2 m^2 z^2) or B = e^2/(pi^2 m^2); refuses a value outside the float range."""
         return _prefactor(self.kind, p, PI_SQ)
 
-    def _large_x_bracket(self, x: float, log_x: float, w: float, terms: int = len(_K)) -> float:
-        """The large-x series at x > 1 from ln x and w = 1/x^2, keeping the first ``terms`` d_k."""
+    def _large_x_bracket(self, x: float, log_x: float, w: float, terms: int | None = None) -> float:
+        """The large-x series at x > 1 from ln x and w = 1/x^2, keeping the first ``terms``
+        d_k, all of them by default."""
         # a * x * x groups as (a * x) * x, so a = 0 gives 0, not 0 * inf, at huge x
-        return self.a * x * x + self.b * log_x + _power_sum(self.d[:terms], w)
+        return self.a * x * x + self.b * log_x + _power_sum(
+            self.d if terms is None else self.d[:terms], w)
 
     @finite
     def value(self, p: EvalPoint) -> float:

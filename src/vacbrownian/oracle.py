@@ -353,12 +353,13 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
     done when the error meets max(EPSABS, EPSREL |value|) or it holds
     MAX_SUBDIVISIONS intervals; else it halves its interval of largest error
     (the first of equal ones, a NaN one only if all are), and one `_gk21`
-    call runs the new halves.  QUADPACK's (qag) early stops also end an
-    integral: round-off (ier = 2), after 6 halvings that keep the value
-    within 1e-5 relative and the error above 99 %, or 20 from the 11th
-    interval on that raise the error, counting those where neither half's
-    estimate is saturated at resasc; and an interval too narrow to halve
-    (ier = 3).  `_within_budget` then refuses the first integral, in order,
+    call runs the new halves.  An integral of two or more intervals whose
+    error sum is NaN is done at once, since no halving can clear it.
+    QUADPACK's (qag) early stops also end an integral: round-off (ier = 2),
+    after 6 halvings that keep the value within 1e-5 relative and the error
+    above 99 %, or 20 from the 11th interval on that raise the error,
+    counting those where neither half's estimate is saturated at resasc;
+    and an interval too narrow to halve (ier = 3).  `_within_budget` then refuses the first integral, in order,
     with a NaN error estimate, that stopped early or that ended over budget.
     """
     n = len(a)
@@ -395,6 +396,10 @@ def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
                 error += y
             values[i], errors[i] = value, error
             if error <= max(EPSABS, EPSREL * abs(value)):
+                continue
+            # a NaN interval is never halved while another is finite, and of all-NaN
+            # intervals only the first is: past one interval a NaN sum stays NaN
+            if math.isnan(error) and len(err[i]) > 1:
                 continue
             stops[i] = "round-off error" if stalled[i] >= 6 or rising[i] >= 20 else None
             if stops[i] or len(err[i]) >= MAX_SUBDIVISIONS:
@@ -675,6 +680,8 @@ def verify_grid(
     closed form that underflowed to zero, against which no relative error
     exists; then each quantity's rows take their scaled integrals, as one
     tuple, from the cache of the module docstring, or run as one batch.
+    The four quantities share one `EvalPoint` per ratio, so their closed
+    forms share its `dispersion._shared_terms`.
     """
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ValueError(f"need a finite tolerance >= 0, got {tolerance!r}")
@@ -685,11 +692,13 @@ def verify_grid(
     if particle is None:
         particle = unit_preset()
 
-    cases, batches = [], []
+    cases, batches, points = [], [], {}
     for quantity in QUANTITIES.values():
         plans = []
         for ratio in _GRID_RATIOS[grid]:
-            point = EvalPoint(t=ratio * z, z=z, particle=particle)
+            if ratio not in points:  # built at its first row, so refusals keep their order
+                points[ratio] = EvalPoint(t=ratio * z, z=z, particle=particle)
+            point = points[ratio]
             closed = quantity.value(point)
             if closed == 0.0:
                 raise ValueError("value leaves the float range")

@@ -14,8 +14,8 @@ LINE = re.compile(r"(pre|post|far|grid) +change/parent (\d+\.\d{3})  q1 (\d+\.\d
                   r"q3 (\d+\.\d{3})  parent (\d+\.\d{4}) ms  change (\d+\.\d{4}) ms  rounds 2")
 RULE_LINE = re.compile(r"(pre|post|far|grid) +rule calls parent (\d+\.\d\d)  change (\d+\.\d\d)  "
                        r"rows parent (\d+\.\d\d)  change (\d+\.\d\d)")
-OUTCOME_LINE = re.compile(r"(pre|post|far) +outcomes differ (\d+) of 2  refusals moved (\d+)  "
-                          r"largest move (\S+) parent estimates")
+OUTCOME_LINE = re.compile(r"(pre|post|far) +outcomes differ (\d+) of 2  refusals appeared (\d+)  "
+                          r"gone (\d+)  reworded (\d+)  largest move (\S+) parent estimates")
 GRID_LINE = re.compile(r"grid  cells differ (\d+) of 252  largest move (\S+) parent estimates")
 DIFFER = re.compile(r"error: \d+ outcomes or grid cells differ\n")
 FAILED_LINE = re.compile(r"(pre|post|far|grid) +failed parent (\d+)  change (\d+)  of (2|36)")
@@ -60,7 +60,7 @@ def test_tree_against_itself_prints_rule_and_time_lines():
     proc = ab(SRC, SRC)
     assert (proc.returncode, proc.stderr) == (0, "")
     outcomes, grid, failed, errors, rules, times = parsed(proc.stdout)
-    assert all(m.group(2, 3, 4) == ("0", "0", "0") for m in outcomes)
+    assert all(m.group(2, 3, 4, 5, 6) == ("0", "0", "0", "0", "0") for m in outcomes)
     assert grid.group(1, 2) == ("0", "0")
     assert all(m.group(2) == m.group(3) for m in failed)
     for m in errors:  # the same answers: the same errors, the median within the worst
@@ -102,3 +102,29 @@ def test_rule_lines_show_a_change_without_look_ahead(tmp_path):
     calls = {m.group(1): (float(m.group(2)), float(m.group(3))) for m in rules}
     assert calls["far"][0] < calls["far"][1]
     assert all(parent <= change for parent, change in calls.values())
+
+
+def refusing(bands, message):
+    """An edit to oracle.py: `dispersion_oracle` refuses each t/z inside ``bands``."""
+    return lambda text: text + (
+        "\n\n_answering = dispersion_oracle\n\n\n"
+        "def dispersion_oracle(kind, component, p):\n"
+        f"    if any(lo < p.t / p.z < hi for lo, hi in {bands!r}):\n"
+        f"        raise ExtrapolationError({message!r})\n"
+        "    return _answering(kind, component, p)\n")
+
+
+def test_refusals_split_into_appeared_gone_and_reworded(tmp_path):
+    # the two far draws lie at t/z 8.8e3 and 3.3e4 and a post draw at 66.5: the
+    # parent refuses both far ones, the change only the second, with another
+    # message, and the post one
+    parent = changed_copy(tmp_path / "parent", refusing([(5e3, 1e300)], "parent refusal"))
+    change = changed_copy(tmp_path / "change", refusing([(1e4, 1e300), (50.0, 100.0)],
+                                                        "change refusal"))
+    proc = ab(parent, change)
+    assert proc.returncode == 1
+    assert DIFFER.fullmatch(proc.stderr), proc.stderr
+    outcomes, grid = parsed(proc.stdout)[:2]
+    assert [m.group(1, 2, 3, 4, 5) for m in outcomes] == [
+        ("pre", "0", "0", "0", "0"), ("post", "1", "1", "0", "0"), ("far", "2", "0", "1", "1")]
+    assert grid.group(1) == "0"  # `verify_grid` calls no `dispersion_oracle`

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -386,11 +387,33 @@ class TestSweep:
         assert len(out.splitlines()) == 1 + 400
         assert len(calls) == 100
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_flags_once_per_point(self, capsys, monkeypatch, fmt):
+        # every id over t/z from 1 to 3, one point inside the lightcone window and
+        # eleven with undefined asymptotes: each of the 21 points reads its flags once
+        calls = []
+        flags = vacbrownian.regimes.regime_flags
+
+        def counted(*args):
+            calls.append(args)
+            return flags(*args)
+
+        monkeypatch.setattr(vacbrownian.regimes, "regime_flags", counted)
+        monkeypatch.setattr(vacbrownian.dispersion, "regime_flags", counted)
+        code, out, _ = run(capsys, "sweep", "--particle", "unit", "--min", "1", "--max", "3",
+                           "--count", "21", "--spacing", "linear", "--format", fmt,
+                           *[f"--quantity={q}" for q in QUANTITY_CHOICES])
+        assert code == 0
+        assert out.count("singular") == 4 and out.count("undefined") == 4 * 11
+        assert len(calls) == 21
+
     def test_unmapped_error_exits_70(self, capsys, monkeypatch):
-        def broken(quantity, point):
+        def broken(point):
             raise RuntimeError("forced failure")
 
-        monkeypatch.setattr(vacbrownian.cli_io, "_evaluate", broken)
+        # the sweep takes each quantity's function from the table, once per sweep
+        monkeypatch.setitem(vacbrownian.cli_io._QUANTITIES, "vel_disp_transverse",
+                            (broken, "velocity"))
         code, out, err = run(capsys, "sweep", "--particle", "unit", "--min", "1", "--max", "3",
                              "--count", "3", "--format", "json")
         assert (code, out, err) == (70, "", "error: internal: RuntimeError: forced failure\n")
@@ -507,8 +530,8 @@ class TestSweepValues:
             except (ValueError, vacbrownian.LightconeSingularityError):
                 assert (natural, si) == ("", "") and status != "ok"
                 continue
-            assert (natural, si, status) == (
-                repr(expected), repr(vacbrownian.cli_io._UNITS[kind][2](expected)), "ok")
+            to_si = vacbrownian.cli_io._UNITS[kind][2] or float  # None: a position's SI value
+            assert (natural, si, status) == (repr(expected), repr(to_si(expected)), "ok")
 
 
 class TestVerify:
@@ -650,6 +673,21 @@ class TestHelp:
         assert info.value.code == 0
         listed = re.findall(r"^  (?:-h, )?(--\S+(?: [A-Z_]+)?)", capsys.readouterr().out, re.M)
         assert listed == ["--help"] + flags
+
+    def test_parser_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counted(parser, **kwargs):
+            built.append(parser.prog)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+        vacbrownian.cli_io._build_parser.cache_clear()
+        assert main(["constants"]) == 0
+        assert main(["eval", "--t-over-z", "3", "--quantity", "vel_disp_normal"]) == 0
+        capsys.readouterr()
+        assert built == ["vacbrownian"]
 
     @pytest.mark.parametrize("argv", [
         ["corr", "--particle", "unit", "--z", "1", "--dt-max", "4"],

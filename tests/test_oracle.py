@@ -277,16 +277,21 @@ class TestOracleAgainstClosedForms:
 
     def test_overflowing_weight_refused_as_non_finite(self, rule_calls):
         # at t/z = 1e150 the position weight (T - u)^2 (2 T + u) / 3 overflows
-        # on the tail, which makes its error estimate inf - inf; after the
-        # first call of its 9 starting rows the pass loop halves it to the
-        # cap, and the NaN estimate is refused before any moment is read
-        nan = (r"^a non-finite integrand or rule sum on \[0\.0, 345\.38776394910684\] makes the "
-               r"quadrature error estimate nan$")
-        with pytest.raises(QuadratureConvergenceError, match=nan):
-            oracle._scaled("position", "z", (1e150,))
-        assert rule_calls[0] == 9
-        with pytest.raises(QuadratureConvergenceError, match=nan):
-            dispersion_oracle("position", "z", up(1e150))
+        # on the tail, which makes its error estimate inf - inf; no halving
+        # clears a NaN of two or more intervals, so the integral is done after
+        # the first call of its starting rows, and the NaN estimate is refused
+        # before any moment is read
+        for T, end, rows in ((1e150, r"345\.38776394910684", 9),
+                             (1e200, r"460\.51701859880916", 9),
+                             (1e300, r"690\.7755278982137", 10)):
+            nan = (rf"^a non-finite integrand or rule sum on \[0\.0, {end}\] makes the "
+                   r"quadrature error estimate nan$")
+            rule_calls.clear()
+            with pytest.raises(QuadratureConvergenceError, match=nan):
+                oracle._scaled("position", "z", (T,))
+            assert rule_calls == [rows], T
+            with pytest.raises(QuadratureConvergenceError, match=nan):
+                dispersion_oracle("position", "z", up(T))
 
     @pytest.mark.parametrize("component, fn", [("x", vel_disp_transverse),
                                                ("z", vel_disp_normal)])

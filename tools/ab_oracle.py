@@ -12,11 +12,13 @@ start-up and cache noise to differences of a few percent.
 The script first compares the two trees' `dispersion_oracle` outcomes, the
 value and error estimate or the refusal's type and message, at every probe
 point, and their full `verify_grid` rows cell by cell.  It prints, for each
-band of t/z and for the grid, how many differ and the largest move of a
-value in units of the parent's error estimate (a refusal that appears, goes
-or changes counts as differing but moves nothing):
+band of t/z and for the grid, how many differ; of those, how many refusals
+appeared (the parent answered, the change refused), went (the reverse) or
+were reworded (both refused, with another type or message), which move
+nothing; and the largest move of an answered value in units of the parent's
+error estimate:
 
-    post  outcomes differ 3 of 40  refusals moved 0  largest move 0.021 parent estimates
+    post  outcomes differ 3 of 40  refusals appeared 0  gone 0  reworded 1  largest move 0.021 parent estimates
     grid  cells differ 1 of 252  largest move 0 parent estimates
 
 then, per band and for the grid, how many of each tree's points perfbench's
@@ -64,14 +66,15 @@ import random
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from common import ORACLE_BANDS, oracle_points  # noqa: E402  (standard library only)
 
 SEED = 401  # of the drawn points
-OUTCOME_LINE = ("{probe:<5} outcomes differ {differ} of {of}  refusals moved {refusals}  "
-                "largest move {move:.3g} parent estimates")
+OUTCOME_LINE = ("{probe:<5} outcomes differ {differ} of {of}  refusals appeared {appeared}  "
+                "gone {gone}  reworded {reworded}  largest move {move:.3g} parent estimates")
 GRID_LINE = "grid  cells differ {differ} of {of}  largest move {move:.3g} parent estimates"
 FAILED_LINE = "{probe:<5} failed parent {failed[parent]}  change {failed[change]}  of {of}"
 ERROR_LINE = ("{probe:<5} rel err median parent {median[parent]:.2e}  change {median[change]:.2e}  "
@@ -189,10 +192,12 @@ def main(argv: list[str] | None = None) -> int:
     for band in ORACLE_BANDS:
         moved = [(p, c) for p, c in zip(outcomes["parent"][band], outcomes["change"][band])
                  if p != c]
+        refused = Counter((isinstance(p[0], str), isinstance(c[0], str)) for p, c in moved)
         moves = [abs(c[0] - p[0]) / p[1] for p, c in moved
                  if not isinstance(p[0], str) and not isinstance(c[0], str)]
         print(OUTCOME_LINE.format(probe=band, differ=len(moved), of=len(band_draws[band]),
-                                  refusals=len(moved) - len(moves), move=max(moves, default=0)))
+                                  appeared=refused[False, True], gone=refused[True, False],
+                                  reworded=refused[True, True], move=max(moves, default=0)))
         differ += len(moved)
     rows = {side: [(r.quantity, r.t_over_z, r.closed, r.oracle, r.rel_err, r.eps_estimate,
                     r.passed) for r in tree.cold_grid()] for side, tree in trees.items()}
