@@ -63,9 +63,8 @@ call per pass on all new intervals of the batch, row by row in Python
 floats, on the public weight times `correlators`' kernel at z = 1, times
 du on the tail.  Each of the rule's sums (K and G of f, K of |f| and of
 |f - mean f|) adds its 21 products in one fixed order (`_row_sum`), so no
-sum depends on the Python it runs on, and no bit on numpy or on the CPU's
-dispatch; the tail's `math.exp` follows the libm, and the moments' complex
-products are CPython's own.
+sum depends on the Python it runs on or on the CPU; the tail's `math.exp`
+follows the libm, and the moments' complex products are CPython's own.
 An interval's error estimate is QUADPACK's:
 resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
 50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
@@ -195,8 +194,9 @@ def weight_position(tau, t):
 
     (t - tau)^2 (2 t + tau) / 3, which is (2/3)(t^3 - tau^3) - tau (t^2 - tau^2)
     without that form's cancellation near tau = t; equals 2 t^3 / 3 at tau = 0.
-    The square is a product, so floats and numpy float arrays give the same
-    bits, and inf past the float range, where a float's ** 2 would raise.
+    The square is a product, so the weight is inf, not an OverflowError as a
+    float's ** 2 would raise, where (t - tau)^2 (2 t + tau) leaves the float
+    range.
     """
     gap = t - tau
     return gap * gap * (2.0 * t + tau) / 3.0

@@ -1,13 +1,31 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and the float comparison shared by the test modules."""
 
 from __future__ import annotations
 
 import functools
+import math
 
 import mpmath
 import pytest
 
 from vacbrownian import oracle
+
+
+def assert_allclose(actual, desired, rtol=1e-7, atol=0.0):
+    """Assert |actual - desired| <= atol + rtol |desired|, element by element over
+    equally long (nested) lists, with numpy.testing.assert_allclose's defaults and
+    verdicts: NaN equals NaN only, an infinity only itself."""
+    lists = [isinstance(x, (list, tuple)) for x in (actual, desired)]
+    if any(lists):
+        assert all(lists) and len(actual) == len(desired), (actual, desired)
+        for a, d in zip(actual, desired):
+            assert_allclose(a, d, rtol, atol)
+        return
+    a, d = float(actual), float(desired)
+    if math.isnan(a) or math.isnan(d) or math.isinf(a) or math.isinf(d):
+        assert a == d or math.isnan(a) and math.isnan(d), (a, d)
+    else:
+        assert abs(a - d) <= atol + rtol * abs(d), (a, d, rtol, atol)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from numpy.testing import assert_allclose
+from conftest import assert_allclose
 
 from vacbrownian.correlators import corr_normal, corr_transverse, mean_e_squared
 from vacbrownian.dispersion import (

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from numpy.testing import assert_allclose
+from conftest import assert_allclose
 
 import vacbrownian.cli_io
 import vacbrownian.dispersion

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
-from numpy.testing import assert_allclose
+from conftest import assert_allclose
 
 from vacbrownian.correlators import (
     DEFAULT_LIGHTCONE_DELTA,

@@ -8,7 +8,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from conftest import assert_allclose
 
 from vacbrownian import dispersion, oracle
 from vacbrownian.cli_io import main

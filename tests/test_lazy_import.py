@@ -1,6 +1,6 @@
-"""Import hygiene: `import vacbrownian` and every subcommand load the package's own
-modules and the standard library only, numpy and scipy never, and the closed-form
-paths load no costly standard-library module."""
+"""Import hygiene: `import vacbrownian`, every subcommand and the oracle's entry
+points load the package's own modules and the standard library only, and the
+closed-form paths load no costly standard-library module."""
 
 from __future__ import annotations
 
@@ -79,16 +79,6 @@ def test_closed_form_subcommands_leave_scipy_unloaded():
     assert modules_after(run_main(*CLOSED_FORM_CALLS), "scipy") == []
 
 
-def test_no_subcommand_loads_scipy():
-    code = run_main(*CLOSED_FORM_CALLS, ["verify", "--grid", "pre-lightcone"])
-    assert modules_after(code, "scipy") == []
-
-
-def test_package_import_and_closed_form_subcommands_leave_numpy_unloaded():
-    assert modules_after("import vacbrownian", "numpy") == []
-    assert modules_after(run_main(*CLOSED_FORM_CALLS), "numpy") == []
-
-
 # Each costs milliseconds per cold start, so no closed-form path may load it.
 COSTLY_STDLIB = {"dataclasses", "inspect"}
 
@@ -130,20 +120,6 @@ def test_no_module_imports_typing():
             assert "typing" not in {n.split(".")[0] for n in names}, (path.name, node.lineno)
 
 
-# Oracle calls whose every contour piece lies on the axis, t/z < 2, and the
-# caller integrals: all ruled in floats.
-POINT = ("from vacbrownian import oracle\n"
-         "from vacbrownian.dispersion import EvalPoint\n"
-         "oracle.dispersion_oracle('velocity', 'x', EvalPoint(t={}, z=1.0))\n")
-ARC_FREE_CALLS = ("import vacbrownian.oracle", run_main(["verify", "--grid", "pre-lightcone"]),
-                  POINT.format(1.5), "import math\nfrom vacbrownian import oracle\n"
-                  "oracle.reduced_time_integral(math.cos, 1.0, 'velocity')")
-
-
-def test_arc_free_oracle_calls_leave_numpy_unloaded():
-    assert modules_after("\n".join(ARC_FREE_CALLS), "numpy") == []
-
-
 MOMENTS_HELD = "from vacbrownian import oracle\nprint(oracle._moments.cache_info().currsize)\n"
 
 
@@ -158,13 +134,29 @@ def test_only_points_past_the_lightcone_rule_the_moments():
     assert run_fresh(post + MOMENTS_HELD).split() == ["2"]
 
 
-def test_every_subcommand_loads_only_the_standard_library():
-    # every module that main() adds, a full verify grid's oracle included, is
-    # the package's own or the standard library's
-    added = modules_added_by(run_main(*CLOSED_FORM_CALLS, ["verify", "--grid", "full"]))
-    assert "vacbrownian.oracle" in added
+# The oracle's entry points beyond the verify grid: a far-band point, t/z = 1e4,
+# and a caller's integral.
+ORACLE_CALLS = ("import math\nimport vacbrownian\n"
+                "far = vacbrownian.EvalPoint(t=1e4, z=1.0)\n"
+                "vacbrownian.dispersion_oracle('velocity', 'x', far)\n"
+                "vacbrownian.oracle.reduced_time_integral(math.cos, 1.0, 'velocity')\n")
+
+
+def outside_the_standard_library(added: set[str]) -> set[str]:
+    """The modules of `added` that are neither the package's own nor the standard
+    library's."""
     allowed = {*sys.stdlib_module_names, "vacbrownian"}
-    assert {m for m in added if m.split(".")[0] not in allowed} == set()
+    return {m for m in added if m.split(".")[0] not in allowed}
+
+
+def test_every_subcommand_loads_only_the_standard_library():
+    # every module that main() adds, a full verify grid's oracle included, and
+    # the oracle's far-band point and caller integral, is the package's own or
+    # the standard library's
+    added = modules_added_by(run_main(*CLOSED_FORM_CALLS, ["verify", "--grid", "full"])
+                             + ORACLE_CALLS)
+    assert "vacbrownian.oracle" in added
+    assert outside_the_standard_library(added) == set()
 
 
 def test_every_public_name_resolves():
@@ -190,11 +182,11 @@ def test_oracle_names_come_from_the_oracle_module():
 
 
 def test_package_import_loads_the_oracle_and_only_the_standard_library():
-    # every module the import adds is the package's own or the standard library's
-    added = modules_added_by("import vacbrownian")
-    assert "vacbrownian.oracle" in added
-    allowed = {*sys.stdlib_module_names, "vacbrownian"}
-    assert {m for m in added if m.split(".")[0] not in allowed} == set()
+    # every module the import adds, and with it the oracle's far-band point and
+    # caller integral, is the package's own or the standard library's
+    assert "vacbrownian.oracle" in modules_added_by("import vacbrownian")
+    assert outside_the_standard_library(modules_added_by("import vacbrownian\n"
+                                                         + ORACLE_CALLS)) == set()
     # bound by the import itself, each name the oracle module's own object
     out = run_fresh("import vacbrownian\n"
                     "print(all(vars(vacbrownian)[name] is getattr(vacbrownian.oracle, name)"

@@ -6,7 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from conftest import assert_allclose
 
 from vacbrownian.dispersion import EvalPoint, pos_disp_normal, pos_disp_transverse
 from vacbrownian.regimes import (

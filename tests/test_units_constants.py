@@ -6,7 +6,7 @@ import math
 
 import pytest
 from hypothesis import given, strategies as st
-from numpy.testing import assert_allclose
+from conftest import assert_allclose
 
 from vacbrownian.units_constants import (
     ALPHA,
