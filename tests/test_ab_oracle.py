@@ -10,9 +10,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-LINE = re.compile(r"(pre|post|far|grid) +change/parent (\d+\.\d{3})  q1 (\d+\.\d{3})  "
+LINE = re.compile(r"(pre|post|far|grid|warm) +change/parent (\d+\.\d{3})  q1 (\d+\.\d{3})  "
                   r"q3 (\d+\.\d{3})  parent (\d+\.\d{4}) ms  change (\d+\.\d{4}) ms  rounds 2")
-RULE_LINE = re.compile(r"(pre|post|far|grid) +rule calls parent (\d+\.\d\d)  change (\d+\.\d\d)  "
+RULE_LINE = re.compile(r"(pre|post|far|grid|warm) +rule calls parent (\d+\.\d\d)  change (\d+\.\d\d)  "
                        r"rows parent (\d+\.\d\d)  change (\d+\.\d\d)")
 OUTCOME_LINE = re.compile(r"(pre|post|far) +outcomes differ (\d+) of 2  refusals appeared (\d+)  "
                           r"gone (\d+)  reworded (\d+)  largest move (\S+) parent estimates")
@@ -41,17 +41,18 @@ def changed_copy(tmp_path, edit):
 def parsed(stdout):
     """The outcome, grid, failed, error, rule and time lines, each matched."""
     lines = stdout.splitlines()
-    assert len(lines) == 19, stdout
+    assert len(lines) == 21, stdout
     found = ([OUTCOME_LINE.fullmatch(line) for line in lines[:3]], GRID_LINE.fullmatch(lines[3]),
              [FAILED_LINE.fullmatch(line) for line in lines[4:8]],
              [ERROR_LINE.fullmatch(line) for line in lines[8:11]],
-             [RULE_LINE.fullmatch(line) for line in lines[11:15]],
-             [LINE.fullmatch(line) for line in lines[15:]])
+             [RULE_LINE.fullmatch(line) for line in lines[11:16]],
+             [LINE.fullmatch(line) for line in lines[16:]])
     outcomes, grid, failed, errors, rules, times = found
     assert all(outcomes) and grid and all(failed) and all(errors) and all(rules) and all(times), \
         stdout
-    for matches in (failed, rules, times):
-        assert [m.group(1) for m in matches] == ["pre", "post", "far", "grid"]
+    assert [m.group(1) for m in failed] == ["pre", "post", "far", "grid"]
+    for matches in (rules, times):
+        assert [m.group(1) for m in matches] == ["pre", "post", "far", "grid", "warm"]
     assert [m.group(1) for m in errors] == ["pre", "post", "far"]
     return found
 
@@ -70,7 +71,10 @@ def test_tree_against_itself_prints_rule_and_time_lines():
     for m in rules:
         calls, change_calls, rows, change_rows = map(float, m.groups()[1:])
         assert (calls, rows) == (change_calls, change_rows)
-        assert 1.0 <= calls <= rows  # every point and grid calls the rule
+        if m.group(1) == "warm":  # the memo holds every scaled integral
+            assert calls == rows == 0.0
+        else:  # every point and cold grid calls the rule
+            assert 1.0 <= calls <= rows
     for m in times:
         ratio, q1, q3, parent, change = map(float, m.groups()[1:])
         assert q1 <= ratio <= q3

@@ -13,7 +13,12 @@ import pytest
 from conftest import assert_allclose
 
 from vacbrownian import oracle
-from vacbrownian.correlators import corr_normal_reg, corr_transverse
+from vacbrownian.correlators import (
+    corr_normal_reg,
+    corr_transverse,
+    normal_kernel_complex,
+    transverse_kernel_complex,
+)
 from vacbrownian.dispersion import (
     EvalPoint,
     pos_disp_normal,
@@ -209,6 +214,16 @@ class TestRefusalPoint:
         values, errors = oracle._integrate(self.nan_at([]), [0.0, 0.0], [1.0, 2.0])
         assert_allclose(values, [math.sin(1.0), math.sin(2.0)], rtol=1e-14)
         assert all(0.0 <= e <= 1e-13 for e in errors)
+
+    def test_error_equal_to_its_tolerance_is_done(self, rule_calls):
+        # c u^3 on [-1, 1], at the c where the rule's error estimate is EPSABS
+        # itself, bit for bit, and the value far below EPSABS / EPSREL: an
+        # error equal to its tolerance meets it, so the first rule call
+        # settles the integral and nothing is halved
+        c = 18.014095632325315
+        values, errors = oracle._integrate(lambda x, _: [c * u * u * u for u in x], [-1.0], [1.0])
+        assert errors == [oracle.EPSABS] and oracle.EPSREL * abs(values[0]) < oracle.EPSABS
+        assert rule_calls == [1]
 
 
 class TestOracleAgainstClosedForms:
@@ -494,14 +509,130 @@ class TestRuleAgainstReference:
         self.run_both(self.tabulated(fx), lo, hi)
 
 
+class TestRuleMatchesTwentyOneTermForm:
+    # `_gk21` sums G over its ten nodes only and takes resabs from |K
+    # products|.  Its reference here is the rule as it was written with every
+    # sum over all 21 products, `_row_sum` indexing its argument: values,
+    # errors and resasc must agree bit for bit, NaN for NaN.  Why they can:
+    # at each of the 11 Kronrod-only nodes G's weight is 0.0, and a finite f
+    # times 0.0 is an exact +0 or -0; adding a signed zero to a nonzero float
+    # returns that float, and to a zero gives a zero, so dropping those
+    # products moves no partial sum but the sign of a zero, which the final
+    # 0.0 + clears.  A non-finite node makes that product NaN, but it also
+    # makes K infinite or NaN, so that node's |f - K/2|, and with it resasc,
+    # is NaN, and QUADPACK's formula then makes the error NaN in both forms.
+    # And |f w| = |f| w exactly for w > 0, as rounding is symmetric in sign.
+    @staticmethod
+    def row_sum(a):
+        return 0.0 + (((((a[0] + a[8]) + (a[1] + a[9])) + ((a[2] + a[10]) + (a[3] + a[11])))
+                       + (((a[4] + a[12]) + (a[5] + a[13])) + ((a[6] + a[14]) + (a[7] + a[15]))))
+                      + a[16] + a[17] + a[18] + a[19] + a[20])
+
+    @classmethod
+    def reference(cls, f, k, lo, hi):
+        values, errors, resascs = [], [], []
+        for i, a, b in zip(k, lo, hi):
+            centre, half = 0.5 * (a + b), 0.5 * (b - a)
+            fx = f([centre + half * x for x in NODES], i)
+            kronrod = cls.row_sum([y * w for y, w in zip(fx, KRONROD_WEIGHTS)])
+            gauss = cls.row_sum([y * w for y, w in zip(fx, GAUSS_WEIGHTS)])
+            resabs = cls.row_sum([abs(y) * w for y, w in zip(fx, KRONROD_WEIGHTS)]) * half
+            mean = 0.5 * kronrod
+            resasc = cls.row_sum([abs(y - mean) * w for y, w in zip(fx, KRONROD_WEIGHTS)]) * half
+            err = abs((kronrod - gauss) * half)
+            if resasc != 0.0 and err != 0.0:
+                ratio = 200.0 * err / resasc
+                err = resasc * min(ratio * math.sqrt(ratio), 1.0)
+            values.append(kronrod * half)
+            errors.append(max(err, 50.0 * EPS * resabs))
+            resascs.append(resasc)
+        return values, errors, resascs
+
+    def assert_same_bits(self, f, lo, hi):
+        k = list(range(len(lo)))
+        got, want = oracle._gk21(f, k, lo, hi), self.reference(f, k, lo, hi)
+        for name, g, w in zip(("value", "error", "resasc"), got, want):
+            assert bits(g) == bits(w), name
+
+    @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_rows(self, m, seed):
+        fx, lo, hi = TestRuleAgainstReference.rows(m, seed)
+        self.assert_same_bits(TestRuleAgainstReference.tabulated(fx), lo, hi)
+
+    def test_zero_constant_and_non_finite_nodes(self):
+        fx, lo, hi = TestRuleAgainstReference.special_rows()
+        # zeros of opposite signs at G's nodes and at the Kronrod-only ones,
+        # and each non-finite value alone at a Kronrod-only node (the end and
+        # the centre) and at a G node
+        signed = [[(a if j % 2 else b) for j in range(21)] for a, b in ((-0.0, 0.0), (0.0, -0.0))]
+        lone = [[0.0] * j + [y] + [0.0] * (20 - j)
+                for y in (math.inf, -math.inf, math.nan) for j in (0, 1, 10)]
+        rows = fx + signed + lone
+        lo += [0.25 * j for j in range(len(rows) - len(lo))]
+        hi += [a + 1.5 for a in lo[len(hi):]]
+        self.assert_same_bits(TestRuleAgainstReference.tabulated(rows), lo, hi)
+
+    def test_degenerate_intervals(self):
+        # lo == hi (half 0), and an interval whose half overflows to inf
+        fx, _, _ = TestRuleAgainstReference.special_rows()
+        for a, b in ((0.5, 0.5), (-3.0, -3.0), (0.0, 0.0), (-1e308, 1e308)):
+            self.assert_same_bits(TestRuleAgainstReference.tabulated(fx), [a] * len(fx),
+                                  [b] * len(fx))
+
+
+class TestFusedRows:
+    # `_contour_integrand` writes the weight and the kernel out inline, one
+    # comprehension per (kind, component) and piece; each row must equal
+    # the public weight times `correlators`' complex kernel at z = 1, times
+    # du on the tail, bit for bit, NaN for NaN: before the lightcone, next
+    # to the pole and where the weight overflows.
+    WEIGHTS = {"velocity": weight_velocity, "position": weight_position}
+    KERNELS = {"x": transverse_kernel_complex, "z": normal_kernel_complex}
+
+    def public(self, kind, component, T, piece, x):
+        weight, kernel = self.WEIGHTS[kind], self.KERNELS[component]
+        if piece == "axis":
+            return [weight(u, T) * kernel(u, 1.0) for u in x]
+        return [weight(2.0 + du, T) * kernel(2.0 + du, 1.0) * du for du in map(math.exp, x)]
+
+    @staticmethod
+    def nodes(rng, T, piece):
+        """21 seeded nodes of a piece of t/z = T: on the axis u in [0, T] and
+        within 1e-6 of u = 2; on the tail v up to ln(T - 2), and down to where
+        u - 2 = e^v is from 1e-12 to 1e-6."""
+        if piece == "axis":
+            x = [T * rng.random() for _ in range(11)]
+            return x + [2.0 + rng.uniform(-1e-6, 1e-6) for _ in range(10)]
+        top = math.log(T - 2.0) if T > 2.0 else 0.0
+        x = [rng.uniform(-5.0, max(top, -5.0)) for _ in range(11)]
+        return x + [rng.uniform(math.log(1e-12), math.log(1e-6)) for _ in range(10)]
+
+    @pytest.mark.parametrize("kind", ["velocity", "position"])
+    @pytest.mark.parametrize("component", ["x", "z"])
+    @pytest.mark.parametrize("piece", ["axis", "tail"])
+    def test_rows_are_the_public_product(self, kind, component, piece):
+        rng = random.Random(f"{kind} {component} {piece}")
+        # t/z = 1e150 and 1e300: the position weight overflows
+        assert math.isinf(weight_position(0.0, 1e150)) and math.isinf(weight_position(0.0, 1e300))
+        # past 9e307, 2 t overflows where 2 (t - u) need not
+        Ts = [10.0 ** rng.uniform(-3.0, 300.0) for _ in range(200)]
+        Ts += [2.5, 3.0, 1e4, 1e150, 1e300, 1e308, sys.float_info.max]
+        for T in Ts:
+            x = self.nodes(rng, T, piece)
+            f = oracle._contour_integrand(kind, component, [T], [piece])
+            assert bits(f(x, 0)) == bits(self.public(kind, component, T, piece, x)), T
+
+
 class TestFloatRuleMatchesNumpy:
     # The rule runs row by row in floats.  Its reference here is QUADPACK's
     # qk21 in mpmath on the same tabulated rows: each of the four node sums (K
     # and G of f, K of |f| and of |f - K/2|) exact, then rounded once to a
     # float, so that it overflows where a float sum does, and the rest exact.
-    # (The class and its tests keep the names they had while the reference was
-    # the same rule on numpy arrays.)  Each float sum runs every product and at
-    # most nine additions, each rounding once (`_row_sum`); with the product
+    # (The class keeps the name it had while the reference was the same rule
+    # on numpy arrays, so that its 26 test ids stay.)  Each float sum runs
+    # every product and at most nine additions, each rounding once
+    # (`_row_sum`; G's sum over its ten nodes fewer); with the product
     # by half and half's own subtraction that is 12 roundings.  So the value
     # lies within 16 eps R of the reference's, R = half Sum w_K |f|, resasc
     # within 16 eps (R + resasc), resabs within 16 eps R, and |K - G| half
@@ -589,7 +720,7 @@ class TestFloatRuleMatchesNumpy:
 
     @pytest.mark.parametrize("weight", [weight_velocity, weight_position])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_public_weights_on_floats_match_numpy_float_arrays(self, weight, seed):
+    def test_public_weights_on_floats_match_mpmath(self, weight, seed):
         # Seeded (tau, t) with t from 1e-320 to 1e308, a third of the position
         # weights past the float range, and pairs whose weight is inf or NaN:
         # a float's ** 2 would raise OverflowError there.  On floats each weight

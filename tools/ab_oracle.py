@@ -39,12 +39,16 @@ Then it runs ``--repeats`` rounds.  Each round times, for each tree
 in turn (which tree goes first alternates by round), the probe points of each
 band of t/z, drawn by perfbench's own `oracle_points` from a generator seeded
 401 (pre 1e-3 to 2, post 2 to 100, far 100 to 1e6; z log-uniform in
-[1e-9, 1e-3] m, electron or unit preset, the four quantities in turn), and
-one full `verify_grid` on an empty memo.  Before the rounds it prints, for
-each probe, the `_gk21` rule calls and rule rows that each tree makes per
-call (per point, or per grid), counted on one untimed run:
+[1e-9, 1e-3] m, electron or unit preset, the four quantities in turn), one
+full `verify_grid` on an empty memo (grid), and the same grid again on the
+memo that one filled (warm), as most of oracle_audit's grids run: no rule
+runs there, only the closed forms, the prefactors and the refusals.  Before
+the rounds it prints, for each probe, the `_gk21` rule calls and rule rows
+that each tree makes per call (per point, or per grid), counted on one
+untimed run:
 
     far   rule calls parent 1.25  change 1.00  rows parent 17.32  change 7.53
+    warm  rule calls parent 0.00  change 0.00  rows parent 0.00  change 0.00
 
 and after them one line per probe:
 
@@ -225,7 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     runs = {band: (lambda side, band=band: trees[side].run_points(points[side][band]))
             for band in ORACLE_BANDS}
     runs["grid"] = lambda side: trees[side].cold_grid()
-    calls = dict.fromkeys(ORACLE_BANDS, args.points) | {"grid": 1}
+    # each round runs the cold grid first, which fills the memo the warm one reads
+    runs["warm"] = lambda side: trees[side].oracle.verify_grid()
+    calls = dict.fromkeys(ORACLE_BANDS, args.points) | {"grid": 1, "warm": 1}
     for probe, run in runs.items():
         use = {side: trees[side].rule_use(lambda: run(side)) for side in trees}
         print(RULE_LINE.format(probe=probe,
