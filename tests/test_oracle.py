@@ -629,8 +629,9 @@ class TestFloatRuleMatchesNumpy:
     # qk21 in mpmath on the same tabulated rows: each of the four node sums (K
     # and G of f, K of |f| and of |f - K/2|) exact, then rounded once to a
     # float, so that it overflows where a float sum does, and the rest exact.
-    # (The class keeps the name it had while the reference was the same rule
-    # on numpy arrays, so that its 26 test ids stay.)  Each float sum runs
+    # (The class and its weights test keep the names they had while the
+    # reference was the same rule on numpy arrays, so that their 30 test ids
+    # stay.)  Each float sum runs
     # every product and at most nine additions, each rounding once
     # (`_row_sum`; G's sum over its ten nodes fewer); with the product
     # by half and half's own subtraction that is 12 roundings.  So the value
@@ -720,7 +721,7 @@ class TestFloatRuleMatchesNumpy:
 
     @pytest.mark.parametrize("weight", [weight_velocity, weight_position])
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_public_weights_on_floats_match_mpmath(self, weight, seed):
+    def test_public_weights_on_floats_match_numpy_float_arrays(self, weight, seed):
         # Seeded (tau, t) with t from 1e-320 to 1e308, a third of the position
         # weights past the float range, and pairs whose weight is inf or NaN:
         # a float's ** 2 would raise OverflowError there.  On floats each weight
