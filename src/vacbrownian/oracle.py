@@ -54,14 +54,14 @@ u = tau/z, T = t/z and rescaled afterward; this keeps absolute quadrature
 tolerances meaningful for any z.
 
 Quadrature is QUADPACK's globally adaptive 21-point Gauss-Kronrod rule
-(G10/K21; Piessens et al., *QUADPACK*, 1983; Kronrod 1965) over a batch of
-integrals: each point's one ruled piece, of one quantity, is one integral.
-The bookkeeping is per integral, in plain Python lists: each pass, every
-integral not yet done sums its intervals' values and errors left to right
-and halves its interval of largest error.  The rule runs in one `_gk21`
-call per pass on all new intervals of the batch, the first call before
-the loop, row by row in Python floats, on the weight times the kernel at
-z = 1, times du on the tail.  Those rows are written out inline, one
+(G10/K21; Piessens et al., *QUADPACK*, 1983; Kronrod 1965), one integral
+per `_integrate` call, as qag runs it: each point's one ruled piece is one
+integral.  Its bookkeeping is in plain Python lists: each pass sums its
+intervals' values and errors left to right and halves its interval of
+largest error.  The rule runs in one `_gk21` call on the starting
+intervals, before the loop, and one on the two halves of each halving, row
+by row in Python floats, on the weight times the kernel at z = 1, times du
+on the tail.  Those rows are written out inline, one
 comprehension per kind, component and piece (`_ROWS`), in the operation
 order of the public `weight_*` and `correlators`' complex kernels, so each
 is their product bit for bit without their calls.  The rule's sums of K
@@ -76,15 +76,16 @@ resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
 50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
 and to |f - mean f|.  An integral is done when its summed error meets
 max(EPSABS, EPSREL |I|) or when it holds MAX_SUBDIVISIONS intervals, the
-fixed 1e-13, 1e-12 and 200.  Then `_integrate` itself refuses the batch at
-its first integral whose estimate is NaN or exceeds 100 times that
-tolerance, or that QUADPACK's round-off or too-narrow-interval test stopped
-first.  So is a point whose error estimate is not below the magnitude of
-its value, or whose estimate, times its prefactor, is below the smallest
-normal float.  Each row is summed along its own 21 nodes, so an interval's
-rule result does not depend on the call it ran in, and each integral sums
-only its own intervals, so no integral's value depends on the batch it was
-computed in.
+fixed 1e-13, 1e-12 and 200.  Then `_integrate` itself refuses an integral
+whose estimate is NaN or exceeds 100 times that tolerance, or that
+QUADPACK's round-off or too-narrow-interval test stopped first, so a batch
+of points is refused at its first refused point, before the later ones
+run.  So is a point whose error estimate is not below the magnitude of its
+value, or whose estimate, times its prefactor, is below the smallest normal
+float.  Each row is summed along its own 21 nodes, so an interval's rule
+result does not depend on the call it ran in, and each integral sums only
+its own intervals, so no point's value depends on the points it is
+computed with.
 
 Where the pass loop will halve a contour piece is known before any rule
 runs.  The rule converges on an interval at a rate set by the interval's
@@ -98,14 +99,17 @@ v = ln 4 + i pi), points nearer the real line, chosen by measurement so
 that a point's mesh leaves the pass loop nothing to halve.  `_mesh` halves
 each piece, level by level, wherever an interval is longer than twice its
 distance to that singularity, putting each half in the slot the pass loop
-would, and the first rule call runs all of the batch's starting intervals.
-On `tools/ab_oracle.py`'s draws every point takes one rule call, of 1.07,
-1.62 and 3.52 rows before the lightcone, past it and in the far band
-(t/z > 100), once the moments are held; a lone far-band point (velocity x,
-t/z = 1e4) starts its tail from 4 intervals and halves none.  The moments
-take one rule call of 4 rows per power and component: [0, 1] whole and the
-arc in three.  The tail starts from at most 10 intervals up to the largest
-float, so the MAX_SUBDIVISIONS cap of `_mesh` refuses no contour piece.
+would, and the first rule call runs all of the integral's starting
+intervals.  On `tools/ab_oracle.py`'s draws every point takes one rule
+call, of 1.07, 1.62 and 3.52 rows before the lightcone, past it and in the
+far band (t/z > 100), once the moments are held; a lone far-band point
+(velocity x, t/z = 1e4) starts its tail from 4 intervals and halves none.
+The moments take one rule call of 4 rows per power and component: [0, 1]
+whole and the arc in three.  No contour piece starts from more than 21
+intervals, the axis at the lightcone window's lower edge (the tail from at
+most 10 up to the largest float), so the MAX_SUBDIVISIONS cap of `_mesh`
+refuses none, and no point's cap refusal can come before an earlier
+point's refusal.
 `reduced_time_integral` and `direct_time_integral` call the caller's
 Python f once per node, in floats, and pass no singularity, so they start
 from one interval.
@@ -116,8 +120,9 @@ component, T).  `verify_grid` therefore takes each quantity's scaled
 integrals from `_grid_scaled`, `_scaled` under
 `functools.lru_cache(maxsize=256)`, keyed on (kind, component, the grid's
 exact T).  A grid whose T all repeat, at any particle, runs no quadrature;
-since no integral's value depends on its batch, a held value is bit for bit
-a fresh one, and the prefactor and every refusal still run for every point.
+since no point's value depends on the points it is computed with, a held
+value is bit for bit a fresh one, and the prefactor and every refusal still
+run for every point.
 Past 256 entries (a full grid fills 4) the least recently used one goes;
 threads can at worst compute one twice.  `dispersion_oracle` calls
 `_scaled` itself and neither reads nor fills the cache.
@@ -236,7 +241,7 @@ def _weight(kind: str) -> tuple[Callable, Callable]:
 _KERNELS = {"x": transverse_kernel_complex, "z": normal_kernel_complex}
 
 
-# --- batched adaptive Gauss-Kronrod quadrature -----------------------------------
+# --- adaptive Gauss-Kronrod quadrature -----------------------------------------
 
 # QUADPACK's qk21 on [-1, 1]: the positive Kronrod abscissae from the end
 # inward, every second one (0.9739..., 0.8650..., ...) a Gauss node, and the
@@ -279,8 +284,9 @@ MAX_SUBDIVISIONS = 200
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
-# An integrand: the 21 nodes of one interval of integral i, as floats, to the
-# real integrand at those nodes.
+# An integrand: the 21 nodes of one interval, as floats, and that interval's
+# entry of `_gk21`'s k, to the real integrand at those nodes.  `_integrate`
+# passes k = 0 for every interval; `_moments` passes each row's index.
 Integrand = Callable[[list[float], int], list[float]]
 
 
@@ -360,91 +366,73 @@ def _mesh(lo: float, hi: float, pole: complex) -> list[tuple[float, float]]:
     return span
 
 
-def _integrate(f: Integrand, a: Sequence[float], b: Sequence[float],
-               poles: Sequence[complex] = ()) -> tuple[list[float], list[float]]:
-    """Int_a^b f for every pair (a[i], b[i]): values and error estimates.
+def _integrate(f: Integrand, a: float, b: float,
+               pole: complex = math.inf) -> tuple[float, float]:
+    """Int_a^b f: its value and error estimate.
 
-    Each integral keeps its intervals in plain lists, in slot order: a halving
-    puts the left half in the halved slot and appends the right half.  Given
-    ``poles``, each integral's nearest singularity of f, each starts from its
-    `_mesh`; without, from its one interval [a[i], b[i]].  The first `_gk21`
-    call runs every starting interval of the batch, before the pass loop,
-    which begins at the sums: each pass, every integral not yet done sums its
-    values and errors left to right and is done when the error meets
-    max(EPSABS, EPSREL |value|) or it holds MAX_SUBDIVISIONS intervals; else
-    it halves its interval of largest error (the first of equal ones, a NaN
-    one only if all are), and one `_gk21` call runs the new halves.  So a
-    batch that the first call settles leaves after one pass of sums, with
-    no halving bookkeeping.  An integral of two or more intervals whose
-    error sum is NaN is done at once, since no halving can clear it.
-    QUADPACK's (qag) early stops also end an integral: round-off (ier = 2),
+    The integral keeps its intervals in plain lists, in slot order: a halving
+    puts the left half in the halved slot and appends the right half.  It
+    starts from its `_mesh` about ``pole``, f's nearest singularity; a pole at
+    infinity, the default, leaves the one interval [a, b].  One `_gk21` call
+    rules every starting interval, before the pass loop, which begins at the
+    sums: each pass sums the values and errors left to right, and the
+    integral is done when the error meets max(EPSABS, EPSREL |value|) or it
+    holds MAX_SUBDIVISIONS intervals; else it halves its interval of largest
+    error (the first of equal ones, a NaN one only if all are), and one
+    `_gk21` call rules the two halves.  So an integral that the first call
+    settles leaves after one pass of sums.  An integral of two or more
+    intervals whose error sum is NaN is done at once, since no halving can
+    clear it.  QUADPACK's (qag) early stops also end it: round-off (ier = 2),
     after 6 halvings that keep the value within 1e-5 relative and the error
     above 99 %, or 20 from the 11th interval on that raise the error,
-    counting those where neither half's estimate is saturated at resasc;
-    and an interval too narrow to halve (ier = 3).  `_within_budget` then
-    refuses the first integral, in order, with a NaN error estimate, that
-    stopped early or that ended over budget.
+    counting those where neither half's estimate is saturated at resasc; and
+    an interval too narrow to halve (ier = 3).  `_within_budget` then refuses
+    a NaN error estimate, an early stop and an integral that ended over
+    budget.
     """
-    n = len(a)
-    span = [_mesh(float(x), float(y), pole) for x, y, pole in zip(a, b, poles or [math.inf] * n)]
-    stalled, rising = [0] * n, [0] * n  # QUADPACK's iroff1 and iroff2
-    values, errors, stops = [0.0] * n, [0.0] * n, [None] * n
-    res, err = [[] for _ in span], [[] for _ in span]  # each interval's rule value and error
-    k, lo, hi = zip(*[(i, x, y) for i, pieces in enumerate(span) for x, y in pieces])
-    for i, x, y, _ in zip(k, *_gk21(f, k, lo, hi)):
-        res[i].append(x)
-        err[i].append(y)
-    running = range(n)
+    span = _mesh(float(a), float(b), pole)
+    lo, hi = zip(*span)
+    res, err, _ = _gk21(f, [0] * len(span), lo, hi)  # each interval's rule value and error
+    stalled = rising = 0  # QUADPACK's iroff1 and iroff2
+    stop = None
     while True:
-        halving = []
-        for i in running:
-            value = error = 0.0
-            for x, y in zip(res[i], err[i]):  # left to right, unlike sum() from 3.12 on
-                value += x
-                error += y
-            values[i], errors[i] = value, error
-            if error <= max(EPSABS, EPSREL * abs(value)):
-                continue
-            # a NaN interval is never halved while another is finite, and of all-NaN
-            # intervals only the first is: past one interval a NaN sum stays NaN
-            if math.isnan(error) and len(err[i]) > 1:
-                continue
-            stops[i] = "round-off error" if stalled[i] >= 6 or rising[i] >= 20 else None
-            if stops[i] or len(err[i]) >= MAX_SUBDIVISIONS:
-                continue
-            worst = max(-1.0, *err[i])  # errors are >= 0, and a NaN never wins
-            j = err[i].index(worst) if worst >= 0.0 else 0  # all NaN: the first
-            a1, b2 = span[i][j]
-            mid = 0.5 * (a1 + b2)
-            if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
-                stops[i] = f"an interval too narrow to halve after {len(err[i])} intervals"
-            else:
-                halving.append((i, j, a1, mid, b2))
-        if not halving:
-            for args in zip(values, errors, stops, a, b):
-                _within_budget(*args)
-            return values, errors
-        k, lo, hi = zip(*[(i, x, y) for i, _, a1, mid, b2 in halving
-                          for x, y in ((a1, mid), (mid, b2))])
-        ruled = iter(zip(*_gk21(f, k, lo, hi)))
-        for i, j, a1, mid, b2 in halving:
-            (r1, e1, c1), (r2, e2, c2) = next(ruled), next(ruled)
-            both, errs = r1 + r2, e1 + e2
-            if e1 != c1 and e2 != c2:
-                stalled[i] += (abs(res[i][j] - both) <= 1e-5 * abs(both)
-                               and errs >= 0.99 * err[i][j])
-                rising[i] += len(err[i]) >= 10 and errs > err[i][j]
-            span[i][j], res[i][j], err[i][j] = (a1, mid), r1, e1
-            span[i].append((mid, b2))
-            res[i].append(r2)
-            err[i].append(e2)
-        running = [i for i, *_ in halving]
+        value = error = 0.0
+        for x, y in zip(res, err):  # left to right, unlike sum() from 3.12 on
+            value += x
+            error += y
+        # a NaN interval is never halved while another is finite, and of all-NaN
+        # intervals only the first is: past one interval a NaN sum stays NaN
+        if error <= max(EPSABS, EPSREL * abs(value)) or math.isnan(error) and len(err) > 1:
+            break
+        if stalled >= 6 or rising >= 20:
+            stop = "round-off error"
+            break
+        if len(err) >= MAX_SUBDIVISIONS:
+            break
+        worst = max(-1.0, *err)  # errors are >= 0, and a NaN never wins
+        j = err.index(worst) if worst >= 0.0 else 0  # all NaN: the first
+        a1, b2 = span[j]
+        mid = 0.5 * (a1 + b2)
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
+            stop = f"an interval too narrow to halve after {len(err)} intervals"
+            break
+        (r1, r2), (e1, e2), (c1, c2) = _gk21(f, (0, 0), (a1, mid), (mid, b2))
+        both, errs = r1 + r2, e1 + e2
+        if e1 != c1 and e2 != c2:
+            stalled += abs(res[j] - both) <= 1e-5 * abs(both) and errs >= 0.99 * err[j]
+            rising += len(err) >= 10 and errs > err[j]
+        span[j], res[j], err[j] = (a1, mid), r1, e1
+        span.append((mid, b2))
+        res.append(r2)
+        err.append(e2)
+    _within_budget(value, error, stop, a, b)
+    return value, error
 
 
 def _within_budget(value: float, err: float, stop: str | None, a: float, b: float) -> None:
     """Refuse an integral whose error estimate is NaN, that stopped early, or whose
-    estimate exceeds 100x its tolerance; `_integrate`, its one caller, checks every
-    integral."""
+    estimate exceeds 100x its tolerance; `_integrate`, its one caller, checks its
+    integral once it is done."""
     if math.isnan(err):
         raise QuadratureConvergenceError(
             f"a non-finite integrand or rule sum on [{a!r}, {b!r}] makes the quadrature "
@@ -573,14 +561,6 @@ _ROWS = {
 }
 
 
-def _contour_integrand(kind: str, component: str, T: Sequence[float],
-                       pieces: Sequence[str]) -> Integrand:
-    """weight(u, T) kernel(u) du on each integral's piece, in its variable: u on
-    the axis, v = ln(u - 2) on the tail; each row one of `_ROWS`."""
-    axis, tail = _ROWS[kind, component]
-    return lambda x, i: axis(T[i], x) if pieces[i] == "axis" else tail(T[i], x)
-
-
 def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
     """A point's (t/z, prefactor e^2/m^2 (/z^2)); refuses the point on the lightcone
     or with its prefactor outside the float range, as the closed form does."""
@@ -591,16 +571,17 @@ def _plan(kind: str, p: EvalPoint) -> tuple[float, float]:
 def _scaled(kind: str, component: str,
             Ts: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
     """Each scaled integral's (value, error estimate) at z = 1, t/z = T, in the
-    order of Ts: every T's `_contour` piece as one `_integrate` batch, plus, past
-    the lightcone, Sum_j c_j(T) F_j of the `_moments`, with Sum_j |c_j| E_j in
-    the estimate.  No integral's bits depend on the batch it runs in."""
-    a, b, pieces, signs = zip(*map(_contour, Ts))
-    values, errors = _integrate(_contour_integrand(kind, component, Ts, pieces), a, b,
-                                [_POLES[piece] for piece in pieces])
+    order of Ts: T's `_contour` piece, one `_integrate` call on its row of
+    `_ROWS`, plus, past the lightcone, Sum_j c_j(T) F_j of the `_moments`, with
+    Sum_j |c_j| E_j in the estimate.  The first refused T is raised before any
+    later T runs."""
+    axis, tail = _ROWS[kind, component]
     coefficients = _weight(kind)[1]
-
     scaled = []
-    for T, piece, sign, value, error in zip(Ts, pieces, signs, values, errors):
+    for T in Ts:
+        a, b, piece, sign = _contour(T)
+        row = axis if piece == "axis" else tail
+        value, error = _integrate(lambda x, _: row(T, x), a, b, _POLES[piece])
         parts, errs = [sign * value], [error]
         if piece == "tail":
             for c, (moment, moment_error) in zip(coefficients(T), _moments(component)):
@@ -664,23 +645,24 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
     The integral starts from the one interval [0, t]; each pass halves one
     interval and rules its two halves.
     ``reduced_time_integral(math.cos, 1.0, "velocity")``, settled by one rule
-    call, takes 0.015 ms (minimum of 20 calls in process, best of five sets,
+    call, takes 0.011 ms (minimum of 20 calls in process, best of five sets,
     median of five such runs, 2-CPU Xeon, Python 3.11).
     """
     weight = _weight(kind)[0]  # refuses an unknown kind
     _check_time(t)
-    return _integrate(lambda x, _: [weight(u, t) * float(f(u)) for u in x], [0.0], [t])[0][0]
+    return _integrate(lambda x, _: [weight(u, t) * float(f(u)) for u in x], 0.0, t)[0]
 
 
 def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> float:
     """The unreduced double integral over [0, t]^2 for an even kernel f.
 
     Velocity: Int Int f(t' - t'').  Position: Int Int (t-t')(t-t'') f(t'-t'').
-    Used to audit the stationarity weights.  At each outer node t' = u one
-    `_integrate` call runs the inner integral split at the diagonal, over
-    [0, u] and [u, t], so kernels with a |u| kink stay piecewise smooth; the
-    two halves' sum is the outer integrand at u.  A refusal therefore names
-    the first failing inner integral in node order, left half before right.
+    Used to audit the stationarity weights.  At each outer node t' = u two
+    `_integrate` calls run the inner integral split at the diagonal, over
+    [0, u] and then [u, t], so kernels with a |u| kink stay piecewise smooth;
+    the two halves' sum is the outer integrand at u.  A refusal therefore
+    names the first failing inner integral in node order, left half before
+    right.
     """
     _weight(kind)  # the unreduced integral has no weight; this refuses an unknown kind
     _check_time(t)
@@ -691,10 +673,10 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
             return values if kind == "velocity" else [(t - u) * (t - s) * v
                                                       for s, v in zip(x, values)]
 
-        left, right = _integrate(integrand, [0.0, u], [u, t])[0]
-        return left + right
+        left = _integrate(integrand, 0.0, u)[0]
+        return left + _integrate(integrand, u, t)[0]
 
-    return _integrate(lambda x, _: [inner(u) for u in x], [0.0], [t])[0][0]
+    return _integrate(lambda x, _: [inner(u) for u in x], 0.0, t)[0]
 
 
 # --- verification grid -------------------------------------------------------------
@@ -726,7 +708,8 @@ def verify_grid(
     row's closed form and oracle checks run first, in row order, refusing a
     closed form that underflowed to zero, against which no relative error
     exists; then each quantity's rows take their scaled integrals, as one
-    tuple, from the cache of the module docstring, or run as one batch.
+    tuple, from the cache of the module docstring, or compute them, one
+    `_integrate` call per row, in row order.
     The four quantities share one `EvalPoint` per ratio, so their closed
     forms share its `dispersion._shared_terms`.
     """

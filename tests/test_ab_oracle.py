@@ -99,7 +99,7 @@ def test_rule_lines_show_a_change_without_look_ahead(tmp_path):
     # the plain pass loop, one rule call per halving pass: more calls, never fewer
     change = changed_copy(tmp_path, lambda text: text + (
         "\n\n_with_mesh = _integrate\n\n\n"
-        "def _integrate(f, a, b, poles=()):\n    return _with_mesh(f, a, b)\n"))
+        "def _integrate(f, a, b, pole=math.inf):\n    return _with_mesh(f, a, b)\n"))
     proc = ab(SRC, change)
     assert proc.stderr == "" or DIFFER.fullmatch(proc.stderr), proc.stderr
     rules = parsed(proc.stdout)[4]

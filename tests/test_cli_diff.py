@@ -1,27 +1,34 @@
-"""tools/cli_diff.py: a source tree against itself and against a changed copy."""
+"""tools/cli_diff.py: a source tree against itself and against a changed copy, and
+the replay of a kept differing call."""
 
 from __future__ import annotations
 
+import base64
+import json
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from vacbrownian.cli_io import QUANTITY_CHOICES
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 COMMANDS = ["eval", "sweep", "verify", "regimes", "corr", "constants"]
 LINE = re.compile(r"(\w+) +calls +(\d+)  differing (\d+)  exits((?: \d+:\d+)*)"
-                  r"(  first: (\w+) .*)?")
+                  r"(  first: (\w+) .*?)?(  kept (\S+))?")
 QUANTITY_LINE = re.compile(r"quantities((?: \w+:\d+)+)")
 
 
-def diff(parent, change):
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_diff.py"), str(parent),
-                           str(change), "--count", "60"],
+def cli_diff(*args):
+    return subprocess.run([sys.executable, str(ROOT / "tools" / "cli_diff.py"), *map(str, args)],
                           capture_output=True, text=True, timeout=120)
+
+
+def diff(parent, change, *args):
+    proc = cli_diff(parent, change, "--count", "60", *args)
     assert proc.stderr == ""
     *lines, last = proc.stdout.splitlines()
     lines = [LINE.fullmatch(line) for line in lines]
@@ -38,20 +45,63 @@ def diff(parent, change):
         assert m.group(6) in (None, m.group(1))
         exits = dict(pair.split(":") for pair in m.group(4).split())
         assert sum(map(int, exits.values())) == int(m.group(2))  # each call one exit code
-    return proc.returncode, {m.group(1): int(m.group(3)) for m in lines}
+    return proc.returncode, {m.group(1): int(m.group(3)) for m in lines}, {
+        m.group(1): m.group(8) for m in lines if m.group(8)}
 
 
-def test_tree_against_itself_differs_nowhere():
-    assert diff(SRC, SRC) == (0, dict.fromkeys(COMMANDS, 0))
+# refusal messages of `cli_io` and a rewording of each: of an unparsable
+# number, and of a config file that is not JSON
+REWORDED = {"number": ("cannot parse {text!r}", "could not parse {text!r}"),
+            "config": ("invalid JSON in", "broken JSON in")}
 
 
-def test_changed_refusal_message_names_the_call(tmp_path):
+def changed_copy(tmp_path, message="number"):
+    """A copy of the package with one refusal message of `REWORDED` reworded."""
     shutil.copytree(SRC / "vacbrownian", tmp_path / "vacbrownian",
                     ignore=shutil.ignore_patterns("__pycache__"))
     module = tmp_path / "vacbrownian" / "cli_io.py"
-    text = module.read_text()
-    assert text.count("cannot parse {text!r}") == 1
-    module.write_text(text.replace("cannot parse {text!r}", "could not parse {text!r}"))
-    code, differing = diff(SRC, tmp_path)
+    text, (old, new) = module.read_text(), REWORDED[message]
+    assert text.count(old) == 1
+    module.write_text(text.replace(old, new))
+    return tmp_path
+
+
+def test_tree_against_itself_differs_nowhere(tmp_path):
+    # nothing differs, so --keep writes nothing
+    assert diff(SRC, SRC, "--keep", tmp_path / "kept") == (0, dict.fromkeys(COMMANDS, 0), {})
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
+def test_changed_refusal_message_names_the_call(tmp_path):
+    code, differing, kept = diff(SRC, changed_copy(tmp_path))
     assert code == 1
     assert sum(differing.values()) > 0
+    assert kept == {}  # nothing kept without --keep
+
+
+@pytest.mark.parametrize("message", REWORDED)
+def test_kept_call_replays_to_the_same_difference(tmp_path, message):
+    # each subcommand's first differing call is kept, with its whole config,
+    # and replays alone to the reworded message on stderr; against its own
+    # tree it differs nowhere.  Of the config refusals' kept calls, one
+    # (`eval`'s) has a config of 5,007 bytes, past the 200 the report prints.
+    change, keep = changed_copy(tmp_path / "change", message), tmp_path / "kept"
+    code, differing, kept = diff(SRC, change, "--keep", keep)
+    assert code == 1
+    assert sorted(kept) == sorted(c for c, n in differing.items() if n)
+    assert sorted(keep.iterdir()) == sorted(Path(path) for path in kept.values())
+    configs = []
+    for command, path in kept.items():
+        call = json.loads(Path(path).read_text())
+        assert set(call) == {"argv", "tmp", "config"} and call["argv"][0] == command
+        if call["config"] is not None:
+            configs.append(base64.b64decode(call["config"]))
+        proc = cli_diff(SRC, change, "--replay", path)
+        assert (proc.returncode, proc.stderr) == (1, "")
+        first, fields = proc.stdout.splitlines()
+        assert first.startswith(f"replay {command} ") and fields == "differing stderr"
+        proc = cli_diff(SRC, SRC, "--replay", path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[1] == "differing none"
+    if message == "config":  # every such call has a config, and one is long
+        assert len(configs) == len(kept) and max(map(len, configs)) > 200

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import struct
@@ -191,29 +192,37 @@ class TestTimeReduction:
 
 
 class TestRefusalPoint:
-    """`_integrate` refuses a batch itself, at its first refused integral."""
+    """`_integrate` refuses its one integral itself, and a caller that runs
+    several refuses at its first refused one: `direct_time_integral` runs, at
+    each outer node u, the inner integral's left half [0, u] and then its
+    right half [u, t]."""
+
+    # the first outer node of [0, 1], where the first inner integrals run
+    FIRST_NODE = 0.5 + 0.5 * NODES[0]
 
     @staticmethod
-    def nan_at(bad):
-        return lambda x, i: [math.nan if i in bad else math.cos(u) for u in x]
+    def refusal(left, right):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            direct_time_integral(lambda d: math.nan if (d < 0.0 and right or d > 0.0 and left)
+                                 else math.cos(d), 1.0, "velocity")
+        return str(info.value)
 
     def test_middle_integral_refused_first(self):
-        # the third integral is refused too; the NaN one before it is raised
-        with pytest.raises(QuadratureConvergenceError) as info:
-            oracle._integrate(self.nan_at([1, 2]), [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        assert str(info.value) == ("a non-finite integrand or rule sum on [0.0, 2.0] makes "
-                                   "the quadrature error estimate nan")
+        # both halves are refused; the left one, run first, is raised
+        assert self.refusal(left=True, right=True) == (
+            f"a non-finite integrand or rule sum on [0.0, {self.FIRST_NODE!r}] makes the "
+            "quadrature error estimate nan")
 
     def test_last_integral_refused(self):
-        with pytest.raises(QuadratureConvergenceError) as info:
-            oracle._integrate(self.nan_at([2]), [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
-        assert str(info.value) == ("a non-finite integrand or rule sum on [0.0, 3.0] makes "
-                                   "the quadrature error estimate nan")
+        assert self.refusal(left=False, right=True) == (
+            f"a non-finite integrand or rule sum on [{self.FIRST_NODE!r}, 1.0] makes the "
+            "quadrature error estimate nan")
 
     def test_smooth_batch_returns_values_and_errors(self):
-        values, errors = oracle._integrate(self.nan_at([]), [0.0, 0.0], [1.0, 2.0])
-        assert_allclose(values, [math.sin(1.0), math.sin(2.0)], rtol=1e-14)
-        assert all(0.0 <= e <= 1e-13 for e in errors)
+        for b in (1.0, 2.0):
+            value, error = oracle._integrate(lambda x, _: [math.cos(u) for u in x], 0.0, b)
+            assert_allclose(value, math.sin(b), rtol=1e-14)
+            assert 0.0 <= error <= 1e-13
 
     def test_error_equal_to_its_tolerance_is_done(self, rule_calls):
         # c u^3 on [-1, 1], at the c where the rule's error estimate is EPSABS
@@ -221,8 +230,8 @@ class TestRefusalPoint:
         # error equal to its tolerance meets it, so the first rule call
         # settles the integral and nothing is halved
         c = 18.014095632325315
-        values, errors = oracle._integrate(lambda x, _: [c * u * u * u for u in x], [-1.0], [1.0])
-        assert errors == [oracle.EPSABS] and oracle.EPSREL * abs(values[0]) < oracle.EPSABS
+        value, error = oracle._integrate(lambda x, _: [c * u * u * u for u in x], -1.0, 1.0)
+        assert error == oracle.EPSABS and oracle.EPSREL * abs(value) < oracle.EPSABS
         assert rule_calls == [1]
 
 
@@ -501,8 +510,9 @@ class TestRuleAgainstReference:
         # the oracle's own integrand, every piece in turn, and the axis alone
         _, lo, hi = self.rows(m, 99)
         T = [0.1 * 1e6 ** (i / max(m - 1, 1)) for i in range(m)]  # 0.1 to 1e5, geometric
+        rows = dict(zip(("axis", "tail"), oracle._ROWS["position", "x"]))
         for pieces in ([("axis", "tail")[i % 2] for i in range(m)], ["axis"] * m):
-            self.run_both(oracle._contour_integrand("position", "x", T, pieces), lo, hi)
+            self.run_both(lambda x, i: rows[pieces[i]](T[i], x), lo, hi)
 
     def test_zero_constant_and_non_finite_nodes(self):
         fx, lo, hi = self.special_rows()
@@ -582,7 +592,7 @@ class TestRuleMatchesTwentyOneTermForm:
 
 
 class TestFusedRows:
-    # `_contour_integrand` writes the weight and the kernel out inline, one
+    # `_ROWS` writes the weight and the kernel out inline, one
     # comprehension per (kind, component) and piece; each row must equal
     # the public weight times `correlators`' complex kernel at z = 1, times
     # du on the tail, bit for bit, NaN for NaN: before the lightcone, next
@@ -620,8 +630,8 @@ class TestFusedRows:
         Ts += [2.5, 3.0, 1e4, 1e150, 1e300, 1e308, sys.float_info.max]
         for T in Ts:
             x = self.nodes(rng, T, piece)
-            f = oracle._contour_integrand(kind, component, [T], [piece])
-            assert bits(f(x, 0)) == bits(self.public(kind, component, T, piece, x)), T
+            row = dict(zip(("axis", "tail"), oracle._ROWS[kind, component]))[piece]
+            assert bits(row(T, x)) == bits(self.public(kind, component, T, piece, x)), T
 
 
 class TestFloatRuleMatchesNumpy:
@@ -761,9 +771,8 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
     def test_mixed_batch_equals_points_alone(self, quantity):
-        # Deep points next to shallow ones: alone, each point's rule rows run
-        # in calls of their own; in this batch of five, in shared calls.
-        # Only the calls may differ, not a bit of any result.
+        # Deep points next to shallow ones, in a batch of five and alone: not
+        # a bit of any result may differ.
         ratios = (1.999, 0.5, 2.0001, 10.0, 1e4)
         plans = [oracle._plan(quantity.kind, up(ratio)) for ratio in ratios]
         batch = oracle._results(plans, oracle._scaled(quantity.kind, quantity.component,
@@ -772,6 +781,19 @@ class TestBatchIndependence:
             alone = dispersion_oracle(quantity.kind, quantity.component, up(ratio))
             assert (alone.value, alone.error_estimate) == (result.value, result.error_estimate), \
                 ratio
+        # With refused points among them, in every order, a batch raises what
+        # its first refused T raises alone, type and message.  At t/z = 1e150
+        # and 1e200 the position weight overflows, and the velocity x tail at
+        # 1e200, so each is refused for its NaN estimate, naming its own tail.
+        def scaled(Ts):
+            return TestLookAheadMovesNoBit.outcome(oracle._scaled, quantity.kind,
+                                                   quantity.component, Ts)
+
+        for Ts in itertools.permutations((0.5, 1e150, 10.0, 1e200)):
+            alone = [scaled((T,)) for T in Ts]
+            refused = [outcome for outcome in alone if isinstance(outcome[0], type)]
+            want = refused[0] if refused else tuple(outcome[0] for outcome in alone)
+            assert scaled(Ts) == want, Ts
 
 
 class TestLookAheadMovesNoBit:
@@ -792,7 +814,7 @@ class TestLookAheadMovesNoBit:
     @staticmethod
     def plain_loop(monkeypatch):
         integrate = oracle._integrate
-        monkeypatch.setattr(oracle, "_integrate", lambda f, a, b, poles=(): integrate(f, a, b))
+        monkeypatch.setattr(oracle, "_integrate", lambda f, a, b, pole=math.inf: integrate(f, a, b))
 
     @staticmethod
     def seeded_ratios(seed):
@@ -843,18 +865,20 @@ class TestLookAheadMovesNoBit:
         lambda u: abs(u - 1 / 3) ** -0.5 if u != 1 / 3 else 0.0,  # too narrow to halve
     ])
     def test_refused_integrals(self, rule_calls, kernel):
-        # The plain loop refuses each of these batches by its own test.  Given
-        # a singularity on each piece, where both halves of the interval that
-        # holds it keep distance 0, the mesh cap refuses the first piece
+        # The plain loop refuses one or more of these pieces by its own test.
+        # Given a singularity on each piece, where both halves of the interval
+        # that holds it keep distance 0, the mesh cap refuses every piece
         # before any rule runs, whatever the kernel.
         f = lambda x, _: [kernel(u) for u in x]
-        a, b = [0.0, 0.0, 0.5], [1.0, 1 / 3, 2.0]
-        assert self.outcome(oracle._integrate, f, a, b)[0] is QuadratureConvergenceError
-        rule_calls.clear()
-        assert self.outcome(oracle._integrate, f, a, b, [1 / 3, 0.0, 0.5]) == (
-            QuadratureConvergenceError,
-            "[0.0, 1.0] needs more than 200 intervals before the quadrature rule runs")
-        assert rule_calls == []
+        pieces = ((0.0, 1.0, 1 / 3), (0.0, 1 / 3, 0.0), (0.5, 2.0, 0.5))
+        assert any(self.outcome(oracle._integrate, f, a, b)[0] is QuadratureConvergenceError
+                   for a, b, _ in pieces)
+        for a, b, pole in pieces:
+            rule_calls.clear()
+            assert self.outcome(oracle._integrate, f, a, b, pole) == (
+                QuadratureConvergenceError,
+                f"[{a!r}, {b!r}] needs more than 200 intervals before the quadrature rule runs")
+            assert rule_calls == []
 
 
 class TestLookAhead:
@@ -895,12 +919,17 @@ class TestLookAhead:
             assert rule_calls == [rows], ratio
 
     def test_verify_grid_needs_no_more_rule_calls(self, rule_calls, cold_oracle_memo):
-        # one call per quantity, its points before and past the lightcone alike
-        for grid, rows in (("pre-lightcone", 10), ("post-lightcone", 4), ("full", 14)):
+        # one call per grid point, of its mesh's rows: 10, 4 and 14 rows per
+        # quantity, before and past the lightcone alike
+        pre, post = [1, 1, 1, 2, 5], [1, 1, 1, 1]
+        assert [self.leaves(T) for T in oracle.PRE_LIGHTCONE_RATIOS] == pre
+        assert [self.leaves(T) for T in oracle.POST_LIGHTCONE_RATIOS] == post
+        for grid, rows in (("pre-lightcone", pre), ("post-lightcone", post),
+                           ("full", pre + post)):
             rule_calls.clear()
             cold_oracle_memo.cache_clear()
             verify_grid(grid=grid)
-            assert rule_calls == [rows] * 4, grid
+            assert rule_calls == rows * 4, grid
 
     def test_moments_in_one_rule_call_per_power(self, rule_calls):
         # [0, 1] whole and the arc in 3 intervals, one call for each of the 3
@@ -921,6 +950,24 @@ class TestLookAhead:
         with pytest.raises(QuadratureConvergenceError, match="error estimate nan$"):
             oracle._scaled("position", "z", (1e300,))
         assert rule_calls[0] == 10
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_contour_piece_reaches_the_cap(self, seed):
+        # `_mesh` refuses no point's contour piece, so no cap refusal can come
+        # before another point's refusal: seeded t/z from 1e-300 to the
+        # largest float, and from 1.0000001e-6 to 1 off the pole on both
+        # sides, outside the lightcone window.  The most intervals seen, 21,
+        # are the axis at the window's lower edge, 2 - 1.0000001e-6; the tail
+        # at its upper edge takes 3, and at the largest float 10.
+        rng = random.Random(seed)
+        edge = math.log10(1.0000001e-6)
+        Ts = [10.0 ** rng.uniform(-300.0, 308.25) for _ in range(2000)]  # to 1.78e308
+        Ts += [2.0 + sign * 10.0 ** rng.uniform(edge, 0.0) for sign in (-1.0, 1.0)
+               for _ in range(1000)]
+        Ts += [2.0 - 1.0000001e-6, 2.0 + 1.0000001e-6, sys.float_info.max]
+        leaves = [self.leaves(T) for T in Ts]
+        assert max(leaves) == 21 < oracle.MAX_SUBDIVISIONS
+        assert leaves[-3:] == [21, 3, 10]
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_no_leaf_longer_than_twice_its_distance(self, seed):
@@ -976,10 +1023,10 @@ class TestContourPieces:
     def test_tail_runs_in_log_of_the_distance_to_the_pole(self, T, tail):
         assert oracle._contour(T) == tail
         # weight(u) kernel(u) du/dv, du/dv = u - 2 = e^v
-        f = oracle._contour_integrand("velocity", "x", [T], ["tail"])
+        tail = oracle._ROWS["velocity", "x"][1]
         want = [weight_velocity(2.0 + d, T) * corr_transverse(2.0 + d, 1.0) * d
                 for d in map(math.exp, (-0.5, 2.0))]
-        assert f([-0.5, 2.0], 0) == want
+        assert tail(T, [-0.5, 2.0]) == want
 
 
 class TestMoments:

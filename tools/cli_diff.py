@@ -1,6 +1,7 @@
 """Differential CLI run: a changed source tree against its parent, over seeded calls.
 
-    python3 tools/cli_diff.py PARENT_SRC CHANGE_SRC [--count N]
+    python3 tools/cli_diff.py PARENT_SRC CHANGE_SRC [--count N] [--keep DIR]
+    python3 tools/cli_diff.py PARENT_SRC CHANGE_SRC --replay FILE
 
 PARENT_SRC and CHANGE_SRC are directories that hold a `vacbrownian` package,
 such as the `src` of two checkouts (a `git archive` copy of the parent
@@ -33,11 +34,26 @@ config file, every known id listed even when no call draws it:
 
 It exits 1 if any call differs, else 0.  The default count runs in about
 30 s on a 2-CPU Xeon.
+
+With ``--keep DIR`` each subcommand's first differing call is also written
+to DIR/<subcommand>.json (DIR is made if missing): its argv, the temporary
+directory its --config and --output paths lie in, and its config file's
+full bytes in base64 (null: no file); its report line then ends with
+``kept PATH``.  ``--replay FILE`` reruns that one call through both trees,
+its paths moved to a fresh temporary directory, and prints its argv and
+the outcome fields that differ:
+
+    replay eval --z 1e-3 --t 2e-3 --config /tmp/tmpab12/config.json
+    differing stderr
+
+(``differing none`` when the trees agree).  It exits 1 if a field differs,
+else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import io
 import json
 import random
@@ -61,6 +77,8 @@ SPECIAL = ("inf", "-inf", "nan", "-nan", "Infinity", "0", "-0.0", "-1", "-1e-3",
 BAD_CONFIGS = (b"{", b"", b"\xff\xfe{}", b"[1]", b"null", b'"z"', b"3", b'{"bogus": 1}',
                b'{"output": "out"}', b'{"config": "c.json"}', b'{"dt-max": 4}',
                b'{"z": ' + b"9" * 5000 + b"}", b"[" * 100_000, None)
+# the parts of a call's outcome, in `outcome`'s order
+FIELDS = ("exit", "stdout", "stderr", "output", "warnings")
 
 
 def number(rng: random.Random, typical: tuple[int, int], suffixes: str = "") -> str:
@@ -256,17 +274,49 @@ def outcome(tree: Tree, argv: list[str], config: bytes | None, config_path: Path
             [(w.category.__name__, str(w.message)) for w in caught])
 
 
+def keep(directory: Path, command: str, call: list[str], config: bytes | None,
+         tmp: str) -> Path:
+    """Write one call to DIRECTORY/COMMAND.json for ``--replay``: its argv, the
+    temporary directory ``tmp`` its paths lie in, and its config bytes in base64."""
+    path = directory / f"{command}.json"
+    path.write_text(json.dumps({"argv": call, "tmp": tmp, "config": None if config is None
+                                else base64.b64encode(config).decode("ascii")}) + "\n")
+    return path
+
+
+def replay(parent: Tree, change: Tree, kept: Path) -> int:
+    """Rerun the call ``keep`` wrote to ``kept`` through both trees and print
+    the fields of its outcome that differ; 1 if any does, else 0."""
+    call = json.loads(kept.read_text())
+    config = None if call["config"] is None else base64.b64decode(call["config"])
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.replace(call["tmp"], tmp) for arg in call["argv"]]
+        paths = Path(tmp, "config.json"), Path(tmp, "out")
+        before, after = (outcome(tree, argv, config, *paths) for tree in (parent, change))
+    differing = [name for name, x, y in zip(FIELDS, before, after) if x != y]
+    print(f"replay {shlex.join(argv)}\ndiffering {' '.join(differing) or 'none'}")
+    return 1 if differing else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="source tree holding the parent's vacbrownian")
     parser.add_argument("change", help="source tree holding the change's vacbrownian")
     parser.add_argument("--count", type=int, default=6000, help="calls (default 6000)")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="write each subcommand's first differing call to DIR")
+    parser.add_argument("--replay", type=Path, metavar="FILE",
+                        help="rerun the one call that --keep wrote to FILE")
     args = parser.parse_args(argv)
     if args.count < 1:
         parser.error("--count must be at least 1")
 
     parent = Tree(args.parent, "cli_diff_parent_vacbrownian")
     change = Tree(args.change, "cli_diff_change_vacbrownian")
+    if args.replay:
+        return replay(parent, change, args.replay)
+    if args.keep:
+        args.keep.mkdir(parents=True, exist_ok=True)
     rng = random.Random(SEED)
     differing = dict.fromkeys(COMMANDS, 0)
     exits: dict[str, Counter] = {command: Counter() for command in COMMANDS}
@@ -284,8 +334,11 @@ def main(argv: list[str] | None = None) -> int:
             exits[command][after[0]] += 1
             if before != after:
                 differing[command] += 1
-                first.setdefault(command, f"  first: {shlex.join(call)}" + (
-                    "" if config is None else f"  config {config[:200]!r}"))
+                if command not in first:
+                    first[command] = f"  first: {shlex.join(call)}" + (
+                        "" if config is None else f"  config {config[:200]!r}")
+                    if args.keep:
+                        first[command] += f"  kept {keep(args.keep, command, call, config, tmp)}"
     for command in COMMANDS:
         codes = exits[command]
         print(f"{command:<10} calls {sum(codes.values()):>5}  differing {differing[command]}"
