@@ -19,35 +19,30 @@ weights are polynomials, so the path may dip below the axis around tau = 2z
 without changing the value; on that path the integrand is analytic in eps
 down to eps = 0, so the limit is the integral of the unsplit kernel along
 it.  Each point is therefore one contour integral at eps = 0: for t < 2z the
-axis from 0 to t; beyond, the axis from 0 to z, a semicircle of radius z
-centred at 2z below the axis, then the axis from 3z to t (run as
--Int_t^{3z} when t < 3z).  The radius does not shrink with t - 2z, so the
-integrand stays smooth on every piece except near tau = t itself.  Each
-piece runs in a variable of its own: the axis from 0 in u = tau/z itself;
-the semicircle u = 2 + e^{is} in r = tan((s - 3 pi/2)/2) on [-1, 1], where
-e^{is} = (2r - i(1 - r^2))/(1 + r^2) and du/dr = 2i e^{is}/(1 + r^2), so
-that no trigonometric function runs (`_arc_point`); and the tail in
-v = ln(u - 2), where the integrand varies on the scale of u - 2, so a few
-intervals cover it up to the largest float (`_contour`).
+axis from 0 to t; beyond, a path from 0 to 3z that passes below the pole,
+then the axis from 3z to t (run as -Int_t^{3z} when t < 3z).  The axis from
+0 runs in u = tau/z itself, and the tail in v = ln(u - 2), where the
+integrand varies on the scale of u - 2, so a few intervals cover it up to
+the largest float (`_contour`).
 
 Past the lightcone the weight is a polynomial in u, Sum_j c_j(T) u^j with
 j in {0, 1} (velocity: 2T - 2u) or {0, 1, 3} (position:
-(2/3)T^3 - T^2 u + u^3/3).  So the axis from 0 to 1 plus the arc is
-Sum_j c_j(T) F_j, where the moments F_j = Re Int u^j kernel(u) du over those
-two pieces depend on no T.  `_moments` rules them once per process and
-component, lazily, on the first point past the lightcone, and each such
-point then rules only its tail.  Each F_j is the math.fsum of all its
-Kronrod products, rounded once; summed interval by interval, as an integral
-is, they left the far band's transverse errors 2.6 to 5 times larger
-(median and worst over 300 seeded points, t/z from 1e2 to 1e6).
+(2/3)T^3 - T^2 u + u^3/3).  So the path from 0 to 3 below the pole is
+Sum_j c_j(T) F_j, where the moments F_j = Re Int_0^3 u^j kernel(u) du along
+it depend on no T, and a point past the lightcone rules only its tail.  The
+six F_j are committed literals, `_MOMENTS`: each is the correctly rounded
+value of its integral, taken with mpmath.quad at 40 digits on the path
+0 -> 1 -> 2 - i -> 3 from the kernels' formulas, and a test regenerates
+each bit for bit.  No closed form of `dispersion` enters them, so the two
+routes stay independent.
 
-A point's error estimate is the sum of its pieces' quadrature error
-estimates, the moments' E_j each times |c_j(T)|, plus
-eps_mach * Sum |parts| * max(1, t / |t - 2z|), where the parts are the
-tail and each c_j F_j.  The first terms are how well the rule fits the
-integrands it was given; the last covers what they cannot see, the rounding
-of the parts' cancelling sum and of the nodes next to the pole (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4).
+A point's error estimate is its ruled piece's quadrature error estimate,
+past the lightcone plus Sum_j |c_j(T)| ulp(F_j)/2 for the literals'
+rounding, plus eps_mach * Sum |parts| * max(1, t / |t - 2z|), where the
+parts are the tail and each c_j F_j.  The first term is how well the rule
+fits the integrand it was given; the last covers what it cannot see, the
+rounding of the parts' cancelling sum and of the nodes next to the pole
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 4).
 
 Internally everything is computed at z = 1 in the scaled variables
 u = tau/z, T = t/z and rescaled afterward; this keeps absolute quadrature
@@ -69,8 +64,7 @@ is their product bit for bit without their calls.  The rule's sums of K
 (`_row_sum`), and G adds only its ten, in the order `_row_sum` gives them:
 the eleven it leaves out have the weight 0.0, exact zeros that move no
 sum.  So no sum depends on the Python it runs on or on the CPU; the
-tail's `math.exp` follows the libm, and the moments' complex products are
-CPython's own.
+tail's `math.exp` follows the libm.
 An interval's error estimate is QUADPACK's:
 resasc * min(1, (200 |K - G| / resasc)^1.5), floored at
 50 eps_mach * resabs, where resabs and resasc are the rule applied to |f|
@@ -93,19 +87,17 @@ distance to the integrand's nearest singularity (the Bernstein-ellipse
 argument; Trefethen, "Is Gauss quadrature better than Clenshaw-Curtis?",
 *SIAM Rev.* 50, 2008), and the kernels' only singularities are the poles
 u = +-2.  Each piece therefore comes with a singularity in its own
-variable, `_POLES`: the pole u = 2 for the axis; for the arc and the tail,
-whose true nearest lie where u meets -2 (r = -(8 + 15i)/17,
-v = ln 4 + i pi), points nearer the real line, chosen by measurement so
-that a point's mesh leaves the pass loop nothing to halve.  `_mesh` halves
-each piece, level by level, wherever an interval is longer than twice its
-distance to that singularity, putting each half in the slot the pass loop
-would, and the first rule call runs all of the integral's starting
-intervals.  On `tools/ab_oracle.py`'s draws every point takes one rule
-call, of 1.07, 1.62 and 3.52 rows before the lightcone, past it and in the
-far band (t/z > 100), once the moments are held; a lone far-band point
-(velocity x, t/z = 1e4) starts its tail from 4 intervals and halves none.
-The moments take one rule call of 4 rows per power and component: [0, 1]
-whole and the arc in three.  No contour piece starts from more than 21
+variable, `_POLES`: the pole u = 2 for the axis; for the tail, whose true
+nearest lies where u meets -2 (v = ln 4 + i pi), a point nearer the real
+line, chosen by measurement so that a point's mesh leaves the pass loop
+nothing to halve.  `_mesh` halves each piece, level by level, wherever an
+interval is longer than twice its distance to that singularity, putting
+each half in the slot the pass loop would, and the first rule call runs all
+of the integral's starting intervals.  On `tools/ab_oracle.py`'s draws
+every point takes one rule call, of 1.07, 1.62 and 3.52 rows before the
+lightcone, past it and in the far band (t/z > 100); a lone far-band point
+(velocity x, t/z = 1e4) starts its tail from 4 intervals and halves none,
+in a cold process too.  No contour piece starts from more than 21
 intervals, the axis at the lightcone window's lower edge (the tail from at
 most 10 up to the largest float), so the MAX_SUBDIVISIONS cap of `_mesh`
 refuses none, and no point's cap refusal can come before an earlier
@@ -137,13 +129,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterable, Sequence
 from operator import mul
 
-from .correlators import (
-    PI_SQ,
-    RegulatorSpec,
-    check_lightcone,
-    normal_kernel_complex,
-    transverse_kernel_complex,
-)
+from .correlators import PI_SQ, RegulatorSpec, check_lightcone
 from .dispersion import QUANTITIES, EvalPoint, _LIGHTCONE_REFUSAL, _prefactor
 from .errors import ExtrapolationError, FrozenRecord, QuadratureConvergenceError
 from .units_constants import ParticleSpec, unit_preset
@@ -225,7 +211,7 @@ def _position_coefficients(t):
 
 
 # Each kind's weight and its coefficients c_j(t) by power j of u, in the order
-# of `_POWERS`.
+# of `_MOMENTS`.
 _WEIGHTS = {"velocity": (weight_velocity, _velocity_coefficients),
             "position": (weight_position, _position_coefficients)}
 
@@ -237,8 +223,6 @@ def _weight(kind: str) -> tuple[Callable, Callable]:
     if weight is None:
         raise ValueError("kind must be 'velocity' or 'position'")
     return weight
-
-_KERNELS = {"x": transverse_kernel_complex, "z": normal_kernel_complex}
 
 
 # --- adaptive Gauss-Kronrod quadrature -----------------------------------------
@@ -284,10 +268,9 @@ MAX_SUBDIVISIONS = 200
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
-# An integrand: the 21 nodes of one interval, as floats, and that interval's
-# entry of `_gk21`'s k, to the real integrand at those nodes.  `_integrate`
-# passes k = 0 for every interval; `_moments` passes each row's index.
-Integrand = Callable[[list[float], int], list[float]]
+# An integrand: the 21 nodes of one interval, as floats, to the real integrand
+# at those nodes.
+Integrand = Callable[[list[float]], list[float]]
 
 
 def _row_sum(a: Iterable[float]) -> float:
@@ -302,10 +285,11 @@ def _row_sum(a: Iterable[float]) -> float:
                   + a16 + a17 + a18 + a19 + a20)
 
 
-def _gk21(f: Integrand, k: Sequence[int], lo: Sequence[float],
+def _gk21(f: Integrand, lo: Sequence[float],
           hi: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
-    """The G10/K21 rule on each interval [lo, hi], lo <= hi, of integral k, row
-    by row in floats: the lists of their values, errors and resasc.
+    """The G10/K21 rule on each interval [lo, hi], lo <= hi, row by row in
+    floats, calling f once per row in order: the lists of their values,
+    errors and resasc.
 
     G is summed over its ten nodes only, in the order `_row_sum` gives them:
     the products it drops, at the Kronrod-only nodes, are each an exact +-0
@@ -314,9 +298,9 @@ def _gk21(f: Integrand, k: Sequence[int], lo: Sequence[float],
     resabs sums the |K products|, each |f| w_K exactly, as w_K > 0.
     """
     values, errors, resascs = [], [], []
-    for i, a, b in zip(k, lo, hi):
+    for a, b in zip(lo, hi):
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
-        fx = f([centre + half * x for x in NODES], i)
+        fx = f([centre + half * x for x in NODES])
         products = list(map(mul, fx, KRONROD_WEIGHTS))
         kronrod = _row_sum(products)
         g1, g3, g5, g7, g9, g11, g13, g15, g17, g19 = map(mul, fx[1::2], _GAUSS_WEIGHTS_10)
@@ -392,7 +376,7 @@ def _integrate(f: Integrand, a: float, b: float,
     """
     span = _mesh(float(a), float(b), pole)
     lo, hi = zip(*span)
-    res, err, _ = _gk21(f, [0] * len(span), lo, hi)  # each interval's rule value and error
+    res, err, _ = _gk21(f, lo, hi)  # each interval's rule value and error
     stalled = rising = 0  # QUADPACK's iroff1 and iroff2
     stop = None
     while True:
@@ -416,7 +400,7 @@ def _integrate(f: Integrand, a: float, b: float,
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
             stop = f"an interval too narrow to halve after {len(err)} intervals"
             break
-        (r1, r2), (e1, e2), (c1, c2) = _gk21(f, (0, 0), (a1, mid), (mid, b2))
+        (r1, r2), (e1, e2), (c1, c2) = _gk21(f, (a1, mid), (mid, b2))
         both, errs = r1 + r2, e1 + e2
         if e1 != c1 and e2 != c2:
             stalled += abs(res[j] - both) <= 1e-5 * abs(both) and errs >= 0.99 * err[j]
@@ -462,19 +446,20 @@ def _check_time(t: float) -> None:
 # --- oracle entry points --------------------------------------------------------
 
 # Each contour piece's singularity for `_mesh`, in the piece's own variable.
-# The axis's is the pole u = 2 itself.  The arc's and the tail's true nearest
-# lie where u meets the pole u = -2, at r = -(8 + 15i)/17 and v = ln 4 + i pi;
-# at twice their distance a point took 1.6 to 1.9 rule calls, the pass loop
-# halving what the mesh had left.  Their imaginary parts are therefore
-# shortened, by measurement, to where every point takes one call and no
-# seed of oracle_audit fails more often: the arc then starts from
-# [-1, -1/2], [-1/2, 0] and [0, 1], and the tail from at most 10 intervals
-# up to the largest float.
-_POLES = {"axis": 2.0, "arc": complex(-8.0 / 17.0, -0.45), "tail": complex(math.log(4.0), 1.1)}
+# The axis's is the pole u = 2 itself.  The tail's true nearest lies where u
+# meets the pole u = -2, at v = ln 4 + i pi; at twice its distance a point
+# took 1.6 to 1.9 rule calls, the pass loop halving what the mesh had left.
+# Its imaginary part is therefore shortened, by measurement, to where every
+# point takes one call and no seed of oracle_audit fails more often: the
+# tail then starts from at most 10 intervals up to the largest float.
+_POLES = {"axis": 2.0, "tail": complex(math.log(4.0), 1.1)}
 
-# u^j for each power j = 0, 1, 3 of the weights' coefficients, as products:
-# a float's ** would follow the libm.
-_POWERS = (lambda u: 1.0, lambda u: u, lambda u: u * u * u)
+# Each component's (F_j, E_j) for the powers j = 0, 1, 3 of the weights'
+# coefficients: F_j = Re Int_0^3 u^j kernel(u) du below the pole, correctly
+# rounded (see the module docstring), and E_j = ulp(F_j)/2, its rounding error.
+_MOMENTS = {component: tuple((F, math.ulp(F) / 2.0) for F in moments) for component, moments in (
+    ("x", (0.0048276977926819155, 0.018237813055620798, 0.24402479840803595)),
+    ("z", (-0.002503146451716701, -0.022797266319526, -0.07988448090744876)))}
 
 
 def _contour(T: float) -> tuple[float, float, str, float]:
@@ -483,51 +468,12 @@ def _contour(T: float) -> tuple[float, float, str, float]:
 
     For T <= 2 the axis, u from 0 to T.  Beyond, the tail, in v = ln(u - 2)
     from 0 to ln(T - 2), which for T < 3 is -Int_{ln(T - 2)}^0, since `_gk21`
-    needs lo <= hi; the axis from 0 to 1 and the arc are `_moments`.
+    needs lo <= hi; the path from 0 to 3 is `_MOMENTS`.
     """
     if T <= 2.0:
         return 0.0, T, "axis", 1.0
     end = math.log(T - 2.0)
     return (0.0, end, "tail", 1.0) if end >= 0.0 else (end, 0.0, "tail", -1.0)
-
-
-def _arc_point(r: float) -> tuple[complex, complex]:
-    """(u, du/dr) at r on the arc: e^{is} = (2r - i(1 - r^2))/(1 + r^2) runs the
-    semicircle u = 2 + e^{is} without a trigonometric function, and
-    du/dr = 2i e^{is}/(1 + r^2)."""
-    d = 1.0 + r * r
-    turn = complex(2.0 * r / d, (r * r - 1.0) / d)
-    return 2.0 + turn, complex(-2.0 * turn.imag / d, 2.0 * turn.real / d)
-
-
-@functools.lru_cache(maxsize=None)
-def _moments(component: str) -> tuple[tuple[float, float], ...]:
-    """(F_j, E_j) for each power j of `_POWERS`: F_j = Re Int u^j kernel(u) du
-    over the axis from 0 to 1 and the arc, and E_j its error estimate.
-
-    Neither depends on T, so each is ruled once per process and component, on
-    its pieces' `_mesh`, in one `_gk21` call per power, the kernel times du
-    computed once for all three.  F_j is the math.fsum of all its Kronrod
-    products, so it is rounded once, and E_j the fsum of its intervals' error
-    estimates.
-    """
-    kernel, span, nodes = _KERNELS[component], [], []
-    for piece, a, b in (("axis", 0.0, 1.0), ("arc", -1.0, 1.0)):
-        for lo, hi in _mesh(a, b, _POLES[piece]):
-            centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            x = [centre + half * r for r in NODES]
-            path = [(u, 1.0) for u in x] if piece == "axis" else map(_arc_point, x)
-            span.append((lo, hi, half))
-            nodes.append([(u, kernel(u, 1.0) * du) for u, du in path])
-    lo, hi, halves = zip(*span)
-    moments = []
-    for power in _POWERS:
-        rows = [[(power(u) * g).real for u, g in row] for row in nodes]
-        errors = _gk21(lambda _, i: rows[i], range(len(rows)), lo, hi)[1]
-        products = (half * w * y for half, row in zip(halves, rows)
-                    for w, y in zip(KRONROD_WEIGHTS, row))
-        moments.append((math.fsum(products), math.fsum(errors)))
-    return tuple(moments)
 
 
 # Each (kind, component)'s integrand rows (axis, tail): weight(u, t) kernel(u, 1.0)
@@ -572,7 +518,7 @@ def _scaled(kind: str, component: str,
             Ts: tuple[float, ...]) -> tuple[tuple[float, float], ...]:
     """Each scaled integral's (value, error estimate) at z = 1, t/z = T, in the
     order of Ts: T's `_contour` piece, one `_integrate` call on its row of
-    `_ROWS`, plus, past the lightcone, Sum_j c_j(T) F_j of the `_moments`, with
+    `_ROWS`, plus, past the lightcone, Sum_j c_j(T) F_j of the `_MOMENTS`, with
     Sum_j |c_j| E_j in the estimate.  The first refused T is raised before any
     later T runs."""
     axis, tail = _ROWS[kind, component]
@@ -581,10 +527,10 @@ def _scaled(kind: str, component: str,
     for T in Ts:
         a, b, piece, sign = _contour(T)
         row = axis if piece == "axis" else tail
-        value, error = _integrate(lambda x, _: row(T, x), a, b, _POLES[piece])
+        value, error = _integrate(lambda x: row(T, x), a, b, _POLES[piece])
         parts, errs = [sign * value], [error]
         if piece == "tail":
-            for c, (moment, moment_error) in zip(coefficients(T), _moments(component)):
+            for c, (moment, moment_error) in zip(coefficients(T), _MOMENTS[component]):
                 parts.append(c * moment)
                 errs.append(abs(c) * moment_error)
         # fsum rounds once, alike on every Python (sum() compensates from 3.12 on)
@@ -630,7 +576,7 @@ def dispersion_oracle(kind: str, component: str, p: EvalPoint) -> OracleResult:
     (velocities carry an extra 1/z^2).
     """
     _weight(kind)  # refuses an unknown kind before any other check
-    if component not in _KERNELS:
+    if (kind, component) not in _ROWS:
         raise ValueError("component must be 'x' or 'z'")
     T, prefactor = _plan(kind, p)
     return _results([(T, prefactor)], _scaled(kind, component, (T,)))[0]
@@ -650,7 +596,7 @@ def reduced_time_integral(f: Callable[[float], float], t: float, kind: str) -> f
     """
     weight = _weight(kind)[0]  # refuses an unknown kind
     _check_time(t)
-    return _integrate(lambda x, _: [weight(u, t) * float(f(u)) for u in x], 0.0, t)[0]
+    return _integrate(lambda x: [weight(u, t) * float(f(u)) for u in x], 0.0, t)[0]
 
 
 def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> float:
@@ -668,7 +614,7 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
     _check_time(t)
 
     def inner(u: float) -> float:
-        def integrand(x: list[float], _: int) -> list[float]:
+        def integrand(x: list[float]) -> list[float]:
             values = [float(f(u - s)) for s in x]
             return values if kind == "velocity" else [(t - u) * (t - s) * v
                                                       for s, v in zip(x, values)]
@@ -676,7 +622,7 @@ def direct_time_integral(f: Callable[[float], float], t: float, kind: str) -> fl
         left = _integrate(integrand, 0.0, u)[0]
         return left + _integrate(integrand, u, t)[0]
 
-    return _integrate(lambda x, _: [inner(u) for u in x], 0.0, t)[0]
+    return _integrate(lambda x: [inner(u) for u in x], 0.0, t)[0]
 
 
 # --- verification grid -------------------------------------------------------------

@@ -120,20 +120,6 @@ def test_no_module_imports_typing():
             assert "typing" not in {n.split(".")[0] for n in names}, (path.name, node.lineno)
 
 
-MOMENTS_HELD = "from vacbrownian import oracle\nprint(oracle._moments.cache_info().currsize)\n"
-
-
-def test_only_points_past_the_lightcone_rule_the_moments():
-    # the axis [0, 1] and arc moments are ruled on a process's first oracle
-    # point past the lightcone: the import, every closed-form subcommand and a
-    # pre-lightcone verify rule none of them, a post-lightcone one both
-    assert run_fresh("import vacbrownian\n" + MOMENTS_HELD).split() == ["0"]
-    closed_form_and_pre = run_main(*CLOSED_FORM_CALLS, ["verify", "--grid", "pre-lightcone"])
-    assert run_fresh(closed_form_and_pre + MOMENTS_HELD).split() == ["0"]
-    post = run_main(["verify", "--grid", "post-lightcone"])
-    assert run_fresh(post + MOMENTS_HELD).split() == ["2"]
-
-
 # The oracle's entry points beyond the verify grid: a far-band point, t/z = 1e4,
 # and a caller's integral.
 ORACLE_CALLS = ("import math\nimport vacbrownian\n"

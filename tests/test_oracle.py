@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
 import struct
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -70,9 +73,9 @@ def rule_calls(monkeypatch):
     calls = []
     rule = oracle._gk21
 
-    def counted(f, k, lo, hi):
-        calls.append(len(k))
-        return rule(f, k, lo, hi)
+    def counted(f, lo, hi):
+        calls.append(len(lo))
+        return rule(f, lo, hi)
 
     monkeypatch.setattr(oracle, "_gk21", counted)
     return calls
@@ -220,7 +223,7 @@ class TestRefusalPoint:
 
     def test_smooth_batch_returns_values_and_errors(self):
         for b in (1.0, 2.0):
-            value, error = oracle._integrate(lambda x, _: [math.cos(u) for u in x], 0.0, b)
+            value, error = oracle._integrate(lambda x: [math.cos(u) for u in x], 0.0, b)
             assert_allclose(value, math.sin(b), rtol=1e-14)
             assert 0.0 <= error <= 1e-13
 
@@ -230,7 +233,7 @@ class TestRefusalPoint:
         # error equal to its tolerance meets it, so the first rule call
         # settles the integral and nothing is halved
         c = 18.014095632325315
-        value, error = oracle._integrate(lambda x, _: [c * u * u * u for u in x], -1.0, 1.0)
+        value, error = oracle._integrate(lambda x: [c * u * u * u for u in x], -1.0, 1.0)
         assert error == oracle.EPSABS and oracle.EPSREL * abs(value) < oracle.EPSABS
         assert rule_calls == [1]
 
@@ -301,7 +304,7 @@ class TestOracleAgainstClosedForms:
         with pytest.raises(ValueError, match=message):
             dispersion_oracle(kind, "z", p)
 
-    @pytest.mark.parametrize("charge, estimate", [(1e-160, r"0\.0"), (1e-150, r"2\.81.*e-314")],
+    @pytest.mark.parametrize("charge, estimate", [(1e-160, r"0\.0"), (1e-150, r"1\.39505813e-316")],
                              ids=["zero", "subnormal"])
     def test_estimate_below_smallest_normal_refused(self, charge, estimate):
         # e^2/m^2 = 1e-320 or 1e-300: the value is a subnormal or normal float,
@@ -316,7 +319,7 @@ class TestOracleAgainstClosedForms:
         # on the tail, which makes its error estimate inf - inf; no halving
         # clears a NaN of two or more intervals, so the integral is done after
         # the first call of its starting rows, and the NaN estimate is refused
-        # before any moment is read
+        # before any moment is added
         for T, end, rows in ((1e150, r"345\.38776394910684", 9),
                              (1e200, r"460\.51701859880916", 9),
                              (1e300, r"690\.7755278982137", 10)):
@@ -486,24 +489,31 @@ class TestRuleAgainstReference:
         return fx, lo, hi
 
     @staticmethod
-    def run_both(f, lo, hi):
-        k = list(range(len(lo)))
-        together = oracle._gk21(f, k, lo, hi)
-        for i in k:
-            alone = oracle._gk21(f, k[i:i + 1], lo[i:i + 1], hi[i:i + 1])
+    def in_turn(fs):
+        """An integrand that is fs[0] on the first row `_gk21` rules, fs[1] on the
+        second, and so on: `_gk21` calls its integrand once per row, in order."""
+        calls = iter(fs)
+        return lambda x: next(calls)(x)
+
+    @classmethod
+    def tabulated(cls, fx):
+        """The rows ``fx`` as an integrand, one row per call."""
+        return cls.in_turn([lambda x, row=row: row for row in fx])
+
+    @classmethod
+    def run_both(cls, fs, lo, hi):
+        """Each row of integrand fs[i] on [lo[i], hi[i]], ruled in one call and alone."""
+        together = oracle._gk21(cls.in_turn(fs), lo, hi)
+        for i, f in enumerate(fs):
+            alone = oracle._gk21(f, lo[i:i + 1], hi[i:i + 1])
             for result, row in zip(together, alone):
                 assert bits(result[i:i + 1]) == bits(row)
-
-    @staticmethod
-    def tabulated(fx):
-        """The rows ``fx`` as an integrand."""
-        return lambda x, i: fx[i]
 
     @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])  # 17: a full verify batch's pieces
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_rows(self, m, seed):
         fx, lo, hi = self.rows(m, seed)
-        self.run_both(self.tabulated(fx), lo, hi)
+        self.run_both([lambda x, row=row: row for row in fx], lo, hi)
 
     @pytest.mark.parametrize("m", [1, 2, 14, 17])
     def test_contour_rows(self, m):
@@ -512,11 +522,12 @@ class TestRuleAgainstReference:
         T = [0.1 * 1e6 ** (i / max(m - 1, 1)) for i in range(m)]  # 0.1 to 1e5, geometric
         rows = dict(zip(("axis", "tail"), oracle._ROWS["position", "x"]))
         for pieces in ([("axis", "tail")[i % 2] for i in range(m)], ["axis"] * m):
-            self.run_both(lambda x, i: rows[pieces[i]](T[i], x), lo, hi)
+            fs = [lambda x, row=rows[piece], t=t: row(t, x) for piece, t in zip(pieces, T)]
+            self.run_both(fs, lo, hi)
 
     def test_zero_constant_and_non_finite_nodes(self):
         fx, lo, hi = self.special_rows()
-        self.run_both(self.tabulated(fx), lo, hi)
+        self.run_both([lambda x, row=row: row for row in fx], lo, hi)
 
 
 class TestRuleMatchesTwentyOneTermForm:
@@ -539,11 +550,11 @@ class TestRuleMatchesTwentyOneTermForm:
                       + a[16] + a[17] + a[18] + a[19] + a[20])
 
     @classmethod
-    def reference(cls, f, k, lo, hi):
+    def reference(cls, f, lo, hi):
         values, errors, resascs = [], [], []
-        for i, a, b in zip(k, lo, hi):
+        for a, b in zip(lo, hi):
             centre, half = 0.5 * (a + b), 0.5 * (b - a)
-            fx = f([centre + half * x for x in NODES], i)
+            fx = f([centre + half * x for x in NODES])
             kronrod = cls.row_sum([y * w for y, w in zip(fx, KRONROD_WEIGHTS)])
             gauss = cls.row_sum([y * w for y, w in zip(fx, GAUSS_WEIGHTS)])
             resabs = cls.row_sum([abs(y) * w for y, w in zip(fx, KRONROD_WEIGHTS)]) * half
@@ -558,17 +569,16 @@ class TestRuleMatchesTwentyOneTermForm:
             resascs.append(resasc)
         return values, errors, resascs
 
-    def assert_same_bits(self, f, lo, hi):
-        k = list(range(len(lo)))
-        got, want = oracle._gk21(f, k, lo, hi), self.reference(f, k, lo, hi)
+    def assert_same_bits(self, fx, lo, hi):
+        tabulated = TestRuleAgainstReference.tabulated
+        got, want = oracle._gk21(tabulated(fx), lo, hi), self.reference(tabulated(fx), lo, hi)
         for name, g, w in zip(("value", "error", "resasc"), got, want):
             assert bits(g) == bits(w), name
 
     @pytest.mark.parametrize("m", [1, 2, 14, 17, 108])
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_rows(self, m, seed):
-        fx, lo, hi = TestRuleAgainstReference.rows(m, seed)
-        self.assert_same_bits(TestRuleAgainstReference.tabulated(fx), lo, hi)
+        self.assert_same_bits(*TestRuleAgainstReference.rows(m, seed))
 
     def test_zero_constant_and_non_finite_nodes(self):
         fx, lo, hi = TestRuleAgainstReference.special_rows()
@@ -581,14 +591,13 @@ class TestRuleMatchesTwentyOneTermForm:
         rows = fx + signed + lone
         lo += [0.25 * j for j in range(len(rows) - len(lo))]
         hi += [a + 1.5 for a in lo[len(hi):]]
-        self.assert_same_bits(TestRuleAgainstReference.tabulated(rows), lo, hi)
+        self.assert_same_bits(rows, lo, hi)
 
     def test_degenerate_intervals(self):
         # lo == hi (half 0), and an interval whose half overflows to inf
         fx, _, _ = TestRuleAgainstReference.special_rows()
         for a, b in ((0.5, 0.5), (-3.0, -3.0), (0.0, 0.0), (-1e308, 1e308)):
-            self.assert_same_bits(TestRuleAgainstReference.tabulated(fx), [a] * len(fx),
-                                  [b] * len(fx))
+            self.assert_same_bits(fx, [a] * len(fx), [b] * len(fx))
 
 
 class TestFusedRows:
@@ -709,9 +718,7 @@ class TestFloatRuleMatchesNumpy:
                 assert got == want, (got, want)
 
     def assert_rules_agree(self, fx, lo, hi):
-        k = list(range(len(lo)))
-        in_floats = TestRuleAgainstReference.tabulated(fx)
-        got = zip(*oracle._gk21(in_floats, k, lo, hi))
+        got = zip(*oracle._gk21(TestRuleAgainstReference.tabulated(fx), lo, hi))
         for got_row, want_row in zip(got, self.reference(fx, lo, hi)):
             for value, want in zip(got_row, want_row):
                 self.assert_in(value, want)
@@ -799,11 +806,29 @@ class TestBatchIndependence:
 class TestLookAheadMovesNoBit:
     # `_integrate` given each integral's singularity starts from its `_mesh`,
     # halved ahead of the pass loop; given none, it is the plain pass loop.
-    # The arc's and the tail's mesh singularities lie nearer than their true
-    # ones, so the mesh halves where the plain loop may not, and the last
-    # bits move.  What may not move: the two refuse a point with the same
-    # exception, or give values within 0.05 of the plain loop's estimate (at
-    # most 0.0062 on seeds 1 to 8, t/z from 1e-3 to 1e10).
+    # The tail's mesh singularity lies nearer than its true one, so the mesh
+    # halves where the plain loop may not, and the last bits move.  What may
+    # not move: the two refuse a point with the same exception, or give
+    # values within 0.05 of the plain loop's estimate, past the lightcone
+    # with Sum_j |c_j(T)| E_j added back (at most 0.0061 on seeds 1 to 8,
+    # t/z from 1e-3 to 1e10).  E_j are the moments' error estimates when each
+    # process ruled them, QUADPACK's heuristic, recorded here.  The committed
+    # moments carry half an ulp in their place, so the estimates past the
+    # lightcone shrank (the worst ratio to the bare estimate is 0.068),
+    # while both routes read the same moments and their values differ by
+    # the same tail bits as before: the bound stays the absolute one it was.
+    RULED_MOMENT_ERRORS = {
+        "x": (3.164412532598017e-15, 6.081022889122946e-15, 2.2273100623715837e-14),
+        "z": (2.3459129704377077e-16, 3.7860262093246204e-16, 1.243326744686064e-15)}
+
+    @classmethod
+    def ruled_moment_errors(cls, kind, component, T):
+        """Sum_j |c_j(T)| E_j past the lightcone, 0 before it."""
+        if T <= 2.0:
+            return 0.0
+        pairs = zip(oracle._weight(kind)[1](T), cls.RULED_MOMENT_ERRORS[component])
+        return math.fsum(abs(c) * e for c, e in pairs)
+
     @staticmethod
     def outcome(run, *args):
         try:
@@ -821,14 +846,16 @@ class TestLookAheadMovesNoBit:
         rng = random.Random(seed)
         return [10.0 ** rng.uniform(-3.0, 10.0) for _ in range(24)]
 
-    @staticmethod
-    def assert_same_or_close(Ts, mesh, plain):
-        """Each T's (value, estimate) from the mesh against the plain loop's."""
+    @classmethod
+    def assert_same_or_close(cls, kind, component, Ts, mesh, plain):
+        """Each T's (value, estimate) from the mesh against the plain loop's, at
+        unit prefactor."""
         if isinstance(plain[0], type) or isinstance(mesh[0], type):  # a refusal
             assert mesh[0] == plain[0], (Ts, mesh, plain)
             return
         for T, (value, _), (plain_value, plain_estimate) in zip(Ts, mesh, plain):
-            assert abs(value - plain_value) <= 0.05 * plain_estimate, T
+            bound = plain_estimate + cls.ruled_moment_errors(kind, component, T)
+            assert abs(value - plain_value) <= 0.05 * bound, T
 
     @pytest.mark.parametrize("kind, component", [(q.kind, q.component) for q in QUANTITIES.values()])
     @pytest.mark.parametrize("seed", [1, 2])
@@ -840,8 +867,8 @@ class TestLookAheadMovesNoBit:
         rule_calls.clear()
         self.plain_loop(monkeypatch)
         for batch, ours in zip(batches, mesh):
-            self.assert_same_or_close(batch, ours, self.outcome(oracle._scaled, kind, component,
-                                                                batch))
+            self.assert_same_or_close(kind, component, batch, ours,
+                                      self.outcome(oracle._scaled, kind, component, batch))
         assert len(rule_calls) > 2 * calls
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -856,8 +883,8 @@ class TestLookAheadMovesNoBit:
         mesh = outcomes()
         assert any(isinstance(x[0], type) for x in mesh)
         self.plain_loop(monkeypatch)
-        for (T, _), ours, plain in zip(points, mesh, outcomes()):
-            self.assert_same_or_close((T,), ours, plain)
+        for (T, q), ours, plain in zip(points, mesh, outcomes()):
+            self.assert_same_or_close(q.kind, q.component, (T,), ours, plain)
 
     @pytest.mark.parametrize("kernel", [
         lambda u: math.nan if u > 0.5 else 1.0,
@@ -869,7 +896,7 @@ class TestLookAheadMovesNoBit:
         # Given a singularity on each piece, where both halves of the interval
         # that holds it keep distance 0, the mesh cap refuses every piece
         # before any rule runs, whatever the kernel.
-        f = lambda x, _: [kernel(u) for u in x]
+        f = lambda x: [kernel(u) for u in x]
         pieces = ((0.0, 1.0, 1 / 3), (0.0, 1 / 3, 0.0), (0.5, 2.0, 0.5))
         assert any(self.outcome(oracle._integrate, f, a, b)[0] is QuadratureConvergenceError
                    for a, b, _ in pieces)
@@ -886,15 +913,9 @@ class TestLookAhead:
     # piece starts from its intervals halved, level by level, while longer
     # than twice their distance to the piece's mesh singularity (`_POLES`), so
     # the first rule call runs them all.  The leaves and the rows of every
-    # `_gk21` call are pinned exactly, with the moments already held: a point
-    # past the lightcone rules only its tail.  One rule call per pass, the
-    # plain loop, took 3 calls for the far-band point below and 19 for the
-    # verify grid.
-    @pytest.fixture(autouse=True)
-    def moments_held(self):
-        for component in ("x", "z"):
-            oracle._moments(component)
-
+    # `_gk21` call are pinned exactly: a point past the lightcone rules only
+    # its tail.  One rule call per pass, the plain loop, took 3 calls for the
+    # far-band point below and 19 for the verify grid.
     @staticmethod
     def leaves(T):
         a, b, piece, _ = oracle._contour(T)
@@ -931,15 +952,20 @@ class TestLookAhead:
             verify_grid(grid=grid)
             assert rule_calls == rows * 4, grid
 
-    def test_moments_in_one_rule_call_per_power(self, rule_calls):
-        # [0, 1] whole and the arc in 3 intervals, one call for each of the 3
-        # powers after the point's tail, and never again
-        assert [len(oracle._mesh(a, b, oracle._POLES[piece]))
-                for piece, a, b in (("axis", 0.0, 1.0), ("arc", -1.0, 1.0))] == [1, 3]
-        oracle._moments.cache_clear()
-        dispersion_oracle("velocity", "x", up(1e4))
-        dispersion_oracle("position", "x", up(1e4))
-        assert rule_calls == [4, 4, 4, 4, 4]
+    def test_cold_process_far_band_point_in_one_rule_call(self):
+        # a fresh process's first point past the lightcone rules its tail's 4
+        # intervals in one call and nothing else: the moments are literals
+        counted = ("from vacbrownian import EvalPoint, oracle\n"
+                   "rule, rows = oracle._gk21, []\n"
+                   "oracle._gk21 = lambda f, lo, hi: rows.append(len(lo)) or rule(f, lo, hi)\n"
+                   "oracle.dispersion_oracle('velocity', 'x', EvalPoint(t=1e4, z=1.0))\n"
+                   "print(rows)\n")
+        src = str(Path(oracle.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+            src, os.environ.get("PYTHONPATH"))))}
+        fresh = subprocess.run([sys.executable, "-c", counted], capture_output=True, text=True,
+                               env=env, timeout=120, check=True)
+        assert fresh.stdout == "[4]\n"
 
     def test_huge_t_runs_no_more_rows_ahead_than_the_cap(self, rule_calls):
         # The tail ends at v = ln(T - 2), at most 710, and starts from 10
@@ -972,7 +998,7 @@ class TestLookAhead:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_no_leaf_longer_than_twice_its_distance(self, seed):
         pieces = [oracle._contour(T) for T in TestLookAheadMovesNoBit.seeded_ratios(seed)]
-        for a, b, piece, _ in pieces + [(0.0, 1.0, "axis", 1.0), (-1.0, 1.0, "arc", 1.0)]:
+        for a, b, piece, _ in pieces:
             pole = oracle._POLES[piece]
             for lo, hi in oracle._mesh(a, b, pole):
                 assert hi - lo <= 2.0 * abs(pole - min(max(pole.real, lo), hi)), (a, b, lo, hi)
@@ -991,32 +1017,8 @@ class TestLookAhead:
 
 
 class TestContourPieces:
-    # Past the lightcone the tail runs in v = ln(u - 2), and the axis [0, 1]
-    # and the arc, in r in [-1, 1], are the moments; each a smooth change of
-    # variable of the path in u.
-    def test_arc_runs_below_the_pole_from_one_to_three(self):
-        path = [oracle._arc_point(r) for r in (-1.0, *NODES, 1.0)]
-        assert (path[0][0], path[-1][0]) == (1.0, 3.0)
-        for u, _ in path:
-            assert abs(abs(u - 2.0) - 1.0) <= 4e-16 and u.imag <= 0.0, u
-        # du/dr against a central difference
-        h = 1e-6
-        for r, (_, du) in zip(NODES, path[1:]):
-            ahead, behind = oracle._arc_point(r + h)[0], oracle._arc_point(r - h)[0]
-            assert abs(du - (ahead - behind) / (2.0 * h)) < 1e-8, r
-
-    def test_moments_ruled_once_per_component(self):
-        # whatever the point and the kind, and never before the lightcone
-        oracle._moments.cache_clear()
-        dispersion_oracle("velocity", "x", up(1.5))
-        verify_grid(grid="pre-lightcone")
-        assert oracle._moments.cache_info().currsize == 0
-        dispersion_oracle("velocity", "x", up(3.0))
-        dispersion_oracle("position", "x", up(7.0))
-        assert oracle._moments.cache_info()[:2] == (1, 1)  # hits, misses
-        dispersion_oracle("position", "z", up(7.0))
-        assert oracle._moments.cache_info()[1:] == (2, None, 2)  # misses, maxsize, currsize
-
+    # Past the lightcone the tail runs in v = ln(u - 2), a smooth change of
+    # variable of the axis from 3 to t/z.
     @pytest.mark.parametrize("T, tail", [(2.5, (math.log(0.5), 0.0, "tail", -1.0)),
                                          (3.0, (0.0, 0.0, "tail", 1.0)),
                                          (1e4, (0.0, math.log(9998.0), "tail", 1.0))])
@@ -1031,8 +1033,9 @@ class TestContourPieces:
 
 class TestMoments:
     # Past the lightcone each weight is a polynomial in u, Sum_j c_j(T) u^j,
-    # so the axis [0, 1] plus the arc is Sum_j c_j(T) F_j, with the moments
-    # F_j = Re Int u^j kernel(u) du over those two pieces, held per component.
+    # so the path from 0 to 3 below the pole is Sum_j c_j(T) F_j, with the
+    # moments F_j = Re Int_0^3 u^j kernel(u) du along it, committed per
+    # component.
     @pytest.mark.parametrize("kind", ["velocity", "position"])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_coefficients_give_the_public_weights(self, kind, seed):
@@ -1053,29 +1056,26 @@ class TestMoments:
 
     @staticmethod
     def moment(component, j):
-        """F_j in mpmath at 30 digits: the axis from 0 to 1, then the semicircle
-        u = 2 + e^{is}, s from pi to 2 pi, below the pole."""
+        """F_j in mpmath at 40 digits, from the kernels' formulas (no closed form
+        of `dispersion`), on the path 0 -> 1 -> 2 - i -> 3 below the pole."""
         kernel = {"x": lambda u: -(u * u + 4) / (mpmath.pi ** 2 * (u * u - 4) ** 3),
                   "z": lambda u: 1 / (mpmath.pi ** 2 * (u * u - 4) ** 2)}[component]
-        with mpmath.workdps(30):
-            axis = mpmath.quad(lambda u: u ** j * kernel(u), [0, 1])
-            arc = mpmath.quad(lambda s: (2 + mpmath.expj(s)) ** j * kernel(2 + mpmath.expj(s))
-                              * 1j * mpmath.expj(s), [mpmath.pi, 1.5 * mpmath.pi, 2 * mpmath.pi])
-            return axis + mpmath.re(arc)
+        with mpmath.workdps(40):
+            path = [0, 1, mpmath.mpc(2, -1), 3]
+            return mpmath.re(mpmath.quad(lambda u: u ** j * kernel(u), path))
 
     @pytest.mark.parametrize("component", ["x", "z"])
     def test_moments_against_mpmath(self, component):
-        # each within 1e-15 relative, within its error estimate, and that
-        # estimate within its integral's tolerance
-        for j, (value, error) in zip((0, 1, 3), oracle._moments(component)):
-            want = self.moment(component, j)
-            assert abs(value - want) <= min(error, 1e-15 * abs(want)), j
-            assert error <= max(oracle.EPSABS, oracle.EPSREL * abs(value)), j
+        # each literal is its moment correctly rounded, bit for bit, and its
+        # error term half its ulp, which the rounding cannot exceed
+        for j, (value, error) in zip((0, 1, 3), oracle._MOMENTS[component]):
+            assert float(self.moment(component, j)) == value, j
+            assert error == math.ulp(value) / 2, j
 
     @pytest.mark.parametrize("quantity", QUANTITIES.values(), ids=lambda q: q.id)
     def test_overflowing_coefficients_refused(self, quantity):
         # where a c_j overflows, so does the tail's weight, whose NaN error
-        # estimate `_integrate` refuses before any moment is read
+        # estimate `_integrate` refuses before any moment is added
         weight, coefficients = oracle._weight(quantity.kind)
         for T in ((1e308, sys.float_info.max) if quantity.kind == "velocity"
                   else (7e102, 1e200, 1e300)):
@@ -1085,8 +1085,8 @@ class TestMoments:
 
 
 class TestPastTheLightcone:
-    # A seeded property over t/z from 2 + 1e-5 to 1e6: the axis [0, 1] and
-    # the arc come from the moments, the tail is ruled per point, and every
+    # A seeded property over t/z from 2 + 1e-5 to 1e6: the path from 0 to 3
+    # comes from the moments, the tail is ruled per point, and every
     # answered point lies within its own error estimate of the exact closed
     # form, for both presets at non-dyadic z.
     @pytest.mark.parametrize("seed", range(4))

@@ -150,13 +150,17 @@ class Tree:
                 pass
 
     def rule_use(self, run) -> tuple[int, int]:
-        """The `_gk21` calls and rows that ``run()`` makes in this tree."""
+        """The `_gk21` calls and rows that ``run()`` makes in this tree.
+
+        Rows are counted from ``lo``, the second argument from the end, so both
+        of the rule's signatures count: `_gk21(f, lo, hi)` and the older
+        `_gk21(f, k, lo, hi)`, whose k held one row index per interval."""
         rule, used = self.oracle._gk21, [0, 0]
 
-        def counted(f, k, lo, hi):
+        def counted(*args):
             used[0] += 1
-            used[1] += len(k)
-            return rule(f, k, lo, hi)
+            used[1] += len(args[-2])
+            return rule(*args)
 
         self.oracle._gk21 = counted  # `_integrate` looks the rule up at each call
         try:
