@@ -57,14 +57,16 @@ VERIFY_HEADER = "quantity,t/z,closed,oracle,rel_err,eps_estimate,pass"
 CORR_HEADER = "dt,z,corr_transverse,corr_normal,status"
 
 # Every --quantity id: the function of an EvalPoint giving its natural value,
-# and its kind.  The closed forms come first, then their printed asymptotes.
-_QUANTITIES: dict[str, tuple[Callable[[dispersion.EvalPoint], float], str]] = {
-    **{q.id: (q.value, q.kind) for q in dispersion.QUANTITIES.values()},
-    **{f"{q.id}_asym": (q.asymptote, q.kind) for q in dispersion.QUANTITIES.values()},
+# its kind, and whether the function takes the kind's prefactor
+# (`dispersion.Quantity.prefactor`) formed beforehand as a second argument.
+# The closed forms come first, then their printed asymptotes.
+_QUANTITIES: dict[str, tuple[Callable[..., float], str, bool]] = {
+    **{q.id: (q.value, q.kind, True) for q in dispersion.QUANTITIES.values()},
+    **{f"{q.id}_asym": (q.asymptote, q.kind, True) for q in dispersion.QUANTITIES.values()},
     "effective_temperature": (
-        lambda p: regimes.effective_temperature_natural(p.particle, p.z), "temperature"),
+        lambda p: regimes.effective_temperature_natural(p.particle, p.z), "temperature", False),
     "radiated_velocity_sq": (
-        lambda p: regimes.radiated_velocity_sq(p.particle, p.z, p.t), "velocity"),
+        lambda p: regimes.radiated_velocity_sq(p.particle, p.z, p.t), "velocity", False),
 }
 
 QUANTITY_CHOICES = tuple(_QUANTITIES)
@@ -84,10 +86,11 @@ _FLAG_CELLS = {(a, b): (str(a).lower(), str(b).lower()) for a in (True, False)
                for b in (True, False)}
 
 
-# One sweep row per format, filled with %.  The JSON record is laid out by
+# One sweep row per format, as a % template over its cells, which
+# `_row_template` cuts into constant pieces.  The JSON record is laid out by
 # json.dumps itself and indented to sit inside the top-level array.  Every
 # cell is JSON text already: the repr of a finite float, null, true/false, or
-# a quoted id, unit or status that needs no escaping.
+# a quoted id, unit or status that needs no escaping (and holds no "%s").
 _CSV_ROW = ",".join(["%s"] * len(SWEEP_HEADER.split(",")))
 _JSON_ROW = "  " + json.dumps({
     "t": {"value": "%s", "unit": "m (light-travel)"},
@@ -103,20 +106,24 @@ _JSON_ROW = "  " + json.dumps({
 
 
 def _row_template(fmt: str, quantity: str, status: str,
-                  units: tuple[str, str] | None = None) -> str:
-    """One quantity's sweep row, as a template over the point's cells.
+                  units: tuple[str, str] | None = None) -> tuple[str, ...]:
+    """One quantity's sweep row, as the constant pieces around its cells.
 
-    Those are t, z and t/z, then value_natural and value_si when the row's
-    ``units`` (natural, SI) are given, the status when ``status`` is "%s",
-    then the two regime flags.
+    The cells are t, z and t/z, then value_natural and value_si when the
+    row's ``units`` (natural, SI) are given, the status when ``status`` is
+    "%s", then the two regime flags; the row is the pieces joined with one
+    cell between each two.  The first three pieces and the last two are
+    the same in every row of a format.
     """
     if fmt == "csv":
         values = ("%s", "%s") if units else ("", "")
-        return _CSV_ROW % ("%s", "%s", "%s", quantity, *values, status, "%s", "%s")
-    natural, unit_nat, si, unit_si = (
-        ("%s", f'"{units[0]}"', "%s", f'"{units[1]}"') if units else ("null",) * 4)
-    return _JSON_ROW % ("%s", "%s", "%s", f'"{quantity}"', natural, unit_nat, si, unit_si,
-                        f'"{status}"', "%s", "%s")
+        row = _CSV_ROW % ("%s", "%s", "%s", quantity, *values, status, "%s", "%s")
+    else:
+        natural, unit_nat, si, unit_si = (
+            ("%s", f'"{units[0]}"', "%s", f'"{units[1]}"') if units else ("null",) * 4)
+        row = _JSON_ROW % ("%s", "%s", "%s", f'"{quantity}"', natural, unit_nat, si, unit_si,
+                           f'"{status}"', "%s", "%s")
+    return tuple(row.split("%s"))
 
 
 class UsageError(Exception):
@@ -242,12 +249,13 @@ def _point(t: float, z: float, spec: ParticleSpec) -> dispersion.EvalPoint:
         raise UsageError(f"parameter t/z: {exc}") from None
 
 
-def _resolve(quantity: str) -> tuple[Callable[[dispersion.EvalPoint], float],
-                                     Callable[[float], float] | None, str]:
-    """(value function, SI conversion, kind) of one quantity; the conversion is
-    None for a position.  `_Options.quantities` has checked the id."""
-    value, kind = _QUANTITIES[quantity]
-    return value, _UNITS[kind][2], kind
+def _resolve(quantity: str) -> tuple[Callable[..., float], Callable[[float], float] | None,
+                                     str, bool]:
+    """(value function, SI conversion, kind, whether the function takes a held
+    prefactor) of one quantity; the conversion is None for a position.
+    `_Options.quantities` has checked the id."""
+    value, kind, held = _QUANTITIES[quantity]
+    return value, _UNITS[kind][2], kind, held
 
 
 def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float, str]:
@@ -256,18 +264,24 @@ def _evaluate(quantity: str, point: dispersion.EvalPoint) -> tuple[float, float,
     Both values are finite: the quantity's function and the SI conversion
     raise ValueError for a value outside the float range.
     """
-    value, to_si, kind = _resolve(quantity)
+    value, to_si, kind, _ = _resolve(quantity)
     natural = value(point)
     return natural, natural if to_si is None else to_si(natural), kind
 
 
 # --- output plumbing ------------------------------------------------------------
 
+# An --output file's write buffer: a sweep of some MB goes out in 64 KiB writes.
+_FILE_BUFFER = 1 << 16
+
+
 def _emit(path: str | None, text: str, more: Iterable[str] = ()) -> None:
     """Write text, then each of ``more`` as it is made, to stdout or to a file.
 
-    Nothing is opened before ``text`` exists.  A reader that closes stdout
-    ends the writing quietly; any other OSError propagates (exit code 5).
+    Nothing is opened before ``text`` exists.  A file is written through a
+    buffer of `_FILE_BUFFER` bytes, stdout through its own.  A reader that
+    closes stdout ends the writing quietly; any other OSError propagates
+    (exit code 5).
     """
     if path is None:
         try:
@@ -280,7 +294,7 @@ def _emit(path: str | None, text: str, more: Iterable[str] = ()) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(path, "w", buffering=_FILE_BUFFER, encoding="utf-8", newline="") as handle:
             handle.write(text)
             handle.writelines(more)
 
@@ -351,14 +365,20 @@ def _cmd_eval(opts: _Options) -> int:
 def _cmd_sweep(opts: _Options) -> int:
     """Write the sweep table in one pass: each grid point's rows as soon as they are made.
 
-    Once per sweep, each --quantity is resolved by `_resolve`, as `eval`
-    resolves it, to its value function and SI conversion, and given its two
-    row templates, one with value cells and one with a status cell; the
-    fixed --z (or --t) is formatted once.  Once per point: the t, z and t/z
-    texts, and the regime flags' two cells.  Once per row: the quantity's
-    value, through `dispersion._shared_terms` for a closed form, its SI
-    value, whose text is not formed again for a position, and the filled
-    template.  Memory does not grow with --count.
+    Each value and text is formed once, at the level where it varies.  Once
+    per sweep, each --quantity is resolved by `_resolve`, as `eval` resolves
+    it, to its value function and SI conversion, and its two rows, one with
+    value cells and one with a status cell, are cut into constant pieces by
+    `_row_template`; the fixed --z (or --t) is formatted.  At a fixed z
+    (--var t or t_over_z), each kind's prefactor and the two regime-flag
+    bounds (`regimes._flag_bounds`) are formed once per sweep; under --var z
+    once per point.  A refused prefactor is held as None, so each row forms
+    and refuses it again after its own lightcone test.  Once per point: the
+    t, z and t/z texts and the regime flags' two cells.  Once per row: the
+    quantity's value, through `dispersion._shared_terms` for a closed form,
+    and its SI value, whose text is not formed again for a position.  Each
+    point's rows are one ``"".join`` of pieces and cell texts.  Memory does
+    not grow with --count.
     """
     spec = opts.particle()
     var = opts.get("var")
@@ -396,43 +416,59 @@ def _cmd_sweep(opts: _Options) -> int:
 
     # t, z and t/z are monotonic along the grid, so a point the end points
     # pass passes too: checking them refuses a bad sweep before any output.
-    point(at(0))
+    first = point(at(0))
     point(at(count - 1))
 
     resolved = []
     for q in quantities:
-        value, to_si, kind = _resolve(q)
-        resolved.append((value, to_si, _row_template(fmt, q, "ok", _UNITS[kind][:2]),
-                         _row_template(fmt, q, "%s")))
+        value, to_si, kind, takes_prefactor = _resolve(q)
+        ok = _row_template(fmt, q, "ok", _UNITS[kind][:2])
+        # the pieces between a row's own cells: t, z and t/z lead every row, the flags end it
+        resolved.append((value, kind if takes_prefactor else None, to_si, ok[3:6],
+                         _row_template(fmt, q, "%s")[3:5]))
+    lead, end = ok[:3], ok[6:]
+    kinds = tuple(dict.fromkeys(kind for _, kind, *_ in resolved if kind))
+
+    def prefactors(p: dispersion.EvalPoint) -> dict[str, float | None]:
+        """Each kind's prefactor at p, None where it is refused."""
+        formed = {}
+        for kind in kinds:
+            try:
+                formed[kind] = dispersion._prefactor(kind, p)
+            except ValueError:
+                formed[kind] = None
+        return formed
+
+    # both depend on z only, so at a fixed z they hold for every point
+    held, bounds = ((prefactors(first), regimes._flag_bounds(spec, z_fixed)) if var != "z"
+                    else (None, None))
     fixed = repr(t_fixed if var == "z" else z_fixed)
     flags = regimes.regime_flags
 
     def chunks() -> Iterator[str]:
-        lead = head
+        sep = head  # the text before the next row
         for i in range(count):
             p = point(at(i))
             t_text, z_text = (fixed, repr(p.z)) if var == "z" else (repr(p.t), fixed)
-            ratio_text = repr(p.t_over_z)
-            validity, radiation = _FLAG_CELLS[flags(p.particle, p.z, p.t)]
-            rows = []
-            for value, to_si, ok, failed in resolved:
+            row_head = "".join((lead[0], t_text, lead[1], z_text, lead[2], repr(p.t_over_z)))
+            validity, radiation = _FLAG_CELLS[flags(spec, p.z, p.t, bounds)]
+            row_end = "".join((validity, end[0], radiation, end[1]))
+            at_p = held if held is not None else prefactors(p)
+            parts = []
+            for value, kind, to_si, ok, failed in resolved:
                 try:
-                    natural = value(p)
+                    natural = value(p) if kind is None else value(p, at_p[kind])
                     si = natural if to_si is None else to_si(natural)
                 except LightconeSingularityError:
-                    rows.append(failed % (t_text, z_text, ratio_text, "singular",
-                                          validity, radiation))
-                    continue
+                    parts += (sep, row_head, failed[0], "singular", failed[1], row_end)
                 except ValueError:  # asymptote at t <= 2z, or outside the float range
-                    rows.append(failed % (t_text, z_text, ratio_text, "undefined",
-                                          validity, radiation))
-                    continue
-                natural_text = repr(natural)
-                rows.append(ok % (t_text, z_text, ratio_text, natural_text,
-                                  natural_text if to_si is None else repr(si),
-                                  validity, radiation))
-            yield lead + between.join(rows)
-            lead = between
+                    parts += (sep, row_head, failed[0], "undefined", failed[1], row_end)
+                else:
+                    natural_text = repr(natural)
+                    parts += (sep, row_head, ok[0], natural_text, ok[1],
+                              natural_text if to_si is None else repr(si), ok[2], row_end)
+                sep = between
+            yield "".join(parts)
         yield tail
 
     text = chunks()

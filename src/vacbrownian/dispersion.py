@@ -147,11 +147,11 @@ _PREFACTOR_FORMULAS = {PI_SQ: {"velocity": "e^2/(pi^2 m^2 z^2)", "position": "e^
                        1.0: {"velocity": "e^2/(m^2 z^2)", "position": "e^2/m^2"}}
 
 
-def _prefactor(kind: str, p: EvalPoint, c: float) -> float:
+def _prefactor(kind: str, p: EvalPoint, c: float = PI_SQ) -> float:
     """e^2/(c m^2 z^2) for a velocity, e^2/(c m^2) for a position, at c = pi^2 or 1.
 
-    The closed forms take c = pi^2 and the oracle c = 1.0, whose product
-    1.0 m is exact.  The denominator is multiplied out first: with
+    The closed forms take c = pi^2, the default, and the oracle c = 1.0,
+    whose product 1.0 m is exact.  The denominator is multiplied out first: with
     e = 1e-150, m = 1e150, z = 1e-300 that gives e^2/(m^2 z^2) = 1, where
     e^2/m^2 and z^2 would both round to zero.  A value outside (0, inf) is
     refused with ValueError naming the formula.
@@ -246,7 +246,7 @@ class Quantity(FrozenRecord):
 
     def prefactor(self, p: EvalPoint) -> float:
         """A = e^2/(pi^2 m^2 z^2) or B = e^2/(pi^2 m^2); refuses a value outside the float range."""
-        return _prefactor(self.kind, p, PI_SQ)
+        return _prefactor(self.kind, p)
 
     def _large_x_bracket(self, x: float, log_x: float, w: float, terms: int | None = None) -> float:
         """The large-x series at x > 1 from ln x and w = 1/x^2, keeping the first ``terms``
@@ -256,28 +256,36 @@ class Quantity(FrozenRecord):
             self.d if terms is None else self.d[:terms], w)
 
     @finite
-    def value(self, p: EvalPoint) -> float:
+    def value(self, p: EvalPoint, prefactor: float | None = None) -> float:
         """Closed-form value at p; refuses inside the lightcone window or outside the float range.
 
         No closed form vanishes for 0 < x < 1, so a 0.0 there has underflowed
-        and is refused as well.
+        and is refused as well.  ``prefactor`` is `prefactor(p)` when the
+        caller has formed it already, as a sweep at a fixed z does once for
+        all its points; None forms it here, after the lightcone test.
         """
         x, log, third = _shared_terms(p)
+        if prefactor is None:
+            prefactor = _prefactor(self.kind, p)
         if x > LARGE_X:
-            return self.prefactor(p) * self._large_x_bracket(x, log, third)
-        value = self.prefactor(p) * self.bracket(x, log, third)
+            return prefactor * self._large_x_bracket(x, log, third)
+        value = prefactor * self.bracket(x, log, third)
         if value == 0.0 and x < 1.0:
             raise ValueError("value leaves the float range")
         return value
 
     @finite
-    def asymptote(self, p: EvalPoint) -> float:
-        """The printed asymptote, the large-x series cut after ``asym_terms`` d_k; needs t > 2z."""
+    def asymptote(self, p: EvalPoint, prefactor: float | None = None) -> float:
+        """The printed asymptote, the large-x series cut after ``asym_terms`` d_k; needs t > 2z.
+
+        ``prefactor`` is as for `value`; None forms it after the t > 2z test.
+        """
         if p.t <= 2.0 * p.z:
             raise ValueError("asymptotic forms require t > 2z")
+        if prefactor is None:
+            prefactor = _prefactor(self.kind, p)
         x = p.x
-        return self.prefactor(p) * self._large_x_bracket(x, math.log(x), 1.0 / (x * x),
-                                                         self.asym_terms)
+        return prefactor * self._large_x_bracket(x, math.log(x), 1.0 / (x * x), self.asym_terms)
 
 
 QUANTITIES: Mapping[str, Quantity] = MappingProxyType({q.id: q for q in (

@@ -84,10 +84,22 @@ def radiation_time_limit(spec: ParticleSpec, z: float) -> float:
     return 4.0 * math.pi / (spec.e * spec.e) * spec.m * z * z
 
 
-def regime_flags(spec: ParticleSpec, z: float, t: float) -> tuple[bool, bool]:
-    """(validity_ok, radiation_ok): t below DEFAULT_MARGIN times each time bound."""
-    return (t < DEFAULT_MARGIN * validity_time_limit(spec, z),
-            t < DEFAULT_MARGIN * radiation_time_limit(spec, z))
+def _flag_bounds(spec: ParticleSpec, z: float) -> tuple[float, float]:
+    """The times below which `regime_flags` flags a point OK: DEFAULT_MARGIN times
+    the validity and the radiation time bound at z."""
+    return (DEFAULT_MARGIN * validity_time_limit(spec, z),
+            DEFAULT_MARGIN * radiation_time_limit(spec, z))
+
+
+def regime_flags(spec: ParticleSpec, z: float, t: float,
+                 bounds: tuple[float, float] | None = None) -> tuple[bool, bool]:
+    """(validity_ok, radiation_ok): t below DEFAULT_MARGIN times each time bound.
+
+    ``bounds`` is `_flag_bounds(spec, z)` when the caller has formed it
+    already, as a sweep at a fixed z does once for all its points.
+    """
+    validity, radiation = _flag_bounds(spec, z) if bounds is None else bounds
+    return t < validity, t < radiation
 
 
 @finite_nonzero

@@ -370,50 +370,96 @@ class TestSweep:
         assert "output" in err
 
 
-    def test_asymptote_rows_compute_flags_once_per_point(self, capsys, monkeypatch):
+    @staticmethod
+    def counted(monkeypatch, module, name):
+        """The calls of ``module.name`` from now on, by their arguments."""
         calls = []
-        flags = vacbrownian.regimes.regime_flags
+        function = getattr(module, name)
 
-        def counted(*args, **kwargs):
+        def counting(*args):
             calls.append(args)
-            return flags(*args, **kwargs)
+            return function(*args)
 
-        monkeypatch.setattr(vacbrownian.regimes, "regime_flags", counted)
-        monkeypatch.setattr(vacbrownian.dispersion, "regime_flags", counted)
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_asymptote_rows_compute_flags_once_per_point(self, capsys, monkeypatch):
+        # at the fixed z the flag bounds are formed once per sweep, and each
+        # point compares its t with them once
+        flags = self.counted(monkeypatch, vacbrownian.regimes, "regime_flags")
+        bounds = self.counted(monkeypatch, vacbrownian.regimes, "_flag_bounds")
         code, out, _ = run(capsys, "sweep", "--particle", "unit", "--min", "3", "--max", "1e3",
                            "--count", "100", *[f"--quantity={q}_asym" for q in
                                                vacbrownian.dispersion.QUANTITY_IDS])
         assert code == 0
         assert len(out.splitlines()) == 1 + 400
-        assert len(calls) == 100
+        assert (len(flags), len(bounds)) == (100, 1)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_flags_once_per_point(self, capsys, monkeypatch, fmt):
         # every id over t/z from 1 to 3, one point inside the lightcone window and
-        # eleven with undefined asymptotes: each of the 21 points reads its flags once
-        calls = []
-        flags = vacbrownian.regimes.regime_flags
-
-        def counted(*args):
-            calls.append(args)
-            return flags(*args)
-
-        monkeypatch.setattr(vacbrownian.regimes, "regime_flags", counted)
-        monkeypatch.setattr(vacbrownian.dispersion, "regime_flags", counted)
+        # eleven with undefined asymptotes: each of the 21 points reads its flags
+        # once, from bounds formed once per sweep at the fixed z, and once per
+        # point when z is swept
+        flags = self.counted(monkeypatch, vacbrownian.regimes, "regime_flags")
+        bounds = self.counted(monkeypatch, vacbrownian.regimes, "_flag_bounds")
+        every = [f"--quantity={q}" for q in QUANTITY_CHOICES]
         code, out, _ = run(capsys, "sweep", "--particle", "unit", "--min", "1", "--max", "3",
-                           "--count", "21", "--spacing", "linear", "--format", fmt,
-                           *[f"--quantity={q}" for q in QUANTITY_CHOICES])
+                           "--count", "21", "--spacing", "linear", "--format", fmt, *every)
         assert code == 0
         assert out.count("singular") == 4 and out.count("undefined") == 4 * 11
-        assert len(calls) == 21
+        assert (len(flags), len(bounds)) == (21, 1)
+        del flags[:], bounds[:]
+        code, out, _ = run(capsys, "sweep", "--particle", "unit", "--var", "z", "--t", "6",
+                           "--min", "2", "--max", "6", "--count", "21", "--spacing", "linear",
+                           "--format", fmt, *every)
+        assert code == 0
+        # t/z runs from 3 down to 1: z = 3 is in the window, and from there on t <= 2z
+        assert out.count("singular") == 4 and out.count("undefined") == 4 * 16
+        assert (len(flags), len(bounds)) == (21, 21)
+        assert [z for _, z in bounds] == [2.0 + 0.2 * i for i in range(21)]
+
+    @pytest.mark.parametrize("var, fixed, low, high, per_point", [
+        ("t_over_z", "--z", "1e-3", "1e5", 0), ("t", "--z", "1e-3", "1e5", 0),
+        ("z", "--t", "1e-5", "1e3", 2)])
+    def test_prefactors_once_per_sweep_at_fixed_z(self, capsys, monkeypatch, var, fixed, low,
+                                                  high, per_point):
+        # The four closed forms over 2,000 points form each kind's prefactor once
+        # per sweep at a fixed z (a call per row would make 8,000), and once per
+        # point when z is swept.
+        calls = self.counted(monkeypatch, vacbrownian.dispersion, "_prefactor")
+        code, out, _ = run(capsys, "sweep", "--particle", "unit", "--var", var, fixed, "1",
+                           "--min", low, "--max", high, "--count", "2000")
+        assert code == 0 and out.count("\n") == 1 + 2000 * 4
+        assert len(calls) == (2 if per_point == 0 else 2000 * per_point)
+        assert sorted({kind for kind, *_ in calls}) == ["position", "velocity"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_lightcone_refusal_before_prefactor_refusal(self, capsys, fmt):
+        # At z = 1e-300 the electron's velocity prefactor overflows.  Its rows are
+        # undefined, but the point in the lightcone window stays singular; the
+        # position rows, whose prefactor does not depend on z, stay ok.
+        code, out, err = run(capsys, "sweep", "--z", "1e-300", "--min", "1", "--max", "3",
+                             "--count", "3", "--spacing", "linear", "--format", fmt,
+                             "--quantity", "vel_disp_normal", "--quantity", "pos_disp_normal")
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            statuses = [(row[3], row[6]) for row in rows]
+        else:
+            statuses = [(r["quantity"], r["status"]) for r in json.loads(out)]
+        assert statuses == [("vel_disp_normal", "undefined"), ("pos_disp_normal", "ok"),
+                            ("vel_disp_normal", "singular"), ("pos_disp_normal", "singular"),
+                            ("vel_disp_normal", "undefined"), ("pos_disp_normal", "ok")]
 
     def test_unmapped_error_exits_70(self, capsys, monkeypatch):
-        def broken(point):
+        def broken(*args):
             raise RuntimeError("forced failure")
 
-        # the sweep takes each quantity's function from the table, once per sweep
+        # each closed-form row calls its `Quantity.value`, from the table, with
+        # the prefactor held for its kind
         monkeypatch.setitem(vacbrownian.cli_io._QUANTITIES, "vel_disp_transverse",
-                            (broken, "velocity"))
+                            (broken, "velocity", True))
         code, out, err = run(capsys, "sweep", "--particle", "unit", "--min", "1", "--max", "3",
                              "--count", "3", "--format", "json")
         assert (code, out, err) == (70, "", "error: internal: RuntimeError: forced failure\n")
@@ -497,9 +543,20 @@ BRANCH_RANGES = st.sampled_from([
 ])
 
 
+def public_value(quantity, p):
+    """The natural value and kind of one --quantity id at p, through the public functions."""
+    if quantity == "effective_temperature":
+        return vacbrownian.regimes.effective_temperature_natural(p.particle, p.z), "temperature"
+    if quantity == "radiated_velocity_sq":
+        return vacbrownian.regimes.radiated_velocity_sq(p.particle, p.z, p.t), "velocity"
+    result = getattr(vacbrownian, quantity)(p)
+    return result.value, result.kind
+
+
 class TestSweepValues:
     @seed(20261018)
     @given(
+        var=st.sampled_from(["t", "z", "t_over_z"]),
         bounds=BRANCH_RANGES.flatmap(lambda b: st.tuples(
             st.floats(min_value=b[0], max_value=b[1]), st.floats(min_value=b[0], max_value=b[1]))
             .filter(lambda r: r[0] < r[1])),
@@ -508,27 +565,38 @@ class TestSweepValues:
         preset=st.sampled_from(["electron", "unit"]),
         z=st.sampled_from([1.0, 1e-6, 3.7e-5, 2.5]),
     )
-    @settings(max_examples=80, deadline=None)
-    def test_cells_are_the_single_evaluation_path(self, bounds, count, spacing, preset, z):
+    @settings(max_examples=120, deadline=None)
+    def test_cells_are_the_single_evaluation_path(self, var, bounds, count, spacing, preset, z):
         # Every quantity of every row, bit for bit: value_natural is the repr of
-        # `_QUANTITIES[id][0]` at the row's point, value_si that of its SI form.
+        # the public function at the row's point, value_si that of its SI form,
+        # whether the sweep holds the prefactors and flag bounds for its fixed z
+        # (t, t/z) or forms them at each point (z).
+        lo, hi = bounds
+        if var == "t_over_z":
+            grid = ["--z", repr(z), "--min", repr(lo), "--max", repr(hi)]
+        elif var == "t":
+            grid = ["--z", repr(z), "--min", repr(lo * z), "--max", repr(hi * z)]
+        else:  # z runs from t/hi to t/lo at t = 2z
+            grid = ["--t", repr(2.0 * z), "--min", repr(2.0 * z / hi),
+                    "--max", repr(2.0 * z / lo)]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(["sweep", "--particle", preset, "--z", repr(z), "--min", repr(bounds[0]),
-                         "--max", repr(bounds[1]), "--count", str(count), "--spacing", spacing,
-                         *[f"--quantity={q}" for q in QUANTITY_CHOICES]])
+            code = main(["sweep", "--particle", preset, "--var", var, *grid, "--count", str(count),
+                         "--spacing", spacing, *[f"--quantity={q}" for q in QUANTITY_CHOICES]])
         assert (code, stderr.getvalue()) == (0, "")
         out = stdout.getvalue()
         spec = vacbrownian.cli_io._PRESETS[preset]()
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert len(rows) == count * len(QUANTITY_CHOICES)
-        for t, z_text, _, q, natural, si, status, *_ in rows:
+        for t, z_text, _, q, natural, si, status, validity, radiation in rows:
             p = EvalPoint(t=float(t), z=float(z_text), particle=spec)
-            value, kind = vacbrownian.cli_io._QUANTITIES[q]
+            flags = vacbrownian.regimes.regime_flags(spec, p.z, p.t)
+            assert [validity, radiation] == [json.dumps(flag) for flag in flags]
             try:
-                expected = value(p)
-            except (ValueError, vacbrownian.LightconeSingularityError):
-                assert (natural, si) == ("", "") and status != "ok"
+                expected, kind = public_value(q, p)
+            except (ValueError, vacbrownian.LightconeSingularityError) as exc:
+                singular = isinstance(exc, vacbrownian.LightconeSingularityError)
+                assert (natural, si, status) == ("", "", "singular" if singular else "undefined")
                 continue
             to_si = vacbrownian.cli_io._UNITS[kind][2] or float  # None: a position's SI value
             assert (natural, si, status) == (repr(expected), repr(to_si(expected)), "ok")

@@ -26,9 +26,18 @@ prints one line per subcommand, with its calls per exit code of the change:
 
     eval       calls   982  differing 0  exits 0:255 2:682 3:45
 
-and, on a line that differs, the first differing call's argv and config;
-then one line with the calls that draw each --quantity id, by flag or in a
-config file, every known id listed even when no call draws it:
+and, on a line that differs, how many cells of the differing calls' stdout
+and --output file differ, by CSV column or by JSON field (the keys on the
+path to a value, dotted, whatever the list index), most first, then the
+first differing call's argv and config:
+
+    corr       calls   988  differing 3  exits 0:310 2:678  cells corr_normal:52  first: corr ...
+
+An output whose two texts do not line up cell by cell (another CSV header
+or row count, JSON of another shape, or text that is neither) counts one
+under ``layout``; stderr and exit codes count no cells.  Then one line
+with the calls that draw each --quantity id, by flag or in a config file,
+every known id listed even when no call draws it:
 
     quantities vel_disp_transverse:412 vel_disp_normal:398 ... bogus:50
 
@@ -274,6 +283,52 @@ def outcome(tree: Tree, argv: list[str], config: bytes | None, config_path: Path
             [(w.category.__name__, str(w.message)) for w in caught])
 
 
+def table(output: str | bytes | None) -> list[tuple[str, str]] | None:
+    """An output's cells in order, each named by its CSV column or JSON field;
+    None for no output, or text that is neither JSON nor CSV under a header."""
+    if output is None:
+        return None
+    text = output.decode("utf-8", "replace") if isinstance(output, bytes) else output
+    try:
+        value = json.loads(text)
+    except ValueError:
+        lines = text.splitlines()
+        if not lines:
+            return None
+        header = lines[0].split(",")
+        rows = [line.split(",") for line in lines[1:]]
+        if len(header) < 2 or any(len(row) != len(header) for row in rows):
+            return None
+        return [cell for row in rows for cell in zip(header, row)]
+    cells = []
+
+    def leaves(value: object, name: str) -> None:
+        if isinstance(value, dict):
+            for key, item in value.items():
+                leaves(item, f"{name}.{key}" if name else key)
+        elif isinstance(value, list):
+            for item in value:
+                leaves(item, name)
+        else:
+            cells.append((name, json.dumps(value)))
+    leaves(value, "")
+    return cells
+
+
+def differing_cells(before: tuple, after: tuple) -> Counter:
+    """The cells of two outcomes' stdout and --output file that differ, by name."""
+    counts: Counter = Counter()
+    for x, y in ((before[1], after[1]), (before[3], after[3])):
+        if x == y:
+            continue
+        x, y = table(x), table(y)
+        if x is None or y is None or [n for n, _ in x] != [n for n, _ in y]:
+            counts["layout"] += 1
+            continue
+        counts.update(name for (name, a), (_, b) in zip(x, y) if a != b)
+    return counts
+
+
 def keep(directory: Path, command: str, call: list[str], config: bytes | None,
          tmp: str) -> Path:
     """Write one call to DIRECTORY/COMMAND.json for ``--replay``: its argv, the
@@ -320,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     rng = random.Random(SEED)
     differing = dict.fromkeys(COMMANDS, 0)
     exits: dict[str, Counter] = {command: Counter() for command in COMMANDS}
+    cells: dict[str, Counter] = {command: Counter() for command in COMMANDS}
     first: dict[str, str] = {}
     quantities = Counter(dict.fromkeys(parent.cli_io.QUANTITY_CHOICES, 0))
     with tempfile.TemporaryDirectory() as tmp:
@@ -334,6 +390,7 @@ def main(argv: list[str] | None = None) -> int:
             exits[command][after[0]] += 1
             if before != after:
                 differing[command] += 1
+                cells[command] += differing_cells(before, after)
                 if command not in first:
                     first[command] = f"  first: {shlex.join(call)}" + (
                         "" if config is None else f"  config {config[:200]!r}")
@@ -343,6 +400,8 @@ def main(argv: list[str] | None = None) -> int:
         codes = exits[command]
         print(f"{command:<10} calls {sum(codes.values()):>5}  differing {differing[command]}"
               "  exits" + "".join(f" {code}:{n}" for code, n in sorted(codes.items()))
+              + ("  cells" if cells[command] else "")
+              + "".join(f" {name}:{n}" for name, n in cells[command].most_common())
               + first.get(command, ""))
     print("quantities" + "".join(f" {q}:{n}" for q, n in quantities.items()))
     return 1 if any(differing.values()) else 0
